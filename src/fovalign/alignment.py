@@ -6,8 +6,11 @@ The loss is the symmetric InfoNCE over cosine similarities:
     loss = (CE(rows of Z, diagonal) + CE(rows of Z^T, diagonal)) / 2
 
 tau is trained in log-space and clamped to [temperature_min,
-temperature_max] after every optimizer step. Pairwise dots (and row
-norms) are reduced with exactly rounded summation, which makes
+temperature_max] after every optimizer step. Each pairwise dot (and
+each squared row norm) sums its elementwise products in one fixed order
+that does not depend on which matrix comes first: the products
+a_i * b_j and b_j * a_i are the same floating-point numbers, and each
+contiguous row of them is reduced by the same NumPy sum. That makes
 cos(A, B) the bit-exact transpose of cos(B, A); swapping the two
 modalities therefore reproduces the identical loss value, not merely an
 approximately equal one.
@@ -43,32 +46,45 @@ __all__ = [
 NORM_FLOOR = 1e-12
 
 
-def _exact_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """All pairwise dot products, each exactly rounded (order-free)."""
+# elements in one block of products: 2**19 float64 values, 4 MiB
+DOT_BLOCK_ELEMS = 1 << 19
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """All pairwise dot products, each summed in one fixed order.
+
+    The products of a row pair form one contiguous row that NumPy sums
+    in the same order whichever argument comes first, so
+    `_dots(a, b) == _dots(b, a).T` bit for bit. Rows of `a` are taken in
+    blocks so the product temporary stays within DOT_BLOCK_ELEMS.
+    """
     out = np.empty((a.shape[0], b.shape[0]))
-    for i in range(a.shape[0]):
-        prods = a[i] * b
-        for j in range(b.shape[0]):
-            out[i, j] = math.fsum(prods[j])
+    rows = max(1, DOT_BLOCK_ELEMS // max(1, b.shape[0] * b.shape[1]))
+    for start in range(0, a.shape[0], rows):
+        block = a[start : start + rows]
+        out[start : start + rows] = (block[:, None, :] * b[None, :, :]).sum(axis=-1)
     return out
 
 
-def _exact_norms(a: np.ndarray) -> np.ndarray:
-    out = np.empty(a.shape[0])
-    for i in range(a.shape[0]):
-        out[i] = math.sqrt(math.fsum(a[i] * a[i]))
-    return out
+def _norms(a: np.ndarray, floor: float) -> np.ndarray:
+    """Row norms floored at `floor`, summed as `_dots` sums a row with itself."""
+    return np.maximum(np.sqrt((a * a).sum(axis=-1)), floor)
 
 
-def cosine_similarity_matrix(a: np.ndarray, b: np.ndarray, floor: float = NORM_FLOOR) -> np.ndarray:
-    """Pairwise cosine similarities with norms floored at `floor`."""
+def _cosine(a: np.ndarray, b: np.ndarray, floor: float):
+    """Return (cos, na, nb): the cosine matrix and the floored row norms."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ValueError(f"incompatible feature shapes {a.shape} and {b.shape}")
-    na = np.maximum(_exact_norms(a), floor)
-    nb = np.maximum(_exact_norms(b), floor)
-    return _exact_dots(a, b) / (na[:, None] * nb[None, :])
+    na = _norms(a, floor)
+    nb = _norms(b, floor)
+    return _dots(a, b) / (na[:, None] * nb[None, :]), na, nb
+
+
+def cosine_similarity_matrix(a: np.ndarray, b: np.ndarray, floor: float = NORM_FLOOR) -> np.ndarray:
+    """Pairwise cosine similarities with norms floored at `floor`."""
+    return _cosine(a, b, floor)[0]
 
 
 def _row_cross_entropy(z: np.ndarray) -> float:
@@ -79,12 +95,9 @@ def _row_cross_entropy(z: np.ndarray) -> float:
     return float(np.mean(lse - np.diagonal(z)))
 
 
-def symmetric_contrastive_loss(f_n: np.ndarray, f_latent: np.ndarray, tau: float):
-    """Return (loss, logits) where logits = cos(f_n, f_latent) / tau.
-
-    Requires a square batch of at least two pairs; the i-th row of each
-    matrix is the positive partner of the i-th row of the other.
-    """
+def _contrastive(f_n: np.ndarray, f_latent: np.ndarray, tau: float):
+    """Return (loss, logits, cos, na, nb) for `symmetric_contrastive_loss`
+    and `loss_and_gradients`, which reuses the cosines and norms."""
     f_n = np.asarray(f_n, dtype=np.float64)
     f_latent = np.asarray(f_latent, dtype=np.float64)
     if f_n.shape != f_latent.shape:
@@ -93,8 +106,19 @@ def symmetric_contrastive_loss(f_n: np.ndarray, f_latent: np.ndarray, tau: float
         raise ValueError(f"contrastive batch needs >= 2 pairs, got {f_n.shape[0]}")
     if not np.isfinite(tau) or tau <= 0:
         raise ValueError(f"temperature must be positive, got {tau}")
-    logits = cosine_similarity_matrix(f_n, f_latent) / tau
+    cos, na, nb = _cosine(f_n, f_latent, NORM_FLOOR)
+    logits = cos / tau
     loss = 0.5 * (_row_cross_entropy(logits) + _row_cross_entropy(logits.T))
+    return loss, logits, cos, na, nb
+
+
+def symmetric_contrastive_loss(f_n: np.ndarray, f_latent: np.ndarray, tau: float):
+    """Return (loss, logits) where logits = cos(f_n, f_latent) / tau.
+
+    Requires a square batch of at least two pairs; the i-th row of each
+    matrix is the positive partner of the i-th row of the other.
+    """
+    loss, logits, _, _, _ = _contrastive(f_n, f_latent, tau)
     return loss, logits
 
 
@@ -106,7 +130,7 @@ def loss_and_gradients(f_n: np.ndarray, f_latent: np.ndarray, log_tau: float):
     f_n = np.asarray(f_n, dtype=np.float64)
     f_latent = np.asarray(f_latent, dtype=np.float64)
     tau = math.exp(float(log_tau))
-    loss, logits = symmetric_contrastive_loss(f_n, f_latent, tau)
+    loss, logits, cos, na, nb = _contrastive(f_n, f_latent, tau)
 
     batch = f_n.shape[0]
     eye = np.eye(batch)
@@ -116,11 +140,8 @@ def loss_and_gradients(f_n: np.ndarray, f_latent: np.ndarray, log_tau: float):
     d_log_tau = -float(np.sum(d_logits * logits))
 
     d_cos = d_logits / tau
-    na = np.maximum(_exact_norms(f_n), NORM_FLOOR)
-    nb = np.maximum(_exact_norms(f_latent), NORM_FLOOR)
     u = f_n / na[:, None]
     v = f_latent / nb[:, None]
-    cos = logits * tau
     # below the norm floor the normalizer is constant, so the radial
     # correction term disappears
     live_a = (na > NORM_FLOOR).astype(np.float64)[:, None]

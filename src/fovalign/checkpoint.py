@@ -17,6 +17,7 @@ precision and bit-stable across runs.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -27,6 +28,15 @@ __all__ = ["CHECKPOINT_MAGIC", "save_checkpoint", "load_checkpoint"]
 
 CHECKPOINT_MAGIC = b"BICK"
 CHECKPOINT_VERSION = 1
+
+
+def _is_array_entry(entry) -> bool:
+    return (
+        isinstance(entry, dict)
+        and isinstance(entry.get("name"), str)
+        and isinstance(entry.get("shape"), list)
+        and all(type(d) is int and d >= 0 for d in entry["shape"])
+    )
 
 
 def save_checkpoint(path, arrays: dict[str, np.ndarray], metadata: dict) -> None:
@@ -68,12 +78,17 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         if not isinstance(manifest, dict) or "arrays" not in manifest:
             raise FormatError(f"{path}: checkpoint manifest lacks the array table")
         payload = fh.read()
+    table = manifest["arrays"]
+    if not isinstance(table, list) or not all(_is_array_entry(e) for e in table):
+        raise FormatError(
+            f"{path}: checkpoint array table must list {{name, shape}} entries "
+            f"with a string name and non-negative integer dimensions"
+        )
     arrays: dict[str, np.ndarray] = {}
     offset = 0
-    for entry in manifest["arrays"]:
-        name, shape = entry["name"], tuple(int(s) for s in entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 4
+    for entry in table:
+        name, shape = entry["name"], tuple(entry["shape"])
+        nbytes = math.prod(shape) * 4
         chunk = payload[offset : offset + nbytes]
         if len(chunk) != nbytes:
             raise FormatError(f"{path}: payload ended inside array {name!r}")

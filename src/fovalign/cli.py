@@ -269,6 +269,10 @@ def cmd_evaluate(args) -> int:
     _check_checkpoint(arrays, config, dataset, provider)
 
     test_ids = dataset.test_indices()
+    # fail before the costly encoding, with nway_evaluate's message
+    largest = max(config.evaluation.gallery_sizes)
+    if largest > len(test_ids):
+        raise ConfigError(f"gallery size n={largest} exceeds the test set size {len(test_ids)}")
     f_n, latent = encode_pairs(
         config, dataset, provider, arrays, test_ids,
         kernel=config.transforms.kernel_size,

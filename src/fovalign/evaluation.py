@@ -89,6 +89,25 @@ class EvalReport:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
 
 
+# most distractor draws ranked at once; bounds the per-block temporaries
+RANK_BLOCK_DRAWS = 1 << 15
+
+
+def _ranks_among_draws(sim: np.ndarray, truth: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Rank of each row's truth among itself and its drawn distractors.
+
+    `draws` holds, per row, distinct indices into the gallery without the
+    truth column; each is shifted past the truth to give a gallery column.
+    Ties go to the lower gallery index, as in `ranks_of_truth`.
+    """
+    others = draws + (draws >= truth[:, None])
+    scores = np.take_along_axis(sim, others, axis=1)
+    true_scores = np.take_along_axis(sim, truth[:, None], axis=1)
+    higher = (scores > true_scores).sum(axis=1)
+    tied_before = ((scores == true_scores) & (others < truth[:, None])).sum(axis=1)
+    return 1 + higher + tied_before
+
+
 def nway_evaluate(
     similarity: np.ndarray, truth, n: int, trials: int, seed: int
 ) -> EvalReport:
@@ -108,30 +127,22 @@ def nway_evaluate(
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     k5 = min(5, n)
+    n_queries = sim.shape[0]
+    rows = max(1, RANK_BLOCK_DRAWS // max(1, n - 1))
     top1_sum = top5_sum = ap_sum = 0.0
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence((seed, trial)))
-        hits1 = np.empty(sim.shape[0])
-        hits5 = np.empty(sim.shape[0])
-        aps = np.empty(sim.shape[0])
-        for q in range(sim.shape[0]):
-            others = rng.choice(n_gallery - 1, size=n - 1, replace=False)
-            others = np.where(others >= t[q], others + 1, others)
-            candidates = np.sort(np.concatenate(([t[q]], others)))
-            scores = sim[q, candidates]
-            true_pos = int(np.searchsorted(candidates, t[q]))
-            true_score = scores[true_pos]
-            rank = (
-                1
-                + int((scores > true_score).sum())
-                + int(((scores == true_score) & (candidates < t[q])).sum())
-            )
-            hits1[q] = rank <= 1
-            hits5[q] = rank <= k5
-            aps[q] = 1.0 / rank
-        top1_sum += hits1.mean()
-        top5_sum += hits5.mean()
-        ap_sum += aps.mean()
+        ranks = np.empty(n_queries, dtype=np.int64)
+        for start in range(0, n_queries, rows):
+            stop = min(start + rows, n_queries)
+            draws = np.stack([
+                rng.choice(n_gallery - 1, size=n - 1, replace=False)
+                for _ in range(start, stop)
+            ])
+            ranks[start:stop] = _ranks_among_draws(sim[start:stop], t[start:stop], draws)
+        top1_sum += (ranks <= 1).mean()
+        top5_sum += (ranks <= k5).mean()
+        ap_sum += (1.0 / ranks).mean()
     return EvalReport(
         gallery_size=n,
         trials=trials,

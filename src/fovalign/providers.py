@@ -224,6 +224,13 @@ def save_embedding_bank(path, bank: EmbeddingBank) -> None:
             fh.write(np.ascontiguousarray(bank.neural[i], dtype="<f4").tobytes())
 
 
+def _is_int_list(value) -> bool:
+    """A JSON list of integers that fit int64."""
+    return isinstance(value, list) and all(
+        type(v) is int and -(2**63) <= v < 2**63 for v in value
+    )
+
+
 def _read_exact(fh, count: int, what: str) -> bytes:
     data = fh.read(count)
     if len(data) != count:
@@ -250,11 +257,20 @@ def load_embedding_bank(path) -> EmbeddingBank:
         }
         if not isinstance(header, dict) or set(header) != required:
             raise FormatError(f"{path}: bank header must hold exactly {sorted(required)}")
-        n = int(header["sample_count"])
-        views = int(header["views"])
-        dim_f = int(header["dim_feature"])
-        dim_n = int(header["dim_neural"])
-        levels = [int(l) for l in header["kernel_levels"]]
+        counts = [header[k] for k in ("sample_count", "views", "dim_feature", "dim_neural")]
+        if not (
+            all(type(c) is int and c >= 0 for c in counts)
+            and all(_is_int_list(header[k]) for k in ("kernel_levels", "labels"))
+            and isinstance(header["splits"], list)
+            and all(isinstance(s, str) for s in header["splits"])
+        ):
+            raise FormatError(
+                f"{path}: bank header needs non-negative integer counts and "
+                f"dimensions, integer lists of kernel levels and labels, and "
+                f"a list of split names"
+            )
+        n, views, dim_f, dim_n = counts
+        levels = list(header["kernel_levels"])
         per_sample = len(levels) * views * dim_f + dim_n
         payload = fh.read()
     expected_bytes = n * per_sample * 4
@@ -275,7 +291,7 @@ def load_embedding_bank(path) -> EmbeddingBank:
         features=features,
         neural=neural,
         labels=np.asarray(header["labels"], dtype=np.int64),
-        splits=[str(s) for s in header["splits"]],
+        splits=list(header["splits"]),
     )
     return bank.validate()
 

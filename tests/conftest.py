@@ -1,11 +1,15 @@
-"""Shared test helpers: finite differences and small config factories."""
+"""Shared test helpers: finite differences, small config factories and
+writers of malformed checkpoint and bank files."""
 
 from __future__ import annotations
 
 import dataclasses
+import json
+import struct
 
 import numpy as np
 
+from fovalign.checkpoint import CHECKPOINT_MAGIC
 from fovalign.config import (
     DataConfig,
     EvalConfig,
@@ -59,3 +63,19 @@ def tiny_config(**overrides) -> RunConfig:
 
 def random_image(rng: np.random.Generator, channels: int = 3, height: int = 8, width: int = 8):
     return rng.random((channels, height, width))
+
+
+def write_checkpoint_manifest(path, manifest, payload=b""):
+    """A BICK file holding `manifest` verbatim, for malformed-table tests."""
+    blob = json.dumps(manifest).encode("utf-8")
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", 1, len(blob)) + blob + payload)
+
+
+def rewrite_bank_header(path, **changes):
+    """Replace header fields of a saved bank, keeping its payload."""
+    data = path.read_bytes()
+    (length,) = struct.unpack("<I", data[8:12])
+    header = json.loads(data[12 : 12 + length])
+    header.update(changes)
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(data[:8] + struct.pack("<I", len(blob)) + blob + data[12 + length :])

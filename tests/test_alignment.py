@@ -7,8 +7,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import central_difference, relative_error, tiny_config
+from fovalign import alignment
 from fovalign.alignment import (
     AdamW,
     Trainer,
@@ -29,6 +32,55 @@ def brute_force_cosine(a, b):
         for j, v in enumerate(b):
             out[i, j] = float(u @ v) / max(np.linalg.norm(u) * np.linalg.norm(v), 1e-24)
     return out
+
+
+def fsum_cosine(a, b, floor=1e-12):
+    """Reference cosine with every dot and norm exactly rounded by math.fsum."""
+    na = np.maximum([math.sqrt(math.fsum(u * u)) for u in a], floor)
+    nb = np.maximum([math.sqrt(math.fsum(v * v)) for v in b], floor)
+    dots = np.array([[math.fsum(u * v) for v in b] for u in a]).reshape(len(a), len(b))
+    return dots / (na[:, None] * nb[None, :])
+
+
+def _feature_pair(seed, rows_a, rows_b, dim):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((rows_a, dim)) * rng.uniform(0.01, 100.0, size=(rows_a, 1))
+    b = rng.standard_normal((rows_b, dim)) * rng.uniform(0.01, 100.0, size=(rows_b, 1))
+    return a, b
+
+
+_pairs = st.builds(
+    _feature_pair,
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    rows_a=st.integers(min_value=1, max_value=9),
+    rows_b=st.integers(min_value=1, max_value=9),
+    dim=st.integers(min_value=1, max_value=140),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=_pairs, rows_per_block=st.integers(min_value=1, max_value=4))
+def test_blocked_cosine_is_transpose_exact_and_block_free(pair, rows_per_block):
+    # blocks of 1-4 rows leave a ragged last block for most row counts
+    a, b = pair
+    whole = cosine_similarity_matrix(a, b)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(alignment, "DOT_BLOCK_ELEMS", rows_per_block * b.size)
+        forward = cosine_similarity_matrix(a, b)
+        mp.setattr(alignment, "DOT_BLOCK_ELEMS", rows_per_block * a.size)
+        swapped = cosine_similarity_matrix(b, a)
+        mp.setattr(alignment, "DOT_BLOCK_ELEMS", 1)
+        row_by_row = cosine_similarity_matrix(a, b)
+    np.testing.assert_array_equal(forward, swapped.T)
+    np.testing.assert_array_equal(forward, whole)
+    np.testing.assert_array_equal(row_by_row, whole)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=_pairs)
+def test_cosine_agrees_with_fsum_oracle(pair):
+    a, b = pair
+    np.testing.assert_allclose(cosine_similarity_matrix(a, b), fsum_cosine(a, b), rtol=0, atol=1e-15)
 
 
 class TestCosineMatrix:

@@ -12,8 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import tiny_config
+from conftest import rewrite_bank_header, tiny_config, write_checkpoint_manifest
 import fovalign
+import fovalign.cli
 from fovalign.alignment import init_parameters
 from fovalign.checkpoint import load_checkpoint
 from fovalign.cli import main
@@ -292,6 +293,38 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert "16" in err and "24" in err
 
+    def test_oversized_gallery_fails_before_encoding(self, workspace, tmp_path,
+                                                     monkeypatch, capsys):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("encode_pairs ran before the gallery check")
+
+        monkeypatch.setattr(fovalign.cli, "encode_pairs", unreachable)
+        raw = json.loads(workspace["config"].read_text())
+        raw["evaluation"]["gallery_sizes"] = [2, 5]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        assert main(["evaluate", "--config", str(cfg), "--out", str(tmp_path / "e")]) == 2
+        assert "gallery size n=5 exceeds the test set size 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "broken, message",
+        [("checkpoint", "checkpoint array table"), ("bank", "bank header")],
+    )
+    def test_malformed_file_exits_2(self, workspace, tmp_path, capsys, broken, message):
+        raw = json.loads(workspace["config"].read_text())
+        if broken == "checkpoint":
+            raw["paths"]["checkpoint"] = str(tmp_path / "bad.bick")
+            write_checkpoint_manifest(tmp_path / "bad.bick", {"arrays": [{"shape": [1]}]})
+        else:
+            data = tmp_path / "data"
+            shutil.copytree(workspace["root"] / "data", data)
+            rewrite_bank_header(data / "bank.bicp", kernel_levels=None)
+            raw["paths"]["dataset"] = str(data)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        assert main(["evaluate", "--config", str(cfg), "--out", str(tmp_path / "e")]) == 2
+        assert message in capsys.readouterr().err
+
     def test_missing_checkpoint(self, workspace, tmp_path, capsys):
         raw = json.loads(workspace["config"].read_text())
         raw["paths"]["checkpoint"] = str(tmp_path / "none.bick")
@@ -366,6 +399,16 @@ class TestErrorSurface:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src_dir, inherited])))
         proc = subprocess.run(
             [sys.executable, "-c", code, "--help"],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert_help_lists_commands(proc)
+
+    def test_python_dash_m_help(self):
+        src_dir = str(Path(fovalign.__file__).resolve().parents[1])
+        inherited = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src_dir, inherited])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fovalign", "--help"],
             capture_output=True, text=True, timeout=60, env=env,
         )
         assert_help_lists_commands(proc)

@@ -1,10 +1,14 @@
 """Retrieval metrics against brute-force oracles."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fovalign import evaluation
 from fovalign.errors import ConfigError
 from fovalign.evaluation import (
     EvalReport,
@@ -20,6 +24,58 @@ def oracle_rank(scores, true_index):
     """Stable descending sort: ties broken by the lower gallery index."""
     order = sorted(range(len(scores)), key=lambda j: (-scores[j], j))
     return 1 + order.index(true_index)
+
+
+def loop_nway_evaluate(similarity, truth, n, trials, seed):
+    """Per-query reference for `nway_evaluate`: the same seeded draws, each
+    query's candidates sorted and its truth found by binary search."""
+    sim = np.asarray(similarity, dtype=np.float64)
+    t = np.asarray(truth, dtype=np.int64)
+    n_gallery = sim.shape[1]
+    k5 = min(5, n)
+    top1_sum = top5_sum = ap_sum = 0.0
+    for trial in range(trials):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, trial)))
+        hits1 = np.empty(sim.shape[0])
+        hits5 = np.empty(sim.shape[0])
+        aps = np.empty(sim.shape[0])
+        for q in range(sim.shape[0]):
+            others = rng.choice(n_gallery - 1, size=n - 1, replace=False)
+            others = np.where(others >= t[q], others + 1, others)
+            candidates = np.sort(np.concatenate(([t[q]], others)))
+            scores = sim[q, candidates]
+            true_pos = int(np.searchsorted(candidates, t[q]))
+            true_score = scores[true_pos]
+            rank = (
+                1
+                + int((scores > true_score).sum())
+                + int(((scores == true_score) & (candidates < t[q])).sum())
+            )
+            hits1[q] = rank <= 1
+            hits5[q] = rank <= k5
+            aps[q] = 1.0 / rank
+        top1_sum += hits1.mean()
+        top5_sum += hits5.mean()
+        ap_sum += aps.mean()
+    return EvalReport(
+        gallery_size=n,
+        trials=trials,
+        seed=seed,
+        top1=top1_sum / trials,
+        top5=top5_sum / trials,
+        mean_ap=ap_sum / trials,
+        similarity=similarity_score(sim) if sim.shape[0] == sim.shape[1] else float("nan"),
+    )
+
+
+def assert_same_report(got, expected):
+    """`==` on the reports; a NaN similarity (rectangular matrix) must be
+    NaN on both sides and is then set aside, since NaN != NaN."""
+    if math.isnan(expected.similarity):
+        assert math.isnan(got.similarity)
+        got = dataclasses.replace(got, similarity=0.0)
+        expected = dataclasses.replace(expected, similarity=0.0)
+    assert got == expected
 
 
 class TestRanks:
@@ -184,6 +240,60 @@ class TestNWay:
         report = nway_evaluate(sim, [0, 1, 2, 3], n=3, trials=2, seed=1)
         assert np.isnan(report.similarity)
         assert 0.0 <= report.top1 <= 1.0
+
+
+class TestNWayMatchesLoop:
+    """The blocked ranking reproduces the per-query loop exactly."""
+
+    @staticmethod
+    def _tied(queries, gallery, seed):
+        # integer scores in [-2, 2] tie often, including with the truth
+        rng = np.random.default_rng(seed)
+        sim = rng.integers(-2, 3, size=(queries, gallery)).astype(float)
+        return sim, rng.integers(0, gallery, size=queries)
+
+    @pytest.mark.parametrize("n", [1, 2, 9])
+    @pytest.mark.parametrize("queries", [9, 5])  # square, then rectangular
+    def test_small_n_and_full_gallery(self, n, queries):
+        sim, truth = self._tied(queries, 9, seed=n + 10 * queries)
+        for seed in range(3):
+            assert_same_report(
+                nway_evaluate(sim, truth, n, trials=4, seed=seed),
+                loop_nway_evaluate(sim, truth, n, trials=4, seed=seed),
+            )
+
+    @pytest.mark.parametrize("block_draws", [1, 3, 7])
+    def test_ragged_query_blocks(self, monkeypatch, block_draws):
+        # 1-3 queries per block: several blocks and a ragged last one
+        monkeypatch.setattr(evaluation, "RANK_BLOCK_DRAWS", block_draws)
+        sim, truth = self._tied(11, 14, seed=block_draws)
+        for n in (1, 2, 3, 14):
+            assert_same_report(
+                nway_evaluate(sim, truth, n, trials=3, seed=5),
+                loop_nway_evaluate(sim, truth, n, trials=3, seed=5),
+            )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        queries=st.integers(min_value=1, max_value=8),
+        extra=st.integers(min_value=0, max_value=6),
+        ties=st.booleans(),
+        data=st.data(),
+    )
+    def test_random_matrices(self, queries, extra, ties, data):
+        gallery = queries + extra
+        seed = data.draw(st.integers(min_value=0, max_value=2**31), label="seed")
+        n = data.draw(st.integers(min_value=1, max_value=gallery), label="n")
+        if ties:
+            sim, truth = self._tied(queries, gallery, seed)
+        else:
+            rng = np.random.default_rng(seed)
+            sim = rng.standard_normal((queries, gallery))
+            truth = rng.integers(0, gallery, size=queries)
+        assert_same_report(
+            nway_evaluate(sim, truth, n, trials=2, seed=seed),
+            loop_nway_evaluate(sim, truth, n, trials=2, seed=seed),
+        )
 
 
 @settings(max_examples=100, deadline=None)

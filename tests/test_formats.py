@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from fovalign.checkpoint import CHECKPOINT_MAGIC, load_checkpoint, save_checkpoint
+from conftest import write_checkpoint_manifest
 from fovalign.errors import FormatError
 from fovalign.pixmap import read_pixmap, to_bytes_quantized, write_pixmap
 
@@ -173,3 +174,34 @@ class TestCheckpoint:
         path.write_bytes(bytes(data))
         with pytest.raises(FormatError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            [{"shape": [1]}],
+            "w",
+            [{"name": "w", "shape": ["x"]}],
+            [{"name": "w", "shape": [-1]}],
+            [{"name": "w", "shape": [1.5]}],
+            [{"name": "w", "shape": [True]}],
+            [{"name": "w", "shape": 1}],
+            [{"name": 7, "shape": [1]}],
+            ["w"],
+        ],
+        ids=[
+            "entry-without-name", "table-is-string", "non-numeric-dim", "negative-dim",
+            "fractional-dim", "boolean-dim", "shape-not-list", "name-not-string",
+            "entry-not-object",
+        ],
+    )
+    def test_malformed_array_table_rejected(self, tmp_path, table):
+        path = tmp_path / "ck.bick"
+        write_checkpoint_manifest(path, {"arrays": table}, payload=bytes(4))
+        with pytest.raises(FormatError, match="array table"):
+            load_checkpoint(path)
+
+    def test_empty_dimension_reads_an_empty_array(self, tmp_path):
+        path = tmp_path / "ck.bick"
+        save_checkpoint(path, {"w": np.zeros((0, 3))}, {})
+        loaded, _ = load_checkpoint(path)
+        assert loaded["w"].shape == (0, 3)

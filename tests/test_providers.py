@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import random_image
+from conftest import random_image, rewrite_bank_header
 from fovalign.config import TransformConfig, ViewsConfig
 from fovalign.errors import FormatError, ProtocolError
 from fovalign.providers import (
@@ -107,6 +107,19 @@ def _tiny_bank(levels=(1, 9), n=6, views=3, dim_f=5, dim_n=4, test_from=4):
     )
 
 
+MALFORMED_BANK_HEADERS = {
+    "non-numeric-sample-count": {"sample_count": "six"},
+    "null-kernel-levels": {"kernel_levels": None},
+    "negative-views": {"views": -3},
+    "fractional-dim-feature": {"dim_feature": 5.5},
+    "boolean-dim-neural": {"dim_neural": True},
+    "string-labels": {"labels": ["a"] * 6},
+    "labels-beyond-int64": {"labels": [2**70] * 6},
+    "null-splits": {"splits": None},
+    "numeric-splits": {"splits": [0] * 6},
+}
+
+
 class TestEmbeddingBank:
     def test_round_trip_bit_identical(self, tmp_path):
         bank = _tiny_bank()
@@ -139,6 +152,16 @@ class TestEmbeddingBank:
         save_embedding_bank(path, _tiny_bank())
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(FormatError):
+            load_embedding_bank(path)
+
+    @pytest.mark.parametrize(
+        "changes", MALFORMED_BANK_HEADERS.values(), ids=MALFORMED_BANK_HEADERS.keys()
+    )
+    def test_malformed_header_rejected(self, tmp_path, changes):
+        path = tmp_path / "bank.bicp"
+        save_embedding_bank(path, _tiny_bank())
+        rewrite_bank_header(path, **changes)
+        with pytest.raises(FormatError, match="bank header"):
             load_embedding_bank(path)
 
     def test_empty_file_rejected(self, tmp_path):
