@@ -24,7 +24,7 @@ from .config import RunConfig, ablation_ladder, config_from_dict, config_hash, l
 from .datagen import generate_dataset, load_dataset
 from .errors import ConfigError, FormatError, NumericError, ProtocolError
 from .evaluation import EvalReport, nway_evaluate
-from .fusion import belief_weights, evidence_head, fusion_backward, fusion_forward
+from .fusion import belief_weights, fusion_backward, fusion_forward
 from .pixmap import read_pixmap, write_pixmap
 from .providers import (
     BankProvider,
@@ -73,7 +73,6 @@ __all__ = [
     "confidence_bounds",
     "cosine_similarity_matrix",
     "encode_pairs",
-    "evidence_head",
     "foveate",
     "foveation_mask",
     "fusion_backward",

@@ -29,7 +29,7 @@ import numpy as np
 from . import fusion, nn
 from .config import RunConfig
 from .errors import ConfigError, NumericError
-from .providers import SampleRef, SyntheticProvider, derive_noise_seed
+from .providers import gather_features
 from .regulator import BlurSchedule, confidence_bounds
 
 __all__ = [
@@ -207,8 +207,8 @@ def init_parameters(config: RunConfig, dim_neural: int) -> dict[str, np.ndarray]
 
 
 class Trainer:
-    """Owns parameters, optimizer state, the blur schedule and the
-    per-view feature caches for one training run."""
+    """Owns parameters, optimizer state and the blur schedule for one
+    training run."""
 
     def __init__(self, config: RunConfig, dataset, provider):
         self.config = config
@@ -237,38 +237,7 @@ class Trainer:
         self._shuffle_rng = np.random.default_rng(
             np.random.SeedSequence((tr.seed, 1))
         )
-        self._static_rows: dict[tuple[int, str], np.ndarray] = {}
-        self._fov_rows: dict[tuple[int, int], np.ndarray] = {}
         self.reports: list[EpochReport] = []
-
-    # -- feature assembly ------------------------------------------------
-
-    def _sample_features(self, index: int, epoch: int) -> np.ndarray:
-        kernel = int(self.schedule.kernels_of([index])[0])
-        if not isinstance(self.provider, SyntheticProvider):
-            return self.provider.features(SampleRef(index=index, kernel=kernel))
-        image = self.dataset.images[index]
-        noise_seed = derive_noise_seed(self.config.training.seed, index, epoch)
-        rows = []
-        for name in self.provider.view_names:
-            if name == "noise":
-                rows.append(self.provider.view_feature(name, image, kernel, noise_seed))
-            elif name == "foveated":
-                key = (index, kernel)
-                if key not in self._fov_rows:
-                    self._fov_rows[key] = self.provider.view_feature(name, image, kernel, 0)
-                rows.append(self._fov_rows[key])
-            else:
-                key = (index, name)
-                if key not in self._static_rows:
-                    self._static_rows[key] = self.provider.view_feature(name, image, kernel, 0)
-                rows.append(self._static_rows[key])
-        return np.stack(rows)
-
-    def _batch_features(self, ids: np.ndarray, epoch: int) -> np.ndarray:
-        return np.stack([self._sample_features(int(i), epoch) for i in ids])
-
-    # -- training --------------------------------------------------------
 
     def _regulation_active(self, epoch: int) -> bool:
         return (
@@ -285,7 +254,9 @@ class Trainer:
         losses, lowers, uppers = [], [], []
         for b in range(n_batches):
             ids = order[b * batch_size : (b + 1) * batch_size]
-            feats = self._batch_features(ids, epoch)
+            feats = gather_features(
+                self.provider, ids, self.schedule.kernels_of(ids), cfg.training.seed, epoch
+            )
             dropout_rng = np.random.default_rng(
                 np.random.SeedSequence((cfg.training.seed, 2, epoch, b))
             )
@@ -367,18 +338,7 @@ def encode_pairs(
     Returns (f_n, f_latent). Views are built at the fixed `kernel`; the
     noise view derives its seed from (noise_base_seed, sample_index, 0).
     """
-    rows = []
-    for index in indices:
-        index = int(index)
-        image = dataset.images[index] if dataset.images is not None else None
-        sample = SampleRef(
-            index=index,
-            kernel=kernel,
-            noise_seed=derive_noise_seed(noise_base_seed, index, 0),
-            image=image,
-        )
-        rows.append(provider.features(sample))
-    feats = np.stack(rows)
+    feats = gather_features(provider, indices, [kernel] * len(indices), noise_base_seed, 0)
     latent, _ = fusion.fusion_forward(feats, params, config.fusion, train_mode=False)
     f_n = nn.affine_forward(
         np.asarray(dataset.neural)[np.asarray(indices, dtype=np.int64)],

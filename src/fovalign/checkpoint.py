@@ -92,8 +92,10 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         chunk = payload[offset : offset + nbytes]
         if len(chunk) != nbytes:
             raise FormatError(f"{path}: payload ended inside array {name!r}")
-        arr = np.frombuffer(chunk, dtype="<f4").astype(np.float64).reshape(shape)
-        arrays[name] = arr
+        try:
+            arrays[name] = np.frombuffer(chunk, dtype="<f4").astype(np.float64).reshape(shape)
+        except ValueError as exc:  # more axes, or a larger extent, than NumPy allows
+            raise FormatError(f"{path}: array {name!r} cannot take shape {list(shape)}") from exc
         offset += nbytes
     if offset != len(payload):
         raise FormatError(f"{path}: {len(payload) - offset} trailing payload bytes")

@@ -24,12 +24,12 @@ import numpy as np
 
 from .alignment import Trainer, cosine_similarity_matrix, encode_pairs, init_parameters
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import RunConfig, config_from_dict, config_hash
-from .datagen import PairedDataset, generate_dataset
+from .config import RunConfig, config_hash, load_config
+from .datagen import PairedDataset, generate_dataset, load_dataset
 from .errors import ConfigError, FormatError, NumericError, ProtocolError
 from .evaluation import nway_evaluate
 from .pixmap import read_pixmap, write_pixmap
-from .providers import BankProvider, SyntheticProvider, load_embedding_bank, save_embedding_bank
+from .providers import BankProvider, SyntheticProvider, save_embedding_bank
 from .transforms import FoveationParams, ViewParams, build_view_stack
 
 __all__ = ["main"]
@@ -40,30 +40,6 @@ _METRICS_COLUMNS = (
     "kernel_min", "kernel_mean", "kernel_max", "t_lower", "t_upper",
 )
 _EVAL_COLUMNS = ("subject", "n", "seed", "trials", "top1", "top5", "map", "similarity")
-
-
-def _load_config_and_seed(path, command: str) -> tuple[RunConfig, int | None]:
-    """Read a config file or a run manifest.
-
-    A manifest written by the same command also carries the seed that was
-    in effect, which becomes the default --seed; manifests from other
-    commands contribute only their config.
-    """
-    if path is None:
-        return RunConfig().validate(), None
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
-    seed = None
-    if isinstance(data, dict) and "command" in data and "config" in data:
-        if data["command"] == command and data.get("seed") is not None:
-            seed = int(data["seed"])
-        data = data["config"]
-    return config_from_dict(data), seed
 
 
 def _refuse_existing(paths, force: bool) -> None:
@@ -88,28 +64,13 @@ def _with_seed(config: RunConfig, section: str, field: str, seed: int | None) ->
     return dataclasses.replace(config, **{section: part})
 
 
-def _dataset_and_bank(config: RunConfig, need_images: bool):
-    """Load the generated dataset directory for the configured provider."""
-    root = Path(config.paths.dataset)
-    bank = load_embedding_bank(root / "bank.bicp")
-    images = None
-    if need_images:
-        images = [
-            read_pixmap(root / "images" / f"sample_{i:05d}.ppm")
-            for i in range(bank.sample_count)
-        ]
-    dataset = PairedDataset(
-        images=images,
-        neural=bank.neural.astype(np.float64),
-        labels=bank.labels.astype(np.int64),
-        splits=list(bank.splits),
-        tag=bank.tag,
-    )
-    return dataset, bank
-
-
-def _make_provider(config: RunConfig, bank):
-    if config.provider.kind == "bank":
+def _load_data(config: RunConfig):
+    """Load the dataset directory (pixels only for the synthetic provider)
+    and return (dataset, provider) for the configured provider kind."""
+    kind = config.provider.kind
+    loaded = load_dataset(config.paths.dataset, with_images=kind == "synthetic")
+    bank = loaded.bank
+    if kind == "bank":
         if bank.views != config.views.count:
             raise ConfigError(
                 f"embedding bank stores {bank.views} views but the config "
@@ -120,10 +81,10 @@ def _make_provider(config: RunConfig, bank):
                 f"embedding bank stores dim_feature={bank.dim_feature} but the "
                 f"config asks for {config.provider.dim_feature}"
             )
-        return BankProvider(bank)
-    return SyntheticProvider(
+        return loaded.dataset, BankProvider(bank)
+    return loaded.dataset, SyntheticProvider(
         config.transforms, config.views,
-        config.provider.dim_feature, config.provider.seed,
+        config.provider.dim_feature, config.provider.seed, loaded.dataset.images,
     )
 
 
@@ -131,7 +92,7 @@ def _make_provider(config: RunConfig, bank):
 
 
 def cmd_generate(args) -> int:
-    config, manifest_seed = _load_config_and_seed(args.config, "generate")
+    config, manifest_seed = load_config(args.config, "generate")
     seed = args.seed if args.seed is not None else manifest_seed
     config = _with_seed(config, "data", "seed", seed)
     out = Path(args.out) if args.out else Path(config.paths.dataset)
@@ -149,7 +110,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    config, manifest_seed = _load_config_and_seed(args.config, "transform")
+    config, manifest_seed = load_config(args.config, "transform")
     seed = args.seed if args.seed is not None else manifest_seed
     noise_seed = int(seed) if seed is not None else 0
     out = Path(args.out) if args.out else Path("views")
@@ -187,7 +148,7 @@ def _write_metrics_csv(path, reports) -> None:
 
 
 def cmd_train(args) -> int:
-    config, manifest_seed = _load_config_and_seed(args.config, "train")
+    config, manifest_seed = load_config(args.config, "train")
     seed = args.seed if args.seed is not None else manifest_seed
     config = _with_seed(config, "training", "seed", seed)
     checkpoint_path = Path(config.paths.checkpoint)
@@ -196,8 +157,7 @@ def cmd_train(args) -> int:
         checkpoint_path = out / checkpoint_path.name
     _refuse_existing([checkpoint_path, out / "metrics.csv", out / "manifest.json"], args.force)
 
-    dataset, bank = _dataset_and_bank(config, need_images=config.provider.kind == "synthetic")
-    provider = _make_provider(config, bank)
+    dataset, provider = _load_data(config)
     trainer = Trainer(config, dataset, provider)
     reports = trainer.train()
 
@@ -252,7 +212,7 @@ def _check_checkpoint(arrays: dict, config: RunConfig, dataset: PairedDataset, p
 
 
 def cmd_evaluate(args) -> int:
-    config, manifest_seed = _load_config_and_seed(args.config, "evaluate")
+    config, manifest_seed = load_config(args.config, "evaluate")
     seed = args.seed if args.seed is not None else manifest_seed
     config = _with_seed(config, "evaluation", "seed", seed)
     checkpoint_path = Path(config.paths.checkpoint)
@@ -264,8 +224,7 @@ def cmd_evaluate(args) -> int:
     )
 
     arrays, _ = load_checkpoint(checkpoint_path)
-    dataset, bank = _dataset_and_bank(config, need_images=config.provider.kind == "synthetic")
-    provider = _make_provider(config, bank)
+    dataset, provider = _load_data(config)
     _check_checkpoint(arrays, config, dataset, provider)
 
     test_ids = dataset.test_indices()
@@ -308,7 +267,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    config, _ = _load_config_and_seed(args.config, "report")
+    config, _ = load_config(args.config, "report")
     out = Path(args.out) if args.out else Path("report")
     _refuse_existing([out / "report.csv", out / "manifest.json"], args.force)
     rows = []

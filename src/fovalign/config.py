@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
@@ -253,23 +254,22 @@ def _listify(value):
     return value
 
 
-_SCALAR_COERCIONS = {
-    int: (int,),
-    float: (int, float),
-    str: (str,),
-    bool: (bool,),
-}
-
-
 def _coerce_scalar(path: str, value, target: type):
     if target is bool:
         if isinstance(value, bool):
             return value
         raise ConfigError(f"{path}: expected a boolean, got {value!r}")
-    allowed = _SCALAR_COERCIONS.get(target, (target,))
+    allowed = (int, float) if target is float else (target,)
     if isinstance(value, bool) or not isinstance(value, allowed):
         raise ConfigError(f"{path}: expected {target.__name__}, got {value!r}")
+    # NaN fails the comparison, and so do infinities and ints too large for a float
+    if target is float and not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
     return target(value)
+
+
+def _coerce_list(path: str, value, target: type) -> tuple:
+    return tuple(_coerce_scalar(f"{path}[{i}]", v, target) for i, v in enumerate(value))
 
 
 def _section_from_dict(cls, data: dict, path: str):
@@ -286,7 +286,7 @@ def _section_from_dict(cls, data: dict, path: str):
             if value is None:
                 kwargs[name] = None
             elif isinstance(value, (list, tuple)) and len(value) == 2:
-                kwargs[name] = (int(value[0]), int(value[1]))
+                kwargs[name] = _coerce_list(key, value, int)
             else:
                 raise ConfigError(f"{key}: expected null or [row, col], got {value!r}")
         elif (cls, name) == (RegulatorConfig, "kernel_max"):
@@ -294,11 +294,11 @@ def _section_from_dict(cls, data: dict, path: str):
         elif name in ("gallery_sizes", "bank_levels"):
             if not isinstance(value, (list, tuple)):
                 raise ConfigError(f"{key}: expected a list of integers, got {value!r}")
-            kwargs[name] = tuple(_coerce_scalar(f"{key}[{i}]", v, int) for i, v in enumerate(value))
+            kwargs[name] = _coerce_list(key, value, int)
         elif name == "runs":
             if not isinstance(value, (list, tuple)):
                 raise ConfigError(f"{key}: expected a list of paths, got {value!r}")
-            kwargs[name] = tuple(_coerce_scalar(f"{key}[{i}]", v, str) for i, v in enumerate(value))
+            kwargs[name] = _coerce_list(key, value, str)
         else:
             kwargs[name] = _coerce_scalar(key, value, type(getattr(cls(), name)))
     return cls(**kwargs)
@@ -331,8 +331,15 @@ def config_from_dict(data: dict) -> RunConfig:
     return RunConfig(**kwargs).validate()
 
 
-def load_config(path) -> RunConfig:
-    """Read a config file, or a run manifest (resolved config under "config")."""
+def load_config(path, command: str | None = None) -> tuple[RunConfig, int | None]:
+    """Read a config file, or a run manifest (resolved config under "config").
+
+    Returns (config, seed). A manifest written by `command` also carries the
+    seed that was in effect; manifests from other commands, plain configs
+    and `path` None (the defaults) give seed None.
+    """
+    if path is None:
+        return RunConfig().validate(), None
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -340,9 +347,12 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    seed = None
     if isinstance(data, dict) and "command" in data and "config" in data:
+        if data["command"] == command and data.get("seed") is not None:
+            seed = _coerce_scalar(f"{path}: seed", data["seed"], int)
         data = data["config"]
-    return config_from_dict(data)
+    return config_from_dict(data), seed
 
 
 def config_hash(config: RunConfig) -> str:

@@ -15,20 +15,15 @@ are disjoint by construction and validated on every bank load.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .config import RunConfig
 from .pixmap import read_pixmap, to_bytes_quantized
-from .providers import (
-    EmbeddingBank,
-    SyntheticEncoder,
-    SyntheticProvider,
-    derive_noise_seed,
-    load_embedding_bank,
-)
+from .providers import EmbeddingBank, SyntheticProvider, derive_noise_seed, load_embedding_bank
 
-__all__ = ["PairedDataset", "render_sample", "generate_dataset", "load_dataset"]
+__all__ = ["PairedDataset", "GeneratedDataset", "render_sample", "generate_dataset", "load_dataset"]
 
 # sub-seed tags keep the independent generator streams apart
 _STYLE_TAG, _SAMPLE_TAG, _MAP_TAG, _NEURAL_NOISE_TAG, _VIEW_NOISE_TAG = 0, 1, 2, 3, 4
@@ -108,7 +103,6 @@ def generate_dataset(config: RunConfig) -> GeneratedDataset:
     """
     d = config.data
     train_classes = d.classes - d.test_classes
-    encoder = SyntheticEncoder(config.provider.dim_feature, config.provider.seed)
     images: list[np.ndarray] = []
     labels: list[int] = []
     splits: list[str] = []
@@ -124,7 +118,11 @@ def generate_dataset(config: RunConfig) -> GeneratedDataset:
             labels.append(class_id)
             splits.append(split)
 
-    clean = np.stack([encoder.encode(img) for img in images])
+    provider = SyntheticProvider(
+        config.transforms, config.views,
+        config.provider.dim_feature, config.provider.seed, images,
+    )
+    clean = np.stack([provider.encoder.encode(img) for img in images])
     map_rng = np.random.default_rng(np.random.SeedSequence((d.seed, _MAP_TAG)))
     neural_map = map_rng.standard_normal(
         (config.provider.dim_feature, d.dim_neural)
@@ -144,10 +142,6 @@ def generate_dataset(config: RunConfig) -> GeneratedDataset:
         tag=d.tag,
     )
 
-    provider = SyntheticProvider(
-        config.transforms, config.views,
-        config.provider.dim_feature, config.provider.seed,
-    )
     levels = sorted(d.bank_levels)
     blocks = {
         level: np.empty(
@@ -186,10 +180,9 @@ def generate_dataset(config: RunConfig) -> GeneratedDataset:
     return GeneratedDataset(dataset=dataset, bank=bank)
 
 
-def load_dataset(directory, with_images: bool = True) -> PairedDataset:
-    """Rebuild a PairedDataset from a generated directory (bank + pixmaps)."""
-    from pathlib import Path
-
+def load_dataset(directory, with_images: bool = True) -> GeneratedDataset:
+    """Read a generated directory back: the embedding bank and, unless
+    `with_images` is off, the sample pixmaps."""
     root = Path(directory)
     bank = load_embedding_bank(root / "bank.bicp")
     images = None
@@ -198,10 +191,11 @@ def load_dataset(directory, with_images: bool = True) -> PairedDataset:
             read_pixmap(root / "images" / f"sample_{i:05d}.ppm")
             for i in range(bank.sample_count)
         ]
-    return PairedDataset(
+    dataset = PairedDataset(
         images=images,
         neural=bank.neural.astype(np.float64),
         labels=bank.labels.astype(np.int64),
         splits=list(bank.splits),
         tag=bank.tag,
     )
+    return GeneratedDataset(dataset=dataset, bank=bank)

@@ -80,7 +80,7 @@ class EvalReport:
     top1: float
     top5: float
     mean_ap: float
-    similarity: float
+    similarity: float | None  # None unless the matrix is square
 
     def __post_init__(self):
         for name in ("top1", "top5", "mean_ap"):
@@ -150,5 +150,5 @@ def nway_evaluate(
         top1=top1_sum / trials,
         top5=top5_sum / trials,
         mean_ap=ap_sum / trials,
-        similarity=similarity_score(sim) if sim.shape[0] == sim.shape[1] else float("nan"),
+        similarity=similarity_score(sim) if sim.shape[0] == sim.shape[1] else None,
     )

@@ -31,12 +31,8 @@ from .config import FusionConfig
 __all__ = [
     "EvidenceState",
     "init_fusion_params",
-    "evidence_head",
     "belief_weights",
     "evidential_pool",
-    "evidential_fuse",
-    "attention_fuse",
-    "fuse_and_purify",
     "fusion_forward",
     "fusion_backward",
 ]
@@ -84,17 +80,6 @@ def init_fusion_params(
     return params
 
 
-def evidence_head(
-    features: np.ndarray, params: dict, settings: FusionConfig
-) -> np.ndarray:
-    """Non-negative evidence per view: exp(softplus(.)) of a small MLP,
-    or just softplus(.) when settings.softplus_only is set."""
-    h = nn.gelu(nn.affine_forward(features, params["ev_w1"], params["ev_b1"]))
-    raw = nn.affine_forward(h, params["ev_w2"], params["ev_b2"])[..., 0]
-    sp = nn.softplus(raw)
-    return sp if settings.softplus_only else np.exp(sp)
-
-
 def belief_weights(evidence: np.ndarray) -> EvidenceState:
     """Dirichlet strength S = e + 1, epistemic uncertainty u = 1/S,
     belief w = 1 - u. u + w == 1 holds exactly in IEEE arithmetic."""
@@ -107,50 +92,18 @@ def belief_weights(evidence: np.ndarray) -> EvidenceState:
     return EvidenceState(e, strength, uncertainty, belief)
 
 
-def evidential_pool(features: np.ndarray, weights: np.ndarray, eps: float = 1e-8) -> np.ndarray:
+def evidential_pool(features: np.ndarray, weights: np.ndarray, eps: float = 1e-8):
     """Belief-weighted mean over the view axis (exactly rounded sums).
 
-    features: (..., V, d); weights: (..., V). All-zero weights yield the
-    zero vector (the eps keeps the denominator positive).
+    features: (..., V, d); weights: (..., V). Returns (pooled, den) with
+    den = sum_v w_v + eps, which the backward pass reuses. All-zero
+    weights yield the zero vector (the eps keeps den positive).
     """
     features = np.asarray(features, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
     num = nn.exact_sum(weights[..., None] * features, axis=-2)
     den = nn.exact_sum(weights, axis=-1) + eps
-    return num / den[..., None]
-
-
-def evidential_fuse(
-    features: np.ndarray, weights: np.ndarray, params: dict, eps: float = 1e-8
-) -> np.ndarray:
-    pooled = evidential_pool(features, weights, eps)
-    return nn.affine_forward(pooled, params["proj_w"], params["proj_b"])
-
-
-def attention_fuse(features: np.ndarray, params: dict) -> np.ndarray:
-    """Linear-attention residual: softmax-weighted view combination."""
-    features = np.asarray(features, dtype=np.float64)
-    scores = nn.affine_forward(features, params["att_w"], params["att_b"])[..., 0]
-    alpha = nn.softmax(scores, axis=-1)
-    combined = np.einsum("...v,...vd->...d", alpha, features)
-    if "att_proj_w" in params:
-        combined = nn.affine_forward(combined, params["att_proj_w"], params["att_proj_b"])
-    return combined
-
-
-def fuse_and_purify(
-    features: np.ndarray,
-    params: dict,
-    settings: FusionConfig,
-    train_mode: bool = False,
-    dropout_rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Single-sample convenience wrapper around `fusion_forward`."""
-    latent, _ = fusion_forward(
-        features[None, ...], params, settings,
-        train_mode=train_mode, dropout_rng=dropout_rng,
-    )
-    return latent[0]
+    return num / den[..., None], den
 
 
 def fusion_forward(
@@ -185,9 +138,7 @@ def fusion_forward(
         weights = np.ones(x.shape[:2])
     cache["weights"] = weights
 
-    num = nn.exact_sum(weights[..., None] * x, axis=-2)
-    den = nn.exact_sum(weights, axis=-1) + settings.fuse_eps
-    pooled = num / den[..., None]
+    pooled, den = evidential_pool(x, weights, settings.fuse_eps)
     f_ev = nn.affine_forward(pooled, params["proj_w"], params["proj_b"])
     cache.update(den=den, pooled=pooled)
 

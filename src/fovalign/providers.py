@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,14 +36,13 @@ __all__ = [
     "derive_noise_seed",
     "SampleRef",
     "SyntheticEncoder",
-    "synthetic_encode",
     "EmbeddingBank",
     "save_embedding_bank",
     "load_embedding_bank",
     "select_kernel_level",
     "SyntheticProvider",
     "BankProvider",
-    "encode_views",
+    "gather_features",
 ]
 
 POOL_GRID = 16
@@ -60,12 +59,13 @@ def derive_noise_seed(base_seed: int, sample_index: int, epoch: int) -> int:
 
 @dataclass(frozen=True)
 class SampleRef:
-    """What a provider needs to produce one sample's view features."""
+    """What a provider needs to produce one sample's view features. The
+    noise view's seed is derive_noise_seed(noise_base, index, epoch)."""
 
     index: int
     kernel: int
-    noise_seed: int = 0
-    image: np.ndarray | None = None
+    noise_base: int = 0
+    epoch: int = 0
 
 
 def _pool_matrix(n_src: int, n_dst: int) -> np.ndarray:
@@ -124,16 +124,6 @@ class SyntheticEncoder:
     def encode(self, image: np.ndarray) -> np.ndarray:
         z = self.project(image)
         return z / max(float(np.linalg.norm(z)), 1e-12)
-
-    def encode_views(self, views) -> np.ndarray:
-        if len(views) < 1:
-            raise ValueError("need at least one view to encode")
-        return np.stack([self.encode(v) for v in views])
-
-
-def synthetic_encode(views, dim: int, seed: int) -> np.ndarray:
-    """Encode a list of views into unit-norm feature rows (one per view)."""
-    return SyntheticEncoder(dim, seed).encode_views(views)
 
 
 @dataclass
@@ -258,16 +248,19 @@ def load_embedding_bank(path) -> EmbeddingBank:
         if not isinstance(header, dict) or set(header) != required:
             raise FormatError(f"{path}: bank header must hold exactly {sorted(required)}")
         counts = [header[k] for k in ("sample_count", "views", "dim_feature", "dim_neural")]
+        # positive counts and at least one level bound every array extent
+        # by the payload size, which is checked next
         if not (
-            all(type(c) is int and c >= 0 for c in counts)
+            all(type(c) is int and c >= 1 for c in counts)
             and all(_is_int_list(header[k]) for k in ("kernel_levels", "labels"))
+            and header["kernel_levels"]
             and isinstance(header["splits"], list)
             and all(isinstance(s, str) for s in header["splits"])
         ):
             raise FormatError(
-                f"{path}: bank header needs non-negative integer counts and "
-                f"dimensions, integer lists of kernel levels and labels, and "
-                f"a list of split names"
+                f"{path}: bank header needs positive integer counts and "
+                f"dimensions, a non-empty integer list of kernel levels, an "
+                f"integer list of labels and a list of split names"
             )
         n, views, dim_f, dim_n = counts
         levels = list(header["kernel_levels"])
@@ -309,14 +302,22 @@ def select_kernel_level(levels, kernel: int) -> int:
 
 
 class SyntheticProvider:
-    """Builds the enabled views of a sample's image and encodes them."""
+    """Builds the enabled views of its samples' images and encodes them.
 
-    def __init__(self, transforms: TransformConfig, views: ViewsConfig, dim: int, seed: int):
+    Rows that do not change between requests are cached: the foveated row
+    by (index, kernel), the other noise-free rows by (index, view name).
+    The noise row is rendered afresh, since its seed moves with the epoch.
+    """
+
+    def __init__(self, transforms: TransformConfig, views: ViewsConfig, dim: int, seed: int,
+                 images):
         if views.count < 1:
             raise ValueError("at least one view must be enabled")
         self.transforms = transforms
         self.view_names = views.enabled()
         self.encoder = SyntheticEncoder(dim, seed)
+        self.images = images
+        self._rows: dict[tuple[int, int | str], np.ndarray] = {}
 
     @property
     def views(self) -> int:
@@ -348,12 +349,21 @@ class SyntheticProvider:
         return self.encoder.encode(self.view_image(name, image, kernel, noise_seed))
 
     def features(self, sample: SampleRef) -> np.ndarray:
-        if sample.image is None:
-            raise ValueError(f"sample {sample.index} carries no image pixels")
-        return np.stack([
-            self.view_feature(name, sample.image, sample.kernel, sample.noise_seed)
-            for name in self.view_names
-        ])
+        index, kernel = sample.index, sample.kernel
+        if not 0 <= index < len(self.images):
+            raise ValueError(f"sample index {index} has no image")
+        image = self.images[index]
+        rows = []
+        for name in self.view_names:
+            if name == "noise":
+                seed = derive_noise_seed(sample.noise_base, index, sample.epoch)
+                rows.append(self.view_feature(name, image, kernel, seed))
+                continue
+            key = (index, kernel if name == "foveated" else name)
+            if key not in self._rows:
+                self._rows[key] = self.view_feature(name, image, kernel, 0)
+            rows.append(self._rows[key])
+        return np.stack(rows)
 
 
 class BankProvider:
@@ -385,6 +395,9 @@ class BankProvider:
         return self.bank.features[level][sample.index].astype(np.float64)
 
 
-def encode_views(provider, sample: SampleRef) -> np.ndarray:
-    """Provider dispatch: one (views, dim_feature) row block per sample."""
-    return provider.features(sample)
+def gather_features(provider, ids, kernels, noise_base: int, epoch: int) -> np.ndarray:
+    """(len(ids), views, dim_feature) rows of the samples at their kernels."""
+    return np.stack([
+        provider.features(SampleRef(int(i), int(k), noise_base, epoch))
+        for i, k in zip(ids, kernels)
+    ])

@@ -27,7 +27,7 @@ from fovalign.cli import main
 from fovalign.config import ablation_ladder, config_from_dict, config_hash
 from fovalign.datagen import generate_dataset
 from fovalign.evaluation import ranks_of_truth
-from fovalign.providers import SampleRef, SyntheticProvider, derive_noise_seed
+from fovalign.providers import SyntheticProvider, gather_features
 from fovalign.regulator import BlurSchedule, confidence_bounds
 from fovalign.transforms import foveation_mask, gaussian_blur, gaussian_kernel
 
@@ -83,7 +83,7 @@ def test_criterion_2_evidence_math():
     complement_exact = bool(np.all(state.uncertainty + state.belief == 1.0))
 
     feats = rng.standard_normal((4, 6))
-    pooled = fusion.evidential_pool(feats, np.full(4, 0.5), eps=1e-8)
+    pooled, _ = fusion.evidential_pool(feats, np.full(4, 0.5), eps=1e-8)
     mean_dev = float(
         np.abs(pooled - feats.mean(axis=0)).max() / np.abs(feats.mean(axis=0)).max()
     )
@@ -232,17 +232,11 @@ def test_criterion_6_retrieval_metrics():
     })
     dataset = generate_dataset(cfg).dataset
     provider = SyntheticProvider(
-        cfg.transforms, cfg.views, cfg.provider.dim_feature, cfg.provider.seed
+        cfg.transforms, cfg.views, cfg.provider.dim_feature, cfg.provider.seed, dataset.images
     )
     ids = dataset.test_indices()
-    feats = np.stack([
-        provider.features(SampleRef(
-            index=int(i), kernel=cfg.transforms.kernel_size,
-            noise_seed=derive_noise_seed(cfg.evaluation.seed, int(i), 0),
-            image=dataset.images[int(i)],
-        ))
-        for i in ids
-    ])
+    kernels = [cfg.transforms.kernel_size] * len(ids)
+    feats = gather_features(provider, ids, kernels, cfg.evaluation.seed, 0)
     neural = dataset.neural[ids]
     truth = np.arange(len(ids))
     hits = 0

@@ -274,7 +274,7 @@ class TestTrainer:
         )
         provider = SyntheticProvider(
             config.transforms, config.views, config.provider.dim_feature,
-            config.provider.seed,
+            config.provider.seed, generated.dataset.images,
         )
         trainer = Trainer(config, generated.dataset, provider)
         reports = trainer.train()
@@ -395,7 +395,7 @@ class TestEncodePairs:
         config, generated = tiny_run
         provider = SyntheticProvider(
             config.transforms, config.views, config.provider.dim_feature,
-            config.provider.seed,
+            config.provider.seed, generated.dataset.images,
         )
         params = init_parameters(config, generated.dataset.dim_neural)
         ids = generated.dataset.test_indices()
@@ -421,7 +421,7 @@ class TestEncodePairs:
         ids = generated.dataset.test_indices()[:3]
         synth = SyntheticProvider(
             config.transforms, config.views, config.provider.dim_feature,
-            config.provider.seed,
+            config.provider.seed, generated.dataset.images,
         )
         level = generated.bank.kernel_levels[0]
         common = dict(kernel=level, noise_base_seed=config.data.seed + 4)

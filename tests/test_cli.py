@@ -380,6 +380,14 @@ class TestErrorSurface:
         assert main(["generate", "--config", str(cfg)]) == 2
         assert "unknown config key: data.classez" in capsys.readouterr().err
 
+    def test_non_finite_config_value(self, tmp_path, capsys):
+        # NaN is a JSON literal that Python's json module accepts
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"transforms": {"gamma": NaN}}')
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 2
+        assert "transforms.gamma: expected a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
     def test_unreadable_config(self, tmp_path, capsys):
         assert main(["generate", "--config", str(tmp_path / "nope.json")]) == 2
         assert "cannot read config" in capsys.readouterr().err

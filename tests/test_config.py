@@ -124,6 +124,11 @@ class TestCoercions:
         with pytest.raises(ConfigError, match="row, col"):
             config_from_dict({"transforms": {"center": [1, 2, 3]}})
 
+    @pytest.mark.parametrize("center", [["a", 1], [None, 1], [1.7, 2], [1, True]])
+    def test_center_entries_type_checked(self, center):
+        with pytest.raises(ConfigError, match=r"transforms\.center\[[01]\]"):
+            config_from_dict({"transforms": {"center": center}})
+
     def test_kernel_max_null_resolves_to_double(self):
         cfg = config_from_dict({"transforms": {"kernel_size": 31}})
         assert cfg.regulator.kernel_max is None
@@ -139,6 +144,23 @@ class TestCoercions:
     def test_list_entries_type_checked(self):
         with pytest.raises(ConfigError, match=r"gallery_sizes\[1\]"):
             config_from_dict({"evaluation": {"gallery_sizes": [10, "5"]}})
+
+
+FLOAT_FIELDS = [
+    (section.name, f.name)
+    for section in dataclasses.fields(RunConfig)
+    for f in dataclasses.fields(section.default_factory)
+    if isinstance(f.default, float)
+]
+
+
+@pytest.mark.parametrize("section,name", FLOAT_FIELDS)
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 10**400])
+def test_float_fields_must_be_finite(section, name, value):
+    # NaN and Infinity are JSON literals that Python's json module accepts
+    raw = json.loads(json.dumps({section: {name: value}}))
+    with pytest.raises(ConfigError, match=f"{section}\\.{name}: expected a finite number"):
+        config_from_dict(raw)
 
 
 class TestViews:
@@ -172,13 +194,32 @@ class TestLoadConfig:
     def test_reads_plain_config(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"data": {"classes": 9, "test_classes": 2}}))
-        assert load_config(path).data.classes == 9
+        cfg, seed = load_config(path, "train")
+        assert cfg.data.classes == 9
+        assert seed is None
 
     def test_unwraps_run_manifest(self, tmp_path):
         cfg = config_from_dict({"data": {"classes": 9, "test_classes": 2}})
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps({"command": "train", "seed": 1, "config": cfg.to_dict()}))
-        assert load_config(path).data.classes == 9
+        assert load_config(path)[0].data.classes == 9
+
+    def test_manifest_seed_only_for_its_own_command(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"command": "train", "seed": 17, "config": {}}))
+        assert load_config(path, "train") == (RunConfig(), 17)
+        assert load_config(path, "evaluate") == (RunConfig(), None)
+        assert load_config(path) == (RunConfig(), None)
+
+    @pytest.mark.parametrize("seed", ["17", 1.5, True, [1]])
+    def test_malformed_manifest_seed(self, tmp_path, seed):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"command": "train", "seed": seed, "config": {}}))
+        with pytest.raises(ConfigError, match="seed"):
+            load_config(path, "train")
+
+    def test_no_path_gives_defaults(self):
+        assert load_config(None, "train") == (RunConfig(), None)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):

@@ -150,7 +150,8 @@ class TestBank:
     def test_rows_replay_the_live_encoder(self, generated):
         cfg = tiny_config()
         provider = SyntheticProvider(
-            cfg.transforms, cfg.views, cfg.provider.dim_feature, cfg.provider.seed
+            cfg.transforms, cfg.views, cfg.provider.dim_feature, cfg.provider.seed,
+            generated.dataset.images,
         )
         index = 3
         image = generated.dataset.images[index]
@@ -193,6 +194,8 @@ class TestLoadDataset:
             write_pixmap(images_dir / f"sample_{i:05d}.ppm", image)
 
         loaded = load_dataset(tmp_path)
+        np.testing.assert_array_equal(loaded.bank.neural, generated.bank.neural)
+        loaded = loaded.dataset
         # images are quantized at render time, so the pixmap round trip
         # is exact; neural vectors pass through the bank's float32
         for a, b in zip(loaded.images, generated.dataset.images):
@@ -206,6 +209,6 @@ class TestLoadDataset:
 
     def test_without_images(self, generated, tmp_path):
         save_embedding_bank(tmp_path / "bank.bicp", generated.bank)
-        loaded = load_dataset(tmp_path, with_images=False)
+        loaded = load_dataset(tmp_path, with_images=False).dataset
         assert loaded.images is None
         assert loaded.sample_count == generated.dataset.sample_count

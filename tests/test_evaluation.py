@@ -1,8 +1,5 @@
 """Retrieval metrics against brute-force oracles."""
 
-import dataclasses
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -64,18 +61,8 @@ def loop_nway_evaluate(similarity, truth, n, trials, seed):
         top1=top1_sum / trials,
         top5=top5_sum / trials,
         mean_ap=ap_sum / trials,
-        similarity=similarity_score(sim) if sim.shape[0] == sim.shape[1] else float("nan"),
+        similarity=similarity_score(sim) if sim.shape[0] == sim.shape[1] else None,
     )
-
-
-def assert_same_report(got, expected):
-    """`==` on the reports; a NaN similarity (rectangular matrix) must be
-    NaN on both sides and is then set aside, since NaN != NaN."""
-    if math.isnan(expected.similarity):
-        assert math.isnan(got.similarity)
-        got = dataclasses.replace(got, similarity=0.0)
-        expected = dataclasses.replace(expected, similarity=0.0)
-    assert got == expected
 
 
 class TestRanks:
@@ -235,10 +222,12 @@ class TestNWay:
         with pytest.raises(ConfigError):
             nway_evaluate(sim, [0, 1, 2], n=2, trials=0, seed=0)
 
-    def test_rectangular_similarity_reports_nan_similarity(self):
+    def test_rectangular_similarity_reports_no_similarity(self):
         sim = np.random.default_rng(11).standard_normal((4, 9))
         report = nway_evaluate(sim, [0, 1, 2, 3], n=3, trials=2, seed=1)
-        assert np.isnan(report.similarity)
+        assert report.similarity is None
+        # equal inputs give equal reports
+        assert report == nway_evaluate(sim, [0, 1, 2, 3], n=3, trials=2, seed=1)
         assert 0.0 <= report.top1 <= 1.0
 
 
@@ -257,9 +246,8 @@ class TestNWayMatchesLoop:
     def test_small_n_and_full_gallery(self, n, queries):
         sim, truth = self._tied(queries, 9, seed=n + 10 * queries)
         for seed in range(3):
-            assert_same_report(
-                nway_evaluate(sim, truth, n, trials=4, seed=seed),
-                loop_nway_evaluate(sim, truth, n, trials=4, seed=seed),
+            assert nway_evaluate(sim, truth, n, trials=4, seed=seed) == (
+                loop_nway_evaluate(sim, truth, n, trials=4, seed=seed)
             )
 
     @pytest.mark.parametrize("block_draws", [1, 3, 7])
@@ -268,9 +256,8 @@ class TestNWayMatchesLoop:
         monkeypatch.setattr(evaluation, "RANK_BLOCK_DRAWS", block_draws)
         sim, truth = self._tied(11, 14, seed=block_draws)
         for n in (1, 2, 3, 14):
-            assert_same_report(
-                nway_evaluate(sim, truth, n, trials=3, seed=5),
-                loop_nway_evaluate(sim, truth, n, trials=3, seed=5),
+            assert nway_evaluate(sim, truth, n, trials=3, seed=5) == (
+                loop_nway_evaluate(sim, truth, n, trials=3, seed=5)
             )
 
     @settings(max_examples=60, deadline=None)
@@ -290,9 +277,8 @@ class TestNWayMatchesLoop:
             rng = np.random.default_rng(seed)
             sim = rng.standard_normal((queries, gallery))
             truth = rng.integers(0, gallery, size=queries)
-        assert_same_report(
-            nway_evaluate(sim, truth, n, trials=2, seed=seed),
-            loop_nway_evaluate(sim, truth, n, trials=2, seed=seed),
+        assert nway_evaluate(sim, truth, n, trials=2, seed=seed) == (
+            loop_nway_evaluate(sim, truth, n, trials=2, seed=seed)
         )
 
 

@@ -200,6 +200,13 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="array table"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("shape", [[0, 2**63], [1] * 70], ids=["huge-extent", "70-axes"])
+    def test_unrepresentable_shape_rejected(self, tmp_path, shape):
+        path = tmp_path / "ck.bick"
+        write_checkpoint_manifest(path, {"arrays": [{"name": "w", "shape": shape}]}, bytes(4))
+        with pytest.raises(FormatError, match="cannot take shape"):
+            load_checkpoint(path)
+
     def test_empty_dimension_reads_an_empty_array(self, tmp_path):
         path = tmp_path / "ck.bick"
         save_checkpoint(path, {"w": np.zeros((0, 3))}, {})

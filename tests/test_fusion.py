@@ -13,11 +13,8 @@ from conftest import central_difference, relative_error
 from fovalign import nn
 from fovalign.config import FusionConfig
 from fovalign.fusion import (
-    attention_fuse,
     belief_weights,
-    evidence_head,
     evidential_pool,
-    fuse_and_purify,
     fusion_backward,
     fusion_forward,
     init_fusion_params,
@@ -34,6 +31,15 @@ def make_params(settings: FusionConfig, dim_feature: int, seed: int = 0) -> dict
     return init_fusion_params(settings, dim_feature, np.random.default_rng(seed))
 
 
+def forward_cache(features: np.ndarray, params: dict, settings: FusionConfig) -> dict:
+    """The eval-mode cache of `fusion_forward` for one (views, dim) sample."""
+    return fusion_forward(features[None], params, settings)[1]
+
+
+def pool(features, weights, eps: float = 1e-8) -> np.ndarray:
+    return evidential_pool(features, weights, eps)[0]
+
+
 class TestBeliefWeights:
     def test_zero_raw_evidence_is_two(self):
         # softplus(0) = ln 2, exp(ln 2) = 2 exactly in floating point
@@ -41,7 +47,7 @@ class TestBeliefWeights:
         params["ev_w2"] = np.zeros_like(params["ev_w2"])
         params["ev_b2"] = np.zeros_like(params["ev_b2"])
         features = np.random.default_rng(1).standard_normal((3, 6))
-        evidence = evidence_head(features, params, make_settings())
+        evidence = forward_cache(features, params, make_settings())["state"].evidence
         np.testing.assert_array_equal(evidence, 2.0)
 
     def test_softplus_only_mode(self):
@@ -49,7 +55,8 @@ class TestBeliefWeights:
         params["ev_w2"] = np.zeros_like(params["ev_w2"])
         params["ev_b2"] = np.zeros_like(params["ev_b2"])
         features = np.random.default_rng(2).standard_normal((3, 6))
-        evidence = evidence_head(features, params, make_settings(softplus_only=True))
+        settings = make_settings(softplus_only=True)
+        evidence = forward_cache(features, params, settings)["state"].evidence
         np.testing.assert_allclose(evidence, math.log(2.0), rtol=1e-15)
 
     def test_committed_example_nine(self):
@@ -97,27 +104,29 @@ class TestEvidentialPool:
     def test_equal_weights_give_mean(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((4, 7))
-        pooled = evidential_pool(x, np.full(4, 0.5))
+        pooled = pool(x, np.full(4, 0.5))
         np.testing.assert_allclose(pooled, x.mean(axis=0), atol=2e-8)
 
     def test_one_hot_weights_select_view(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal((3, 5))
-        pooled = evidential_pool(x, np.array([0.0, 1.0, 0.0]))
+        pooled = pool(x, np.array([0.0, 1.0, 0.0]))
         np.testing.assert_allclose(pooled, x[1], rtol=1e-7)
 
     def test_zero_weights_give_zero_vector(self):
         x = np.random.default_rng(7).standard_normal((3, 5))
-        np.testing.assert_array_equal(evidential_pool(x, np.zeros(3)), np.zeros(5))
+        pooled, den = evidential_pool(x, np.zeros(3), eps=1e-8)
+        np.testing.assert_array_equal(pooled, np.zeros(5))
+        assert den == 1e-8
 
     def test_permutation_invariance_is_bit_exact(self):
         rng = np.random.default_rng(8)
         x = rng.standard_normal((6, 9))
         w = rng.uniform(0.01, 1.0, size=6)
-        base = evidential_pool(x, w)
+        base = pool(x, w)
         for _ in range(20):
             perm = rng.permutation(6)
-            np.testing.assert_array_equal(evidential_pool(x[perm], w[perm]), base)
+            np.testing.assert_array_equal(pool(x[perm], w[perm]), base)
 
     def test_weight_rescale_near_invariance(self):
         # scaling all weights by c cancels, up to the eps in the denominator
@@ -125,49 +134,49 @@ class TestEvidentialPool:
         x = rng.standard_normal((4, 5))
         w = rng.uniform(0.5, 1.0, size=4)
         np.testing.assert_allclose(
-            evidential_pool(x, 10.0 * w), evidential_pool(x, w), atol=1e-8
+            pool(x, 10.0 * w), pool(x, w), atol=1e-8
         )
 
     def test_batched_input(self):
         rng = np.random.default_rng(10)
         x = rng.standard_normal((3, 4, 5))
         w = rng.uniform(0.1, 1.0, size=(3, 4))
-        pooled = evidential_pool(x, w)
+        pooled = pool(x, w)
         assert pooled.shape == (3, 5)
         for b in range(3):
-            np.testing.assert_array_equal(pooled[b], evidential_pool(x[b], w[b]))
+            np.testing.assert_array_equal(pooled[b], pool(x[b], w[b]))
 
 
 class TestAttention:
     def test_committed_softmax_example(self):
         # scores (ln 2, 0) put weight (2/3, 1/3) on the two views
         features = np.array([[math.log(2.0)], [0.0]])
-        params = {"att_w": np.array([[1.0]]), "att_b": np.zeros(1)}
-        fused = attention_fuse(features, params)
+        params = make_params(make_settings(), dim_feature=1)
+        params.update(att_w=np.array([[1.0]]), att_b=np.zeros(1))
+        cache = forward_cache(features, params, make_settings())
+        np.testing.assert_allclose(cache["alpha"][0], [2.0 / 3.0, 1.0 / 3.0], rtol=1e-12)
         expected = (2.0 / 3.0) * math.log(2.0)
-        np.testing.assert_allclose(fused, [expected], rtol=1e-12)
+        np.testing.assert_allclose(cache["att_raw"][0], [expected], rtol=1e-12)
 
     def test_uniform_scores_average_views(self):
         rng = np.random.default_rng(11)
         x = rng.standard_normal((5, 6))
-        params = {"att_w": np.zeros((6, 1)), "att_b": np.zeros(1)}
-        np.testing.assert_allclose(attention_fuse(x, params), x.mean(axis=0), atol=1e-12)
+        params = make_params(make_settings(), dim_feature=6)
+        params.update(att_w=np.zeros((6, 1)), att_b=np.zeros(1))
+        cache = forward_cache(x, params, make_settings())
+        np.testing.assert_allclose(cache["att_raw"][0], x.mean(axis=0), atol=1e-12)
 
     def test_projection_applied_when_present(self):
+        # dim_latent != dim_feature: F_fus = F_evidence + projected attention
+        settings = make_settings(dim_latent=2)
+        params = make_params(settings, dim_feature=4, seed=12)
         rng = np.random.default_rng(12)
+        params["att_proj_b"] = rng.standard_normal(2)  # nonzero, unlike at init
         x = rng.standard_normal((3, 4))
-        params = {
-            "att_w": rng.standard_normal((4, 1)),
-            "att_b": np.zeros(1),
-            "att_proj_w": rng.standard_normal((4, 2)),
-            "att_proj_b": rng.standard_normal(2),
-        }
-        combined = attention_fuse(x, {k: params[k] for k in ("att_w", "att_b")})
-        np.testing.assert_allclose(
-            attention_fuse(x, params),
-            combined @ params["att_proj_w"] + params["att_proj_b"],
-            atol=1e-12,
-        )
+        cache = forward_cache(x, params, settings)
+        f_ev = cache["pooled"] @ params["proj_w"] + params["proj_b"]
+        f_att = cache["att_raw"] @ params["att_proj_w"] + params["att_proj_b"]
+        np.testing.assert_allclose(cache["f_fus"], f_ev + f_att, atol=1e-12)
 
 
 class TestFusionForward:
@@ -183,7 +192,7 @@ class TestFusionForward:
         raw = (h @ params["ev_w2"] + params["ev_b2"])[..., 0]
         evidence = np.exp(nn.softplus(raw))
         w = belief_weights(evidence).belief
-        pooled = np.stack([evidential_pool(x[b], w[b], settings.fuse_eps) for b in range(2)])
+        pooled = np.stack([pool(x[b], w[b], settings.fuse_eps) for b in range(2)])
         f_ev = pooled @ params["proj_w"] + params["proj_b"]
         scores = (x @ params["att_w"] + params["att_b"])[..., 0]
         alpha = nn.softmax(scores, axis=-1)
@@ -227,14 +236,6 @@ class TestFusionForward:
         perm = rng.permutation(5)
         _, cache_p = fusion_forward(x[:, perm], params, settings)
         np.testing.assert_array_equal(cache_p["pooled"], cache["pooled"])
-
-    def test_single_sample_wrapper(self):
-        settings = make_settings(dropout=0.0)
-        params = make_params(settings, dim_feature=8, seed=7)
-        x = np.random.default_rng(17).standard_normal((4, 8))
-        single = fuse_and_purify(x, params, settings)
-        batched, _ = fusion_forward(x[None], params, settings)
-        np.testing.assert_array_equal(single, batched[0])
 
     def test_latent_projection_when_dims_differ(self):
         settings = make_settings(dim_latent=6)

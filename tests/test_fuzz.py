@@ -1,0 +1,205 @@
+"""Fuzzing of the four readers of outside input: the config parser, the
+pixmap reader, the checkpoint reader and the embedding-bank reader. Each
+must return a valid object or raise its documented error (ConfigError,
+FormatError; ProtocolError for a bank that breaks the zero-shot split),
+which the CLI turns into exit code 2. Anything else is a traceback."""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from conftest import rewrite_bank_header, write_checkpoint_manifest
+from fovalign.checkpoint import load_checkpoint, save_checkpoint
+from fovalign.config import RunConfig, config_from_dict
+from fovalign.errors import ConfigError, FormatError, ProtocolError
+from fovalign.pixmap import read_pixmap
+from fovalign.providers import EmbeddingBank, load_embedding_bank, save_embedding_bank
+
+FUZZ = settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=10,
+)
+# values that often pass the type checks, so validation runs too
+INTS = st.integers(-3, 160) | st.sampled_from([0, 1, 2**31, 2**63, 10**30])
+NEAR_VALID = st.one_of(INTS, st.floats(-2.0, 2.0), st.lists(INTS, max_size=4))
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def _section_dicts(section: str):
+    names = [f.name for f in dataclasses.fields(getattr(RunConfig(), section))]
+    return st.dictionaries(
+        st.sampled_from(names) | st.text(max_size=6), JSON | NEAR_VALID, max_size=5
+    )
+
+
+CONFIGS = st.one_of(
+    JSON,
+    st.fixed_dictionaries({}, optional={
+        f.name: _section_dicts(f.name) | JSON for f in dataclasses.fields(RunConfig)
+    }),
+)
+
+
+@FUZZ
+@given(CONFIGS)
+def test_config_from_dict(data):
+    try:
+        cfg = config_from_dict(data)
+    except ConfigError:
+        return
+    assert isinstance(cfg, RunConfig)
+    resolved = cfg.to_dict()
+    assert config_from_dict(json.loads(json.dumps(resolved))).to_dict() == resolved
+
+
+_TOKENS = st.one_of(
+    st.integers(-2, 6).map(lambda n: str(n).encode()),
+    st.just(b"255"),
+    st.binary(max_size=3),
+)
+_SEPARATORS = st.sampled_from([b" ", b"\n", b"\t", b"\n# note\n", b""])
+
+
+@st.composite
+def pixmap_tails(draw):
+    """What follows b"P6": arbitrary bytes, or tokens that look like a header."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=64))
+    parts = []
+    for _ in range(draw(st.integers(0, 4))):
+        parts += [draw(_SEPARATORS), draw(_TOKENS)]
+    return b"".join(parts) + draw(_SEPARATORS) + draw(st.binary(max_size=160))
+
+
+@FUZZ
+@given(pixmap_tails())
+def test_read_pixmap(scratch, tail):
+    path = scratch / "image.ppm"
+    path.write_bytes(b"P6" + tail)
+    try:
+        image = read_pixmap(path)
+    except FormatError:
+        return
+    assert image.dtype == np.float64 and image.ndim == 3 and image.shape[0] == 3
+    assert image.min() >= 0.0 and image.max() <= 1.0
+
+
+def _mutate(data: bytes, edits, limit: int) -> bytes:
+    """Overwrite bytes within the first `limit` bytes of `data`."""
+    out = bytearray(data)
+    for position, value in edits:
+        out[position % limit] = value
+    return bytes(out)
+
+
+BYTE_EDITS = st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 255)), min_size=1, max_size=4)
+SHAPES = st.one_of(
+    st.lists(INTS, max_size=6),
+    st.lists(st.just(1), min_size=60, max_size=70),  # more axes than NumPy allows
+    JSON,
+)
+ARRAY_TABLES = st.lists(
+    st.fixed_dictionaries({"name": st.text(max_size=3) | JSON, "shape": SHAPES}), max_size=3
+) | JSON
+
+
+def _check_checkpoint(path):
+    try:
+        arrays, manifest = load_checkpoint(path)
+    except FormatError:
+        return
+    assert isinstance(manifest, dict)
+    for entry in manifest["arrays"]:
+        assert arrays[entry["name"]].dtype == np.float64
+
+
+@pytest.fixture(scope="module")
+def checkpoint_bytes(scratch):
+    path = scratch / "reference.bick"
+    rng = np.random.default_rng(0)
+    save_checkpoint(path, {"w": rng.standard_normal((2, 3)), "b": np.zeros(3)}, {"seed": 1})
+    return path.read_bytes()
+
+
+@FUZZ
+@given(table=ARRAY_TABLES, payload=st.binary(max_size=48))
+def test_load_checkpoint_table(scratch, table, payload):
+    path = scratch / "table.bick"
+    write_checkpoint_manifest(path, {"arrays": table}, payload)
+    _check_checkpoint(path)
+
+
+@FUZZ
+@given(edits=BYTE_EDITS)
+def test_load_checkpoint_header_bytes(scratch, checkpoint_bytes, edits):
+    (length,) = struct.unpack("<I", checkpoint_bytes[8:12])
+    path = scratch / "mutated.bick"
+    path.write_bytes(_mutate(checkpoint_bytes, edits, 12 + length))
+    _check_checkpoint(path)
+
+
+def _check_bank(path):
+    try:
+        bank = load_embedding_bank(path)
+    except (FormatError, ProtocolError):
+        return
+    assert isinstance(bank, EmbeddingBank)
+    assert bank.validate() is bank
+
+
+@pytest.fixture(scope="module")
+def bank_bytes(scratch):
+    rng = np.random.default_rng(1)
+    n, views, dim_f, dim_n = 4, 2, 3, 2
+    bank = EmbeddingBank(
+        tag="fuzz", views=views, dim_feature=dim_f, dim_neural=dim_n, kernel_levels=[1, 5],
+        features={
+            level: rng.standard_normal((n, views, dim_f)).astype(np.float32) for level in (1, 5)
+        },
+        neural=rng.standard_normal((n, dim_n)).astype(np.float32),
+        labels=np.arange(n, dtype=np.int64),
+        splits=["train", "train", "test", "test"],
+    )
+    path = scratch / "reference.bicp"
+    save_embedding_bank(path, bank)
+    return path.read_bytes()
+
+
+BANK_FIELDS = (
+    "tag", "sample_count", "views", "dim_feature", "dim_neural",
+    "kernel_levels", "labels", "splits",
+)
+
+
+@FUZZ
+@given(changes=st.dictionaries(st.sampled_from(BANK_FIELDS), JSON | NEAR_VALID, min_size=1))
+def test_load_embedding_bank_header_fields(scratch, bank_bytes, changes):
+    path = scratch / "fields.bicp"
+    path.write_bytes(bank_bytes)
+    rewrite_bank_header(path, **changes)
+    _check_bank(path)
+
+
+@FUZZ
+@given(edits=BYTE_EDITS)
+def test_load_embedding_bank_header_bytes(scratch, bank_bytes, edits):
+    (length,) = struct.unpack("<I", bank_bytes[8:12])
+    path = scratch / "mutated.bicp"
+    path.write_bytes(_mutate(bank_bytes, edits, 12 + length))
+    _check_bank(path)

@@ -18,10 +18,10 @@ from fovalign.providers import (
     SyntheticEncoder,
     SyntheticProvider,
     derive_noise_seed,
+    gather_features,
     load_embedding_bank,
     save_embedding_bank,
     select_kernel_level,
-    synthetic_encode,
 )
 
 
@@ -67,21 +67,10 @@ class TestSyntheticEncoder:
         z = enc.encode(np.random.default_rng(3).random((3, 2, 2)))
         np.testing.assert_allclose(np.linalg.norm(z), 1.0, rtol=1e-12)
 
-    def test_encode_views_stacks_rows(self):
-        rng = np.random.default_rng(4)
-        views = [random_image(rng, height=16, width=16) for _ in range(3)]
-        rows = synthetic_encode(views, 8, seed=2)
-        assert rows.shape == (3, 8)
-        enc = SyntheticEncoder(8, seed=2)
-        for row, view in zip(rows, views):
-            np.testing.assert_array_equal(row, enc.encode(view))
-
     def test_rejects_bad_shapes(self):
         enc = SyntheticEncoder(8, seed=0)
         with pytest.raises(ValueError):
             enc.encode(np.zeros((4, 4)))
-        with pytest.raises(ValueError):
-            enc.encode_views([])
         with pytest.raises(ValueError):
             SyntheticEncoder(1, seed=0)
 
@@ -117,6 +106,9 @@ MALFORMED_BANK_HEADERS = {
     "labels-beyond-int64": {"labels": [2**70] * 6},
     "null-splits": {"splits": None},
     "numeric-splits": {"splits": [0] * 6},
+    "no-samples": {"sample_count": 0},
+    "no-samples-huge-views": {"sample_count": 0, "views": 2**63},
+    "no-kernel-levels": {"kernel_levels": []},
 }
 
 
@@ -229,23 +221,48 @@ class TestKernelLevelSelection:
 
 
 class TestSyntheticProvider:
-    def _provider(self, **views):
+    def _provider(self, images=(), **views):
         base = dict(foveated=True, noise=True, lowres=True, mosaic=True)
         base.update(views)
         return SyntheticProvider(
-            TransformConfig(kernel_size=9), ViewsConfig(**base), dim=8, seed=3
+            TransformConfig(kernel_size=9), ViewsConfig(**base), dim=8, seed=3,
+            images=list(images),
         )
 
     def test_view_rows_match_manual_encoding(self):
         rng = np.random.default_rng(5)
         image = random_image(rng, height=32, width=32)
-        provider = self._provider()
-        sample = SampleRef(index=0, kernel=9, noise_seed=123, image=image)
-        rows = provider.features(sample)
+        provider = self._provider([image])
+        rows = provider.features(SampleRef(index=0, kernel=9, noise_base=4, epoch=2))
         assert rows.shape == (4, 8)
+        noise_seed = derive_noise_seed(4, 0, 2)
         for i, name in enumerate(provider.view_names):
-            view = provider.view_image(name, image, 9, 123)
+            view = provider.view_image(name, image, 9, noise_seed)
             np.testing.assert_array_equal(rows[i], provider.encoder.encode(view))
+
+    def test_cached_rows_match_fresh_rows(self):
+        # repeated requests reuse cached rows; only the foveated row follows
+        # the kernel and only the noise row follows the epoch
+        image = random_image(np.random.default_rng(9), height=32, width=32)
+        provider = self._provider([image])
+        base = provider.features(SampleRef(0, 3, 5, 0))
+        for kernel, epoch in [(3, 0), (9, 0), (3, 1), (9, 1), (3, 0), (9, 1)]:
+            rows = provider.features(SampleRef(0, kernel, 5, epoch))
+            seed = derive_noise_seed(5, 0, epoch)
+            for name, row, base_row in zip(provider.view_names, rows, base):
+                fresh = provider.view_feature(name, image, kernel, seed)
+                np.testing.assert_array_equal(row, fresh)
+                moved = (name == "foveated" and kernel != 3) or (name == "noise" and epoch != 0)
+                assert np.array_equal(row, base_row) != moved, (name, kernel, epoch)
+
+    def test_gather_features_stacks_samples(self):
+        rng = np.random.default_rng(10)
+        images = [random_image(rng, height=16, width=16) for _ in range(3)]
+        provider = self._provider(images)
+        feats = gather_features(provider, [2, 0], [3, 9], noise_base=1, epoch=4)
+        assert feats.shape == (2, 4, 8)
+        np.testing.assert_array_equal(feats[0], provider.features(SampleRef(2, 3, 1, 4)))
+        np.testing.assert_array_equal(feats[1], provider.features(SampleRef(0, 9, 1, 4)))
 
     def test_disabled_views_drop_rows(self):
         provider = self._provider(noise=False)
@@ -258,9 +275,9 @@ class TestSyntheticProvider:
         provider = SyntheticProvider(
             TransformConfig(), ViewsConfig(
                 foveated=False, noise=False, lowres=False, mosaic=False, identity=True
-            ), dim=8, seed=3,
+            ), dim=8, seed=3, images=[image],
         )
-        rows = provider.features(SampleRef(index=0, kernel=75, image=image))
+        rows = provider.features(SampleRef(index=0, kernel=75))
         np.testing.assert_array_equal(rows[0], provider.encoder.encode(image))
 
     def test_foveated_row_depends_on_kernel(self):
@@ -281,15 +298,17 @@ class TestSyntheticProvider:
         assert np.linalg.norm(heavy - clean) >= np.linalg.norm(light - clean)
 
     def test_missing_image_rejected(self):
-        with pytest.raises(ValueError):
-            self._provider().features(SampleRef(index=0, kernel=9))
+        provider = self._provider([random_image(np.random.default_rng(0))])
+        for index in (1, -1):
+            with pytest.raises(ValueError, match="has no image"):
+                provider.features(SampleRef(index=index, kernel=9))
 
     def test_all_views_disabled_rejected(self):
         with pytest.raises(ValueError):
             SyntheticProvider(
                 TransformConfig(),
                 ViewsConfig(foveated=False, noise=False, lowres=False, mosaic=False),
-                dim=8, seed=0,
+                dim=8, seed=0, images=[],
             )
 
 
