@@ -117,6 +117,12 @@ def cmd_transform(args) -> int:
     _refuse_existing([out / name for name in _VIEW_FILES] + [out / "manifest.json"], args.force)
     image = read_pixmap(config.paths.input_image)
     t = config.transforms
+    height, width = image.shape[1:]
+    if t.center is not None and not (t.center[0] < height and t.center[1] < width):
+        raise ConfigError(
+            f"transforms.center {list(t.center)} lies outside the {height}x{width} "
+            f"input image {config.paths.input_image}"
+        )
     views = build_view_stack(
         image,
         FoveationParams(

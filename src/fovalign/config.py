@@ -129,7 +129,7 @@ class DataConfig:
 
 @dataclass(frozen=True)
 class EvalConfig:
-    gallery_sizes: tuple[int, ...] = (200, 100, 50)
+    gallery_sizes: tuple[int, ...] = (50,)
     trials: int = 20
     seed: int = 7
 
@@ -223,6 +223,11 @@ class RunConfig:
             raise ConfigError("data.train_samples_per_class must be >= 1")
         if d.image_size < 2:
             raise ConfigError(f"data.image_size must be >= 2, got {d.image_size}")
+        if t.center is not None and not all(0 <= c < d.image_size for c in t.center):
+            raise ConfigError(
+                f"transforms.center {list(t.center)} lies outside the "
+                f"{d.image_size}x{d.image_size} image (data.image_size)"
+            )
         if d.dim_neural < 2:
             raise ConfigError(f"data.dim_neural must be >= 2, got {d.dim_neural}")
         if d.neural_noise < 0:
@@ -235,6 +240,11 @@ class RunConfig:
         e = self.evaluation
         if not e.gallery_sizes or any(n < 1 for n in e.gallery_sizes):
             raise ConfigError("evaluation.gallery_sizes must be positive integers")
+        if max(e.gallery_sizes) > d.test_classes:
+            raise ConfigError(
+                f"evaluation.gallery_sizes: gallery size n={max(e.gallery_sizes)} exceeds "
+                f"the test set size {d.test_classes} (data.test_classes)"
+            )
         if e.trials < 1:
             raise ConfigError(f"evaluation.trials must be >= 1, got {e.trials}")
         return self

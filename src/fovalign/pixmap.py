@@ -45,9 +45,11 @@ def read_pixmap(path) -> np.ndarray:
     """Read a binary P6 pixmap into a (3, H, W) float64 array in [0, 1]."""
     with open(path, "rb") as fh:
         data = fh.read()
-    if len(data) < 2 or data[:2] != b"P6":
+    if data[:2] != b"P6":
         raise FormatError(f"{path}: not a binary P6 pixmap")
     tokens, offset = _read_header_tokens(data, 4)
+    if tokens[0] != b"P6":
+        raise FormatError(f"{path}: not a binary P6 pixmap (magic {tokens[0][:16]!r})")
     try:
         width, height, maxval = (int(t) for t in tokens[1:])
     except ValueError as exc:
@@ -57,7 +59,7 @@ def read_pixmap(path) -> np.ndarray:
     if maxval != 255:
         raise FormatError(f"{path}: only maxval 255 is supported, got {maxval}")
     expected = width * height * 3
-    raster = data[offset : offset + expected]
+    raster = data[offset:]
     if len(raster) != expected:
         raise FormatError(
             f"{path}: raster has {len(raster)} bytes, expected {expected}"

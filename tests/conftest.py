@@ -1,10 +1,11 @@
-"""Shared test helpers: finite differences, small config factories and
-writers of malformed checkpoint and bank files."""
+"""Shared test helpers: finite differences, the row-wise fsum oracle,
+small config factories and writers of malformed checkpoint and bank files."""
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import struct
 
 import numpy as np
@@ -43,6 +44,14 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-
     numeric = np.asarray(numeric, dtype=np.float64)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
     return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def fsum_along(arr, axis: int) -> np.ndarray:
+    """math.fsum of every row along `axis`, one call per row: the loop
+    oracle for exactly rounded sums. Raises whatever fsum raises first."""
+    moved = np.moveaxis(np.asarray(arr, dtype=np.float64), axis, -1)
+    rows = moved.reshape(math.prod(moved.shape[:-1]), moved.shape[-1])
+    return np.array([math.fsum(row) for row in rows], dtype=np.float64).reshape(moved.shape[:-1])
 
 
 def tiny_config(**overrides) -> RunConfig:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import central_difference, relative_error, tiny_config
+from conftest import central_difference, fsum_along, relative_error, tiny_config
 from fovalign import alignment
 from fovalign.alignment import (
     AdamW,
@@ -36,9 +36,9 @@ def brute_force_cosine(a, b):
 
 def fsum_cosine(a, b, floor=1e-12):
     """Reference cosine with every dot and norm exactly rounded by math.fsum."""
-    na = np.maximum([math.sqrt(math.fsum(u * u)) for u in a], floor)
-    nb = np.maximum([math.sqrt(math.fsum(v * v)) for v in b], floor)
-    dots = np.array([[math.fsum(u * v) for v in b] for u in a]).reshape(len(a), len(b))
+    na = np.maximum(np.sqrt(fsum_along(a * a, -1)), floor)
+    nb = np.maximum(np.sqrt(fsum_along(b * b, -1)), floor)
+    dots = fsum_along(a[:, None, :] * b[None, :, :], -1)
     return dots / (na[:, None] * nb[None, :])
 
 

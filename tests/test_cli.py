@@ -20,6 +20,7 @@ from fovalign.checkpoint import load_checkpoint
 from fovalign.cli import main
 from fovalign.config import config_from_dict
 from fovalign.errors import NumericError
+from fovalign.pixmap import write_pixmap
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 COMMANDS = ("generate", "transform", "train", "evaluate", "report")
@@ -154,6 +155,23 @@ class TestTransform:
         )
         assert main(["transform", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_center_outside_the_input_image(self, tmp_path, capsys):
+        # the config's 32x32 image_size admits the center; the 8x8 input does not
+        image = tmp_path / "small.ppm"
+        write_pixmap(image, np.zeros((3, 8, 8)))
+        cfg = tmp_path / "cfg.json"
+        raw = write_config(
+            cfg,
+            dataset=str(tmp_path / "data"),
+            checkpoint=str(tmp_path / "run" / "checkpoint.bick"),
+            input_image=str(image),
+        )
+        raw["transforms"]["center"] = [20, 3]
+        cfg.write_text(json.dumps(raw))
+        assert main(["transform", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 2
+        assert "transforms.center [20, 3] lies outside the 8x8 input image" in capsys.readouterr().err
+        assert not (tmp_path / "v").exists()
 
 
 class TestTrain:
@@ -386,6 +404,15 @@ class TestErrorSurface:
         cfg.write_text('{"transforms": {"gamma": NaN}}')
         assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 2
         assert "transforms.gamma: expected a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    def test_center_outside_the_image(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "transforms": {"center": [100, 100]}, "data": {"image_size": 32},
+        }))
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 2
+        assert "transforms.center [100, 100] lies outside the 32x32 image" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
 
     def test_unreadable_config(self, tmp_path, capsys):

@@ -23,12 +23,19 @@ def test_defaults_validate():
     assert cfg.views.enabled() == ["foveated", "noise", "lowres", "mosaic"]
 
 
+def test_default_galleries_fit_the_default_test_set():
+    cfg = RunConfig().validate()
+    assert max(cfg.evaluation.gallery_sizes) <= cfg.data.test_classes
+
+
 def test_empty_dict_gives_defaults():
     assert config_from_dict({}) == RunConfig()
 
 
 def test_round_trips_through_to_dict():
-    cfg = config_from_dict({"data": {"classes": 12, "test_classes": 4}})
+    cfg = config_from_dict({
+        "data": {"classes": 12, "test_classes": 4}, "evaluation": {"gallery_sizes": [4, 2]},
+    })
     again = config_from_dict(cfg.to_dict())
     assert again == dataclasses.replace(
         cfg, regulator=dataclasses.replace(cfg.regulator, kernel_max=cfg.kernel_max)
@@ -105,6 +112,22 @@ class TestRejection:
     def test_temperature_ordering(self):
         with pytest.raises(ConfigError, match="temperature"):
             config_from_dict({"training": {"temperature_init": 2.0}})
+
+    @pytest.mark.parametrize("center", [[100, 100], [32, 0], [0, 32], [-1, 5]])
+    def test_center_outside_the_image(self, center):
+        with pytest.raises(ConfigError, match=r"transforms\.center .* outside the 32x32 image"):
+            config_from_dict({"transforms": {"center": center}, "data": {"image_size": 32}})
+
+    def test_center_on_the_last_pixel(self):
+        cfg = config_from_dict({"transforms": {"center": [31, 0]}, "data": {"image_size": 32}})
+        assert cfg.transforms.center == (31, 0)
+
+    def test_gallery_larger_than_the_test_set(self):
+        data = {"classes": 12, "test_classes": 4}
+        with pytest.raises(ConfigError, match="gallery size n=5 exceeds the test set size 4"):
+            config_from_dict({"data": data, "evaluation": {"gallery_sizes": [4, 5]}})
+        cfg = config_from_dict({"data": data, "evaluation": {"gallery_sizes": [4, 2]}})
+        assert cfg.evaluation.gallery_sizes == (4, 2)
 
     def test_kernel_bounds_consistency(self):
         with pytest.raises(ConfigError, match="kernel bounds"):
@@ -193,13 +216,17 @@ class TestHash:
 class TestLoadConfig:
     def test_reads_plain_config(self, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"data": {"classes": 9, "test_classes": 2}}))
+        path.write_text(json.dumps({
+            "data": {"classes": 9, "test_classes": 2}, "evaluation": {"gallery_sizes": [2]},
+        }))
         cfg, seed = load_config(path, "train")
         assert cfg.data.classes == 9
         assert seed is None
 
     def test_unwraps_run_manifest(self, tmp_path):
-        cfg = config_from_dict({"data": {"classes": 9, "test_classes": 2}})
+        cfg = config_from_dict({
+            "data": {"classes": 9, "test_classes": 2}, "evaluation": {"gallery_sizes": [2]},
+        })
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps({"command": "train", "seed": 1, "config": cfg.to_dict()}))
         assert load_config(path)[0].data.classes == 9

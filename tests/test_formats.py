@@ -77,6 +77,20 @@ class TestPixmap:
         with pytest.raises(FormatError):
             read_pixmap(path)
 
+    @pytest.mark.parametrize("magic", [b"P6x", b"P66", b"P6\x00"])
+    def test_magic_token_must_be_exactly_p6(self, tmp_path, magic):
+        path = tmp_path / "bad.ppm"
+        path.write_bytes(magic + b" 1 1 255\n" + bytes(3))
+        with pytest.raises(FormatError, match="not a binary P6 pixmap"):
+            read_pixmap(path)
+
+    @pytest.mark.parametrize("extra", [1, 3, 100])
+    def test_bytes_after_the_raster_rejected(self, tmp_path, extra):
+        path = tmp_path / "long.ppm"
+        path.write_bytes(b"P6\n2 2\n255\n" + bytes(12 + extra))
+        with pytest.raises(FormatError, match=f"raster has {12 + extra} bytes, expected 12"):
+            read_pixmap(path)
+
     def test_bad_channel_count_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_pixmap(tmp_path / "x.ppm", np.zeros((2, 2, 2)))

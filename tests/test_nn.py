@@ -6,9 +6,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from conftest import central_difference, relative_error
+from conftest import central_difference, fsum_along, relative_error
 from fovalign import nn
+
+
+def bits(arr) -> list[int]:
+    """The int64 view, so signed zeros and NaN payloads count."""
+    return np.asarray(arr, dtype=np.float64).view(np.int64).tolist()
+
+
+def outcome(fn, arr, axis):
+    """The result's bits, or the type and message of what was raised."""
+    try:
+        return bits(fn(arr, axis))
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
 
 
 def test_exact_sum_matches_fsum_and_ignores_order():
@@ -23,8 +39,93 @@ def test_exact_sum_matches_fsum_and_ignores_order():
 def test_exact_sum_any_axis():
     rng = np.random.default_rng(1)
     arr = rng.standard_normal((3, 4, 5))
-    np.testing.assert_allclose(nn.exact_sum(arr, axis=0), arr.sum(axis=0), atol=1e-12)
-    np.testing.assert_allclose(nn.exact_sum(arr, axis=-2), arr.sum(axis=1), atol=1e-12)
+    for axis in (0, 1, 2, -1, -2, -3):
+        assert bits(nn.exact_sum(arr, axis=axis)) == bits(fsum_along(arr, axis))
+
+
+_EDGE_VALUES = [
+    0.0, -0.0, 1.0, -1.0, 3.0, 2.0**-52, 2.0**-53, -2.0**-53, 2.0**-54, 2.0**-106,
+    1e16, -1e16, 1e308, -1e308, 5e-324, -5e-324, 2.0**-1022, -2.0**-1022,
+]
+_finite = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(_EDGE_VALUES),
+    # odd mantissas over the whole exponent range, down into the subnormals
+    st.builds(math.ldexp, st.integers(-(2**53), 2**53), st.integers(-1130, 960)),
+)
+_special = st.sampled_from([math.inf, -math.inf, math.nan])
+
+
+@st.composite
+def _summands(draw, special: bool):
+    """(arr, axis): 1-3 axes of length 1-8, with pairs of entries along the
+    reduced axis set to cancel and, if `special`, some inf and nan."""
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=8))
+    elements = st.one_of(_finite, _special) if special else _finite
+    arr = draw(hnp.arrays(np.float64, shape, elements=elements))
+    axis = draw(st.integers(-len(shape), len(shape) - 1))
+    work = np.moveaxis(arr, axis, -1)
+    n = work.shape[-1]
+    for _ in range(draw(st.integers(0, n // 2))):
+        src, dst = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        cancel = -work[..., src]
+        if draw(st.booleans()):
+            cancel = np.nextafter(cancel, 0.0)  # leaves a one-ulp residue
+        work[..., dst] = cancel
+    return arr, axis
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_summands(special=False))
+def test_exact_sum_is_fsum_bit_for_bit(case):
+    arr, axis = case
+    assert outcome(nn.exact_sum, arr, axis) == outcome(fsum_along, arr, axis)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_summands(special=True))
+def test_exact_sum_is_fsum_with_inf_and_nan(case):
+    arr, axis = case
+    assert outcome(nn.exact_sum, arr, axis) == outcome(fsum_along, arr, axis)
+
+
+def test_exact_sum_ties_and_interspersed_zeros():
+    # 1 + 2**-53 is a tie broken upward only by the small partial below it,
+    # which zeros in the expansion must not hide
+    rows = np.array([
+        [2.0**-106, 0.0, 1.0, 2.0**-53, -0.0],
+        [-(2.0**-106), 1.0, 0.0, 2.0**-53, 0.0],
+        [1e-16, 1.0, 1e16, 0.0, 0.0],
+        [2.0**-53, 1.0, 2.0**-106, 1.0, -1.0],
+        [-0.0, -0.0, -0.0, -0.0, -0.0],
+        [5e-324, -5e-324, 2.0**-1022, -(2.0**-1022), 5e-324],
+    ])
+    for order in (slice(None), slice(None, None, -1)):
+        assert bits(nn.exact_sum(rows[:, order], axis=1)) == bits(fsum_along(rows[:, order], 1))
+    assert nn.exact_sum(rows, axis=1)[2] == 1e16 + 2.0
+    assert bits(nn.exact_sum(rows, axis=1)[4]) == bits(0.0)
+
+
+def test_exact_sum_inf_and_nan_rows():
+    arr = np.array([[1.0, math.inf, 2.0], [math.nan, 1.0, 0.0], [0.1, 0.2, 0.3]])
+    out = nn.exact_sum(arr.T, axis=0)
+    assert out[0] == math.inf and math.isnan(out[1])
+    assert bits(out) == bits(fsum_along(arr, 1))
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_exact_sum_raises_as_fsum_does(axis):
+    overflow = np.array([[1.0, 2.0, 3.0], [1e308, 1e308, -1e308]])
+    with pytest.raises(OverflowError, match="intermediate overflow"):
+        nn.exact_sum(overflow if axis == 1 else overflow.T, axis=axis)
+    opposed = np.array([[1.0, 2.0, 3.0], [math.inf, 1.0, -math.inf]])
+    with pytest.raises(ValueError, match=r"-inf \+ inf"):
+        nn.exact_sum(opposed if axis == 1 else opposed.T, axis=axis)
+
+
+def test_exact_sum_empty_axes():
+    assert bits(nn.exact_sum(np.zeros((3, 0)), axis=1)) == bits(np.zeros(3))
+    assert nn.exact_sum(np.zeros((0, 4)), axis=1).shape == (0,)
 
 
 def test_affine_forward_and_backward():
