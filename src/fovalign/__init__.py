@@ -37,9 +37,7 @@ from .providers import (
 from .regulator import BlurSchedule, confidence_bounds
 from .transforms import (
     FoveationParams,
-    ViewParams,
     add_noise,
-    build_view_stack,
     foveate,
     foveation_mask,
     gaussian_blur,
@@ -63,11 +61,9 @@ __all__ = [
     "SyntheticEncoder",
     "SyntheticProvider",
     "Trainer",
-    "ViewParams",
     "ablation_ladder",
     "add_noise",
     "belief_weights",
-    "build_view_stack",
     "config_from_dict",
     "config_hash",
     "confidence_bounds",

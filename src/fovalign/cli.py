@@ -30,11 +30,10 @@ from .errors import ConfigError, FormatError, NumericError, ProtocolError
 from .evaluation import nway_evaluate
 from .pixmap import read_pixmap, write_pixmap
 from .providers import BankProvider, SyntheticProvider, save_embedding_bank
-from .transforms import FoveationParams, ViewParams, build_view_stack
 
 __all__ = ["main"]
 
-_VIEW_FILES = ("foveated.ppm", "noise.ppm", "lowres.ppm", "mosaic.ppm")
+_TRANSFORM_VIEWS = ("foveated", "noise", "lowres", "mosaic")
 _METRICS_COLUMNS = (
     "epoch", "loss", "mean_smoothed_sim",
     "kernel_min", "kernel_mean", "kernel_max", "t_lower", "t_upper",
@@ -114,7 +113,8 @@ def cmd_transform(args) -> int:
     seed = args.seed if args.seed is not None else manifest_seed
     noise_seed = int(seed) if seed is not None else 0
     out = Path(args.out) if args.out else Path("views")
-    _refuse_existing([out / name for name in _VIEW_FILES] + [out / "manifest.json"], args.force)
+    files = [out / f"{name}.ppm" for name in _TRANSFORM_VIEWS]
+    _refuse_existing(files + [out / "manifest.json"], args.force)
     image = read_pixmap(config.paths.input_image)
     t = config.transforms
     height, width = image.shape[1:]
@@ -123,20 +123,21 @@ def cmd_transform(args) -> int:
             f"transforms.center {list(t.center)} lies outside the {height}x{width} "
             f"input image {config.paths.input_image}"
         )
-    views = build_view_stack(
-        image,
-        FoveationParams(
-            center=t.center, gamma=t.gamma,
-            kernel_size=t.kernel_size, perturbation=t.perturbation,
-        ),
-        ViewParams(
-            noise_sigma=t.noise_sigma, scale_low=t.scale_low,
-            scale_mosaic=t.scale_mosaic, noise_seed=noise_seed,
-        ),
+    for name in ("scale_low", "scale_mosaic"):
+        if min(height, width) * getattr(t, name) < 1:
+            raise ConfigError(
+                f"transforms.{name} {getattr(t, name)} collapses the {height}x{width} "
+                f"input image {config.paths.input_image} below one pixel"
+            )
+    provider = SyntheticProvider(
+        t, config.views, config.provider.dim_feature, config.provider.seed, [image]
     )
+    views = [
+        provider.view_image(name, image, t.kernel_size, noise_seed) for name in _TRANSFORM_VIEWS
+    ]
     out.mkdir(parents=True, exist_ok=True)
-    for name, view in zip(_VIEW_FILES, views):
-        write_pixmap(out / name, view)
+    for path, view in zip(files, views):
+        write_pixmap(path, view)
     _write_manifest(out, "transform", noise_seed, config)
     print(f"wrote {len(views)} views of {config.paths.input_image} to {out}")
     return 0
@@ -280,7 +281,10 @@ def cmd_report(args) -> int:
     for run in config.paths.runs:
         eval_path = Path(run) / "eval.csv"
         if not eval_path.exists():
-            raise ConfigError(f"{eval_path} is missing (run `evaluate` for {run} first)")
+            raise ConfigError(
+                f"searched {run} for eval.csv and found none: run `evaluate` for "
+                f"{run} first, and list an `evaluate --out` directory in paths.runs"
+            )
         with open(eval_path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames != list(_EVAL_COLUMNS):

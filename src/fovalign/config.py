@@ -228,6 +228,13 @@ class RunConfig:
                 f"transforms.center {list(t.center)} lies outside the "
                 f"{d.image_size}x{d.image_size} image (data.image_size)"
             )
+        for view, name in (("lowres", "scale_low"), ("mosaic", "scale_mosaic")):
+            if getattr(self.views, view) and d.image_size * getattr(t, name) < 1:
+                raise ConfigError(
+                    f"transforms.{name} {getattr(t, name)} collapses the "
+                    f"{d.image_size}x{d.image_size} image (data.image_size) below one "
+                    f"pixel with the {view} view enabled"
+                )
         if d.dim_neural < 2:
             raise ConfigError(f"data.dim_neural must be >= 2, got {d.dim_neural}")
         if d.neural_noise < 0:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import RunConfig
 from .pixmap import read_pixmap, to_bytes_quantized
-from .providers import EmbeddingBank, SyntheticProvider, derive_noise_seed, load_embedding_bank
+from .providers import EmbeddingBank, SampleRef, SyntheticProvider, load_embedding_bank
 
 __all__ = ["PairedDataset", "GeneratedDataset", "render_sample", "generate_dataset", "load_dataset"]
 
@@ -149,23 +149,15 @@ def generate_dataset(config: RunConfig) -> GeneratedDataset:
         )
         for level in levels
     }
-    for i, image in enumerate(images):
-        noise_seed = derive_noise_seed(d.seed + _VIEW_NOISE_TAG, i, 0)
-        # the noise view ignores the kernel; encode it (and the other
-        # kernel-independent views) once and reuse across levels
-        static_rows = {
-            name: provider.view_feature(name, image, levels[0], noise_seed)
-            for name in provider.view_names
-            if name != "foveated"
-        }
-        for level in levels:
-            rows = [
-                static_rows[name]
-                if name != "foveated"
-                else provider.view_feature(name, image, level, noise_seed)
-                for name in provider.view_names
-            ]
-            blocks[level][i] = np.stack(rows).astype(np.float32)
+    # the provider's caches serve the kernel-independent rows, the noise
+    # row included, once per sample across all levels. Levels go in the
+    # outer loop: sample-outer order leaves more cached rows between the
+    # blur temporaries, and the heap then trims and regrows on every sample
+    # (about 8 % slower on 64x64 images)
+    for level in levels:
+        for i in range(len(images)):
+            sample = SampleRef(i, level, d.seed + _VIEW_NOISE_TAG, 0)
+            blocks[level][i] = provider.features(sample).astype(np.float32)
     bank = EmbeddingBank(
         tag=d.tag,
         views=provider.views,

@@ -306,7 +306,9 @@ class SyntheticProvider:
 
     Rows that do not change between requests are cached: the foveated row
     by (index, kernel), the other noise-free rows by (index, view name).
-    The noise row is rendered afresh, since its seed moves with the epoch.
+    Each index keeps its last noise row under that row's seed, so a repeat
+    request with the same (noise_base, index, epoch) reuses it and a new
+    seed replaces it.
     """
 
     def __init__(self, transforms: TransformConfig, views: ViewsConfig, dim: int, seed: int,
@@ -318,6 +320,7 @@ class SyntheticProvider:
         self.encoder = SyntheticEncoder(dim, seed)
         self.images = images
         self._rows: dict[tuple[int, int | str], np.ndarray] = {}
+        self._noise_rows: dict[int, tuple[int, np.ndarray]] = {}
 
     @property
     def views(self) -> int:
@@ -345,23 +348,25 @@ class SyntheticProvider:
             return resample(image, t.scale_mosaic, "nearest")
         raise ValueError(f"unknown view {name!r}")
 
-    def view_feature(self, name: str, image: np.ndarray, kernel: int, noise_seed: int) -> np.ndarray:
-        return self.encoder.encode(self.view_image(name, image, kernel, noise_seed))
-
     def features(self, sample: SampleRef) -> np.ndarray:
         index, kernel = sample.index, sample.kernel
         if not 0 <= index < len(self.images):
             raise ValueError(f"sample index {index} has no image")
         image = self.images[index]
+        encode = self.encoder.encode
         rows = []
         for name in self.view_names:
             if name == "noise":
                 seed = derive_noise_seed(sample.noise_base, index, sample.epoch)
-                rows.append(self.view_feature(name, image, kernel, seed))
+                cached = self._noise_rows.get(index)
+                if cached is None or cached[0] != seed:
+                    cached = (seed, encode(self.view_image(name, image, kernel, seed)))
+                    self._noise_rows[index] = cached
+                rows.append(cached[1])
                 continue
             key = (index, kernel if name == "foveated" else name)
             if key not in self._rows:
-                self._rows[key] = self.view_feature(name, image, kernel, 0)
+                self._rows[key] = encode(self.view_image(name, image, kernel, 0))
             rows.append(self._rows[key])
         return np.stack(rows)
 

@@ -1,4 +1,4 @@
-"""Biologically motivated image degradations used to build the view stack.
+"""Biologically motivated image degradations used to build the views.
 
 Images are numpy float64 arrays of shape (channels, height, width) with
 values in [0, 1]. Conventions committed here, relied on by the tests:
@@ -26,14 +26,12 @@ from scipy import ndimage
 
 __all__ = [
     "FoveationParams",
-    "ViewParams",
     "foveation_mask",
     "gaussian_blur",
     "gaussian_kernel",
     "foveate",
     "add_noise",
     "resample",
-    "build_view_stack",
 ]
 
 
@@ -59,28 +57,6 @@ class FoveationParams:
             raise ValueError(
                 f"perturbation must be an even positive integer, got {self.perturbation}"
             )
-
-
-@dataclass(frozen=True)
-class ViewParams:
-    """Parameters of the non-foveated views.
-
-    noise_sigma is the noise standard deviation on the 0..255 intensity
-    scale. Scales are output/input size ratios in (0, 1].
-    """
-
-    noise_sigma: float = 10.0
-    scale_low: float = 0.5
-    scale_mosaic: float = 1.0 / 16.0
-    noise_seed: int = 0
-
-    def __post_init__(self):
-        if not np.isfinite(self.noise_sigma) or self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        for name in ("scale_low", "scale_mosaic"):
-            value = getattr(self, name)
-            if not 0.0 < value <= 1.0:
-                raise ValueError(f"{name} must lie in (0, 1], got {value}")
 
 
 def _check_kernel_size(k: int) -> None:
@@ -246,17 +222,3 @@ def resample(
     if not restore:
         return small
     return gather(gather(small, 1, height), 2, width)
-
-
-def build_view_stack(
-    image: np.ndarray,
-    fov_params: FoveationParams,
-    view_params: ViewParams,
-) -> list[np.ndarray]:
-    """The four degraded views in fixed order: foveated, noise, low, mosaic."""
-    return [
-        foveate(image, fov_params),
-        add_noise(image, view_params.noise_sigma, view_params.noise_seed),
-        resample(image, view_params.scale_low, "bilinear"),
-        resample(image, view_params.scale_mosaic, "nearest"),
-    ]

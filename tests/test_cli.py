@@ -20,7 +20,8 @@ from fovalign.checkpoint import load_checkpoint
 from fovalign.cli import main
 from fovalign.config import config_from_dict
 from fovalign.errors import NumericError
-from fovalign.pixmap import write_pixmap
+from fovalign.pixmap import read_pixmap, to_bytes_quantized, write_pixmap
+from fovalign.transforms import FoveationParams, add_noise, foveate, resample
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 COMMANDS = ("generate", "transform", "train", "evaluate", "report")
@@ -144,6 +145,56 @@ class TestTransform:
         assert not filecmp.cmp(outs[0] / "noise.ppm", outs[2] / "noise.ppm", shallow=False)
         # the deterministic views ignore the noise seed
         assert filecmp.cmp(outs[0] / "foveated.ppm", outs[2] / "foveated.ppm", shallow=False)
+
+    def _config_for(self, tmp_path, image, **transforms):
+        input_image = tmp_path / "in.ppm"
+        write_pixmap(input_image, image)
+        cfg = tmp_path / "cfg.json"
+        raw = write_config(
+            cfg,
+            dataset=str(tmp_path / "data"),
+            checkpoint=str(tmp_path / "run" / "checkpoint.bick"),
+            input_image=str(input_image),
+        )
+        raw["transforms"].update(transforms)
+        cfg.write_text(json.dumps(raw))
+        return cfg, read_pixmap(input_image)
+
+    def test_views_equal_the_transforms_of_the_input(self, tmp_path):
+        rng = np.random.default_rng(17)
+        cfg, image = self._config_for(
+            tmp_path, rng.random((3, 32, 32)),
+            gamma=2.0, kernel_size=15, noise_sigma=10.0, scale_low=0.5, scale_mosaic=1 / 16,
+        )
+        out = tmp_path / "views"
+        assert main(["transform", "--config", str(cfg), "--out", str(out), "--seed", "4"]) == 0
+        want = {
+            "foveated": foveate(image, FoveationParams(gamma=2.0, kernel_size=15)),
+            "noise": add_noise(image, 10.0, 4),
+            "lowres": resample(image, 0.5, "bilinear"),
+            "mosaic": resample(image, 1 / 16, "nearest"),
+        }
+        for name, view in want.items():
+            written = read_pixmap(out / f"{name}.ppm")
+            np.testing.assert_array_equal(to_bytes_quantized(written), to_bytes_quantized(view))
+
+    def test_views_preserve_shape_and_range(self, tmp_path):
+        rng = np.random.default_rng(18)
+        cfg, image = self._config_for(tmp_path, rng.random((3, 32, 48)), kernel_size=9)
+        out = tmp_path / "views"
+        assert main(["transform", "--config", str(cfg), "--out", str(out)]) == 0
+        for name in ("foveated", "noise", "lowres", "mosaic"):
+            view = read_pixmap(out / f"{name}.ppm")
+            assert view.shape == image.shape
+            assert view.min() >= 0.0 and view.max() <= 1.0
+
+    def test_scale_collapsing_the_input_image(self, tmp_path, capsys):
+        # the config's 32x32 image_size admits 1/16; the 16x8 input does not
+        cfg, _ = self._config_for(tmp_path, np.zeros((3, 16, 8)))
+        assert main(["transform", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 2
+        err = capsys.readouterr().err
+        assert "transforms.scale_mosaic 0.0625 collapses the 16x8 input image" in err
+        assert not (tmp_path / "v").exists()
 
     def test_missing_input_image(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -379,6 +430,26 @@ class TestReport:
         assert main(["report", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
         assert "run `evaluate`" in capsys.readouterr().err
 
+    def test_evaluate_out_directory_must_be_listed(self, workspace, tmp_path, capsys):
+        elsewhere = tmp_path / "elsewhere"
+        assert main([
+            "evaluate", "--config", str(workspace["config"]), "--out", str(elsewhere)
+        ]) == 0
+        raw = json.loads(workspace["config"].read_text())
+        raw["paths"]["runs"] = [str(tmp_path / "run")]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        assert main(["report", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert f"searched {tmp_path / 'run'} for eval.csv" in err
+        assert "list an `evaluate --out` directory in paths.runs" in err
+
+        raw["paths"]["runs"] = [str(elsewhere)]
+        cfg.write_text(json.dumps(raw))
+        assert main(["report", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0
+        with open(tmp_path / "r" / "report.csv", newline="") as fh:
+            assert {r["run"] for r in csv.DictReader(fh)} == {str(elsewhere)}
+
     def test_mangled_eval_columns_rejected(self, workspace, tmp_path, capsys):
         bad_run = tmp_path / "bad-run"
         bad_run.mkdir()
@@ -413,6 +484,14 @@ class TestErrorSurface:
         }))
         assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 2
         assert "transforms.center [100, 100] lies outside the 32x32 image" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    def test_scale_collapsing_the_image(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"data": {"image_size": 8}}))
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 2
+        err = capsys.readouterr().err
+        assert "transforms.scale_mosaic 0.0625 collapses the 8x8 image" in err
         assert not (tmp_path / "d").exists()
 
     def test_unreadable_config(self, tmp_path, capsys):

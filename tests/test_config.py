@@ -122,6 +122,23 @@ class TestRejection:
         cfg = config_from_dict({"transforms": {"center": [31, 0]}, "data": {"image_size": 32}})
         assert cfg.transforms.center == (31, 0)
 
+    def test_scale_collapsing_the_image(self):
+        # floor(8 / 16) = 0 rows; floor(16 / 16) = 1 row is still an image
+        with pytest.raises(ConfigError, match=r"transforms\.scale_mosaic 0\.0625 collapses the 8x8"):
+            config_from_dict({"data": {"image_size": 8}})
+        with pytest.raises(ConfigError, match=r"transforms\.scale_low 0\.1 collapses the 8x8"):
+            config_from_dict({
+                "transforms": {"scale_low": 0.1}, "views": {"mosaic": False},
+                "data": {"image_size": 8},
+            })
+        assert config_from_dict({"data": {"image_size": 16}}).data.image_size == 16
+        # a disabled view's scale is never applied, so it stays unchecked
+        cfg = config_from_dict({
+            "transforms": {"scale_low": 0.1}, "views": {"lowres": False, "mosaic": False},
+            "data": {"image_size": 8},
+        })
+        assert cfg.views.enabled() == ["foveated", "noise"]
+
     def test_gallery_larger_than_the_test_set(self):
         data = {"classes": 12, "test_classes": 4}
         with pytest.raises(ConfigError, match="gallery size n=5 exceeds the test set size 4"):

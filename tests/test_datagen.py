@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import tiny_config
+import fovalign.providers
 from fovalign.datagen import generate_dataset, load_dataset, render_sample
 from fovalign.pixmap import read_pixmap, write_pixmap
 from fovalign.providers import SyntheticProvider, derive_noise_seed, save_embedding_bank
@@ -158,10 +159,21 @@ class TestBank:
         noise_seed = derive_noise_seed(cfg.data.seed + 4, index, 0)
         for level in generated.bank.kernel_levels:
             want = np.stack([
-                provider.view_feature(name, image, level, noise_seed)
+                provider.encoder.encode(provider.view_image(name, image, level, noise_seed))
                 for name in provider.view_names
             ]).astype(np.float32)
             np.testing.assert_array_equal(generated.bank.features[level][index], want)
+
+    def test_noise_view_rendered_once_per_sample(self, monkeypatch):
+        calls = []
+        real = fovalign.providers.add_noise
+        monkeypatch.setattr(
+            fovalign.providers, "add_noise", lambda *a: calls.append(a) or real(*a)
+        )
+        cfg = tiny_config()
+        out = generate_dataset(cfg)
+        assert len(cfg.data.bank_levels) >= 2
+        assert len(calls) == out.dataset.sample_count
 
     def test_kernel_independent_views_shared_across_levels(self, generated):
         bank = generated.bank

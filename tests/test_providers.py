@@ -240,20 +240,34 @@ class TestSyntheticProvider:
             view = provider.view_image(name, image, 9, noise_seed)
             np.testing.assert_array_equal(rows[i], provider.encoder.encode(view))
 
-    def test_cached_rows_match_fresh_rows(self):
+    def test_cached_rows_match_fresh_rows(self, monkeypatch):
         # repeated requests reuse cached rows; only the foveated row follows
-        # the kernel and only the noise row follows the epoch
+        # the kernel and only the noise row follows the epoch. The noise row
+        # is re-rendered only when its seed differs from the index's last one.
         image = random_image(np.random.default_rng(9), height=32, width=32)
         provider = self._provider([image])
         base = provider.features(SampleRef(0, 3, 5, 0))
-        for kernel, epoch in [(3, 0), (9, 0), (3, 1), (9, 1), (3, 0), (9, 1)]:
+        rendered = []
+        view_image = provider.view_image
+        monkeypatch.setattr(
+            provider, "view_image", lambda name, *a: rendered.append(name) or view_image(name, *a)
+        )
+        cases = [
+            (3, 0, False), (9, 0, False), (3, 1, True), (9, 1, False),
+            (3, 0, True), (9, 1, True), (9, 1, False),
+        ]
+        for kernel, epoch, noise_rendered in cases:
+            rendered.clear()
             rows = provider.features(SampleRef(0, kernel, 5, epoch))
+            assert ("noise" in rendered) == noise_rendered, (kernel, epoch)
             seed = derive_noise_seed(5, 0, epoch)
             for name, row, base_row in zip(provider.view_names, rows, base):
-                fresh = provider.view_feature(name, image, kernel, seed)
+                fresh = provider.encoder.encode(view_image(name, image, kernel, seed))
                 np.testing.assert_array_equal(row, fresh)
                 moved = (name == "foveated" and kernel != 3) or (name == "noise" and epoch != 0)
                 assert np.array_equal(row, base_row) != moved, (name, kernel, epoch)
+        # a new seed replaces the index's entry instead of adding one
+        assert len(provider._noise_rows) == 1
 
     def test_gather_features_stacks_samples(self):
         rng = np.random.default_rng(10)
@@ -284,8 +298,8 @@ class TestSyntheticProvider:
         rng = np.random.default_rng(7)
         image = random_image(rng, height=32, width=32)
         provider = self._provider()
-        a = provider.view_feature("foveated", image, 3, 0)
-        b = provider.view_feature("foveated", image, 31, 0)
+        a = provider.encoder.encode(provider.view_image("foveated", image, 3, 0))
+        b = provider.encoder.encode(provider.view_image("foveated", image, 31, 0))
         assert not np.array_equal(a, b)
 
     def test_heavier_blur_drifts_further_from_clean(self):
@@ -293,8 +307,8 @@ class TestSyntheticProvider:
         image = random_image(rng, height=32, width=32)
         provider = self._provider()
         clean = provider.encoder.encode(image)
-        light = provider.view_feature("foveated", image, 3, 0)
-        heavy = provider.view_feature("foveated", image, 63, 0)
+        light = provider.encoder.encode(provider.view_image("foveated", image, 3, 0))
+        heavy = provider.encoder.encode(provider.view_image("foveated", image, 63, 0))
         assert np.linalg.norm(heavy - clean) >= np.linalg.norm(light - clean)
 
     def test_missing_image_rejected(self):

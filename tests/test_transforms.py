@@ -16,9 +16,7 @@ from hypothesis import strategies as st
 from conftest import random_image
 from fovalign.transforms import (
     FoveationParams,
-    ViewParams,
     add_noise,
-    build_view_stack,
     foveate,
     foveation_mask,
     gaussian_blur,
@@ -337,28 +335,6 @@ class TestResample:
             resample(image, 1.5, "nearest")
         with pytest.raises(ValueError):
             resample(image, 0.5, "area")
-
-
-class TestViewStack:
-    def test_four_views_in_order(self):
-        rng = np.random.default_rng(17)
-        image = random_image(rng, height=32, width=32)
-        fov = FoveationParams(gamma=2.0, kernel_size=15)
-        vw = ViewParams(noise_sigma=10.0, scale_low=0.5, scale_mosaic=1 / 16, noise_seed=4)
-        views = build_view_stack(image, fov, vw)
-        assert len(views) == 4
-        np.testing.assert_array_equal(views[0], foveate(image, fov))
-        np.testing.assert_array_equal(views[1], add_noise(image, 10.0, 4))
-        np.testing.assert_array_equal(views[2], resample(image, 0.5, "bilinear"))
-        np.testing.assert_array_equal(views[3], resample(image, 1 / 16, "nearest"))
-
-    def test_all_views_preserve_shape_and_range(self):
-        rng = np.random.default_rng(18)
-        image = random_image(rng, height=32, width=48)
-        views = build_view_stack(image, FoveationParams(kernel_size=9), ViewParams())
-        for view in views:
-            assert view.shape == image.shape
-            assert view.min() >= 0.0 and view.max() <= 1.0
 
 
 @given(
