@@ -29,7 +29,6 @@ import numpy as np
 from . import fusion, nn
 from .config import RunConfig
 from .errors import ConfigError, NumericError
-from .providers import gather_features
 from .regulator import BlurSchedule, confidence_bounds
 
 __all__ = [
@@ -254,8 +253,8 @@ class Trainer:
         losses, lowers, uppers = [], [], []
         for b in range(n_batches):
             ids = order[b * batch_size : (b + 1) * batch_size]
-            feats = gather_features(
-                self.provider, ids, self.schedule.kernels_of(ids), cfg.training.seed, epoch
+            feats = self.provider.features(
+                ids, self.schedule.kernels_of(ids), cfg.training.seed, epoch
             )
             dropout_rng = np.random.default_rng(
                 np.random.SeedSequence((cfg.training.seed, 2, epoch, b))
@@ -338,7 +337,7 @@ def encode_pairs(
     Returns (f_n, f_latent). Views are built at the fixed `kernel`; the
     noise view derives its seed from (noise_base_seed, sample_index, 0).
     """
-    feats = gather_features(provider, indices, [kernel] * len(indices), noise_base_seed, 0)
+    feats = provider.features(indices, [kernel] * len(indices), noise_base_seed, 0)
     latent, _ = fusion.fusion_forward(feats, params, config.fusion, train_mode=False)
     f_n = nn.affine_forward(
         np.asarray(dataset.neural)[np.asarray(indices, dtype=np.int64)],

@@ -24,7 +24,7 @@ import numpy as np
 
 from .alignment import Trainer, cosine_similarity_matrix, encode_pairs, init_parameters
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import RunConfig, config_hash, load_config
+from .config import RunConfig, TransformConfig, config_hash, load_config
 from .datagen import PairedDataset, generate_dataset, load_dataset
 from .errors import ConfigError, FormatError, NumericError, ProtocolError
 from .evaluation import nway_evaluate
@@ -63,6 +63,23 @@ def _with_seed(config: RunConfig, section: str, field: str, seed: int | None) ->
     return dataclasses.replace(config, **{section: part})
 
 
+def _check_image_fits(t: TransformConfig, shape, views, source: str) -> None:
+    """ConfigError unless transforms.center lies inside (C, H, W) images of
+    `shape` and the scale of each listed lowres or mosaic view leaves them
+    at least one pixel."""
+    height, width = shape[1:]
+    if t.center is not None and not (t.center[0] < height and t.center[1] < width):
+        raise ConfigError(
+            f"transforms.center {list(t.center)} lies outside the {height}x{width} {source}"
+        )
+    for view, name in (("lowres", "scale_low"), ("mosaic", "scale_mosaic")):
+        if view in views and min(height, width) * getattr(t, name) < 1:
+            raise ConfigError(
+                f"transforms.{name} {getattr(t, name)} collapses the {height}x{width} "
+                f"{source} below one pixel"
+            )
+
+
 def _load_data(config: RunConfig):
     """Load the dataset directory (pixels only for the synthetic provider)
     and return (dataset, provider) for the configured provider kind."""
@@ -81,6 +98,11 @@ def _load_data(config: RunConfig):
                 f"config asks for {config.provider.dim_feature}"
             )
         return loaded.dataset, BankProvider(bank)
+    for shape in sorted({image.shape for image in loaded.dataset.images}):
+        _check_image_fits(
+            config.transforms, shape, config.views.enabled(),
+            f"images of dataset {config.paths.dataset}",
+        )
     return loaded.dataset, SyntheticProvider(
         config.transforms, config.views,
         config.provider.dim_feature, config.provider.seed, loaded.dataset.images,
@@ -117,18 +139,9 @@ def cmd_transform(args) -> int:
     _refuse_existing(files + [out / "manifest.json"], args.force)
     image = read_pixmap(config.paths.input_image)
     t = config.transforms
-    height, width = image.shape[1:]
-    if t.center is not None and not (t.center[0] < height and t.center[1] < width):
-        raise ConfigError(
-            f"transforms.center {list(t.center)} lies outside the {height}x{width} "
-            f"input image {config.paths.input_image}"
-        )
-    for name in ("scale_low", "scale_mosaic"):
-        if min(height, width) * getattr(t, name) < 1:
-            raise ConfigError(
-                f"transforms.{name} {getattr(t, name)} collapses the {height}x{width} "
-                f"input image {config.paths.input_image} below one pixel"
-            )
+    _check_image_fits(
+        t, image.shape, _TRANSFORM_VIEWS, f"input image {config.paths.input_image}"
+    )
     provider = SyntheticProvider(
         t, config.views, config.provider.dim_feature, config.provider.seed, [image]
     )

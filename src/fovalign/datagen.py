@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import RunConfig
 from .pixmap import read_pixmap, to_bytes_quantized
-from .providers import EmbeddingBank, SampleRef, SyntheticProvider, load_embedding_bank
+from .providers import EmbeddingBank, SyntheticProvider, load_embedding_bank
 
 __all__ = ["PairedDataset", "GeneratedDataset", "render_sample", "generate_dataset", "load_dataset"]
 
@@ -143,21 +143,15 @@ def generate_dataset(config: RunConfig) -> GeneratedDataset:
     )
 
     levels = sorted(d.bank_levels)
+    ids = np.arange(len(images))
+    # one request per level; the provider's cache serves the
+    # kernel-independent rows, the noise row included, once per sample
     blocks = {
-        level: np.empty(
-            (len(images), provider.views, config.provider.dim_feature), dtype=np.float32
-        )
+        level: provider.features(
+            ids, np.full(len(ids), level), d.seed + _VIEW_NOISE_TAG, 0
+        ).astype(np.float32)
         for level in levels
     }
-    # the provider's caches serve the kernel-independent rows, the noise
-    # row included, once per sample across all levels. Levels go in the
-    # outer loop: sample-outer order leaves more cached rows between the
-    # blur temporaries, and the heap then trims and regrows on every sample
-    # (about 8 % slower on 64x64 images)
-    for level in levels:
-        for i in range(len(images)):
-            sample = SampleRef(i, level, d.seed + _VIEW_NOISE_TAG, 0)
-            blocks[level][i] = provider.features(sample).astype(np.float32)
     bank = EmbeddingBank(
         tag=d.tag,
         views=provider.views,

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
 from . import nn
 from .config import FusionConfig
@@ -223,7 +224,7 @@ def fusion_backward(
             g_sp = g_w * state.uncertainty * state.uncertainty
         else:
             g_sp = g_w * state.belief * state.uncertainty
-        g_raw = g_sp * nn.sigmoid(cache["raw"])
+        g_raw = g_sp * expit(cache["raw"])
         g_a1, grads["ev_w2"], grads["ev_b2"] = nn.affine_backward(
             g_raw[..., None], cache["a1"], params["ev_w2"]
         )

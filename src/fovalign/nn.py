@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erf, expit
+from scipy.special import erf
 
 __all__ = [
     "exact_sum",
@@ -27,7 +27,6 @@ __all__ = [
     "gelu",
     "gelu_grad",
     "softplus",
-    "sigmoid",
     "softmax",
     "layernorm_forward",
     "layernorm_backward",
@@ -127,10 +126,6 @@ def gelu_grad(x: np.ndarray) -> np.ndarray:
 def softplus(x: np.ndarray) -> np.ndarray:
     """log(1 + exp(x)) computed without overflow."""
     return np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0)
-
-
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    return expit(x)
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -34,7 +34,6 @@ __all__ = [
     "POOL_GRID",
     "BANK_MAGIC",
     "derive_noise_seed",
-    "SampleRef",
     "SyntheticEncoder",
     "EmbeddingBank",
     "save_embedding_bank",
@@ -42,7 +41,6 @@ __all__ = [
     "select_kernel_level",
     "SyntheticProvider",
     "BankProvider",
-    "gather_features",
 ]
 
 POOL_GRID = 16
@@ -57,15 +55,17 @@ def derive_noise_seed(base_seed: int, sample_index: int, epoch: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-@dataclass(frozen=True)
-class SampleRef:
-    """What a provider needs to produce one sample's view features. The
-    noise view's seed is derive_noise_seed(noise_base, index, epoch)."""
-
-    index: int
-    kernel: int
-    noise_base: int = 0
-    epoch: int = 0
+def _check_batch(ids, kernels, count: int, missing: str) -> tuple[np.ndarray, np.ndarray]:
+    """The batch's sample ids and kernels as int64 vectors of one length,
+    every id in [0, count)."""
+    ids = np.asarray(ids, dtype=np.int64)
+    kernels = np.asarray(kernels, dtype=np.int64)
+    if len(ids) != len(kernels):
+        raise ValueError(f"{len(ids)} sample ids but {len(kernels)} kernels")
+    bad = ids[(ids < 0) | (ids >= count)]
+    if len(bad):
+        raise ValueError(f"sample index {bad[0]} {missing}")
+    return ids, kernels
 
 
 def _pool_matrix(n_src: int, n_dst: int) -> np.ndarray:
@@ -289,26 +289,25 @@ def load_embedding_bank(path) -> EmbeddingBank:
     return bank.validate()
 
 
-def select_kernel_level(levels, kernel: int) -> int:
-    """Nearest stored level to the requested kernel; ties resolve upward."""
+def select_kernel_level(levels, kernels) -> np.ndarray:
+    """Nearest stored level to each requested kernel; ties resolve upward."""
+    levels = np.sort(np.asarray(levels, dtype=np.int64))
     if len(levels) == 0:
         raise ValueError("no kernel levels to select from")
-    best = None
-    for level in levels:
-        distance = abs(int(kernel) - int(level))
-        if best is None or distance < best[0] or (distance == best[0] and level > best[1]):
-            best = (distance, int(level))
-    return best[1]
+    kernels = np.asarray(kernels, dtype=np.int64)
+    upper = np.minimum(np.searchsorted(levels, kernels), len(levels) - 1)
+    lower = levels[np.maximum(upper - 1, 0)]
+    upper = levels[upper]
+    return np.where(kernels - lower < upper - kernels, lower, upper)
 
 
 class SyntheticProvider:
     """Builds the enabled views of its samples' images and encodes them.
 
-    Rows that do not change between requests are cached: the foveated row
-    by (index, kernel), the other noise-free rows by (index, view name).
-    Each index keeps its last noise row under that row's seed, so a repeat
-    request with the same (noise_base, index, epoch) reuses it and a new
-    seed replaces it.
+    Each (index, view) keeps its last row under a key: the kernel for the
+    foveated view, the noise seed for the noise view and a constant for
+    the others. A repeat request reuses the row and a new key replaces it,
+    so the cache holds at most one row per (index, view).
     """
 
     def __init__(self, transforms: TransformConfig, views: ViewsConfig, dim: int, seed: int,
@@ -319,8 +318,7 @@ class SyntheticProvider:
         self.view_names = views.enabled()
         self.encoder = SyntheticEncoder(dim, seed)
         self.images = images
-        self._rows: dict[tuple[int, int | str], np.ndarray] = {}
-        self._noise_rows: dict[int, tuple[int, np.ndarray]] = {}
+        self._rows: dict[tuple[int, str], tuple[int | None, np.ndarray]] = {}
 
     @property
     def views(self) -> int:
@@ -335,11 +333,7 @@ class SyntheticProvider:
         if name == "identity":
             return image
         if name == "foveated":
-            params = FoveationParams(
-                center=t.center, gamma=t.gamma,
-                kernel_size=kernel, perturbation=t.perturbation,
-            )
-            return foveate(image, params)
+            return foveate(image, FoveationParams(t.center, t.gamma, kernel))
         if name == "noise":
             return add_noise(image, t.noise_sigma, noise_seed)
         if name == "lowres":
@@ -348,34 +342,31 @@ class SyntheticProvider:
             return resample(image, t.scale_mosaic, "nearest")
         raise ValueError(f"unknown view {name!r}")
 
-    def features(self, sample: SampleRef) -> np.ndarray:
-        index, kernel = sample.index, sample.kernel
-        if not 0 <= index < len(self.images):
-            raise ValueError(f"sample index {index} has no image")
-        image = self.images[index]
-        encode = self.encoder.encode
-        rows = []
-        for name in self.view_names:
-            if name == "noise":
-                seed = derive_noise_seed(sample.noise_base, index, sample.epoch)
-                cached = self._noise_rows.get(index)
-                if cached is None or cached[0] != seed:
-                    cached = (seed, encode(self.view_image(name, image, kernel, seed)))
-                    self._noise_rows[index] = cached
-                rows.append(cached[1])
-                continue
-            key = (index, kernel if name == "foveated" else name)
-            if key not in self._rows:
-                self._rows[key] = encode(self.view_image(name, image, kernel, 0))
-            rows.append(self._rows[key])
-        return np.stack(rows)
+    def features(self, ids, kernels, noise_base: int = 0, epoch: int = 0) -> np.ndarray:
+        """(len(ids), views, dim_feature) rows of the samples at their kernels.
+        The noise view's seed is derive_noise_seed(noise_base, index, epoch)."""
+        ids, kernels = _check_batch(ids, kernels, len(self.images), "has no image")
+        noisy = "noise" in self.view_names
+        out = np.empty((len(ids), self.views, self.dim_feature))
+        for j, (index, kernel) in enumerate(zip(ids.tolist(), kernels.tolist())):
+            seed = derive_noise_seed(noise_base, index, epoch) if noisy else 0
+            for v, name in enumerate(self.view_names):
+                key = kernel if name == "foveated" else seed if name == "noise" else None
+                cached = self._rows.get((index, name))
+                if cached is None or cached[0] != key:
+                    image = self.images[index]
+                    cached = (key, self.encoder.encode(self.view_image(name, image, kernel, seed)))
+                    self._rows[(index, name)] = cached
+                out[j, v] = cached[1]
+        return out
 
 
 class BankProvider:
     """Replays precomputed rows; pixels are never touched.
 
     Requests outside the stored level range clamp to the nearest endpoint
-    and bump `level_clamps` so callers can surface the mismatch.
+    and bump `level_clamps` once per sample so callers can surface the
+    mismatch.
     """
 
     def __init__(self, bank: EmbeddingBank):
@@ -390,19 +381,14 @@ class BankProvider:
     def dim_feature(self) -> int:
         return self.bank.dim_feature
 
-    def features(self, sample: SampleRef) -> np.ndarray:
+    def features(self, ids, kernels, noise_base: int = 0, epoch: int = 0) -> np.ndarray:
+        """(len(ids), views, dim_feature) rows stored at each kernel's level."""
+        ids, kernels = _check_batch(ids, kernels, self.bank.sample_count, "outside the bank")
         levels = self.bank.kernel_levels
-        if sample.kernel < levels[0] or sample.kernel > levels[-1]:
-            self.level_clamps += 1
-        level = select_kernel_level(levels, sample.kernel)
-        if not 0 <= sample.index < self.bank.sample_count:
-            raise ValueError(f"sample index {sample.index} outside the bank")
-        return self.bank.features[level][sample.index].astype(np.float64)
-
-
-def gather_features(provider, ids, kernels, noise_base: int, epoch: int) -> np.ndarray:
-    """(len(ids), views, dim_feature) rows of the samples at their kernels."""
-    return np.stack([
-        provider.features(SampleRef(int(i), int(k), noise_base, epoch))
-        for i, k in zip(ids, kernels)
-    ])
+        self.level_clamps += int(np.count_nonzero((kernels < levels[0]) | (kernels > levels[-1])))
+        chosen = select_kernel_level(levels, kernels)
+        out = np.empty((len(ids), self.views, self.dim_feature))
+        for level in np.unique(chosen).tolist():
+            at_level = chosen == level
+            out[at_level] = self.bank.features[level][ids[at_level]]
+        return out

@@ -40,23 +40,17 @@ class FoveationParams:
     """Parameters of the foveated degradation.
 
     center is a (row, col) pixel coordinate; None selects the image centre
-    (height // 2, width // 2). kernel_size is the current blur kernel k and
-    perturbation is the even step c the regulator applies to k.
+    (height // 2, width // 2). kernel_size is the current blur kernel k.
     """
 
     center: tuple[int, int] | None = None
     gamma: float = 1.0
     kernel_size: int = 75
-    perturbation: int = 6
 
     def __post_init__(self):
         if not np.isfinite(self.gamma) or self.gamma <= 0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
         _check_kernel_size(self.kernel_size)
-        if self.perturbation < 2 or self.perturbation % 2 != 0:
-            raise ValueError(
-                f"perturbation must be an even positive integer, got {self.perturbation}"
-            )
 
 
 def _check_kernel_size(k: int) -> None:

@@ -27,7 +27,7 @@ from fovalign.cli import main
 from fovalign.config import ablation_ladder, config_from_dict, config_hash
 from fovalign.datagen import generate_dataset
 from fovalign.evaluation import ranks_of_truth
-from fovalign.providers import SyntheticProvider, gather_features
+from fovalign.providers import SyntheticProvider
 from fovalign.regulator import BlurSchedule, confidence_bounds
 from fovalign.transforms import foveation_mask, gaussian_blur, gaussian_kernel
 
@@ -236,7 +236,7 @@ def test_criterion_6_retrieval_metrics():
     )
     ids = dataset.test_indices()
     kernels = [cfg.transforms.kernel_size] * len(ids)
-    feats = gather_features(provider, ids, kernels, cfg.evaluation.seed, 0)
+    feats = provider.features(ids, kernels, cfg.evaluation.seed, 0)
     neural = dataset.neural[ids]
     truth = np.arange(len(ids))
     hits = 0

@@ -72,6 +72,25 @@ def workspace(tmp_path_factory):
     return {"root": root, "config": cfg_path}
 
 
+# configs for 64x64 images, run against the workspace's 32x32 pixmaps
+IMAGE_MISFITS = {
+    "center": ({"center": [40, 40]}, "transforms.center [40, 40] lies outside the 32x32 images"),
+    "scale": (
+        {"scale_mosaic": 1 / 64},
+        "transforms.scale_mosaic 0.015625 collapses the 32x32 images",
+    ),
+}
+
+
+def misfit_config(workspace, tmp_path, transforms):
+    raw = json.loads(workspace["config"].read_text())
+    raw["data"]["image_size"] = 64
+    raw["transforms"].update(transforms)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    return cfg
+
+
 class TestGenerate:
     def test_artifacts_and_manifest(self, workspace):
         data = workspace["root"] / "data"
@@ -293,6 +312,21 @@ class TestTrain:
         assert main(["train", "--config", str(cfg)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("misfit", IMAGE_MISFITS.values(), ids=IMAGE_MISFITS.keys())
+    def test_dataset_images_must_fit_the_config(self, workspace, tmp_path, capsys, misfit):
+        cfg = misfit_config(workspace, tmp_path, misfit[0])
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        assert misfit[1] in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_disabled_view_scale_not_checked(self, workspace, tmp_path):
+        cfg = misfit_config(workspace, tmp_path, {"scale_mosaic": 1 / 64})
+        raw = json.loads(cfg.read_text())
+        raw["views"]["mosaic"] = False
+        cfg.write_text(json.dumps(raw))
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+
     def test_numeric_failure_dumps_state(self, workspace, tmp_path, monkeypatch, capsys):
         class ExplodingTrainer:
             def __init__(self, *args):
@@ -400,6 +434,14 @@ class TestEvaluate:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(raw))
         assert main(["evaluate", "--config", str(cfg), "--out", str(tmp_path / "e")]) == 2
+
+    @pytest.mark.parametrize("misfit", IMAGE_MISFITS.values(), ids=IMAGE_MISFITS.keys())
+    def test_dataset_images_must_fit_the_config(self, workspace, tmp_path, capsys, misfit):
+        cfg = misfit_config(workspace, tmp_path, misfit[0])
+        out = tmp_path / "e"
+        assert main(["evaluate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert misfit[1] in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestReport:

@@ -6,6 +6,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_image, rewrite_bank_header
 from fovalign.config import TransformConfig, ViewsConfig
@@ -14,11 +16,9 @@ from fovalign.providers import (
     BANK_MAGIC,
     BankProvider,
     EmbeddingBank,
-    SampleRef,
     SyntheticEncoder,
     SyntheticProvider,
     derive_noise_seed,
-    gather_features,
     load_embedding_bank,
     save_embedding_bank,
     select_kernel_level,
@@ -197,27 +197,59 @@ class TestEmbeddingBank:
         assert sorted(np.concatenate([train, test]).tolist()) == list(range(6))
 
 
+def select_kernel_level_loop(levels, kernel: int) -> int:
+    """The scalar selector the vectorised one replaced, kept as its oracle."""
+    best = None
+    for level in levels:
+        distance = abs(int(kernel) - int(level))
+        if best is None or distance < best[0] or (distance == best[0] and level > best[1]):
+            best = (distance, int(level))
+    return best[1]
+
+
 class TestKernelLevelSelection:
     def test_exact_hit(self):
         assert select_kernel_level([1, 75, 149], 75) == 75
 
     def test_nearest_wins(self):
-        assert select_kernel_level([1, 75, 149], 30) == 1
-        assert select_kernel_level([1, 75, 149], 45) == 75
-        assert select_kernel_level([1, 75, 149], 120) == 149
+        picks = select_kernel_level([1, 75, 149], [30, 45, 120])
+        np.testing.assert_array_equal(picks, [1, 75, 149])
 
     def test_midpoint_tie_resolves_upward(self):
         assert select_kernel_level([51, 75], 63) == 75
         assert select_kernel_level([1, 5], 3) == 5
 
     def test_monotone_in_kernel(self):
-        levels = [1, 25, 75, 149]
-        picks = [select_kernel_level(levels, k) for k in range(1, 150, 2)]
-        assert picks == sorted(picks)
+        picks = select_kernel_level([1, 25, 75, 149], np.arange(1, 150, 2))
+        assert np.all(np.diff(picks) >= 0)
 
     def test_empty_levels_rejected(self):
         with pytest.raises(ValueError):
             select_kernel_level([], 5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        levels=st.lists(st.integers(0, 80).map(lambda n: 2 * n + 1), min_size=1, max_size=6,
+                        unique=True),
+        kernels=st.lists(st.integers(-5, 170), min_size=1, max_size=20),
+    )
+    def test_matches_the_scalar_loop(self, levels, kernels):
+        picks = select_kernel_level(levels, kernels)
+        assert picks.shape == (len(kernels),)
+        assert picks.tolist() == [select_kernel_level_loop(levels, k) for k in kernels]
+
+
+ALL_VIEWS = ("identity", "foveated", "noise", "lowres", "mosaic")
+BATCH_IMAGES = [random_image(np.random.default_rng(20 + i), height=16, width=16) for i in range(4)]
+# a run of requests against one provider: (ids, kernels, epoch) per batch
+REQUESTS = st.lists(
+    st.integers(1, 5).flatmap(lambda n: st.tuples(
+        st.lists(st.integers(0, len(BATCH_IMAGES) - 1), min_size=n, max_size=n),
+        st.lists(st.sampled_from([1, 3, 5]), min_size=n, max_size=n),
+        st.integers(0, 1),
+    )),
+    min_size=1, max_size=4,
+)
 
 
 class TestSyntheticProvider:
@@ -233,50 +265,91 @@ class TestSyntheticProvider:
         rng = np.random.default_rng(5)
         image = random_image(rng, height=32, width=32)
         provider = self._provider([image])
-        rows = provider.features(SampleRef(index=0, kernel=9, noise_base=4, epoch=2))
-        assert rows.shape == (4, 8)
+        rows = provider.features([0], [9], noise_base=4, epoch=2)
+        assert rows.shape == (1, 4, 8)
         noise_seed = derive_noise_seed(4, 0, 2)
         for i, name in enumerate(provider.view_names):
             view = provider.view_image(name, image, 9, noise_seed)
-            np.testing.assert_array_equal(rows[i], provider.encoder.encode(view))
+            np.testing.assert_array_equal(rows[0, i], provider.encoder.encode(view))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        enabled=st.lists(st.sampled_from(ALL_VIEWS), min_size=1, unique=True),
+        requests=REQUESTS,
+    )
+    def test_batched_rows_equal_per_sample_rows(self, enabled, requests):
+        # batches of one, repeated ids, and requests that hit, miss or
+        # replace cached rows all give each sample's own encoding bit for bit
+        provider = self._provider(
+            BATCH_IMAGES, **{name: name in enabled for name in ALL_VIEWS}
+        )
+        encode, view_image = provider.encoder.encode, provider.view_image
+        for ids, kernels, epoch in requests:
+            rows = provider.features(ids, kernels, 6, epoch)
+            assert rows.shape == (len(ids), provider.views, 8)
+            for j, (i, k) in enumerate(zip(ids, kernels)):
+                seed = derive_noise_seed(6, i, epoch)
+                want = [encode(view_image(n, BATCH_IMAGES[i], k, seed)) for n in provider.view_names]
+                np.testing.assert_array_equal(rows[j], np.stack(want))
 
     def test_cached_rows_match_fresh_rows(self, monkeypatch):
         # repeated requests reuse cached rows; only the foveated row follows
-        # the kernel and only the noise row follows the epoch. The noise row
-        # is re-rendered only when its seed differs from the index's last one.
+        # the kernel and only the noise row follows the epoch. A row is
+        # re-rendered only when its kernel or seed differs from the last one.
         image = random_image(np.random.default_rng(9), height=32, width=32)
         provider = self._provider([image])
-        base = provider.features(SampleRef(0, 3, 5, 0))
+        base = provider.features([0], [3], 5, 0)[0]
         rendered = []
         view_image = provider.view_image
         monkeypatch.setattr(
             provider, "view_image", lambda name, *a: rendered.append(name) or view_image(name, *a)
         )
         cases = [
-            (3, 0, False), (9, 0, False), (3, 1, True), (9, 1, False),
-            (3, 0, True), (9, 1, True), (9, 1, False),
+            (3, 0, False, False), (9, 0, True, False), (3, 1, True, True), (9, 1, True, False),
+            (9, 1, False, False), (3, 0, True, True), (9, 1, True, True), (9, 1, False, False),
         ]
-        for kernel, epoch, noise_rendered in cases:
+        for kernel, epoch, foveated_rendered, noise_rendered in cases:
             rendered.clear()
-            rows = provider.features(SampleRef(0, kernel, 5, epoch))
+            rows = provider.features([0], [kernel], 5, epoch)[0]
+            assert ("foveated" in rendered) == foveated_rendered, (kernel, epoch)
             assert ("noise" in rendered) == noise_rendered, (kernel, epoch)
+            assert set(rendered) <= {"foveated", "noise"}
             seed = derive_noise_seed(5, 0, epoch)
             for name, row, base_row in zip(provider.view_names, rows, base):
                 fresh = provider.encoder.encode(view_image(name, image, kernel, seed))
                 np.testing.assert_array_equal(row, fresh)
                 moved = (name == "foveated" and kernel != 3) or (name == "noise" and epoch != 0)
                 assert np.array_equal(row, base_row) != moved, (name, kernel, epoch)
-        # a new seed replaces the index's entry instead of adding one
-        assert len(provider._noise_rows) == 1
 
-    def test_gather_features_stacks_samples(self):
+    def test_cache_holds_one_row_per_index_and_view(self):
+        rng = np.random.default_rng(11)
+        images = [random_image(rng, height=16, width=16) for _ in range(2)]
+        provider = self._provider(images, identity=True)
+        for epoch in range(4):
+            for kernel in (1, 3, 5, 7, 9):
+                provider.features([0, 0, 1], [kernel, kernel + 2, kernel], 2, epoch)
+        assert sorted(provider._rows) == sorted(
+            (index, name) for index in (0, 1) for name in provider.view_names
+        )
+        # each entry is the last request's row
+        last = provider.features([0, 1], [11, 9], 2, 3)
+        np.testing.assert_array_equal(
+            np.stack([[provider._rows[(i, n)][1] for n in provider.view_names] for i in (0, 1)]),
+            last,
+        )
+
+    def test_batch_stacks_samples(self):
         rng = np.random.default_rng(10)
         images = [random_image(rng, height=16, width=16) for _ in range(3)]
         provider = self._provider(images)
-        feats = gather_features(provider, [2, 0], [3, 9], noise_base=1, epoch=4)
+        feats = provider.features([2, 0], [3, 9], noise_base=1, epoch=4)
         assert feats.shape == (2, 4, 8)
-        np.testing.assert_array_equal(feats[0], provider.features(SampleRef(2, 3, 1, 4)))
-        np.testing.assert_array_equal(feats[1], provider.features(SampleRef(0, 9, 1, 4)))
+        np.testing.assert_array_equal(feats[0], provider.features([2], [3], 1, 4)[0])
+        np.testing.assert_array_equal(feats[1], provider.features([0], [9], 1, 4)[0])
+
+    def test_empty_batch(self):
+        provider = self._provider([random_image(np.random.default_rng(0))])
+        assert provider.features([], []).shape == (0, 4, 8)
 
     def test_disabled_views_drop_rows(self):
         provider = self._provider(noise=False)
@@ -291,8 +364,8 @@ class TestSyntheticProvider:
                 foveated=False, noise=False, lowres=False, mosaic=False, identity=True
             ), dim=8, seed=3, images=[image],
         )
-        rows = provider.features(SampleRef(index=0, kernel=75))
-        np.testing.assert_array_equal(rows[0], provider.encoder.encode(image))
+        rows = provider.features([0], [75])
+        np.testing.assert_array_equal(rows[0, 0], provider.encoder.encode(image))
 
     def test_foveated_row_depends_on_kernel(self):
         rng = np.random.default_rng(7)
@@ -315,7 +388,13 @@ class TestSyntheticProvider:
         provider = self._provider([random_image(np.random.default_rng(0))])
         for index in (1, -1):
             with pytest.raises(ValueError, match="has no image"):
-                provider.features(SampleRef(index=index, kernel=9))
+                provider.features([0, index], [9, 9])
+        assert provider._rows == {}
+
+    def test_kernel_count_must_match_ids(self):
+        provider = self._provider([random_image(np.random.default_rng(0))])
+        with pytest.raises(ValueError, match="1 sample ids but 2 kernels"):
+            provider.features([0], [9, 9])
 
     def test_all_views_disabled_rejected(self):
         with pytest.raises(ValueError):
@@ -330,27 +409,48 @@ class TestBankProvider:
     def test_replays_stored_rows(self):
         bank = _tiny_bank()
         provider = BankProvider(bank)
-        rows = provider.features(SampleRef(index=2, kernel=9))
-        np.testing.assert_array_equal(rows, bank.features[9][2].astype(np.float64))
+        rows = provider.features([2], [9])
+        np.testing.assert_array_equal(rows[0], bank.features[9][2].astype(np.float64))
 
     def test_nearest_level_selected(self):
         bank = _tiny_bank(levels=(1, 9))
         provider = BankProvider(bank)
-        rows = provider.features(SampleRef(index=0, kernel=3))
-        np.testing.assert_array_equal(rows, bank.features[1][0].astype(np.float64))
+        rows = provider.features([0], [3])
+        np.testing.assert_array_equal(rows[0], bank.features[1][0].astype(np.float64))
+
+    def test_batch_reads_each_sample_at_its_level(self):
+        bank = _tiny_bank(levels=(3, 9, 17))
+        provider = BankProvider(bank)
+        ids = [5, 0, 2, 2, 4, 1, 3]
+        kernels = [1, 5, 6, 13, 9, 21, 11]  # 6 and 13 are midpoint ties
+        rows = provider.features(ids, kernels, noise_base=8, epoch=3)
+        assert rows.dtype == np.float64 and rows.shape == (7, 3, 5)
+        for row, i, k in zip(rows, ids, kernels):
+            level = select_kernel_level_loop(bank.kernel_levels, k)
+            np.testing.assert_array_equal(row, bank.features[level][i])
+        assert provider.level_clamps == 2  # kernels 1 and 21
 
     def test_out_of_range_requests_counted(self):
         provider = BankProvider(_tiny_bank(levels=(3, 9)))
         assert provider.level_clamps == 0
-        provider.features(SampleRef(index=0, kernel=5))
+        provider.features([0], [5])
         assert provider.level_clamps == 0
-        provider.features(SampleRef(index=0, kernel=1))
-        provider.features(SampleRef(index=0, kernel=11))
+        provider.features([0], [1])
+        provider.features([0], [11])
         assert provider.level_clamps == 2
+        # one count per sample, repeats included
+        provider.features([0, 1, 0, 2], [1, 11, 1, 5])
+        assert provider.level_clamps == 5
 
     def test_unknown_index_rejected(self):
         with pytest.raises(ValueError):
-            BankProvider(_tiny_bank()).features(SampleRef(index=99, kernel=1))
+            BankProvider(_tiny_bank()).features([99], [1])
+
+    def test_rejected_request_counts_no_clamp(self):
+        provider = BankProvider(_tiny_bank(levels=(3, 9)))
+        with pytest.raises(ValueError, match="sample index 99 outside the bank"):
+            provider.features([0, 99], [1, 11])
+        assert provider.level_clamps == 0
 
 
 class TestNoiseSeedDerivation:

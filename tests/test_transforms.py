@@ -221,12 +221,6 @@ class TestFoveate:
         center = np.abs(out[:, 5, 5] - blurred[:, 5, 5]).max()
         assert corner < 2e-3 or corner < center  # corner acuity ~ exp(-8)
 
-    def test_even_perturbation_enforced(self):
-        with pytest.raises(ValueError):
-            FoveationParams(perturbation=3)
-        with pytest.raises(ValueError):
-            FoveationParams(perturbation=0)
-
 
 class TestAddNoise:
     def test_deterministic_given_seed(self):
