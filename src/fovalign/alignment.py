@@ -29,6 +29,7 @@ import numpy as np
 from . import fusion, nn
 from .config import RunConfig
 from .errors import ConfigError, NumericError
+from .providers import EmbeddingBank
 from .regulator import BlurSchedule, confidence_bounds
 
 __all__ = [
@@ -209,17 +210,17 @@ class Trainer:
     """Owns parameters, optimizer state and the blur schedule for one
     training run."""
 
-    def __init__(self, config: RunConfig, dataset, provider):
+    def __init__(self, config: RunConfig, bank: EmbeddingBank, provider):
         self.config = config
-        self.dataset = dataset
+        self.bank = bank
         self.provider = provider
-        self.train_ids = np.asarray(dataset.train_indices(), dtype=np.int64)
+        self.train_ids = bank.indices("train")
         if len(self.train_ids) < config.training.batch_size:
             raise ConfigError(
                 f"training needs at least one full batch: "
                 f"{len(self.train_ids)} samples < batch_size {config.training.batch_size}"
             )
-        self.params = init_parameters(config, dataset.dim_neural)
+        self.params = init_parameters(config, bank.dim_neural)
         tr = config.training
         self.optimizer = AdamW(
             self.params, lr=tr.learning_rate, beta1=tr.adam_beta1,
@@ -262,7 +263,7 @@ class Trainer:
             latent, cache = fusion.fusion_forward(
                 feats, self.params, cfg.fusion, train_mode=True, dropout_rng=dropout_rng
             )
-            neural_in = self.dataset.neural[ids]
+            neural_in = self.bank.neural[ids]
             f_n = nn.affine_forward(neural_in, self.params["enc_w"], self.params["enc_b"])
             loss, logits, d_f_n, d_latent, d_log_tau = loss_and_gradients(
                 f_n, latent, float(self.params["log_tau"])
@@ -325,7 +326,7 @@ class Trainer:
 
 def encode_pairs(
     config: RunConfig,
-    dataset,
+    bank: EmbeddingBank,
     provider,
     params: dict,
     indices,
@@ -340,8 +341,6 @@ def encode_pairs(
     feats = provider.features(indices, [kernel] * len(indices), noise_base_seed, 0)
     latent, _ = fusion.fusion_forward(feats, params, config.fusion, train_mode=False)
     f_n = nn.affine_forward(
-        np.asarray(dataset.neural)[np.asarray(indices, dtype=np.int64)],
-        params["enc_w"],
-        params["enc_b"],
+        bank.neural[np.asarray(indices, dtype=np.int64)], params["enc_w"], params["enc_b"]
     )
     return f_n, latent

@@ -24,12 +24,12 @@ import numpy as np
 
 from .alignment import Trainer, cosine_similarity_matrix, encode_pairs, init_parameters
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import RunConfig, TransformConfig, config_hash, load_config
-from .datagen import PairedDataset, generate_dataset, load_dataset
+from .config import RunConfig, config_hash, load_config
+from .datagen import BANK_FILE, IMAGES_DIR, generate_dataset, load_dataset, save_dataset
 from .errors import ConfigError, FormatError, NumericError, ProtocolError
 from .evaluation import nway_evaluate
 from .pixmap import read_pixmap, write_pixmap
-from .providers import BankProvider, SyntheticProvider, save_embedding_bank
+from .providers import BankProvider, EmbeddingBank, SyntheticProvider
 
 __all__ = ["main"]
 
@@ -63,29 +63,11 @@ def _with_seed(config: RunConfig, section: str, field: str, seed: int | None) ->
     return dataclasses.replace(config, **{section: part})
 
 
-def _check_image_fits(t: TransformConfig, shape, views, source: str) -> None:
-    """ConfigError unless transforms.center lies inside (C, H, W) images of
-    `shape` and the scale of each listed lowres or mosaic view leaves them
-    at least one pixel."""
-    height, width = shape[1:]
-    if t.center is not None and not (t.center[0] < height and t.center[1] < width):
-        raise ConfigError(
-            f"transforms.center {list(t.center)} lies outside the {height}x{width} {source}"
-        )
-    for view, name in (("lowres", "scale_low"), ("mosaic", "scale_mosaic")):
-        if view in views and min(height, width) * getattr(t, name) < 1:
-            raise ConfigError(
-                f"transforms.{name} {getattr(t, name)} collapses the {height}x{width} "
-                f"{source} below one pixel"
-            )
-
-
-def _load_data(config: RunConfig):
-    """Load the dataset directory (pixels only for the synthetic provider)
-    and return (dataset, provider) for the configured provider kind."""
+def _load_data(config: RunConfig, splits):
+    """(bank, provider) for the configured provider kind; only the synthetic
+    provider reads pixmaps, and only those of the samples in `splits`."""
     kind = config.provider.kind
-    loaded = load_dataset(config.paths.dataset, with_images=kind == "synthetic")
-    bank = loaded.bank
+    bank, images = load_dataset(config.paths.dataset, splits if kind == "synthetic" else ())
     if kind == "bank":
         if bank.views != config.views.count:
             raise ConfigError(
@@ -97,15 +79,14 @@ def _load_data(config: RunConfig):
                 f"embedding bank stores dim_feature={bank.dim_feature} but the "
                 f"config asks for {config.provider.dim_feature}"
             )
-        return loaded.dataset, BankProvider(bank)
-    for shape in sorted({image.shape for image in loaded.dataset.images}):
-        _check_image_fits(
-            config.transforms, shape, config.views.enabled(),
-            f"images of dataset {config.paths.dataset}",
+        return bank, BankProvider(bank)
+    for height, width in sorted({image.shape[1:] for image in images if image is not None}):
+        config.transforms.check_fits(
+            height, width, config.views.enabled(), f"images of dataset {config.paths.dataset}"
         )
-    return loaded.dataset, SyntheticProvider(
+    return bank, SyntheticProvider(
         config.transforms, config.views,
-        config.provider.dim_feature, config.provider.seed, loaded.dataset.images,
+        config.provider.dim_feature, config.provider.seed, images,
     )
 
 
@@ -117,16 +98,11 @@ def cmd_generate(args) -> int:
     seed = args.seed if args.seed is not None else manifest_seed
     config = _with_seed(config, "data", "seed", seed)
     out = Path(args.out) if args.out else Path(config.paths.dataset)
-    _refuse_existing([out / "bank.bicp", out / "images", out / "manifest.json"], args.force)
-    generated = generate_dataset(config)
-    images_dir = out / "images"
-    images_dir.mkdir(parents=True, exist_ok=True)
-    for i, image in enumerate(generated.dataset.images):
-        write_pixmap(images_dir / f"sample_{i:05d}.ppm", image)
-    save_embedding_bank(out / "bank.bicp", generated.bank)
+    _refuse_existing([out / BANK_FILE, out / IMAGES_DIR, out / "manifest.json"], args.force)
+    bank, images = generate_dataset(config)
+    save_dataset(out, bank, images)
     _write_manifest(out, "generate", config.data.seed, config)
-    n = generated.dataset.sample_count
-    print(f"generated {n} samples ({len(generated.bank.indices('test'))} test) in {out}")
+    print(f"generated {bank.sample_count} samples ({len(bank.indices('test'))} test) in {out}")
     return 0
 
 
@@ -139,9 +115,7 @@ def cmd_transform(args) -> int:
     _refuse_existing(files + [out / "manifest.json"], args.force)
     image = read_pixmap(config.paths.input_image)
     t = config.transforms
-    _check_image_fits(
-        t, image.shape, _TRANSFORM_VIEWS, f"input image {config.paths.input_image}"
-    )
+    t.check_fits(*image.shape[1:], _TRANSFORM_VIEWS, f"input image {config.paths.input_image}")
     provider = SyntheticProvider(
         t, config.views, config.provider.dim_feature, config.provider.seed, [image]
     )
@@ -177,20 +151,20 @@ def cmd_train(args) -> int:
         checkpoint_path = out / checkpoint_path.name
     _refuse_existing([checkpoint_path, out / "metrics.csv", out / "manifest.json"], args.force)
 
-    dataset, provider = _load_data(config)
-    trainer = Trainer(config, dataset, provider)
+    bank, provider = _load_data(config, ("train",))
+    trainer = Trainer(config, bank, provider)
     reports = trainer.train()
 
     out.mkdir(parents=True, exist_ok=True)
     metadata = {
         "config_hash": config_hash(config),
-        "dataset_tag": dataset.tag,
+        "dataset_tag": bank.tag,
         "seed": config.training.seed,
         "epochs": config.training.epochs,
         "views": provider.views,
         "view_names": config.views.enabled(),
         "dim_feature": provider.dim_feature,
-        "dim_neural": dataset.dim_neural,
+        "dim_neural": bank.dim_neural,
         "dim_latent": config.fusion.dim_latent,
         "kernel_hist": {str(k): v for k, v in trainer.schedule.kernel_histogram().items()},
         "final_loss": reports[-1].loss if reports else None,
@@ -203,9 +177,9 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _check_checkpoint(arrays: dict, config: RunConfig, dataset: PairedDataset, provider) -> None:
+def _check_checkpoint(arrays: dict, config: RunConfig, bank: EmbeddingBank, provider) -> None:
     """Structural compatibility between a checkpoint and the configured model."""
-    expected = init_parameters(config, dataset.dim_neural)
+    expected = init_parameters(config, bank.dim_neural)
     missing = sorted(set(expected) - set(arrays))
     extra = sorted(set(arrays) - set(expected))
     if missing or extra:
@@ -213,10 +187,10 @@ def _check_checkpoint(arrays: dict, config: RunConfig, dataset: PairedDataset, p
             f"checkpoint arrays do not match the configured model "
             f"(missing {missing}, unexpected {extra})"
         )
-    if arrays["enc_w"].shape[0] != dataset.dim_neural:
+    if arrays["enc_w"].shape[0] != bank.dim_neural:
         raise ConfigError(
             f"checkpoint was trained with dim_neural={arrays['enc_w'].shape[0]} "
-            f"but the dataset provides dim_neural={dataset.dim_neural}"
+            f"but the dataset provides dim_neural={bank.dim_neural}"
         )
     if arrays["proj_w"].shape[0] != provider.dim_feature:
         raise ConfigError(
@@ -244,16 +218,16 @@ def cmd_evaluate(args) -> int:
     )
 
     arrays, _ = load_checkpoint(checkpoint_path)
-    dataset, provider = _load_data(config)
-    _check_checkpoint(arrays, config, dataset, provider)
+    bank, provider = _load_data(config, ("test",))
+    _check_checkpoint(arrays, config, bank, provider)
 
-    test_ids = dataset.test_indices()
+    test_ids = bank.indices("test")
     # fail before the costly encoding, with nway_evaluate's message
     largest = max(config.evaluation.gallery_sizes)
     if largest > len(test_ids):
         raise ConfigError(f"gallery size n={largest} exceeds the test set size {len(test_ids)}")
     f_n, latent = encode_pairs(
-        config, dataset, provider, arrays, test_ids,
+        config, bank, provider, arrays, test_ids,
         kernel=config.transforms.kernel_size,
         noise_base_seed=config.evaluation.seed,
     )
@@ -270,10 +244,10 @@ def cmd_evaluate(args) -> int:
         writer.writerow(_EVAL_COLUMNS)
         for r in reports:
             writer.writerow([
-                dataset.tag, r.gallery_size, r.seed, r.trials,
+                bank.tag, r.gallery_size, r.seed, r.trials,
                 r.top1, r.top5, r.mean_ap, r.similarity,
             ])
-    lines = [f"subject {dataset.tag}: {len(test_ids)} zero-shot test queries"]
+    lines = [f"subject {bank.tag}: {len(test_ids)} zero-shot test queries"]
     for r in reports:
         lines.append(
             f"n={r.gallery_size}: top1={r.top1:.6f} top5={r.top5:.6f} "

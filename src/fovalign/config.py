@@ -46,6 +46,23 @@ class TransformConfig:
     scale_mosaic: float = 1.0 / 16.0
     center: tuple[int, int] | None = None
 
+    def check_fits(self, height: int, width: int, views, source: str) -> None:
+        """ConfigError unless the center lies inside the height x width
+        `source` and each listed lowres or mosaic view's scale leaves it a pixel."""
+        if self.center is not None and not (
+            0 <= self.center[0] < height and 0 <= self.center[1] < width
+        ):
+            raise ConfigError(
+                f"transforms.center {list(self.center)} lies outside the "
+                f"{height}x{width} {source}"
+            )
+        for view, name in (("lowres", "scale_low"), ("mosaic", "scale_mosaic")):
+            if view in views and min(height, width) * getattr(self, name) < 1:
+                raise ConfigError(
+                    f"transforms.{name} {getattr(self, name)} collapses the "
+                    f"{height}x{width} {source} below one pixel for the {view} view"
+                )
+
 
 @dataclass(frozen=True)
 class ViewsConfig:
@@ -223,18 +240,7 @@ class RunConfig:
             raise ConfigError("data.train_samples_per_class must be >= 1")
         if d.image_size < 2:
             raise ConfigError(f"data.image_size must be >= 2, got {d.image_size}")
-        if t.center is not None and not all(0 <= c < d.image_size for c in t.center):
-            raise ConfigError(
-                f"transforms.center {list(t.center)} lies outside the "
-                f"{d.image_size}x{d.image_size} image (data.image_size)"
-            )
-        for view, name in (("lowres", "scale_low"), ("mosaic", "scale_mosaic")):
-            if getattr(self.views, view) and d.image_size * getattr(t, name) < 1:
-                raise ConfigError(
-                    f"transforms.{name} {getattr(t, name)} collapses the "
-                    f"{d.image_size}x{d.image_size} image (data.image_size) below one "
-                    f"pixel with the {view} view enabled"
-                )
+        t.check_fits(d.image_size, d.image_size, self.views.enabled(), "image (data.image_size)")
         if d.dim_neural < 2:
             raise ConfigError(f"data.dim_neural must be >= 2, got {d.dim_neural}")
         if d.neural_noise < 0:

@@ -10,48 +10,30 @@ clean image's (frozen-encoder) embedding plus seeded Gaussian noise. The
 map is shared across all classes, so alignment learned on the training
 classes transfers to the held-out test classes: train and test class sets
 are disjoint by construction and validated on every bank load.
+
+The embedding bank is the dataset record (tag, labels, splits, neural
+vectors and view features), with the images beside it as a list. Only
+`save_dataset` and `load_dataset` know the directory layout: `bank.bicp`
+plus `images/sample_%05d.ppm`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .config import RunConfig
-from .pixmap import read_pixmap, to_bytes_quantized
-from .providers import EmbeddingBank, SyntheticProvider, load_embedding_bank
+from .pixmap import read_pixmap, to_bytes_quantized, write_pixmap
+from .providers import EmbeddingBank, SyntheticProvider, load_embedding_bank, save_embedding_bank
 
-__all__ = ["PairedDataset", "GeneratedDataset", "render_sample", "generate_dataset", "load_dataset"]
+__all__ = ["BANK_FILE", "IMAGES_DIR", "render_sample", "generate_dataset", "save_dataset",
+           "load_dataset"]
+
+BANK_FILE, IMAGES_DIR = "bank.bicp", "images"
 
 # sub-seed tags keep the independent generator streams apart
 _STYLE_TAG, _SAMPLE_TAG, _MAP_TAG, _NEURAL_NOISE_TAG, _VIEW_NOISE_TAG = 0, 1, 2, 3, 4
-
-
-@dataclass
-class PairedDataset:
-    """In-memory paired dataset; images may be absent for bank-only runs."""
-
-    images: list[np.ndarray] | None
-    neural: np.ndarray  # (N, dim_neural) float64
-    labels: np.ndarray  # (N,) int64
-    splits: list[str]
-    tag: str
-
-    @property
-    def sample_count(self) -> int:
-        return int(self.neural.shape[0])
-
-    @property
-    def dim_neural(self) -> int:
-        return int(self.neural.shape[1])
-
-    def train_indices(self) -> np.ndarray:
-        return np.array([i for i, s in enumerate(self.splits) if s == "train"], dtype=np.int64)
-
-    def test_indices(self) -> np.ndarray:
-        return np.array([i for i, s in enumerate(self.splits) if s == "test"], dtype=np.int64)
 
 
 def _class_style(data_seed: int, class_id: int) -> dict:
@@ -87,15 +69,10 @@ def render_sample(style: dict, rng: np.random.Generator, size: int) -> np.ndarra
     return to_bytes_quantized(canvas).astype(np.float64) / 255.0
 
 
-@dataclass
-class GeneratedDataset:
-    dataset: PairedDataset
-    bank: EmbeddingBank
-
-
-def generate_dataset(config: RunConfig) -> GeneratedDataset:
-    """Render every sample and build the paired vectors plus the
-    precomputed embedding bank at the configured kernel levels.
+def generate_dataset(config: RunConfig) -> tuple[EmbeddingBank, list[np.ndarray]]:
+    """Render every sample and return (bank, images): the embedding bank
+    holds the paired vectors, unrounded, and the view features at the
+    configured kernel levels.
 
     Classes [0, classes - test_classes) are training classes with
     `train_samples_per_class` renderings each; the remaining classes are
@@ -134,14 +111,6 @@ def generate_dataset(config: RunConfig) -> GeneratedDataset:
         )
         neural[i] += d.neural_noise * noise_rng.standard_normal(d.dim_neural)
 
-    dataset = PairedDataset(
-        images=images,
-        neural=neural,
-        labels=np.asarray(labels, dtype=np.int64),
-        splits=splits,
-        tag=d.tag,
-    )
-
     levels = sorted(d.bank_levels)
     ids = np.arange(len(images))
     # one request per level; the provider's cache serves the
@@ -159,29 +128,34 @@ def generate_dataset(config: RunConfig) -> GeneratedDataset:
         dim_neural=d.dim_neural,
         kernel_levels=levels,
         features=blocks,
-        neural=neural.astype(np.float32),
-        labels=dataset.labels.copy(),
-        splits=list(splits),
+        neural=neural,
+        labels=np.asarray(labels, dtype=np.int64),
+        splits=splits,
     ).validate()
-    return GeneratedDataset(dataset=dataset, bank=bank)
+    return bank, images
 
 
-def load_dataset(directory, with_images: bool = True) -> GeneratedDataset:
-    """Read a generated directory back: the embedding bank and, unless
-    `with_images` is off, the sample pixmaps."""
+def _image_path(root: Path, index: int) -> Path:
+    return root / IMAGES_DIR / f"sample_{index:05d}.ppm"
+
+
+def save_dataset(directory, bank: EmbeddingBank, images) -> None:
+    """Write `images` as pixmaps and `bank` as the bank file of a dataset
+    directory."""
     root = Path(directory)
-    bank = load_embedding_bank(root / "bank.bicp")
-    images = None
-    if with_images:
-        images = [
-            read_pixmap(root / "images" / f"sample_{i:05d}.ppm")
-            for i in range(bank.sample_count)
-        ]
-    dataset = PairedDataset(
-        images=images,
-        neural=bank.neural.astype(np.float64),
-        labels=bank.labels.astype(np.int64),
-        splits=list(bank.splits),
-        tag=bank.tag,
-    )
-    return GeneratedDataset(dataset=dataset, bank=bank)
+    (root / IMAGES_DIR).mkdir(parents=True, exist_ok=True)
+    for i, image in enumerate(images):
+        write_pixmap(_image_path(root, i), image)
+    save_embedding_bank(root / BANK_FILE, bank)
+
+
+def load_dataset(directory, splits=("train", "test")) -> tuple[EmbeddingBank, list]:
+    """Read a dataset directory back as (bank, images). Only the pixmaps of
+    samples in `splits` are read; the other entries of `images` are None."""
+    root = Path(directory)
+    bank = load_embedding_bank(root / BANK_FILE)
+    images = [
+        read_pixmap(_image_path(root, i)) if split in splits else None
+        for i, split in enumerate(bank.splits)
+    ]
+    return bank, images

@@ -128,8 +128,9 @@ class SyntheticEncoder:
 
 @dataclass
 class EmbeddingBank:
-    """Precomputed per-view features at discrete kernel levels, plus the
-    paired neural vectors, class labels and split tags."""
+    """The dataset record: precomputed per-view features at discrete
+    kernel levels, plus the paired neural vectors, class labels and split
+    tags."""
 
     tag: str
     views: int
@@ -137,7 +138,7 @@ class EmbeddingBank:
     dim_neural: int
     kernel_levels: list[int]
     features: dict[int, np.ndarray]  # level -> (N, views, dim_feature) float32
-    neural: np.ndarray  # (N, dim_neural) float32
+    neural: np.ndarray  # (N, dim_neural) float64; the bank file stores float32
     labels: np.ndarray  # (N,) int64
     splits: list[str]  # "train" / "test" per sample
 
@@ -146,7 +147,7 @@ class EmbeddingBank:
         return int(self.neural.shape[0])
 
     def indices(self, split: str) -> np.ndarray:
-        return np.array([i for i, s in enumerate(self.splits) if s == split], dtype=np.int64)
+        return np.flatnonzero(np.asarray(self.splits, dtype=str) == split)
 
     def validate(self) -> "EmbeddingBank":
         n = self.sample_count
@@ -274,7 +275,7 @@ def load_embedding_bank(path) -> EmbeddingBank:
     flat = np.frombuffer(payload, dtype="<f4").reshape(n, per_sample)
     feat_block = flat[:, : len(levels) * views * dim_f].reshape(n, len(levels), views, dim_f)
     features = {level: np.ascontiguousarray(feat_block[:, j]) for j, level in enumerate(levels)}
-    neural = np.ascontiguousarray(flat[:, len(levels) * views * dim_f :])
+    neural = flat[:, len(levels) * views * dim_f :].astype(np.float64)
     bank = EmbeddingBank(
         tag=str(header["tag"]),
         views=views,
@@ -303,6 +304,8 @@ def select_kernel_level(levels, kernels) -> np.ndarray:
 
 class SyntheticProvider:
     """Builds the enabled views of its samples' images and encodes them.
+    An image may be None, a sample whose pixmap was not read; asking for
+    its rows raises ValueError.
 
     Each (index, view) keeps its last row under a key: the kernel for the
     foveated view, the noise seed for the noise view and a constant for
@@ -346,6 +349,9 @@ class SyntheticProvider:
         """(len(ids), views, dim_feature) rows of the samples at their kernels.
         The noise view's seed is derive_noise_seed(noise_base, index, epoch)."""
         ids, kernels = _check_batch(ids, kernels, len(self.images), "has no image")
+        blank = [index for index in ids.tolist() if self.images[index] is None]
+        if blank:
+            raise ValueError(f"sample index {blank[0]} has no image")
         noisy = "noise" in self.view_names
         out = np.empty((len(ids), self.views, self.dim_feature))
         for j, (index, kernel) in enumerate(zip(ids.tolist(), kernels.tolist())):

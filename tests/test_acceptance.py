@@ -230,14 +230,14 @@ def test_criterion_6_retrieval_metrics():
         "provider": {"dim_feature": 16},
         "fusion": {"dim_latent": 16, "dim_hidden": 16, "dim_bottleneck": 8},
     })
-    dataset = generate_dataset(cfg).dataset
+    bank, images = generate_dataset(cfg)
     provider = SyntheticProvider(
-        cfg.transforms, cfg.views, cfg.provider.dim_feature, cfg.provider.seed, dataset.images
+        cfg.transforms, cfg.views, cfg.provider.dim_feature, cfg.provider.seed, images
     )
-    ids = dataset.test_indices()
+    ids = bank.indices("test")
     kernels = [cfg.transforms.kernel_size] * len(ids)
     feats = provider.features(ids, kernels, cfg.evaluation.seed, 0)
-    neural = dataset.neural[ids]
+    neural = bank.neural[ids]
     truth = np.arange(len(ids))
     hits = 0
     trials = 50
@@ -245,7 +245,7 @@ def test_criterion_6_retrieval_metrics():
         c = dataclasses.replace(
             cfg, training=dataclasses.replace(cfg.training, seed=1000 + model)
         )
-        params = init_parameters(c, dataset.dim_neural)
+        params = init_parameters(c, bank.dim_neural)
         latent, _ = fusion.fusion_forward(feats, params, c.fusion, train_mode=False)
         f_n = nn.affine_forward(neural, params["enc_w"], params["enc_b"])
         sim = f_n @ latent.T  # ranks are scale-free; cosine would tie out the same

@@ -258,8 +258,8 @@ class TestAdamW:
 @pytest.fixture(scope="module")
 def tiny_run():
     config = tiny_config()
-    generated = generate_dataset(config)
-    return config, generated
+    bank, images = generate_dataset(config)
+    return config, bank, images
 
 
 class TestTrainer:
@@ -267,16 +267,16 @@ class TestTrainer:
         # strict monotone descent is only promised on the larger smoke
         # dataset (see test_acceptance); this tiny one is noisy, so just
         # require a real improvement over the first epoch
-        config, generated = tiny_run
+        config, bank, images = tiny_run
         config = dataclasses.replace(
             config,
             training=dataclasses.replace(config.training, epochs=5),
         )
         provider = SyntheticProvider(
             config.transforms, config.views, config.provider.dim_feature,
-            config.provider.seed, generated.dataset.images,
+            config.provider.seed, images,
         )
-        trainer = Trainer(config, generated.dataset, provider)
+        trainer = Trainer(config, bank, provider)
         reports = trainer.train()
         losses = [r.loss for r in reports]
         assert len(losses) == 5
@@ -285,23 +285,23 @@ class TestTrainer:
         assert min(losses) < losses[0] - 0.1
 
     def test_epoch_zero_checkpoint_is_initialization(self, tiny_run):
-        config, generated = tiny_run
+        config, bank, images = tiny_run
         config = dataclasses.replace(
             config, training=dataclasses.replace(config.training, epochs=0)
         )
-        provider = BankProvider(generated.bank)
+        provider = BankProvider(bank)
         cfg_bank = dataclasses.replace(
             config, provider=dataclasses.replace(config.provider, kind="bank")
         )
-        trainer = Trainer(cfg_bank, generated.dataset, provider)
+        trainer = Trainer(cfg_bank, bank, provider)
         trainer.train()
-        fresh = init_parameters(cfg_bank, generated.dataset.dim_neural)
+        fresh = init_parameters(cfg_bank, bank.dim_neural)
         assert set(trainer.params) == set(fresh)
         for k in fresh:
             np.testing.assert_array_equal(trainer.params[k], fresh[k])
 
     def test_training_is_deterministic(self, tiny_run):
-        config, generated = tiny_run
+        config, bank, images = tiny_run
         cfg = dataclasses.replace(
             config,
             training=dataclasses.replace(config.training, epochs=2),
@@ -309,36 +309,36 @@ class TestTrainer:
         )
         runs = []
         for _ in range(2):
-            trainer = Trainer(cfg, generated.dataset, BankProvider(generated.bank))
+            trainer = Trainer(cfg, bank, BankProvider(bank))
             trainer.train()
             runs.append({k: v.copy() for k, v in trainer.params.items()})
         for k in runs[0]:
             np.testing.assert_array_equal(runs[0][k], runs[1][k])
 
     def test_regulation_moves_kernels(self, tiny_run):
-        config, generated = tiny_run
+        config, bank, images = tiny_run
         cfg = dataclasses.replace(
             config,
             training=dataclasses.replace(config.training, epochs=3),
             provider=dataclasses.replace(config.provider, kind="bank"),
         )
-        trainer = Trainer(cfg, generated.dataset, BankProvider(generated.bank))
+        trainer = Trainer(cfg, bank, BankProvider(bank))
         reports = trainer.train()
         hist = reports[-1].kernel_hist
-        assert sum(hist.values()) == len(generated.dataset.train_indices())
+        assert sum(hist.values()) == len(bank.indices("train"))
         assert all(k % 2 == 1 for k in hist)  # parity preserved
         # feedback must have moved at least one kernel off the start value
         assert set(hist) != {cfg.transforms.kernel_size}
 
     def test_regulator_disabled_keeps_kernels_fixed(self, tiny_run):
-        config, generated = tiny_run
+        config, bank, images = tiny_run
         cfg = dataclasses.replace(
             config,
             training=dataclasses.replace(config.training, epochs=2),
             provider=dataclasses.replace(config.provider, kind="bank"),
             regulator=dataclasses.replace(config.regulator, enabled=False),
         )
-        trainer = Trainer(cfg, generated.dataset, BankProvider(generated.bank))
+        trainer = Trainer(cfg, bank, BankProvider(bank))
         reports = trainer.train()
         assert reports[-1].kernel_hist == {cfg.transforms.kernel_size: len(trainer.train_ids)}
 
@@ -346,8 +346,8 @@ class TestTrainer:
         # with frozen parameters, a deterministic feature source (bank), no
         # dropout, and a single full batch (the loss ignores sample order)
         # the epoch loss cannot move
-        config, generated = tiny_run
-        n_train = len(generated.dataset.train_indices())
+        config, bank, images = tiny_run
+        n_train = len(bank.indices("train"))
         cfg = dataclasses.replace(
             config,
             training=dataclasses.replace(
@@ -356,27 +356,27 @@ class TestTrainer:
             fusion=dataclasses.replace(config.fusion, dropout=0.0),
             provider=dataclasses.replace(config.provider, kind="bank"),
         )
-        trainer = Trainer(cfg, generated.dataset, BankProvider(generated.bank))
-        fresh = init_parameters(cfg, generated.dataset.dim_neural)
+        trainer = Trainer(cfg, bank, BankProvider(bank))
+        fresh = init_parameters(cfg, bank.dim_neural)
         reports = trainer.train()
         for k in fresh:
             np.testing.assert_array_equal(trainer.params[k], fresh[k])
         assert reports[0].loss == pytest.approx(reports[1].loss, abs=1e-9)
 
     def test_batch_size_larger_than_split_rejected(self, tiny_run):
-        config, generated = tiny_run
+        config, bank, images = tiny_run
         cfg = dataclasses.replace(
             config,
             training=dataclasses.replace(config.training, batch_size=4096),
         )
         with pytest.raises(ConfigError):
-            Trainer(cfg, generated.dataset, BankProvider(generated.bank))
+            Trainer(cfg, bank, BankProvider(bank))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered in exp")
     def test_log_tau_stays_clamped(self, tiny_run):
         # deliberately absurd learning rate: evidence may saturate to inf
         # (weight -> 1, its correct limit) but tau must stay in bounds
-        config, generated = tiny_run
+        config, bank, images = tiny_run
         cfg = dataclasses.replace(
             config,
             training=dataclasses.replace(
@@ -384,7 +384,7 @@ class TestTrainer:
             ),
             provider=dataclasses.replace(config.provider, kind="bank"),
         )
-        trainer = Trainer(cfg, generated.dataset, BankProvider(generated.bank))
+        trainer = Trainer(cfg, bank, BankProvider(bank))
         trainer.train()
         tau = math.exp(float(trainer.params["log_tau"]))
         assert cfg.training.temperature_min - 1e-12 <= tau <= cfg.training.temperature_max + 1e-12
@@ -392,21 +392,21 @@ class TestTrainer:
 
 class TestEncodePairs:
     def test_deterministic_and_shaped(self, tiny_run):
-        config, generated = tiny_run
+        config, bank, images = tiny_run
         provider = SyntheticProvider(
             config.transforms, config.views, config.provider.dim_feature,
-            config.provider.seed, generated.dataset.images,
+            config.provider.seed, images,
         )
-        params = init_parameters(config, generated.dataset.dim_neural)
-        ids = generated.dataset.test_indices()
+        params = init_parameters(config, bank.dim_neural)
+        ids = bank.indices("test")
         f_n, latent = encode_pairs(
-            config, generated.dataset, provider, params, ids,
+            config, bank, provider, params, ids,
             kernel=config.transforms.kernel_size, noise_base_seed=7,
         )
         assert f_n.shape == (len(ids), config.fusion.dim_latent)
         assert latent.shape == (len(ids), config.fusion.dim_latent)
         f_n2, latent2 = encode_pairs(
-            config, generated.dataset, provider, params, ids,
+            config, bank, provider, params, ids,
             kernel=config.transforms.kernel_size, noise_base_seed=7,
         )
         np.testing.assert_array_equal(f_n, f_n2)
@@ -416,21 +416,21 @@ class TestEncodePairs:
         # the bank was precomputed by the same encoder, so replaying it at a
         # stored level with the bank's own noise seeding must reproduce the
         # live pipeline up to the bank's float32 storage
-        config, generated = tiny_run
-        params = init_parameters(config, generated.dataset.dim_neural)
-        ids = generated.dataset.test_indices()[:3]
+        config, bank, images = tiny_run
+        params = init_parameters(config, bank.dim_neural)
+        ids = bank.indices("test")[:3]
         synth = SyntheticProvider(
             config.transforms, config.views, config.provider.dim_feature,
-            config.provider.seed, generated.dataset.images,
+            config.provider.seed, images,
         )
-        level = generated.bank.kernel_levels[0]
+        level = bank.kernel_levels[0]
         common = dict(kernel=level, noise_base_seed=config.data.seed + 4)
         f_n_bank, latent_bank = encode_pairs(
-            config, generated.dataset, BankProvider(generated.bank), params, ids,
+            config, bank, BankProvider(bank), params, ids,
             **common,
         )
         f_n_live, latent_live = encode_pairs(
-            config, generated.dataset, synth, params, ids, **common,
+            config, bank, synth, params, ids, **common,
         )
         np.testing.assert_array_equal(f_n_bank, f_n_live)
         np.testing.assert_allclose(latent_bank, latent_live, atol=1e-5)

@@ -15,6 +15,7 @@ import pytest
 from conftest import rewrite_bank_header, tiny_config, write_checkpoint_manifest
 import fovalign
 import fovalign.cli
+import fovalign.datagen
 from fovalign.alignment import init_parameters
 from fovalign.checkpoint import load_checkpoint
 from fovalign.cli import main
@@ -442,6 +443,29 @@ class TestEvaluate:
         assert main(["evaluate", "--config", str(cfg), "--out", str(out)]) == 2
         assert misfit[1] in capsys.readouterr().err
         assert not out.exists()
+
+
+# the workspace holds 40 training samples (0-39) and 4 test samples (40-43)
+SPLIT_READS = {
+    "synthetic": {"train": range(40), "evaluate": range(40, 44)},
+    "bank": {"train": range(0), "evaluate": range(0)},
+}
+
+
+@pytest.mark.parametrize("kind", SPLIT_READS)
+def test_each_command_reads_only_the_pixmaps_of_its_split(
+    workspace, tmp_path, monkeypatch, kind
+):
+    raw = json.loads(workspace["config"].read_text())
+    raw["provider"]["kind"] = kind
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    real, read = fovalign.datagen.read_pixmap, []
+    monkeypatch.setattr(fovalign.datagen, "read_pixmap", lambda path: read.append(path) or real(path))
+    for command, ids in SPLIT_READS[kind].items():
+        read.clear()
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        assert sorted(Path(path).name for path in read) == [f"sample_{i:05d}.ppm" for i in ids]
 
 
 class TestReport:

@@ -7,8 +7,7 @@ import pytest
 
 from conftest import tiny_config
 import fovalign.providers
-from fovalign.datagen import generate_dataset, load_dataset, render_sample
-from fovalign.pixmap import read_pixmap, write_pixmap
+from fovalign.datagen import generate_dataset, load_dataset, render_sample, save_dataset
 from fovalign.providers import SyntheticProvider, derive_noise_seed, save_embedding_bank
 
 
@@ -60,59 +59,56 @@ class TestRenderSample:
 
 class TestGenerate:
     def test_deterministic(self, generated):
-        again = generate_dataset(tiny_config())
-        a, b = generated.dataset, again.dataset
-        assert len(a.images) == len(b.images)
-        for x, y in zip(a.images, b.images):
+        (a, a_images), (b, b_images) = generated, generate_dataset(tiny_config())
+        assert len(a_images) == len(b_images)
+        for x, y in zip(a_images, b_images):
             np.testing.assert_array_equal(x, y)
         np.testing.assert_array_equal(a.neural, b.neural)
         np.testing.assert_array_equal(a.labels, b.labels)
         assert a.splits == b.splits
-        for level in generated.bank.kernel_levels:
-            np.testing.assert_array_equal(
-                generated.bank.features[level], again.bank.features[level]
-            )
+        for level in a.kernel_levels:
+            np.testing.assert_array_equal(a.features[level], b.features[level])
 
     def test_data_seed_changes_everything(self):
         cfg = tiny_config()
         other = dataclasses.replace(
             cfg, data=dataclasses.replace(cfg.data, seed=cfg.data.seed + 1)
         )
-        a = generate_dataset(cfg).dataset
-        b = generate_dataset(other).dataset
-        assert not np.array_equal(a.images[0], b.images[0])
+        a, a_images = generate_dataset(cfg)
+        b, b_images = generate_dataset(other)
+        assert not np.array_equal(a_images[0], b_images[0])
         assert not np.array_equal(a.neural, b.neural)
 
     def test_split_layout(self, generated):
         cfg = tiny_config()
-        d = generated.dataset
+        bank, _ = generated
         train_classes = cfg.data.classes - cfg.data.test_classes
         n_train = train_classes * cfg.data.train_samples_per_class
-        assert d.sample_count == n_train + cfg.data.test_classes
-        assert d.splits[:n_train] == ["train"] * n_train
-        assert d.splits[n_train:] == ["test"] * cfg.data.test_classes
+        assert bank.sample_count == n_train + cfg.data.test_classes
+        assert bank.splits[:n_train] == ["train"] * n_train
+        assert bank.splits[n_train:] == ["test"] * cfg.data.test_classes
         # training labels repeat per class; each test class appears once
         np.testing.assert_array_equal(
-            d.labels[:n_train],
+            bank.labels[:n_train],
             np.repeat(np.arange(train_classes), cfg.data.train_samples_per_class),
         )
         np.testing.assert_array_equal(
-            d.labels[n_train:], np.arange(train_classes, cfg.data.classes)
+            bank.labels[n_train:], np.arange(train_classes, cfg.data.classes)
         )
 
     def test_train_and_test_classes_disjoint(self, generated):
-        d = generated.dataset
-        train_labels = set(d.labels[d.train_indices()].tolist())
-        test_labels = set(d.labels[d.test_indices()].tolist())
+        bank, _ = generated
+        train_labels = set(bank.labels[bank.indices("train")].tolist())
+        test_labels = set(bank.labels[bank.indices("test")].tolist())
         assert train_labels.isdisjoint(test_labels)
 
     def test_same_class_samples_share_style(self, generated):
         # two renderings of one class differ only by jitter: much closer
         # to each other than to a different class
-        d = generated.dataset
-        same = np.abs(d.images[0] - d.images[1]).mean()
-        other = d.train_indices()[d.labels[d.train_indices()] == 1][0]
-        cross = np.abs(d.images[0] - d.images[other]).mean()
+        bank, images = generated
+        same = np.abs(images[0] - images[1]).mean()
+        other = bank.indices("train")[bank.labels[bank.indices("train")] == 1][0]
+        cross = np.abs(images[0] - images[other]).mean()
         assert same < cross
 
     def test_neural_is_a_shared_linear_map_of_clean_embeddings(self):
@@ -123,22 +119,22 @@ class TestGenerate:
         cfg = dataclasses.replace(
             cfg, data=dataclasses.replace(cfg.data, neural_noise=0.0)
         )
-        out = generate_dataset(cfg)
+        bank, images = generate_dataset(cfg)
         from fovalign.providers import SyntheticEncoder
 
         encoder = SyntheticEncoder(cfg.provider.dim_feature, cfg.provider.seed)
-        clean = np.stack([encoder.encode(img) for img in out.dataset.images])
-        mapping, residual, rank, _ = np.linalg.lstsq(clean, out.dataset.neural, rcond=None)
+        clean = np.stack([encoder.encode(img) for img in images])
+        mapping, residual, rank, _ = np.linalg.lstsq(clean, bank.neural, rcond=None)
         fitted = clean @ mapping
-        np.testing.assert_allclose(fitted, out.dataset.neural, atol=1e-9)
+        np.testing.assert_allclose(fitted, bank.neural, atol=1e-9)
 
     def test_pairing_noise_perturbs_neural(self, generated):
         cfg = tiny_config()
         quiet = dataclasses.replace(
             cfg, data=dataclasses.replace(cfg.data, neural_noise=0.0)
         )
-        clean = generate_dataset(quiet).dataset
-        delta = generated.dataset.neural - clean.neural
+        clean, _ = generate_dataset(quiet)
+        delta = generated[0].neural - clean.neural
         observed = delta.std()
         assert 0.5 * cfg.data.neural_noise < observed < 2.0 * cfg.data.neural_noise
 
@@ -146,23 +142,23 @@ class TestGenerate:
 class TestBank:
     def test_levels_sorted_and_match_config(self, generated):
         cfg = tiny_config()
-        assert generated.bank.kernel_levels == sorted(cfg.data.bank_levels)
+        assert generated[0].kernel_levels == sorted(cfg.data.bank_levels)
 
     def test_rows_replay_the_live_encoder(self, generated):
         cfg = tiny_config()
+        bank, images = generated
         provider = SyntheticProvider(
-            cfg.transforms, cfg.views, cfg.provider.dim_feature, cfg.provider.seed,
-            generated.dataset.images,
+            cfg.transforms, cfg.views, cfg.provider.dim_feature, cfg.provider.seed, images
         )
         index = 3
-        image = generated.dataset.images[index]
+        image = images[index]
         noise_seed = derive_noise_seed(cfg.data.seed + 4, index, 0)
-        for level in generated.bank.kernel_levels:
+        for level in bank.kernel_levels:
             want = np.stack([
                 provider.encoder.encode(provider.view_image(name, image, level, noise_seed))
                 for name in provider.view_names
             ]).astype(np.float32)
-            np.testing.assert_array_equal(generated.bank.features[level][index], want)
+            np.testing.assert_array_equal(bank.features[level][index], want)
 
     def test_noise_view_rendered_once_per_sample(self, monkeypatch):
         calls = []
@@ -171,12 +167,12 @@ class TestBank:
             fovalign.providers, "add_noise", lambda *a: calls.append(a) or real(*a)
         )
         cfg = tiny_config()
-        out = generate_dataset(cfg)
+        bank, _ = generate_dataset(cfg)
         assert len(cfg.data.bank_levels) >= 2
-        assert len(calls) == out.dataset.sample_count
+        assert len(calls) == bank.sample_count
 
     def test_kernel_independent_views_shared_across_levels(self, generated):
-        bank = generated.bank
+        bank, _ = generated
         levels = bank.kernel_levels
         cfg = tiny_config()
         names = cfg.views.enabled()
@@ -189,38 +185,41 @@ class TestBank:
                 else:
                     np.testing.assert_array_equal(a, b)
 
-    def test_bank_mirrors_dataset_metadata(self, generated):
-        bank, d = generated.bank, generated.dataset
-        np.testing.assert_array_equal(bank.labels, d.labels)
-        assert bank.splits == d.splits
-        assert bank.tag == d.tag
-        np.testing.assert_allclose(bank.neural, d.neural, atol=1e-6)  # float32 storage
-
 
 class TestLoadDataset:
     def test_round_trip_through_directory(self, generated, tmp_path):
-        save_embedding_bank(tmp_path / "bank.bicp", generated.bank)
-        images_dir = tmp_path / "images"
-        images_dir.mkdir()
-        for i, image in enumerate(generated.dataset.images):
-            write_pixmap(images_dir / f"sample_{i:05d}.ppm", image)
-
-        loaded = load_dataset(tmp_path)
-        np.testing.assert_array_equal(loaded.bank.neural, generated.bank.neural)
-        loaded = loaded.dataset
+        bank, images = generated
+        save_dataset(tmp_path, bank, images)
+        loaded, loaded_images = load_dataset(tmp_path)
         # images are quantized at render time, so the pixmap round trip
-        # is exact; neural vectors pass through the bank's float32
-        for a, b in zip(loaded.images, generated.dataset.images):
+        # is exact; neural vectors are generated unrounded in float64 and
+        # come back as their float32 rounding, widened to float64
+        for a, b in zip(loaded_images, images, strict=True):
             np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(
-            loaded.neural, generated.dataset.neural.astype(np.float32).astype(np.float64)
-        )
-        np.testing.assert_array_equal(loaded.labels, generated.dataset.labels)
-        assert loaded.splits == generated.dataset.splits
-        assert loaded.tag == generated.dataset.tag
+        assert bank.neural.dtype == loaded.neural.dtype == np.float64
+        rounded = bank.neural.astype(np.float32).astype(np.float64)
+        assert not np.array_equal(bank.neural, rounded)
+        np.testing.assert_array_equal(loaded.neural, rounded)
+        for level in bank.kernel_levels:
+            np.testing.assert_array_equal(loaded.features[level], bank.features[level])
+        np.testing.assert_array_equal(loaded.labels, bank.labels)
+        assert loaded.splits == bank.splits
+        assert loaded.tag == bank.tag
 
     def test_without_images(self, generated, tmp_path):
-        save_embedding_bank(tmp_path / "bank.bicp", generated.bank)
-        loaded = load_dataset(tmp_path, with_images=False).dataset
-        assert loaded.images is None
-        assert loaded.sample_count == generated.dataset.sample_count
+        bank, _ = generated
+        save_embedding_bank(tmp_path / "bank.bicp", bank)
+        loaded, images = load_dataset(tmp_path, splits=())
+        assert images == [None] * bank.sample_count
+        assert loaded.sample_count == bank.sample_count
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_reads_only_the_listed_split(self, generated, tmp_path, split):
+        bank, images = generated
+        save_dataset(tmp_path, bank, images)
+        _, loaded = load_dataset(tmp_path, splits=(split,))
+        for index, (want, got) in enumerate(zip(images, loaded, strict=True)):
+            if bank.splits[index] == split:
+                np.testing.assert_array_equal(got, want)
+            else:
+                assert got is None

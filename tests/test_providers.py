@@ -196,6 +196,20 @@ class TestEmbeddingBank:
         train, test = bank.indices("train"), bank.indices("test")
         assert sorted(np.concatenate([train, test]).tolist()) == list(range(6))
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        splits=st.lists(st.sampled_from(["train", "test", "val", "", "trains"]), max_size=40),
+        split=st.sampled_from(["train", "test", "val", "", "tes"]),
+    )
+    def test_indices_match_the_list_comprehension(self, splits, split):
+        # the Python loop the vectorised lookup replaced, kept as its oracle
+        want = np.array([i for i, s in enumerate(splits) if s == split], dtype=np.int64)
+        bank = _tiny_bank()
+        bank.splits = splits
+        got = bank.indices(split)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+
 
 def select_kernel_level_loop(levels, kernel: int) -> int:
     """The scalar selector the vectorised one replaced, kept as its oracle."""
@@ -390,6 +404,14 @@ class TestSyntheticProvider:
             with pytest.raises(ValueError, match="has no image"):
                 provider.features([0, index], [9, 9])
         assert provider._rows == {}
+
+    def test_unread_image_rejected(self):
+        image = random_image(np.random.default_rng(0), height=32, width=32)
+        provider = self._provider([image, None])
+        with pytest.raises(ValueError, match="sample index 1 has no image"):
+            provider.features([0, 1], [9, 9])
+        assert provider._rows == {}
+        assert provider.features([0], [9]).shape == (1, provider.views, provider.dim_feature)
 
     def test_kernel_count_must_match_ids(self):
         provider = self._provider([random_image(np.random.default_rng(0))])
