@@ -113,21 +113,20 @@ def generate_dataset(config: RunConfig) -> tuple[EmbeddingBank, list[np.ndarray]
 
     levels = sorted(d.bank_levels)
     ids = np.arange(len(images))
+    features = np.empty(
+        (len(ids), len(levels), provider.views, config.provider.dim_feature), dtype=np.float32
+    )
     # one request per level; the provider's cache serves the
     # kernel-independent rows, the noise row included, once per sample
-    blocks = {
-        level: provider.features(
-            ids, np.full(len(ids), level), d.seed + _VIEW_NOISE_TAG, 0
-        ).astype(np.float32)
-        for level in levels
-    }
+    for j, level in enumerate(levels):
+        features[:, j] = provider.features(ids, np.full(len(ids), level), d.seed + _VIEW_NOISE_TAG, 0)
     bank = EmbeddingBank(
         tag=d.tag,
         views=provider.views,
         dim_feature=config.provider.dim_feature,
         dim_neural=d.dim_neural,
         kernel_levels=levels,
-        features=blocks,
+        features=features,
         neural=neural,
         labels=np.asarray(labels, dtype=np.int64),
         splits=splits,

@@ -7,26 +7,22 @@ through a seed-derived random projection and L2-normalizes. The bank
 provider replays rows precomputed at a ladder of blur-kernel levels from
 a binary embedding-bank file, ignoring pixels entirely.
 
-Embedding-bank wire format (little-endian throughout):
-
-    magic  b"BICP"
-    u32    format version (currently 1)
-    u32    header length, then that many bytes of UTF-8 JSON describing
-           {tag, sample_count, views, dim_feature, dim_neural,
-            kernel_levels, labels, splits}
-    f32[]  per sample: for each kernel level (ascending) a views x
-           dim_feature row-major block, then the dim_neural neural vector
+An embedding bank is a `container` file with magic b"BICP" and version
+1. Its header is {tag, sample_count, views, dim_feature, dim_neural,
+kernel_levels, labels, splits}; its `<f4` payload holds, per sample, the
+(kernel_levels, views, dim_feature) features, levels ascending, then the
+dim_neural neural vector. `EmbeddingBank.features` is that features
+block for all samples, one (N, levels, views, dim_feature) array.
 """
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import TransformConfig, ViewsConfig
+from .container import read_container, write_container
 from .errors import FormatError, ProtocolError
 from .transforms import FoveationParams, add_noise, foveate, resample
 
@@ -137,10 +133,14 @@ class EmbeddingBank:
     dim_feature: int
     dim_neural: int
     kernel_levels: list[int]
-    features: dict[int, np.ndarray]  # level -> (N, views, dim_feature) float32
+    features: np.ndarray  # (N, len(kernel_levels), views, dim_feature) float32
     neural: np.ndarray  # (N, dim_neural) float64; the bank file stores float32
     labels: np.ndarray  # (N,) int64
     splits: list[str]  # "train" / "test" per sample
+
+    def __post_init__(self):
+        if isinstance(self.features, dict):  # {level: (N, views, dim_feature)} blocks
+            self.features = np.stack([self.features[l] for l in self.kernel_levels], axis=1)
 
     @property
     def sample_count(self) -> int:
@@ -160,16 +160,11 @@ class EmbeddingBank:
             raise FormatError(f"kernel levels must be sorted and unique, got {levels}")
         if any(l < 1 or l % 2 == 0 for l in levels):
             raise FormatError(f"kernel levels must be odd integers >= 1, got {levels}")
-        if sorted(self.features) != levels:
-            raise FormatError("feature blocks do not cover the declared kernel levels")
-        for level, block in self.features.items():
-            if block.shape != (n, self.views, self.dim_feature):
-                raise FormatError(
-                    f"level {level} block has shape {block.shape}, expected "
-                    f"{(n, self.views, self.dim_feature)}"
-                )
-            if not np.all(np.isfinite(block)):
-                raise FormatError(f"level {level} block contains non-finite values")
+        shape = (n, len(levels), self.views, self.dim_feature)
+        if self.features.shape != shape:
+            raise FormatError(f"features have shape {self.features.shape}, expected {shape}")
+        if not np.all(np.isfinite(self.features)):
+            raise FormatError("features contain non-finite values")
         if self.neural.shape != (n, self.dim_neural):
             raise FormatError(
                 f"neural block has shape {self.neural.shape}, expected {(n, self.dim_neural)}"
@@ -203,16 +198,11 @@ def save_embedding_bank(path, bank: EmbeddingBank) -> None:
         "labels": [int(l) for l in bank.labels],
         "splits": list(bank.splits),
     }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(BANK_MAGIC)
-        fh.write(struct.pack("<I", BANK_VERSION))
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for i in range(bank.sample_count):
-            for level in bank.kernel_levels:
-                fh.write(np.ascontiguousarray(bank.features[level][i], dtype="<f4").tobytes())
-            fh.write(np.ascontiguousarray(bank.neural[i], dtype="<f4").tobytes())
+    n, width = bank.sample_count, bank.features[0].size
+    payload = np.empty((n, width + bank.dim_neural), dtype="<f4")
+    payload[:, :width] = bank.features.reshape(n, width)
+    payload[:, width:] = bank.neural
+    write_container(path, BANK_MAGIC, BANK_VERSION, header, payload)
 
 
 def _is_int_list(value) -> bool:
@@ -222,68 +212,46 @@ def _is_int_list(value) -> bool:
     )
 
 
-def _read_exact(fh, count: int, what: str) -> bytes:
-    data = fh.read(count)
-    if len(data) != count:
-        raise FormatError(f"file ended unexpectedly while reading {what}")
-    return data
-
-
 def load_embedding_bank(path) -> EmbeddingBank:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != BANK_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}, expected {BANK_MAGIC!r}")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
-        if version != BANK_VERSION:
-            raise FormatError(f"{path}: unsupported bank version {version}")
-        (header_len,) = struct.unpack("<I", _read_exact(fh, 4, "header length"))
-        try:
-            header = json.loads(_read_exact(fh, header_len, "header").decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise FormatError(f"{path}: malformed bank header: {exc}") from exc
-        required = {
-            "tag", "sample_count", "views", "dim_feature",
-            "dim_neural", "kernel_levels", "labels", "splits",
-        }
-        if not isinstance(header, dict) or set(header) != required:
-            raise FormatError(f"{path}: bank header must hold exactly {sorted(required)}")
-        counts = [header[k] for k in ("sample_count", "views", "dim_feature", "dim_neural")]
-        # positive counts and at least one level bound every array extent
-        # by the payload size, which is checked next
-        if not (
-            all(type(c) is int and c >= 1 for c in counts)
-            and all(_is_int_list(header[k]) for k in ("kernel_levels", "labels"))
-            and header["kernel_levels"]
-            and isinstance(header["splits"], list)
-            and all(isinstance(s, str) for s in header["splits"])
-        ):
-            raise FormatError(
-                f"{path}: bank header needs positive integer counts and "
-                f"dimensions, a non-empty integer list of kernel levels, an "
-                f"integer list of labels and a list of split names"
-            )
-        n, views, dim_f, dim_n = counts
-        levels = list(header["kernel_levels"])
-        per_sample = len(levels) * views * dim_f + dim_n
-        payload = fh.read()
-    expected_bytes = n * per_sample * 4
+    header, payload = read_container(path, BANK_MAGIC, BANK_VERSION, "bank")
+    required = {
+        "tag", "sample_count", "views", "dim_feature",
+        "dim_neural", "kernel_levels", "labels", "splits",
+    }
+    if not isinstance(header, dict) or set(header) != required:
+        raise FormatError(f"{path}: bank header must hold exactly {sorted(required)}")
+    counts = [header[k] for k in ("sample_count", "views", "dim_feature", "dim_neural")]
+    # positive counts and at least one level bound every array extent
+    # by the payload size, which is checked next
+    if not (
+        all(type(c) is int and c >= 1 for c in counts)
+        and all(_is_int_list(header[k]) for k in ("kernel_levels", "labels"))
+        and header["kernel_levels"]
+        and isinstance(header["splits"], list)
+        and all(isinstance(s, str) for s in header["splits"])
+    ):
+        raise FormatError(
+            f"{path}: bank header needs positive integer counts and "
+            f"dimensions, a non-empty integer list of kernel levels, an "
+            f"integer list of labels and a list of split names"
+        )
+    n, views, dim_f, dim_n = counts
+    levels = list(header["kernel_levels"])
+    width = len(levels) * views * dim_f
+    expected_bytes = n * (width + dim_n) * 4
     if len(payload) != expected_bytes:
         raise FormatError(
             f"{path}: payload has {len(payload)} bytes, expected {expected_bytes}"
         )
-    flat = np.frombuffer(payload, dtype="<f4").reshape(n, per_sample)
-    feat_block = flat[:, : len(levels) * views * dim_f].reshape(n, len(levels), views, dim_f)
-    features = {level: np.ascontiguousarray(feat_block[:, j]) for j, level in enumerate(levels)}
-    neural = flat[:, len(levels) * views * dim_f :].astype(np.float64)
+    flat = np.frombuffer(payload, dtype="<f4").reshape(n, width + dim_n)
     bank = EmbeddingBank(
         tag=str(header["tag"]),
         views=views,
         dim_feature=dim_f,
         dim_neural=dim_n,
         kernel_levels=levels,
-        features=features,
-        neural=neural,
+        features=flat[:, :width].reshape(n, len(levels), views, dim_f),
+        neural=flat[:, width:].astype(np.float64),
         labels=np.asarray(header["labels"], dtype=np.int64),
         splits=list(header["splits"]),
     )
@@ -392,9 +360,5 @@ class BankProvider:
         ids, kernels = _check_batch(ids, kernels, self.bank.sample_count, "outside the bank")
         levels = self.bank.kernel_levels
         self.level_clamps += int(np.count_nonzero((kernels < levels[0]) | (kernels > levels[-1])))
-        chosen = select_kernel_level(levels, kernels)
-        out = np.empty((len(ids), self.views, self.dim_feature))
-        for level in np.unique(chosen).tolist():
-            at_level = chosen == level
-            out[at_level] = self.bank.features[level][ids[at_level]]
-        return out
+        columns = np.searchsorted(levels, select_kernel_level(levels, kernels))
+        return self.bank.features[ids, columns].astype(np.float64)

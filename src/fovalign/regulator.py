@@ -81,7 +81,6 @@ class BlurSchedule:
         self.kernel_min = int(kernel_min)
         self.kernel_max = int(kernel_max)
         self._slot = {sid: i for i, sid in enumerate(ids)}
-        self._ids = np.asarray(ids, dtype=np.int64)
         n = len(ids)
         self._smoothed = np.zeros(n)
         self._seen = np.zeros(n, dtype=bool)

@@ -74,6 +74,11 @@ def random_image(rng: np.random.Generator, channels: int = 3, height: int = 8, w
     return rng.random((channels, height, width))
 
 
+def level_block(bank, level: int) -> np.ndarray:
+    """The (N, views, dim_feature) features a bank stores at `level`."""
+    return bank.features[:, bank.kernel_levels.index(level)]
+
+
 def write_checkpoint_manifest(path, manifest, payload=b""):
     """A BICK file holding `manifest` verbatim, for malformed-table tests."""
     blob = json.dumps(manifest).encode("utf-8")

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import tiny_config
+from conftest import level_block, tiny_config
 import fovalign.providers
 from fovalign.datagen import generate_dataset, load_dataset, render_sample, save_dataset
 from fovalign.providers import SyntheticProvider, derive_noise_seed, save_embedding_bank
@@ -67,7 +67,7 @@ class TestGenerate:
         np.testing.assert_array_equal(a.labels, b.labels)
         assert a.splits == b.splits
         for level in a.kernel_levels:
-            np.testing.assert_array_equal(a.features[level], b.features[level])
+            np.testing.assert_array_equal(level_block(a, level), level_block(b, level))
 
     def test_data_seed_changes_everything(self):
         cfg = tiny_config()
@@ -158,7 +158,7 @@ class TestBank:
                 provider.encoder.encode(provider.view_image(name, image, level, noise_seed))
                 for name in provider.view_names
             ]).astype(np.float32)
-            np.testing.assert_array_equal(bank.features[level][index], want)
+            np.testing.assert_array_equal(level_block(bank, level)[index], want)
 
     def test_noise_view_rendered_once_per_sample(self, monkeypatch):
         calls = []
@@ -178,8 +178,8 @@ class TestBank:
         names = cfg.views.enabled()
         for i in range(0, bank.sample_count, 7):
             for row, name in enumerate(names):
-                a = bank.features[levels[0]][i, row]
-                b = bank.features[levels[-1]][i, row]
+                a = level_block(bank, levels[0])[i, row]
+                b = level_block(bank, levels[-1])[i, row]
                 if name == "foveated":
                     assert not np.array_equal(a, b), f"sample {i}"
                 else:
@@ -201,7 +201,9 @@ class TestLoadDataset:
         assert not np.array_equal(bank.neural, rounded)
         np.testing.assert_array_equal(loaded.neural, rounded)
         for level in bank.kernel_levels:
-            np.testing.assert_array_equal(loaded.features[level], bank.features[level])
+            np.testing.assert_array_equal(
+                level_block(loaded, level), level_block(bank, level)
+            )
         np.testing.assert_array_equal(loaded.labels, bank.labels)
         assert loaded.splits == bank.splits
         assert loaded.tag == bank.tag

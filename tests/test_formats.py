@@ -7,6 +7,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fovalign.checkpoint import CHECKPOINT_MAGIC, load_checkpoint, save_checkpoint
 from conftest import write_checkpoint_manifest
@@ -96,7 +99,56 @@ class TestPixmap:
             write_pixmap(tmp_path / "x.ppm", np.zeros((2, 2, 2)))
 
 
+def save_checkpoint_per_array(path, arrays, metadata):
+    """The per-array writer the one-container saver replaced, kept as its
+    oracle."""
+    order = sorted(arrays)
+    manifest = dict(metadata)
+    manifest["arrays"] = [
+        {"name": name, "shape": list(np.asarray(arrays[name]).shape)} for name in order
+    ]
+    blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(CHECKPOINT_MAGIC)
+        fh.write(struct.pack("<I", 1))
+        fh.write(struct.pack("<I", len(blob)))
+        fh.write(blob)
+        for name in order:
+            fh.write(np.ascontiguousarray(arrays[name], dtype="<f4").tobytes())
+
+
+PARAMETER_DICTS = st.dictionaries(
+    st.text(max_size=4),
+    hnp.arrays(
+        np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+        # beyond float32's range a cast warns; infinities and NaN do not
+        elements=st.floats(-3e38, 3e38) | st.sampled_from([np.inf, -np.inf, np.nan]),
+    ),
+    max_size=4,
+)
+METADATA = st.dictionaries(
+    st.text(max_size=4).filter(lambda k: k != "arrays"),
+    st.none() | st.integers() | st.text(max_size=4) | st.lists(st.integers(), max_size=3),
+    max_size=3,
+)
+
+
 class TestCheckpoint:
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(arrays=PARAMETER_DICTS, metadata=METADATA)
+    def test_bytes_equal_the_per_array_writer(self, tmp_path, arrays, metadata):
+        save_checkpoint(tmp_path / "new.bick", arrays, metadata)
+        save_checkpoint_per_array(tmp_path / "old.bick", arrays, metadata)
+        assert (tmp_path / "new.bick").read_bytes() == (tmp_path / "old.bick").read_bytes()
+
+    def test_duplicate_array_name_rejected(self, tmp_path):
+        path = tmp_path / "ck.bick"
+        table = [{"name": "a", "shape": [2]}, {"name": "a", "shape": [1]}]
+        write_checkpoint_manifest(path, {"arrays": table}, payload=bytes(12))
+        with pytest.raises(FormatError, match="array table"):
+            load_checkpoint(path)
+
     def _arrays(self):
         rng = np.random.default_rng(7)
         return {

@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
+import json
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_image, rewrite_bank_header
+from conftest import level_block, random_image, rewrite_bank_header
 from fovalign.config import TransformConfig, ViewsConfig
 from fovalign.errors import FormatError, ProtocolError
 from fovalign.providers import (
@@ -77,10 +78,9 @@ class TestSyntheticEncoder:
 
 def _tiny_bank(levels=(1, 9), n=6, views=3, dim_f=5, dim_n=4, test_from=4):
     rng = np.random.default_rng(42)
-    features = {
-        level: rng.standard_normal((n, views, dim_f)).astype(np.float32)
-        for level in levels
-    }
+    features = np.stack(
+        [rng.standard_normal((n, views, dim_f)).astype(np.float32) for _ in levels], axis=1
+    )
     labels = np.arange(n, dtype=np.int64)
     splits = ["train" if i < test_from else "test" for i in range(n)]
     return EmbeddingBank(
@@ -93,6 +93,58 @@ def _tiny_bank(levels=(1, 9), n=6, views=3, dim_f=5, dim_n=4, test_from=4):
         neural=rng.standard_normal((n, dim_n)).astype(np.float32),
         labels=labels,
         splits=splits,
+    )
+
+
+def save_embedding_bank_per_sample(path, bank):
+    """The per-sample writer the one-buffer saver replaced, kept as its
+    oracle."""
+    header = {
+        "tag": bank.tag,
+        "sample_count": bank.sample_count,
+        "views": bank.views,
+        "dim_feature": bank.dim_feature,
+        "dim_neural": bank.dim_neural,
+        "kernel_levels": [int(l) for l in bank.kernel_levels],
+        "labels": [int(l) for l in bank.labels],
+        "splits": list(bank.splits),
+    }
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(BANK_MAGIC)
+        fh.write(struct.pack("<I", 1))
+        fh.write(struct.pack("<I", len(blob)))
+        fh.write(blob)
+        for i in range(bank.sample_count):
+            for level in bank.kernel_levels:
+                fh.write(np.ascontiguousarray(level_block(bank, level)[i], dtype="<f4").tobytes())
+            fh.write(np.ascontiguousarray(bank.neural[i], dtype="<f4").tobytes())
+
+
+@st.composite
+def banks(draw):
+    """Small valid banks, features float32 or float64, values spread over
+    float32's exponent range."""
+    n, views, dim_f, dim_n = (draw(st.integers(1, 5)) for _ in range(4))
+    levels = sorted(draw(st.sets(st.sampled_from([1, 3, 5, 9, 15, 75]), min_size=1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def values(shape):
+        return rng.standard_normal(shape) * 10.0 ** rng.integers(-40, 38, shape)
+
+    test_from = draw(st.integers(0, n))
+    return EmbeddingBank(
+        tag=draw(st.text(max_size=5)),
+        views=views,
+        dim_feature=dim_f,
+        dim_neural=dim_n,
+        kernel_levels=levels,
+        features=values((n, len(levels), views, dim_f)).astype(
+            draw(st.sampled_from([np.float32, np.float64]))
+        ),
+        neural=values((n, dim_n)),
+        labels=np.arange(n, dtype=np.int64),
+        splits=["train" if i < test_from else "test" for i in range(n)],
     )
 
 
@@ -124,7 +176,35 @@ class TestEmbeddingBank:
         np.testing.assert_array_equal(loaded.labels, bank.labels)
         np.testing.assert_array_equal(loaded.neural, bank.neural)
         for level in bank.kernel_levels:
-            np.testing.assert_array_equal(loaded.features[level], bank.features[level])
+            np.testing.assert_array_equal(
+                level_block(loaded, level), level_block(bank, level)
+            )
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(bank=banks())
+    def test_bytes_equal_the_per_sample_writer(self, tmp_path, bank):
+        save_embedding_bank(tmp_path / "new.bicp", bank)
+        save_embedding_bank_per_sample(tmp_path / "old.bicp", bank)
+        assert (tmp_path / "new.bicp").read_bytes() == (tmp_path / "old.bicp").read_bytes()
+
+    def test_loaded_features_view_the_payload(self, tmp_path):
+        bank = _tiny_bank(levels=(1, 5, 9))
+        path = tmp_path / "bank.bicp"
+        save_embedding_bank(path, bank)
+        loaded = load_embedding_bank(path)
+        assert loaded.features.shape == (6, 3, 3, 5)
+        assert loaded.features.dtype == np.float32
+        assert not loaded.features.flags.owndata
+
+    def test_level_mapping_stacks_in_level_order(self):
+        bank = _tiny_bank(levels=(1, 5, 9))
+        blocks = {level: level_block(bank, level) for level in (9, 1, 5)}
+        stacked = EmbeddingBank(
+            bank.tag, bank.views, bank.dim_feature, bank.dim_neural, bank.kernel_levels,
+            blocks, bank.neural, bank.labels, bank.splits,
+        )
+        np.testing.assert_array_equal(stacked.features, bank.features)
 
     def test_save_is_deterministic(self, tmp_path):
         a, b = tmp_path / "a.bicp", tmp_path / "b.bicp"
@@ -183,6 +263,18 @@ class TestEmbeddingBank:
         bank = _tiny_bank()
         bank.neural[0, 0] = np.nan
         with pytest.raises(FormatError):
+            bank.validate()
+
+    def test_non_finite_feature_rejected(self):
+        bank = _tiny_bank()
+        bank.features[5, 1, 2, 4] = np.inf
+        with pytest.raises(FormatError, match="features contain non-finite values"):
+            bank.validate()
+
+    def test_features_missing_a_level_rejected(self):
+        bank = _tiny_bank(levels=(1, 5, 9))
+        bank.features = bank.features[:, :2]
+        with pytest.raises(FormatError, match="features have shape"):
             bank.validate()
 
     def test_bad_split_tag_rejected(self):
@@ -432,13 +524,13 @@ class TestBankProvider:
         bank = _tiny_bank()
         provider = BankProvider(bank)
         rows = provider.features([2], [9])
-        np.testing.assert_array_equal(rows[0], bank.features[9][2].astype(np.float64))
+        np.testing.assert_array_equal(rows[0], level_block(bank, 9)[2].astype(np.float64))
 
     def test_nearest_level_selected(self):
         bank = _tiny_bank(levels=(1, 9))
         provider = BankProvider(bank)
         rows = provider.features([0], [3])
-        np.testing.assert_array_equal(rows[0], bank.features[1][0].astype(np.float64))
+        np.testing.assert_array_equal(rows[0], level_block(bank, 1)[0].astype(np.float64))
 
     def test_batch_reads_each_sample_at_its_level(self):
         bank = _tiny_bank(levels=(3, 9, 17))
@@ -449,7 +541,7 @@ class TestBankProvider:
         assert rows.dtype == np.float64 and rows.shape == (7, 3, 5)
         for row, i, k in zip(rows, ids, kernels):
             level = select_kernel_level_loop(bank.kernel_levels, k)
-            np.testing.assert_array_equal(row, bank.features[level][i])
+            np.testing.assert_array_equal(row, level_block(bank, level)[i])
         assert provider.level_clamps == 2  # kernels 1 and 21
 
     def test_out_of_range_requests_counted(self):
