@@ -284,6 +284,11 @@ class Trainer:
                 math.log(cfg.training.temperature_min),
                 math.log(cfg.training.temperature_max),
             )
+            # AdamW carries a non-finite gradient into its parameter (NaN
+            # directly, inf as inf / inf), so one sum over the post-step
+            # parameters checks both
+            if not math.isfinite(np.concatenate(list(self.params.values()), axis=None).sum()):
+                self._raise_first_non_finite(epoch, b, loss, grads)
             smoothed = self.schedule.update_smoothed(ids, np.diagonal(logits))
             lower, upper = confidence_bounds(smoothed, cfg.regulator.z_value)
             if self._regulation_active(epoch):
@@ -310,6 +315,20 @@ class Trainer:
         for epoch in range(self.config.training.epochs):
             self.train_epoch(epoch)
         return self.reports
+
+    def _raise_first_non_finite(self, epoch: int, batch: int, loss: float, grads: dict) -> None:
+        """NumericError naming the first non-finite gradient group, else the
+        first non-finite parameter group, in sorted order. Returns when every
+        group is finite (the sum overflowed on finite values)."""
+        for kind, groups in (("gradient", grads), ("parameter", self.params)):
+            for name in sorted(groups):
+                if not np.all(np.isfinite(groups[name])):
+                    state = self.diagnostics(epoch, batch, loss)
+                    state["non_finite"] = {"kind": kind, "group": name}
+                    raise NumericError(
+                        f"non-finite {kind} of {name} at epoch {epoch}, batch {batch}",
+                        state=state,
+                    )
 
     def diagnostics(self, epoch: int, batch: int, loss: float) -> dict:
         return {

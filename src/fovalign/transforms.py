@@ -6,6 +6,11 @@ values in [0, 1]. Conventions committed here, relied on by the tests:
 * Gaussian blur pads with edge-repeating reflection (numpy ``symmetric``,
   scipy.ndimage ``reflect``). With a normalized symmetric kernel this
   boundary preserves constants and the total brightness exactly.
+* The blur is applied by matrix products, ``A_H @ X @ A_W^T``. ``A_n`` is
+  the (n, n) operator of one separable pass with the reflect padding
+  folded in, built once per (n, kernel size) by running the separable
+  correlation on the identity and cached read-only. It agrees with the
+  two-pass correlation to about 4e-16 per pixel.
 * The blur width is tied to the kernel size by
   ``sigma = 0.3 * ((k - 1) / 2 - 1) + 0.8``, the convention mainstream
   image libraries use when only a size is given.
@@ -19,6 +24,8 @@ values in [0, 1]. Conventions committed here, relied on by the tests:
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,6 +118,21 @@ def gaussian_kernel(kernel_size: int) -> np.ndarray:
     return taps / taps.sum()
 
 
+@functools.lru_cache(maxsize=256)
+def _blur_operator(n: int, kernel_size: int) -> np.ndarray:
+    """Read-only (n, n) matrix of one blur pass along an axis of length n.
+
+    Row i holds the weights the reflect-padded correlation gives each
+    input pixel at output i, so kernels wider than 2n fold over several
+    reflection periods exactly as the correlation does.
+    """
+    op = ndimage.correlate1d(
+        np.eye(n), gaussian_kernel(kernel_size), axis=0, mode="reflect"
+    )
+    op.flags.writeable = False
+    return op
+
+
 def gaussian_blur(image: np.ndarray, kernel_size: int) -> np.ndarray:
     """Separable Gaussian blur with edge-repeating reflect padding.
 
@@ -120,12 +142,17 @@ def gaussian_blur(image: np.ndarray, kernel_size: int) -> np.ndarray:
     """
     arr = _check_image(image)
     _check_kernel_size(kernel_size)
-    if kernel_size == 1:
-        return arr.copy()
-    taps = gaussian_kernel(kernel_size)
-    out = ndimage.correlate1d(arr, taps, axis=1, mode="reflect")
-    out = ndimage.correlate1d(out, taps, axis=2, mode="reflect")
-    return np.clip(out, 0.0, 1.0)
+    _, height, width = arr.shape
+    rows = _blur_operator(height, kernel_size)
+    cols = _blur_operator(width, kernel_size)
+    return np.clip(np.matmul(np.matmul(rows, arr), cols.T), 0.0, 1.0)
+
+
+@functools.lru_cache(maxsize=64)
+def _cached_mask(height: int, width: int, center: tuple[int, int], gamma: float) -> np.ndarray:
+    mask = foveation_mask(height, width, center, gamma)
+    mask.flags.writeable = False
+    return mask
 
 
 def foveate(image: np.ndarray, params: FoveationParams) -> np.ndarray:
@@ -138,7 +165,9 @@ def foveate(image: np.ndarray, params: FoveationParams) -> np.ndarray:
     arr = _check_image(image)
     _, height, width = arr.shape
     center = params.center if params.center is not None else (height // 2, width // 2)
-    mask = foveation_mask(height, width, center, params.gamma)
+    mask = _cached_mask(
+        height, width, tuple(operator.index(c) for c in center), params.gamma
+    )
     blurred = gaussian_blur(arr, params.kernel_size)
     out = mask[None, :, :] * arr + (1.0 - mask[None, :, :]) * blurred
     return np.clip(out, 0.0, 1.0)

@@ -22,7 +22,7 @@ from fovalign.alignment import (
     symmetric_contrastive_loss,
 )
 from fovalign.datagen import generate_dataset
-from fovalign.errors import ConfigError
+from fovalign.errors import ConfigError, NumericError
 from fovalign.providers import BankProvider, SyntheticProvider
 
 
@@ -388,6 +388,53 @@ class TestTrainer:
         trainer.train()
         tau = math.exp(float(trainer.params["log_tau"]))
         assert cfg.training.temperature_min - 1e-12 <= tau <= cfg.training.temperature_max + 1e-12
+
+
+class TestNumericGuard:
+    def _trainer(self, tiny_run):
+        config, bank, _ = tiny_run
+        cfg = dataclasses.replace(
+            config, provider=dataclasses.replace(config.provider, kind="bank")
+        )
+        return Trainer(cfg, bank, BankProvider(bank))
+
+    def test_non_finite_parameter_named(self, tiny_run, monkeypatch):
+        trainer = self._trainer(tiny_run)
+        step = trainer.optimizer.step
+
+        def corrupting(params, grads):
+            step(params, grads)
+            params["proj_b"] = params["proj_b"].copy()
+            params["proj_b"][1] = np.inf
+
+        monkeypatch.setattr(trainer.optimizer, "step", corrupting)
+        with pytest.raises(NumericError, match="non-finite parameter of proj_b at epoch 0, batch 0") as exc:
+            trainer.train_epoch(0)
+        assert exc.value.state["non_finite"] == {"kind": "parameter", "group": "proj_b"}
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in divide")
+    def test_infinite_gradient_named_before_its_parameter(self, tiny_run, monkeypatch):
+        trainer = self._trainer(tiny_run)
+        backward = alignment.fusion.fusion_backward
+
+        def poisoned(*args, **kwargs):
+            grads = backward(*args, **kwargs)
+            grads["ln_gain"] = np.full_like(grads["ln_gain"], np.inf)
+            return grads
+
+        monkeypatch.setattr(alignment.fusion, "fusion_backward", poisoned)
+        with pytest.raises(NumericError, match="non-finite gradient of ln_gain") as exc:
+            trainer.train_epoch(0)
+        assert exc.value.state["non_finite"] == {"kind": "gradient", "group": "ln_gain"}
+        assert not np.all(np.isfinite(trainer.params["ln_gain"]))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in reduce")
+    def test_finite_groups_whose_sum_overflows_pass(self, tiny_run):
+        trainer = self._trainer(tiny_run)
+        grads = {"a": np.array([1e308, 1e308]), "b": np.array([-1e308])}
+        trainer.params = {k: v.copy() for k, v in grads.items()}
+        assert not math.isfinite(np.concatenate(list(grads.values())).sum())
+        trainer._raise_first_non_finite(0, 0, 1.0, grads)
 
 
 class TestEncodePairs:

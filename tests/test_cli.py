@@ -16,6 +16,7 @@ from conftest import rewrite_bank_header, tiny_config, write_checkpoint_manifest
 import fovalign
 import fovalign.cli
 import fovalign.datagen
+import fovalign.fusion
 from fovalign.alignment import init_parameters
 from fovalign.checkpoint import load_checkpoint
 from fovalign.cli import main
@@ -346,6 +347,31 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "numeric failure: non-finite loss" in err
         assert '"batch": 1' in err  # diagnostic state serialized to stderr
+
+    def test_nan_gradient_exits_3_naming_the_group(self, workspace, tmp_path, monkeypatch, capsys):
+        backward = fovalign.fusion.fusion_backward
+        calls = []
+
+        def poisoned(*args, **kwargs):
+            grads = backward(*args, **kwargs)
+            calls.append(None)
+            if len(calls) == 2:  # epoch 0, batch 1
+                # att_w sorts first; backward emits pur_w2 first and ev_b1 last
+                for name in ("pur_w2", "att_w", "ev_b1"):
+                    grads[name] = grads[name].copy()
+                    grads[name].flat[0] = np.nan
+            return grads
+
+        monkeypatch.setattr(fovalign.fusion, "fusion_backward", poisoned)
+        out = tmp_path / "nan"
+        code = main(["train", "--config", str(workspace["config"]), "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "numeric failure: non-finite gradient of att_w at epoch 0, batch 1" in err
+        dump = json.loads(err.split("\n", 1)[1])
+        assert dump["non_finite"] == {"kind": "gradient", "group": "att_w"}
+        assert (dump["epoch"], dump["batch"]) == (0, 1)
+        assert not (out / "checkpoint.bick").exists()
 
 
 class TestEvaluate:

@@ -8,12 +8,19 @@ than the image.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from conftest import random_image
+from fovalign import transforms
 from fovalign.transforms import (
     FoveationParams,
     add_noise,
@@ -63,6 +70,29 @@ def looped_blur_oracle(image: np.ndarray, kernel_size: int) -> np.ndarray:
                         acc += taps[di + r] * taps[dj + r] * image[c, ii, jj]
                 out[c, i, j] = acc
     return np.clip(out, 0.0, 1.0)
+
+
+def correlation_blur(image: np.ndarray, kernel_size: int) -> np.ndarray:
+    """The two-pass separable correlation the blur operator is built from."""
+    if kernel_size == 1:
+        return image.copy()
+    taps = gaussian_kernel(kernel_size)
+    out = ndimage.correlate1d(image, taps, axis=1, mode="reflect")
+    out = ndimage.correlate1d(out, taps, axis=2, mode="reflect")
+    return np.clip(out, 0.0, 1.0)
+
+
+@st.composite
+def blur_cases(draw):
+    """An image with sides in [1, 80] and an odd kernel up to
+    2 * max(H, W) + 3, so the reflection folds over several periods."""
+    height = draw(st.integers(1, 80))
+    width = draw(st.integers(1, 80))
+    channels = draw(st.integers(1, 3))
+    kernel = 2 * draw(st.integers(0, max(height, width) + 1)) + 1
+    seed = draw(st.integers(0, 2**32 - 1))
+    image = np.random.default_rng(seed).random((channels, height, width))
+    return image, kernel
 
 
 class TestFoveationMask:
@@ -178,6 +208,22 @@ class TestGaussianBlur:
         gaussian_blur(image, 5)
         np.testing.assert_array_equal(image, copy)
 
+    @settings(max_examples=80, deadline=None)
+    @given(blur_cases())
+    def test_operator_matches_the_separable_correlation(self, case):
+        image, kernel = case
+        np.testing.assert_allclose(
+            gaussian_blur(image, kernel), correlation_blur(image, kernel),
+            rtol=0, atol=1e-12,
+        )
+
+    def test_cached_operator_is_read_only(self):
+        op = transforms._blur_operator(9, 5)
+        assert op is transforms._blur_operator(9, 5)
+        assert not op.flags.writeable
+        with pytest.raises(ValueError):
+            op[0, 0] = 1.0
+
 
 class TestFoveate:
     def test_blend_formula(self):
@@ -220,6 +266,72 @@ class TestFoveate:
         corner = np.abs(out[:, 0, 0] - blurred[:, 0, 0]).max()
         center = np.abs(out[:, 5, 5] - blurred[:, 5, 5]).max()
         assert corner < 2e-3 or corner < center  # corner acuity ~ exp(-8)
+
+
+    def test_input_untouched(self):
+        rng = np.random.default_rng(10)
+        image = random_image(rng, height=12, width=10)
+        copy = image.copy()
+        foveate(image, FoveationParams(center=(3, 7), gamma=1.5, kernel_size=9))
+        np.testing.assert_array_equal(image, copy)
+
+    def test_cached_mask_is_read_only(self):
+        mask = transforms._cached_mask(8, 6, (4, 3), 1.0)
+        assert mask is transforms._cached_mask(8, 6, (4, 3), 1.0)
+        assert not mask.flags.writeable
+        with pytest.raises(ValueError):
+            mask[0, 0] = 0.0
+        np.testing.assert_array_equal(mask, foveation_mask(8, 6, (4, 3), 1.0))
+
+    def test_center_forms_share_one_mask(self):
+        # numpy integers and lists name the same center as a tuple of ints
+        rng = np.random.default_rng(11)
+        image = random_image(rng, height=8, width=6)
+        expected = foveate(image, FoveationParams(center=(5, 2), kernel_size=3))
+        for center in ((np.int64(5), np.int32(2)), [5, 2]):
+            out = foveate(image, FoveationParams(center=center, kernel_size=3))
+            np.testing.assert_array_equal(out, expected)
+
+    def test_non_integer_center_rejected(self):
+        image = np.zeros((1, 4, 4))
+        with pytest.raises(TypeError):
+            foveate(image, FoveationParams(center=(1.5, 2), kernel_size=3))
+
+    def test_invalid_center_not_cached(self):
+        image = np.zeros((1, 4, 4))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="outside"):
+                foveate(image, FoveationParams(center=(4, 0), kernel_size=3))
+
+
+_THREAD_PROBE = """
+import hashlib, sys
+import numpy as np
+from fovalign.transforms import FoveationParams, foveate, gaussian_blur
+digest = hashlib.sha256()
+rng = np.random.default_rng(0)
+for height, width in ((64, 64), (80, 48)):
+    image = rng.random((3, height, width))
+    for k in (1, 3, 75, 149, 171):
+        digest.update(gaussian_blur(image, k).tobytes())
+        digest.update(foveate(image, FoveationParams(gamma=1.3, kernel_size=k)).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_blur_bytes_do_not_depend_on_the_blas_thread_count():
+    src = str(Path(transforms.__file__).resolve().parents[1])
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, base.get("PYTHONPATH")]))
+    digests = []
+    for threads in (None, "1"):
+        env = dict(base) if threads is None else {**base, "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run(
+            [sys.executable, "-c", _THREAD_PROBE], env=env,
+            capture_output=True, text=True, check=True,
+        )
+        digests.append(proc.stdout.strip())
+    assert digests[0] == digests[1]
 
 
 class TestAddNoise:
