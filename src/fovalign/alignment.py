@@ -206,6 +206,11 @@ def init_parameters(config: RunConfig, dim_neural: int) -> dict[str, np.ndarray]
     return params
 
 
+def _json_number(x: float) -> float | str:
+    """x itself if finite, else its repr, which strict JSON can carry."""
+    return x if math.isfinite(x) else repr(x)
+
+
 class Trainer:
     """Owns parameters, optimizer state and the blur schedule for one
     training run."""
@@ -335,9 +340,9 @@ class Trainer:
             "epoch": epoch,
             "batch": batch,
             "loss": repr(loss),
-            "temperature": math.exp(float(self.params["log_tau"])),
+            "temperature": _json_number(math.exp(float(self.params["log_tau"]))),
             "param_norms": {
-                k: float(np.linalg.norm(p)) for k, p in sorted(self.params.items())
+                k: _json_number(float(np.linalg.norm(p))) for k, p in sorted(self.params.items())
             },
             "kernel_hist": {str(k): v for k, v in self.schedule.kernel_histogram().items()},
         }

@@ -25,7 +25,9 @@ import numpy as np
 
 from .config import RunConfig
 from .pixmap import read_pixmap, to_bytes_quantized, write_pixmap
-from .providers import EmbeddingBank, SyntheticProvider, load_embedding_bank, save_embedding_bank
+from .providers import (
+    BLOCK, EmbeddingBank, SyntheticProvider, load_embedding_bank, save_embedding_bank,
+)
 
 __all__ = ["BANK_FILE", "IMAGES_DIR", "render_sample", "generate_dataset", "save_dataset",
            "load_dataset"]
@@ -99,7 +101,11 @@ def generate_dataset(config: RunConfig) -> tuple[EmbeddingBank, list[np.ndarray]
         config.transforms, config.views,
         config.provider.dim_feature, config.provider.seed, images,
     )
-    clean = np.stack([provider.encoder.encode(img) for img in images])
+    # encoded BLOCK images per call, never as one stack of every image
+    clean = np.empty((len(images), config.provider.dim_feature))
+    for start in range(0, len(images), BLOCK):
+        block = np.stack(images[start : start + BLOCK])
+        clean[start : start + BLOCK] = provider.encoder.encode(block)
     map_rng = np.random.default_rng(np.random.SeedSequence((d.seed, _MAP_TAG)))
     neural_map = map_rng.standard_normal(
         (config.provider.dim_feature, d.dim_neural)

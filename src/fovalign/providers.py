@@ -17,6 +17,7 @@ block for all samples, one (N, levels, views, dim_feature) array.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,7 @@ from .transforms import FoveationParams, add_noise, foveate, resample
 
 __all__ = [
     "POOL_GRID",
+    "BLOCK",
     "BANK_MAGIC",
     "derive_noise_seed",
     "SyntheticEncoder",
@@ -40,6 +42,7 @@ __all__ = [
 ]
 
 POOL_GRID = 16
+BLOCK = 16  # images per encoder call; larger blocks raise peak RSS
 BANK_MAGIC = b"BICP"
 BANK_VERSION = 1
 
@@ -74,6 +77,36 @@ def _pool_matrix(n_src: int, n_dst: int) -> np.ndarray:
     return mat
 
 
+@functools.lru_cache(maxsize=64)
+def _row_windows(n: int) -> tuple:
+    """Height pooling of n rows as one (rows, weights) step per window
+    offset. Step o holds, for every grid row, the o-th row of its window
+    and that row's averaging weight; a grid row whose window is shorter
+    than o + 1 gets some row at weight 0, which adds an exact zero."""
+    mat = _pool_matrix(n, POOL_GRID)
+    starts = np.argmax(mat > 0, axis=1)
+    lengths = np.count_nonzero(mat, axis=1)
+    steps = []
+    for o in range(int(lengths.max())):
+        rows = np.minimum(starts + o, n - 1)
+        weights = np.where(o < lengths, mat[np.arange(POOL_GRID), rows], 0.0)[:, None]
+        rows.flags.writeable = weights.flags.writeable = False
+        if n % POOL_GRID == 0:  # equal windows: the rows are a strided view
+            rows = slice(o, n, n // POOL_GRID)
+        steps.append((rows, weights))
+    return tuple(steps)
+
+
+@functools.lru_cache(maxsize=64)
+def _column_pool(n: int) -> np.ndarray:
+    """(n, POOL_GRID) width pooling, read-only. It stays the transposed
+    view: a contiguous copy sends matmul down another BLAS path, which
+    moves the last bits of the features."""
+    mat = _pool_matrix(n, POOL_GRID)
+    mat.flags.writeable = False
+    return mat.T
+
+
 class SyntheticEncoder:
     """Deterministic stand-in for a frozen pretrained image encoder.
 
@@ -82,6 +115,12 @@ class SyntheticEncoder:
     The map before normalization is linear, so it is Lipschitz in pixel
     space with constant bounded by the projection operator norm (pooling
     is an averaging, hence non-expansive per pixel).
+
+    project() and encode() take one (C, H, W) image or a (B, C, H, W)
+    stack. Every row of a stack is bit-identical to that image encoded
+    alone: each grid row sums its window's rows from zero in ascending
+    order, the width axis and the projection are one BLAS product per
+    image, and each row is normalized by its own norm.
     """
 
     def __init__(self, dim: int, seed: int):
@@ -90,7 +129,6 @@ class SyntheticEncoder:
         self.dim = int(dim)
         self.seed = int(seed)
         self._projections: dict[int, np.ndarray] = {}
-        self._pool_cache: dict[tuple[int, int], np.ndarray] = {}
 
     def projection_matrix(self, channels: int) -> np.ndarray:
         if channels not in self._projections:
@@ -99,27 +137,33 @@ class SyntheticEncoder:
             self._projections[channels] = rng.standard_normal((rows, self.dim)) / np.sqrt(rows)
         return self._projections[channels]
 
-    def _pool(self, image: np.ndarray) -> np.ndarray:
-        _, height, width = image.shape
-        for n in (height, width):
-            if (n, POOL_GRID) not in self._pool_cache:
-                self._pool_cache[(n, POOL_GRID)] = _pool_matrix(n, POOL_GRID).T
-        ph = self._pool_cache[(height, POOL_GRID)]
-        pw = self._pool_cache[(width, POOL_GRID)]
-        # (C, H, W) -> (C, G, G) via the two averaging matrices
-        return np.einsum("chw,hg->cgw", image, ph) @ pw
+    def _pool(self, images: np.ndarray) -> np.ndarray:
+        """(..., H, W) -> (..., POOL_GRID, POOL_GRID) window averages."""
+        *lead, height, width = images.shape
+        acc = np.zeros((*lead, POOL_GRID, width))
+        for rows, weights in _row_windows(height):
+            acc += images[..., rows, :] * weights
+        return np.matmul(acc, _column_pool(width))
 
-    def project(self, image: np.ndarray) -> np.ndarray:
-        """Pre-normalization feature vector (the linear part of encode)."""
-        arr = np.asarray(image, dtype=np.float64)
-        if arr.ndim != 3:
-            raise ValueError(f"expected a (C, H, W) image, got shape {arr.shape}")
-        pooled = self._pool(arr).reshape(-1)
-        return pooled @ self.projection_matrix(arr.shape[0])
+    def project(self, images: np.ndarray) -> np.ndarray:
+        """Pre-normalization features (the linear part of encode): (dim,)
+        for a (C, H, W) image, (B, dim) for a (B, C, H, W) stack."""
+        arr = np.asarray(images, dtype=np.float64)
+        if arr.ndim not in (3, 4):
+            raise ValueError(
+                f"expected a (C, H, W) image or a (B, C, H, W) stack, got shape {arr.shape}"
+            )
+        channels = arr.shape[-3]
+        pooled = self._pool(arr).reshape(-1, 1, channels * POOL_GRID * POOL_GRID)
+        # one (1, K) @ (K, dim) product per image, as for a single image
+        z = np.matmul(pooled, self.projection_matrix(channels))[:, 0]
+        return z.reshape(arr.shape[:-3] + (self.dim,))
 
-    def encode(self, image: np.ndarray) -> np.ndarray:
-        z = self.project(image)
-        return z / max(float(np.linalg.norm(z)), 1e-12)
+    def encode(self, images: np.ndarray) -> np.ndarray:
+        z = self.project(images)
+        # one vector norm per row: the axis=1 norm rounds differently
+        norms = [max(float(np.linalg.norm(row)), 1e-12) for row in z.reshape(-1, self.dim)]
+        return z / np.reshape(norms, z.shape[:-1] + (1,))
 
 
 @dataclass
@@ -279,6 +323,9 @@ class SyntheticProvider:
     foveated view, the noise seed for the noise view and a constant for
     the others. A repeat request reuses the row and a new key replaces it,
     so the cache holds at most one row per (index, view).
+
+    A batch's misses are rendered one view at a time, into blocks of up
+    to BLOCK images of one shape, and each block is encoded with one call.
     """
 
     def __init__(self, transforms: TransformConfig, views: ViewsConfig, dim: int, seed: int,
@@ -320,19 +367,48 @@ class SyntheticProvider:
         blank = [index for index in ids.tolist() if self.images[index] is None]
         if blank:
             raise ValueError(f"sample index {blank[0]} has no image")
-        noisy = "noise" in self.view_names
+        ids, kernels = ids.tolist(), kernels.tolist()
+        if "noise" in self.view_names:
+            seeds = [derive_noise_seed(noise_base, index, epoch) for index in ids]
+        else:
+            seeds = [0] * len(ids)
         out = np.empty((len(ids), self.views, self.dim_feature))
-        for j, (index, kernel) in enumerate(zip(ids.tolist(), kernels.tolist())):
-            seed = derive_noise_seed(noise_base, index, epoch) if noisy else 0
-            for v, name in enumerate(self.view_names):
+        for v, name in enumerate(self.view_names):
+            misses: dict[tuple[int, int | None], list[int]] = {}  # (index, key) -> positions
+            for j, (index, kernel, seed) in enumerate(zip(ids, kernels, seeds)):
                 key = kernel if name == "foveated" else seed if name == "noise" else None
                 cached = self._rows.get((index, name))
-                if cached is None or cached[0] != key:
-                    image = self.images[index]
-                    cached = (key, self.encoder.encode(self.view_image(name, image, kernel, seed)))
-                    self._rows[(index, name)] = cached
-                out[j, v] = cached[1]
+                if cached is not None and cached[0] == key:
+                    out[j, v] = cached[1]
+                else:
+                    misses.setdefault((index, key), []).append(j)
+            requests = [(index, kernels[js[0]], seeds[js[0]]) for (index, _), js in misses.items()]
+            rows = self._encode_views(name, requests)
+            for ((index, key), js), row in zip(misses.items(), rows):
+                # a copy, so a cached row does not keep its whole block alive
+                self._rows[(index, name)] = (key, row.copy())
+                out[js, v] = row
         return out
+
+    def _encode_views(self, name: str, requests) -> np.ndarray:
+        """Rows of view `name` for (index, kernel, noise_seed) requests.
+        Views of one image shape are rendered into a (BLOCK, C, H, W)
+        buffer and encoded one block per call."""
+        rows = np.empty((len(requests), self.dim_feature))
+        by_shape: dict[tuple[int, ...], list[int]] = {}
+        for n, (index, _, _) in enumerate(requests):
+            by_shape.setdefault(np.shape(self.images[index]), []).append(n)
+        for shape, members in by_shape.items():
+            if len(shape) != 3:
+                raise ValueError(f"expected a (C, H, W) image, got shape {shape}")
+            block = np.empty((min(BLOCK, len(members)), *shape))
+            for start in range(0, len(members), BLOCK):
+                chunk = members[start : start + BLOCK]
+                for b, n in enumerate(chunk):
+                    index, kernel, seed = requests[n]
+                    block[b] = self.view_image(name, self.images[index], kernel, seed)
+                rows[chunk] = self.encoder.encode(block[: len(chunk)])
+        return rows
 
 
 class BankProvider:

@@ -142,6 +142,11 @@ def gaussian_blur(image: np.ndarray, kernel_size: int) -> np.ndarray:
     """
     arr = _check_image(image)
     _check_kernel_size(kernel_size)
+    return _blur(arr, kernel_size)
+
+
+def _blur(arr: np.ndarray, kernel_size: int) -> np.ndarray:
+    """gaussian_blur of an image already checked by _check_image."""
     _, height, width = arr.shape
     rows = _blur_operator(height, kernel_size)
     cols = _blur_operator(width, kernel_size)
@@ -168,7 +173,7 @@ def foveate(image: np.ndarray, params: FoveationParams) -> np.ndarray:
     mask = _cached_mask(
         height, width, tuple(operator.index(c) for c in center), params.gamma
     )
-    blurred = gaussian_blur(arr, params.kernel_size)
+    blurred = _blur(arr, params.kernel_size)
     out = mask[None, :, :] * arr + (1.0 - mask[None, :, :]) * blurred
     return np.clip(out, 0.0, 1.0)
 

@@ -1,5 +1,6 @@
-"""Shared test helpers: finite differences, the row-wise fsum oracle,
-small config factories and writers of malformed checkpoint and bank files."""
+"""Shared test helpers: finite differences, the row-wise fsum oracle, the
+per-image einsum encoder oracle, small config factories and writers of
+malformed checkpoint and bank files."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import struct
 import numpy as np
 
 from fovalign.checkpoint import CHECKPOINT_MAGIC
+from fovalign.providers import POOL_GRID, _pool_matrix
 from fovalign.config import (
     DataConfig,
     EvalConfig,
@@ -52,6 +54,20 @@ def fsum_along(arr, axis: int) -> np.ndarray:
     moved = np.moveaxis(np.asarray(arr, dtype=np.float64), axis, -1)
     rows = moved.reshape(math.prod(moved.shape[:-1]), moved.shape[-1])
     return np.array([math.fsum(row) for row in rows], dtype=np.float64).reshape(moved.shape[:-1])
+
+
+def einsum_encode(encoder, image) -> np.ndarray:
+    """One (C, H, W) image through the encoder as it was before block
+    encoding: an einsum pools the height, a matrix product the width, one
+    vector-matrix product projects and one norm normalizes. The oracle for
+    bit-equality of `SyntheticEncoder.encode`."""
+    arr = np.asarray(image, dtype=np.float64)
+    _, height, width = arr.shape
+    ph = _pool_matrix(height, POOL_GRID).T
+    pw = _pool_matrix(width, POOL_GRID).T
+    pooled = (np.einsum("chw,hg->cgw", arr, ph) @ pw).reshape(-1)
+    z = pooled @ encoder.projection_matrix(arr.shape[0])
+    return z / max(float(np.linalg.norm(z)), 1e-12)
 
 
 def tiny_config(**overrides) -> RunConfig:

@@ -370,6 +370,14 @@ class TestTrain:
         assert "numeric failure: non-finite gradient of att_w at epoch 0, batch 1" in err
         dump = json.loads(err.split("\n", 1)[1])
         assert dump["non_finite"] == {"kind": "gradient", "group": "att_w"}
+
+        def reject(token):
+            raise ValueError(f"bare {token} token in the dump")
+
+        # strict JSON: non-finite numbers are written as their repr strings
+        strict = json.loads(err.split("\n", 1)[1], parse_constant=reject)
+        assert strict["param_norms"]["att_w"] == "nan"
+        assert isinstance(strict["temperature"], float)
         assert (dump["epoch"], dump["batch"]) == (0, 1)
         assert not (out / "checkpoint.bick").exists()
 

@@ -5,10 +5,16 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import level_block, tiny_config
+from conftest import einsum_encode, level_block, tiny_config
 import fovalign.providers
-from fovalign.datagen import generate_dataset, load_dataset, render_sample, save_dataset
-from fovalign.providers import SyntheticProvider, derive_noise_seed, save_embedding_bank
+from fovalign.datagen import _MAP_TAG, generate_dataset, load_dataset, render_sample, save_dataset
+from fovalign.providers import (
+    BLOCK,
+    SyntheticEncoder,
+    SyntheticProvider,
+    derive_noise_seed,
+    save_embedding_bank,
+)
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +133,30 @@ class TestGenerate:
         mapping, residual, rank, _ = np.linalg.lstsq(clean, bank.neural, rcond=None)
         fitted = clean @ mapping
         np.testing.assert_allclose(fitted, bank.neural, atol=1e-9)
+
+    def test_clean_embeddings_are_encoded_in_blocks(self, monkeypatch):
+        # with the pairing noise off, neural = clean @ map exactly; the clean
+        # rows, encoded BLOCK images per call, equal the per-image oracle
+        cfg = tiny_config()
+        cfg = dataclasses.replace(cfg, data=dataclasses.replace(cfg.data, neural_noise=0.0))
+        shapes = []
+        encode = SyntheticEncoder.encode
+        monkeypatch.setattr(
+            SyntheticEncoder, "encode", lambda self, x: shapes.append(np.shape(x)) or encode(self, x)
+        )
+        bank, images = generate_dataset(cfg)
+        clean_blocks = shapes[: -(-len(images) // BLOCK)]
+        assert [s[0] for s in clean_blocks] == [
+            min(BLOCK, len(images) - start) for start in range(0, len(images), BLOCK)
+        ]
+        assert max(s[0] for s in shapes) <= BLOCK
+        encoder = SyntheticEncoder(cfg.provider.dim_feature, cfg.provider.seed)
+        clean = np.stack([einsum_encode(encoder, img) for img in images])
+        map_rng = np.random.default_rng(np.random.SeedSequence((cfg.data.seed, _MAP_TAG)))
+        neural_map = map_rng.standard_normal(
+            (cfg.provider.dim_feature, cfg.data.dim_neural)
+        ) / np.sqrt(cfg.provider.dim_feature)
+        np.testing.assert_array_equal(bank.neural, clean @ neural_map)
 
     def test_pairing_noise_perturbs_neural(self, generated):
         cfg = tiny_config()

@@ -10,11 +10,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import level_block, random_image, rewrite_bank_header
+from conftest import einsum_encode, level_block, random_image, rewrite_bank_header
 from fovalign.config import TransformConfig, ViewsConfig
 from fovalign.errors import FormatError, ProtocolError
 from fovalign.providers import (
     BANK_MAGIC,
+    BLOCK,
     BankProvider,
     EmbeddingBank,
     SyntheticEncoder,
@@ -72,8 +73,41 @@ class TestSyntheticEncoder:
         enc = SyntheticEncoder(8, seed=0)
         with pytest.raises(ValueError):
             enc.encode(np.zeros((4, 4)))
+        with pytest.raises(ValueError, match=r"\(B, C, H, W\) stack"):
+            enc.encode(np.zeros((1, 2, 3, 4, 4)))
         with pytest.raises(ValueError):
             SyntheticEncoder(1, seed=0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        batch=st.integers(1, 40),
+        channels=st.integers(1, 3),
+        height=st.sampled_from([2, 5, 16, 17, 37, 40, 64, 100]),
+        width=st.sampled_from([2, 5, 16, 17, 37, 40, 64, 100]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stack_rows_equal_the_einsum_oracle(self, batch, channels, height, width, seed):
+        # signed pixels: out-of-window rows then add -0.0 as well as +0.0
+        images = np.random.default_rng(seed).uniform(-1.0, 1.0, (batch, channels, height, width))
+        enc = SyntheticEncoder(16, seed=5)
+        rows = enc.encode(images)
+        assert rows.shape == (batch, 16)
+        for image, row in zip(images, rows):
+            np.testing.assert_array_equal(row, einsum_encode(enc, image))
+        np.testing.assert_array_equal(enc.encode(images[0]), rows[0])
+        np.testing.assert_array_equal(enc.project(images)[-1], enc.project(images[-1]))
+
+    def test_one_pixel_wide_images_round_like_a_dot_product(self):
+        # at width 1 the einsum oracle reduces the height with a BLAS dot
+        # product, whose order differs from the windowed sum; the pipeline
+        # never encodes such images (image_size >= 2, views keep the shape)
+        enc = SyntheticEncoder(16, seed=5)
+        images = np.random.default_rng(4).random((3, 3, 64, 1))
+        for image, row in zip(images, enc.encode(images)):
+            np.testing.assert_allclose(row, einsum_encode(enc, image), rtol=0, atol=1e-15)
+
+    def test_empty_stack(self):
+        assert SyntheticEncoder(8, seed=0).encode(np.zeros((0, 3, 16, 16))).shape == (0, 8)
 
 
 def _tiny_bank(levels=(1, 9), n=6, views=3, dim_f=5, dim_n=4, test_from=4):
@@ -443,6 +477,31 @@ class TestSyntheticProvider:
             np.stack([[provider._rows[(i, n)][1] for n in provider.view_names] for i in (0, 1)]),
             last,
         )
+
+    def test_misses_beyond_one_block_equal_per_sample_rows(self, monkeypatch):
+        # 40 samples, 13 warmed: hits, replaced foveated rows and more than
+        # BLOCK misses per view, over two image shapes that never share a block
+        rng = np.random.default_rng(13)
+        images = [random_image(rng, height=20, width=20 if i % 8 else 24) for i in range(40)]
+        provider = self._provider(images, identity=True)
+        warm = list(range(0, 40, 3))
+        provider.features(warm, [5] * len(warm), 2, 0)
+        blocks = []
+        encode = provider.encoder.encode
+        monkeypatch.setattr(provider.encoder, "encode", lambda x: blocks.append(x.shape) or encode(x))
+        ids = list(range(40))
+        kernels = [5 if i % 2 else 7 for i in ids]
+        rows = provider.features(ids, kernels, 2, 0)
+        for j, (i, k) in enumerate(zip(ids, kernels)):
+            seed = derive_noise_seed(2, i, 0)
+            want = [encode(provider.view_image(n, images[i], k, seed)) for n in provider.view_names]
+            np.testing.assert_array_equal(rows[j], np.stack(want))
+        hits = {"foveated": sum(k == 5 for i, k in zip(ids, kernels) if i in warm)}
+        for name in ("identity", "noise", "lowres", "mosaic"):
+            hits[name] = len(warm)
+        assert sum(shape[0] for shape in blocks) == sum(40 - h for h in hits.values())
+        assert max(shape[0] for shape in blocks) == BLOCK
+        assert {shape[1:] for shape in blocks} == {(3, 20, 20), (3, 20, 24)}
 
     def test_batch_stacks_samples(self):
         rng = np.random.default_rng(10)

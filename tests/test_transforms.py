@@ -235,6 +235,24 @@ class TestFoveate:
         expected = mask[None] * image + (1 - mask[None]) * blurred
         np.testing.assert_allclose(foveate(image, params), expected, atol=1e-12)
 
+    def test_validates_its_image_once(self, monkeypatch):
+        checked = []
+        check = transforms._check_image
+        monkeypatch.setattr(transforms, "_check_image", lambda a: checked.append(1) or check(a))
+        image = random_image(np.random.default_rng(4), height=9, width=9)
+        params = FoveationParams(gamma=2.0, kernel_size=5)
+        blurred = gaussian_blur(image, 5)
+        assert len(checked) == 1
+        expected = foveation_mask(9, 9, (4, 4), 2.0)[None]
+        expected = expected * image + (1 - expected) * blurred
+        np.testing.assert_array_equal(foveate(image, params), np.clip(expected, 0.0, 1.0))
+        assert len(checked) == 2
+        for call in (lambda a: foveate(a, params), lambda a: gaussian_blur(a, 5)):
+            with pytest.raises(ValueError, match="non-finite"):
+                call(np.full((3, 9, 9), np.nan))
+            with pytest.raises(ValueError, match=r"expected a \(C, H, W\) image"):
+                call(np.zeros((9, 9)))
+
     def test_default_center_is_midpoint(self):
         rng = np.random.default_rng(6)
         image = random_image(rng, height=8, width=6)

@@ -13,7 +13,16 @@ quartiles and the value of each seed; for the traced records (`--trace 1`)
 it copies the per-layer metrics of each seed. The smoke figures are those
 of acceptance criterion 7 (`tests/test_acceptance.py`), which the records
 do not hold. The file is written to `BENCH_<label>.json` at the repository
-root.
+root, or to `--out`.
+
+With `--parent-records DIR`, the records of the parent commit, run with the
+same harness and settings, are read too. Each workload's end-to-end metric
+then also holds the parent's quartiles, the same-seed pairs the change won
+and lost (ties count for neither), the gain of the median in the metric's
+better direction (from BENCHMARK.json), the parent's interquartile range,
+and `gain_shown`: at least nine tenths of the pairs won and a median gain
+larger than that range. The parent's traced per-layer metrics go beside the
+change's.
 """
 
 from __future__ import annotations
@@ -72,6 +81,40 @@ def end_to_end(records: list[dict]) -> dict:
     return out
 
 
+def better_directions() -> dict[str, str]:
+    spec = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
+    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+
+
+def against_parent(change: dict, parent: dict, better: dict[str, str]) -> None:
+    """Add the parent's figures and the same-seed comparison to each metric
+    of `change`, an `end_to_end` result, where the parent ran the workload."""
+    for workload, side in change.items():
+        if workload not in parent:
+            continue
+        base = parent[workload]
+        for name, metric in side["metrics"].items():
+            if name not in base["metrics"]:
+                continue
+            old = base["metrics"][name]
+            sign = 1.0 if better.get(name, "lower") == "lower" else -1.0
+            olds = dict(zip(base["seeds"], old["by_seed"]))
+            diffs = [sign * (olds[seed] - new)  # > 0: the change is better
+                     for seed, new in zip(side["seeds"], metric["by_seed"]) if seed in olds]
+            gain = sign * (old["median"] - metric["median"])
+            iqr = old["q3"] - old["q1"]
+            wins = sum(d > 0 for d in diffs)
+            metric.update({
+                "parent": old,
+                "pairs": len(diffs),
+                "wins": wins,
+                "losses": sum(d < 0 for d in diffs),
+                "median_gain": gain,
+                "parent_iqr": iqr,
+                "gain_shown": bool(diffs) and wins >= 0.9 * len(diffs) and gain > iqr,
+            })
+
+
 def per_layer(records: list[dict]) -> dict:
     out = {}
     for r in sorted((r for r in records if r["trace"] == 1), key=lambda r: (r["workload"], r["seed"])):
@@ -92,6 +135,10 @@ def main(argv=None) -> int:
     parser.add_argument("--tier1-wall-s", type=float, required=True)
     parser.add_argument("--tier1-result", required=True)
     parser.add_argument("--note", action="append", default=[], help="free text, repeatable")
+    parser.add_argument("--parent-records", type=Path, default=None,
+                        help="the parent commit's records, to compare against")
+    parser.add_argument("--out", type=Path, default=None,
+                        help="output file (default BENCH_<label>.json at the repository root)")
     args = parser.parse_args(argv)
 
     records = load_records(args.records)
@@ -107,7 +154,13 @@ def main(argv=None) -> int:
         "tier1": {"wall_s": args.tier1_wall_s, "result": args.tier1_result},
         "notes": args.note,
     }
-    out = REPO / f"BENCH_{args.label}.json"
+    if args.parent_records is not None:
+        parent = load_records(args.parent_records)
+        if environment(parent) != bench["environment"]:
+            raise SystemExit("parent and change records disagree on the environment")
+        against_parent(bench["end_to_end"], end_to_end(parent), better_directions())
+        bench["per_layer_parent"] = per_layer(parent)
+    out = args.out or REPO / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(out)
     return 0
