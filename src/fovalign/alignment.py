@@ -155,7 +155,17 @@ def loss_and_gradients(f_n: np.ndarray, f_latent: np.ndarray, log_tau: float):
 
 class AdamW:
     """Adam with decoupled weight decay. Decay touches only weight
-    matrices (ndim >= 2); vectors, gains and the temperature are exempt."""
+    matrices (ndim >= 2); vectors, gains and the temperature are exempt.
+
+    Parameters, gradients and both moments are each one contiguous float64
+    buffer, the weight matrices first and every group in sorted-name order
+    within its kind, so a step is a few in-place whole-buffer operations and
+    the decay one slice. Each is the per-group arithmetic of the textbook
+    update, element for element, so the results are the same bits. The
+    constructor rebinds every entry of `params` to a view of the parameter
+    buffer; write into those views in place. An entry rebound to another
+    array is copied back into the buffer at the start of the next step.
+    """
 
     def __init__(self, params: dict, lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8, weight_decay: float = 0.0):
@@ -165,21 +175,58 @@ class AdamW:
         self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
-        self.m = {k: np.zeros_like(p) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p) for k, p in params.items()}
+        names = sorted(params, key=lambda k: (np.ndim(params[k]) < 2, k))
+        shapes = {k: np.shape(params[k]) for k in names}
+        sizes = [math.prod(shapes[k]) for k in names]
+        self._n_decayed = sum(n for k, n in zip(names, sizes) if len(shapes[k]) >= 2)
+        total = sum(sizes)
+        self.params_flat = np.empty(total)
+        self.m = np.zeros(total)
+        self.v = np.zeros(total)
+        self._grads = np.empty(total)  # the gradients in, then the update
+        self._scratch = np.empty(total)
+        self._param_views: dict[str, np.ndarray] = {}
+        start = 0
+        for name, size in zip(names, sizes):
+            self._param_views[name] = self.params_flat[start : start + size].reshape(shapes[name])
+            start += size
+        self._adopt(params)
+
+    def _adopt(self, params: dict) -> None:
+        """Copy every entry of `params` that is not its buffer view into the
+        buffer, then rebind the entry to the view."""
+        for name, view in self._param_views.items():
+            if params[name] is not view:
+                view[...] = params[name]
+                params[name] = view
 
     def step(self, params: dict, grads: dict) -> None:
+        self._adopt(params)
+        np.concatenate([np.ravel(grads[name]) for name in self._param_views], out=self._grads)
         self.t += 1
         bias1 = 1.0 - self.beta1**self.t
         bias2 = 1.0 - self.beta2**self.t
-        for name in sorted(params):
-            g = grads[name]
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * (g * g)
-            update = (self.m[name] / bias1) / (np.sqrt(self.v[name] / bias2) + self.eps)
-            if self.weight_decay and params[name].ndim >= 2:
-                update = update + self.weight_decay * params[name]
-            params[name] = params[name] - self.lr * update
+        p, g, m, v, scratch = self.params_flat, self._grads, self.m, self.v, self._scratch
+        # m = beta1 * m + (1 - beta1) * g
+        m *= self.beta1
+        m += np.multiply(g, 1.0 - self.beta1, out=scratch)
+        # v = beta2 * v + (1 - beta2) * (g * g)
+        v *= self.beta2
+        np.multiply(g, g, out=scratch)
+        scratch *= 1.0 - self.beta2
+        v += scratch
+        # update = (m / bias1) / (sqrt(v / bias2) + eps)
+        np.divide(v, bias2, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += self.eps
+        update = np.divide(m, bias1, out=g)  # g is not read again
+        update /= scratch
+        if self.weight_decay:
+            k = self._n_decayed
+            update[:k] += np.multiply(p[:k], self.weight_decay, out=scratch[:k])
+        # p = p - lr * update
+        update *= self.lr
+        p -= update
 
 
 @dataclass(frozen=True)
@@ -284,15 +331,17 @@ class Trainer:
             )
             grads["log_tau"] = np.array(d_log_tau)
             self.optimizer.step(self.params, grads)
-            self.params["log_tau"] = np.clip(
+            # in place: the entry is a view of the optimizer's buffer
+            np.clip(
                 self.params["log_tau"],
                 math.log(cfg.training.temperature_min),
                 math.log(cfg.training.temperature_max),
+                out=self.params["log_tau"],
             )
             # AdamW carries a non-finite gradient into its parameter (NaN
             # directly, inf as inf / inf), so one sum over the post-step
-            # parameters checks both
-            if not math.isfinite(np.concatenate(list(self.params.values()), axis=None).sum()):
+            # parameter buffer checks both
+            if not math.isfinite(self.optimizer.params_flat.sum()):
                 self._raise_first_non_finite(epoch, b, loss, grads)
             smoothed = self.schedule.update_smoothed(ids, np.diagonal(logits))
             lower, upper = confidence_bounds(smoothed, cfg.regulator.z_value)

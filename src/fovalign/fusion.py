@@ -102,9 +102,12 @@ def evidential_pool(features: np.ndarray, weights: np.ndarray, eps: float = 1e-8
     """
     features = np.asarray(features, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
-    num = nn.exact_sum(weights[..., None] * features, axis=-2)
-    den = nn.exact_sum(weights, axis=-1) + eps
-    return num / den[..., None], den
+    # one exact sum over [w x | w]: each column is reduced on its own, so
+    # the numerator and the weight total are those of two separate sums
+    w = weights[..., None]
+    sums = nn.exact_sum(np.concatenate([w * features, w], axis=-1), axis=-2)
+    den = sums[..., -1] + eps
+    return sums[..., :-1] / den[..., None], den
 
 
 def fusion_forward(
@@ -128,13 +131,13 @@ def fusion_forward(
 
     if settings.evidence:
         h1 = nn.affine_forward(x, params["ev_w1"], params["ev_b1"])
-        a1 = nn.gelu(h1)
+        a1, h1_erf = nn._gelu(h1)
         raw = nn.affine_forward(a1, params["ev_w2"], params["ev_b2"])[..., 0]
         sp = nn.softplus(raw)
         evidence = sp if settings.softplus_only else np.exp(sp)
         state = belief_weights(evidence)
         weights = state.belief
-        cache.update(h1=h1, a1=a1, raw=raw, state=state)
+        cache.update(h1=h1, h1_erf=h1_erf, a1=a1, raw=raw, state=state)
     else:
         weights = np.ones(x.shape[:2])
     cache["weights"] = weights
@@ -154,7 +157,7 @@ def fusion_forward(
 
     f_fus = f_ev + f_att
     p1 = nn.affine_forward(f_fus, params["pur_w1"], params["pur_b1"])
-    g1 = nn.gelu(p1)
+    g1, p1_erf = nn._gelu(p1)
     p2 = nn.affine_forward(g1, params["pur_w2"], params["pur_b2"])
     if train_mode and settings.dropout > 0.0:
         if dropout_rng is None:
@@ -168,7 +171,7 @@ def fusion_forward(
     latent, ln_cache = nn.layernorm_forward(
         residual, params["ln_gain"], params["ln_bias"], settings.layernorm_eps
     )
-    cache.update(f_fus=f_fus, p1=p1, g1=g1, mask=mask, ln_cache=ln_cache)
+    cache.update(f_fus=f_fus, p1=p1, p1_erf=p1_erf, g1=g1, mask=mask, ln_cache=ln_cache)
     return latent, cache
 
 
@@ -187,7 +190,7 @@ def fusion_backward(
     g_g1, grads["pur_w2"], grads["pur_b2"] = nn.affine_backward(
         g_p2, cache["g1"], params["pur_w2"]
     )
-    g_p1 = g_g1 * nn.gelu_grad(cache["p1"])
+    g_p1 = g_g1 * nn.gelu_grad(cache["p1"], cache["p1_erf"])
     g_into_fus, grads["pur_w1"], grads["pur_b1"] = nn.affine_backward(
         g_p1, cache["f_fus"], params["pur_w1"]
     )
@@ -228,6 +231,6 @@ def fusion_backward(
         g_a1, grads["ev_w2"], grads["ev_b2"] = nn.affine_backward(
             g_raw[..., None], cache["a1"], params["ev_w2"]
         )
-        g_h1 = g_a1 * nn.gelu_grad(cache["h1"])
+        g_h1 = g_a1 * nn.gelu_grad(cache["h1"], cache["h1_erf"])
         _, grads["ev_w1"], grads["ev_b1"] = nn.affine_backward(g_h1, x, params["ev_w1"])
     return grads

@@ -112,13 +112,23 @@ def affine_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray):
     return gx, gw, gb
 
 
+def _gelu(x: np.ndarray):
+    """Return (gelu(x), erf(x / sqrt(2))); `gelu_grad` can reuse the second."""
+    erf_term = erf(x * _INV_SQRT2)
+    return 0.5 * x * (1.0 + erf_term), erf_term
+
+
 def gelu(x: np.ndarray) -> np.ndarray:
     """Exact (erf-based) GELU."""
-    return 0.5 * x * (1.0 + erf(x * _INV_SQRT2))
+    return _gelu(x)[0]
 
 
-def gelu_grad(x: np.ndarray) -> np.ndarray:
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+def gelu_grad(x: np.ndarray, erf_term: np.ndarray | None = None) -> np.ndarray:
+    """d gelu / dx. `erf_term` is erf(x / sqrt(2)) as `_gelu` returns it;
+    passing it skips computing it again and gives the same bits."""
+    if erf_term is None:
+        erf_term = erf(x * _INV_SQRT2)
+    cdf = 0.5 * (1.0 + erf_term)
     pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
     return cdf + x * pdf
 

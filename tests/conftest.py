@@ -1,6 +1,6 @@
 """Shared test helpers: finite differences, the row-wise fsum oracle, the
-per-image einsum encoder oracle, small config factories and writers of
-malformed checkpoint and bank files."""
+per-image einsum encoder oracle, the per-group AdamW oracle, small config
+factories and writers of malformed checkpoint and bank files."""
 
 from __future__ import annotations
 
@@ -68,6 +68,36 @@ def einsum_encode(encoder, image) -> np.ndarray:
     pooled = (np.einsum("chw,hg->cgw", arr, ph) @ pw).reshape(-1)
     z = pooled @ encoder.projection_matrix(arr.shape[0])
     return z / max(float(np.linalg.norm(z)), 1e-12)
+
+
+class DictAdamW:
+    """AdamW group by group: one moment array per group, each group updated
+    out of place in sorted-name order. The oracle for bit-equality of the
+    one-buffer `fovalign.alignment.AdamW`."""
+
+    def __init__(self, params: dict, lr: float, beta1: float = 0.9,
+                 beta2: float = 0.999, eps: float = 1e-8, weight_decay: float = 0.0):
+        self.lr = lr
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.weight_decay = weight_decay
+        self.t = 0
+        self.m = {k: np.zeros_like(p) for k, p in params.items()}
+        self.v = {k: np.zeros_like(p) for k, p in params.items()}
+
+    def step(self, params: dict, grads: dict) -> None:
+        self.t += 1
+        bias1 = 1.0 - self.beta1**self.t
+        bias2 = 1.0 - self.beta2**self.t
+        for name in sorted(params):
+            g = grads[name]
+            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
+            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * (g * g)
+            update = (self.m[name] / bias1) / (np.sqrt(self.v[name] / bias2) + self.eps)
+            if self.weight_decay and params[name].ndim >= 2:
+                update = update + self.weight_decay * params[name]
+            params[name] = params[name] - self.lr * update
 
 
 def tiny_config(**overrides) -> RunConfig:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import central_difference, fsum_along, relative_error, tiny_config
+from conftest import DictAdamW, central_difference, fsum_along, relative_error, tiny_config
 from fovalign import alignment
 from fovalign.alignment import (
     AdamW,
@@ -255,6 +255,68 @@ class TestAdamW:
         assert abs(params["w"][0, 0]) < 0.5
 
 
+_GROUP_SHAPES = st.sampled_from([(), (1,), (5,), (1, 1), (3, 4), (7, 2)])
+
+
+class TestFlatAdamW:
+    """The one-buffer AdamW against the per-group oracle, bit for bit."""
+
+    @staticmethod
+    def bits(arrays: dict) -> dict:
+        return {k: np.asarray(v, dtype=np.float64).view(np.int64).tolist()
+                for k, v in arrays.items()}
+
+    @given(
+        shapes=st.lists(_GROUP_SHAPES, min_size=1, max_size=6),
+        weight_decay=st.sampled_from([0.0, 0.01, 0.5]),
+        lr=st.sampled_from([0.0, 1e-4, 3e-3, 0.1]),
+        steps=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_per_group_oracle(self, shapes, weight_decay, lr, steps, seed):
+        rng = np.random.default_rng(seed)
+        # names out of sorted order, so the buffer's layout differs from the dict's
+        names = [f"g{len(shapes) - i}" for i in range(len(shapes))]
+
+        def draw(shape):
+            return rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 4)
+
+        params = {n: draw(s) for n, s in zip(names, shapes)}
+        oracle_params = {n: p.copy() for n, p in params.items()}
+        flat = AdamW(params, lr=lr, beta1=0.8, beta2=0.99, eps=1e-8, weight_decay=weight_decay)
+        oracle = DictAdamW(oracle_params, lr=lr, beta1=0.8, beta2=0.99, eps=1e-8,
+                           weight_decay=weight_decay)
+        caller = dict(params)  # the entries the constructor rebound
+        for _ in range(steps):
+            grads = {n: draw(s) for n, s in zip(names, shapes)}
+            grads[names[0]] = np.zeros(shapes[0])  # a group at rest
+            flat.step(params, grads)
+            oracle.step(oracle_params, grads)
+            assert self.bits(params) == self.bits(oracle_params)
+            assert self.bits(caller) == self.bits(oracle_params)
+            assert all(caller[n] is params[n] for n in names)
+
+    def test_a_rebound_entry_is_taken_back_into_the_buffer(self):
+        params = {"w": np.ones((2, 2)), "b": np.zeros(3)}
+        oracle_params = {k: v.copy() for k, v in params.items()}
+        flat = AdamW(params, lr=0.1, weight_decay=0.1)
+        oracle = DictAdamW(oracle_params, lr=0.1, weight_decay=0.1)
+        params["b"] = np.full(3, 2.0)
+        oracle_params["b"] = np.full(3, 2.0)
+        grads = {"w": np.full((2, 2), 0.5), "b": np.array([1.0, -1.0, 0.0])}
+        flat.step(params, grads)
+        oracle.step(oracle_params, grads)
+        assert self.bits(params) == self.bits(oracle_params)
+        assert np.shares_memory(params["b"], flat.params_flat)
+
+    def test_weight_matrices_lead_the_buffer(self):
+        params = {"a": np.zeros(2), "w": np.ones((2, 3)), "s": np.array(4.0), "v": np.ones((1, 1))}
+        flat = AdamW(params, lr=0.1)
+        np.testing.assert_array_equal(flat.params_flat, [1.0] * 7 + [0.0, 0.0, 4.0])
+        assert params["s"].shape == () and params["w"].shape == (2, 3)
+
+
 @pytest.fixture(scope="module")
 def tiny_run():
     config = tiny_config()
@@ -404,7 +466,7 @@ class TestNumericGuard:
 
         def corrupting(params, grads):
             step(params, grads)
-            params["proj_b"] = params["proj_b"].copy()
+            # in place, as AdamW writes: the entry is a view of its buffer
             params["proj_b"][1] = np.inf
 
         monkeypatch.setattr(trainer.optimizer, "step", corrupting)

@@ -146,6 +146,34 @@ class TestEvidentialPool:
         for b in range(3):
             np.testing.assert_array_equal(pooled[b], pool(x[b], w[b]))
 
+    @staticmethod
+    def two_sums(x, w, eps):
+        """The pool as two separate exact sums, numerator and weight total."""
+        num = nn.exact_sum(w[..., None] * x, axis=-2)
+        den = nn.exact_sum(w, axis=-1) + eps
+        return num / den[..., None], den
+
+    @pytest.mark.parametrize("batch", [(), (3,), (2, 5)])
+    def test_one_sum_equals_two_sums_bit_for_bit(self, batch):
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal(batch + (4, 6)) * 10.0 ** rng.integers(-300, 300, batch + (4, 6))
+        w = rng.uniform(0.0, 1.0, batch + (4,))
+        # signed zeros in the features and the weights, and rows of zero weight
+        x[..., 0, :2] = -0.0
+        x[..., 1, 2] = 0.0
+        w[..., 2] = -0.0
+        if batch:
+            w[(0,) * len(batch)] = 0.0
+        else:
+            w[:] = -0.0
+        for eps in (1e-8, 0.0):
+            with np.errstate(invalid="ignore", divide="ignore"):
+                got = evidential_pool(x, w, eps)
+                want = self.two_sums(x, w, eps)
+            for g, e in zip(got, want):
+                assert g.shape == e.shape
+                assert g.view(np.int64).tolist() == e.view(np.int64).tolist()
+
 
 class TestAttention:
     def test_committed_softmax_example(self):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy.special import expit
+from scipy.special import erf, expit
 
 from conftest import central_difference, fsum_along, relative_error
 from fovalign import nn
@@ -155,6 +155,13 @@ def test_gelu_value_and_gradient():
     np.testing.assert_allclose(y[0], 0.0, atol=2e-4)
     fd = central_difference(lambda v: float(np.sum(nn.gelu(v))), x, step=1e-6)
     assert relative_error(nn.gelu_grad(x), fd) < 1e-5
+
+
+def test_gelu_grad_reuses_the_erf_term_bit_for_bit():
+    x = np.concatenate([np.linspace(-9.0, 9.0, 301), [-0.0, 0.0, 1e-300, -40.0, 40.0]])
+    y, erf_term = nn._gelu(x)
+    assert bits(y) == bits(0.5 * x * (1.0 + erf(x * (1.0 / math.sqrt(2.0)))))
+    assert bits(nn.gelu_grad(x, erf_term)) == bits(nn.gelu_grad(x))
 
 
 def test_softplus_stable_and_correct():

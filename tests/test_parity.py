@@ -1,0 +1,102 @@
+"""tools/parity.py on its tiny recipe: a commit against itself, and a copy
+with one number perturbed."""
+
+from __future__ import annotations
+
+import csv
+import importlib.util
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from fovalign.checkpoint import load_checkpoint, save_checkpoint
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "parity.py"
+SPEC = importlib.util.spec_from_file_location("parity", TOOL)
+parity = importlib.util.module_from_spec(SPEC)
+sys.modules[SPEC.name] = parity  # its dataclass looks the module up by name
+SPEC.loader.exec_module(parity)
+
+
+def _has_head() -> bool:
+    if shutil.which("git") is None:
+        return False
+    done = subprocess.run(["git", "-C", str(parity.REPO), "rev-parse", "--verify", "HEAD"],
+                          capture_output=True)
+    return done.returncode == 0
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory) -> Path:
+    out = tmp_path_factory.mktemp("parity") / "run"
+    parity.run_recipe(parity.REPO, out, "tiny", "1")
+    return out
+
+
+@pytest.mark.skipif(not _has_head(), reason="needs git and a checkout with a HEAD commit")
+def test_head_against_itself_matches_every_file(tmp_path, capsys):
+    code = parity.main(["--parent", "HEAD", "--change", "HEAD", "--recipe", "tiny",
+                        "--threads", "one", "--work", str(tmp_path)])
+    report = capsys.readouterr().out
+    assert code == 0, report
+    first = report.splitlines()[0]
+    assert first.startswith("threads one: ") and "files have the parent's sha256" in first
+    same, total = first.split(": ")[1].split(" files")[0].split(" of ")
+    assert same == total and int(total) > 20
+    # the checkouts and run directories are gone again
+    assert list(tmp_path.iterdir()) == []
+    listed = subprocess.run(["git", "-C", str(parity.REPO), "worktree", "list"],
+                            capture_output=True, text=True, check=True).stdout
+    assert str(tmp_path) not in listed
+
+
+def test_every_artifact_of_the_recipe_is_there(tiny_run):
+    names = {p.relative_to(tiny_run).as_posix() for p in tiny_run.rglob("*") if p.is_file()}
+    for kind in ("synthetic", "bank"):
+        for name in ("checkpoint.bick", "metrics.csv", "eval.csv", "summary.txt",
+                     "manifest.json", "eval_manifest.json"):
+            assert f"{kind}/{name}" in names
+        assert f"report-{kind}/report.csv" in names
+    assert {"data/bank.bicp", "views/foveated.ppm", "views/mosaic.ppm"} <= names
+
+
+def test_a_perturbed_csv_number_is_named_by_file_and_column(tiny_run, tmp_path):
+    copy = tmp_path / "copy"
+    shutil.copytree(tiny_run, copy)
+    path = copy / "bank" / "metrics.csv"
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    column = rows[0].index("t_upper")
+    old = float(rows[2][column])
+    rows[2][column] = repr(old * (1.0 + 1e-9))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+
+    results = parity.compare_dirs(tiny_run, copy)
+    differing = [r for r in results if r.status != "same"]
+    assert [r.path for r in differing] == ["bank/metrics.csv"]
+    assert list(differing[0].changes) == ["t_upper"]
+    assert differing[0].changes["t_upper"] == pytest.approx(1e-9, rel=1e-3)
+    report = parity.format_results("threads one", results)
+    assert "differs      bank/metrics.csv  t_upper 1e-09" in report
+
+
+def test_a_perturbed_checkpoint_array_is_named(tiny_run, tmp_path):
+    copy = tmp_path / "copy"
+    shutil.copytree(tiny_run, copy)
+    path = copy / "synthetic" / "checkpoint.bick"
+    arrays, manifest = load_checkpoint(path)
+    arrays["proj_b"][0] += 0.5
+    save_checkpoint(path, arrays, {k: v for k, v in manifest.items() if k != "arrays"})
+    (copy / "bank" / "summary.txt").unlink()
+
+    results = {r.path: r for r in parity.compare_dirs(tiny_run, copy)}
+    assert results["synthetic/checkpoint.bick"].status == "differs"
+    changes = results["synthetic/checkpoint.bick"].changes
+    assert list(changes) == ["proj_b"] and changes["proj_b"] == pytest.approx(0.5, abs=1e-6)
+    assert results["bank/summary.txt"].status == "parent only"
+    assert all(r.status == "same" for p, r in results.items()
+               if p not in ("synthetic/checkpoint.bick", "bank/summary.txt"))
