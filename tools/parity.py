@@ -278,14 +278,14 @@ def main(argv=None) -> int:
         parser.error(f"--threads takes a comma-separated subset of {sorted(THREADS)}")
 
     args.work.mkdir(parents=True, exist_ok=True)
-    session = Path(tempfile.mkdtemp(prefix="run-", dir=args.work))
+    workdir = Path(tempfile.mkdtemp(prefix="run-", dir=args.work))
     trees: dict[str, Path] = {}
     differ = False
     try:
-        trees["parent"] = add_worktree(args.parent, session)
-        trees["change"] = add_worktree(args.change, session) if args.change else REPO
+        trees["parent"] = add_worktree(args.parent, workdir)
+        trees["change"] = add_worktree(args.change, workdir) if args.change else REPO
         for setting in settings:
-            runs = {side: session / f"{side}-{setting}" for side in trees}
+            runs = {side: workdir / f"{side}-{setting}" for side in trees}
             for side, tree in trees.items():
                 run_recipe(tree, runs[side], args.recipe, THREADS[setting])
             results = compare_dirs(runs["parent"], runs["change"])
@@ -299,9 +299,9 @@ def main(argv=None) -> int:
             if tree != REPO:
                 remove_worktree(tree)
         if differ:
-            print(f"the runs are kept in {session}")
+            print(f"the runs are kept in {workdir}")
         else:
-            shutil.rmtree(session, ignore_errors=True)
+            shutil.rmtree(workdir, ignore_errors=True)
     return 1 if differ else 0
 
 
