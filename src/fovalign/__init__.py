@@ -17,7 +17,6 @@ from .alignment import (
     encode_pairs,
     init_parameters,
     loss_and_gradients,
-    symmetric_contrastive_loss,
 )
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, ablation_ladder, config_from_dict, config_hash, load_config
@@ -87,7 +86,6 @@ __all__ = [
     "save_checkpoint",
     "save_dataset",
     "save_embedding_bank",
-    "symmetric_contrastive_loss",
     "write_pixmap",
     "__version__",
 ]

@@ -34,7 +34,6 @@ from .regulator import BlurSchedule, confidence_bounds
 
 __all__ = [
     "cosine_similarity_matrix",
-    "symmetric_contrastive_loss",
     "loss_and_gradients",
     "AdamW",
     "EpochReport",
@@ -95,42 +94,26 @@ def _row_cross_entropy(z: np.ndarray) -> float:
     return float(np.mean(lse - np.diagonal(z)))
 
 
-def _contrastive(f_n: np.ndarray, f_latent: np.ndarray, tau: float):
-    """Return (loss, logits, cos, na, nb) for `symmetric_contrastive_loss`
-    and `loss_and_gradients`, which reuses the cosines and norms."""
+def loss_and_gradients(f_n: np.ndarray, f_latent: np.ndarray, log_tau: float):
+    """The symmetric InfoNCE loss plus analytic gradients wrt both feature
+    matrices and log(tau), where logits = cos(f_n, f_latent) / tau.
+
+    Requires a square batch of at least two pairs, the i-th row of each
+    matrix the positive partner of the i-th row of the other, and a
+    positive finite tau. Returns (loss, logits, d_f_n, d_f_latent, d_log_tau).
+    """
     f_n = np.asarray(f_n, dtype=np.float64)
     f_latent = np.asarray(f_latent, dtype=np.float64)
     if f_n.shape != f_latent.shape:
         raise ValueError(f"feature shapes differ: {f_n.shape} vs {f_latent.shape}")
     if f_n.shape[0] < 2:
         raise ValueError(f"contrastive batch needs >= 2 pairs, got {f_n.shape[0]}")
+    tau = math.exp(float(log_tau))
     if not np.isfinite(tau) or tau <= 0:
         raise ValueError(f"temperature must be positive, got {tau}")
     cos, na, nb = _cosine(f_n, f_latent, NORM_FLOOR)
     logits = cos / tau
     loss = 0.5 * (_row_cross_entropy(logits) + _row_cross_entropy(logits.T))
-    return loss, logits, cos, na, nb
-
-
-def symmetric_contrastive_loss(f_n: np.ndarray, f_latent: np.ndarray, tau: float):
-    """Return (loss, logits) where logits = cos(f_n, f_latent) / tau.
-
-    Requires a square batch of at least two pairs; the i-th row of each
-    matrix is the positive partner of the i-th row of the other.
-    """
-    loss, logits, _, _, _ = _contrastive(f_n, f_latent, tau)
-    return loss, logits
-
-
-def loss_and_gradients(f_n: np.ndarray, f_latent: np.ndarray, log_tau: float):
-    """Loss plus analytic gradients wrt both feature matrices and log(tau).
-
-    Returns (loss, logits, d_f_n, d_f_latent, d_log_tau).
-    """
-    f_n = np.asarray(f_n, dtype=np.float64)
-    f_latent = np.asarray(f_latent, dtype=np.float64)
-    tau = math.exp(float(log_tau))
-    loss, logits, cos, na, nb = _contrastive(f_n, f_latent, tau)
 
     batch = f_n.shape[0]
     eye = np.eye(batch)

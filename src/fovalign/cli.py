@@ -41,28 +41,6 @@ _METRICS_COLUMNS = (
 _EVAL_COLUMNS = ("subject", "n", "seed", "trials", "top1", "top5", "map", "similarity")
 
 
-def _refuse_existing(paths, force: bool) -> None:
-    if force:
-        return
-    for p in paths:
-        if Path(p).exists():
-            raise ConfigError(f"{p} already exists (pass --force to overwrite)")
-
-
-def _write_manifest(directory: Path, command: str, seed, config: RunConfig,
-                    filename: str = "manifest.json") -> None:
-    manifest = {"command": command, "seed": seed, "config": config.to_dict()}
-    text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
-    (directory / filename).write_text(text, encoding="utf-8")
-
-
-def _with_seed(config: RunConfig, section: str, field: str, seed: int | None) -> RunConfig:
-    if seed is None:
-        return config
-    part = dataclasses.replace(getattr(config, section), **{field: int(seed)})
-    return dataclasses.replace(config, **{section: part})
-
-
 def _load_data(config: RunConfig, splits):
     """(bank, provider) for the configured provider kind; only the synthetic
     provider reads pixmaps, and only those of the samples in `splits`."""
@@ -90,29 +68,23 @@ def _load_data(config: RunConfig, splits):
     )
 
 
-# -- subcommands ---------------------------------------------------------
+def _write_csv(path: Path, header, rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-def cmd_generate(args) -> int:
-    config, manifest_seed = load_config(args.config, "generate")
-    seed = args.seed if args.seed is not None else manifest_seed
-    config = _with_seed(config, "data", "seed", seed)
-    out = Path(args.out) if args.out else Path(config.paths.dataset)
-    _refuse_existing([out / BANK_FILE, out / IMAGES_DIR, out / "manifest.json"], args.force)
+# -- the work of each command: (config, out, seed) -> summary line ---------
+
+
+def _generate(config: RunConfig, out: Path, seed) -> str:
     bank, images = generate_dataset(config)
     save_dataset(out, bank, images)
-    _write_manifest(out, "generate", config.data.seed, config)
-    print(f"generated {bank.sample_count} samples ({len(bank.indices('test'))} test) in {out}")
-    return 0
+    return f"generated {bank.sample_count} samples ({len(bank.indices('test'))} test) in {out}"
 
 
-def cmd_transform(args) -> int:
-    config, manifest_seed = load_config(args.config, "transform")
-    seed = args.seed if args.seed is not None else manifest_seed
-    noise_seed = int(seed) if seed is not None else 0
-    out = Path(args.out) if args.out else Path("views")
-    files = [out / f"{name}.ppm" for name in _TRANSFORM_VIEWS]
-    _refuse_existing(files + [out / "manifest.json"], args.force)
+def _transform(config: RunConfig, out: Path, noise_seed: int) -> str:
     image = read_pixmap(config.paths.input_image)
     t = config.transforms
     t.check_fits(*image.shape[1:], _TRANSFORM_VIEWS, f"input image {config.paths.input_image}")
@@ -123,34 +95,12 @@ def cmd_transform(args) -> int:
         provider.view_image(name, image, t.kernel_size, noise_seed) for name in _TRANSFORM_VIEWS
     ]
     out.mkdir(parents=True, exist_ok=True)
-    for path, view in zip(files, views):
-        write_pixmap(path, view)
-    _write_manifest(out, "transform", noise_seed, config)
-    print(f"wrote {len(views)} views of {config.paths.input_image} to {out}")
-    return 0
+    for name, view in zip(_TRANSFORM_VIEWS, views):
+        write_pixmap(out / f"{name}.ppm", view)
+    return f"wrote {len(views)} views of {config.paths.input_image} to {out}"
 
 
-def _write_metrics_csv(path, reports) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_METRICS_COLUMNS)
-        for r in reports:
-            writer.writerow([
-                r.epoch, r.loss, r.mean_smoothed,
-                r.kernel_min, r.kernel_mean, r.kernel_max, r.t_lower, r.t_upper,
-            ])
-
-
-def cmd_train(args) -> int:
-    config, manifest_seed = load_config(args.config, "train")
-    seed = args.seed if args.seed is not None else manifest_seed
-    config = _with_seed(config, "training", "seed", seed)
-    checkpoint_path = Path(config.paths.checkpoint)
-    out = Path(args.out) if args.out else checkpoint_path.parent
-    if args.out:
-        checkpoint_path = out / checkpoint_path.name
-    _refuse_existing([checkpoint_path, out / "metrics.csv", out / "manifest.json"], args.force)
-
+def _train(config: RunConfig, out: Path, seed) -> str:
     bank, provider = _load_data(config, ("train",))
     trainer = Trainer(config, bank, provider)
     reports = trainer.train()
@@ -169,12 +119,15 @@ def cmd_train(args) -> int:
         "kernel_hist": {str(k): v for k, v in trainer.schedule.kernel_histogram().items()},
         "final_loss": reports[-1].loss if reports else None,
     }
+    checkpoint_path = out / Path(config.paths.checkpoint).name
     save_checkpoint(checkpoint_path, trainer.params, metadata)
-    _write_metrics_csv(out / "metrics.csv", reports)
-    _write_manifest(out, "train", config.training.seed, config)
+    _write_csv(out / "metrics.csv", _METRICS_COLUMNS, [
+        [r.epoch, r.loss, r.mean_smoothed,
+         r.kernel_min, r.kernel_mean, r.kernel_max, r.t_lower, r.t_upper]
+        for r in reports
+    ])
     tail = f"final loss {reports[-1].loss:.6f}" if reports else "no epochs run"
-    print(f"trained {config.training.epochs} epochs ({tail}); checkpoint at {checkpoint_path}")
-    return 0
+    return f"trained {config.training.epochs} epochs ({tail}); checkpoint at {checkpoint_path}"
 
 
 def _check_checkpoint(arrays: dict, config: RunConfig, bank: EmbeddingBank, provider) -> None:
@@ -205,19 +158,8 @@ def _check_checkpoint(arrays: dict, config: RunConfig, bank: EmbeddingBank, prov
             )
 
 
-def cmd_evaluate(args) -> int:
-    config, manifest_seed = load_config(args.config, "evaluate")
-    seed = args.seed if args.seed is not None else manifest_seed
-    config = _with_seed(config, "evaluation", "seed", seed)
-    checkpoint_path = Path(config.paths.checkpoint)
-    out = Path(args.out) if args.out else checkpoint_path.parent
-    # evaluate shares the training run directory, so its manifest gets
-    # its own name instead of clobbering the train manifest
-    _refuse_existing(
-        [out / "eval.csv", out / "summary.txt", out / "eval_manifest.json"], args.force
-    )
-
-    arrays, _ = load_checkpoint(checkpoint_path)
+def _evaluate(config: RunConfig, out: Path, seed) -> str:
+    arrays, _ = load_checkpoint(config.paths.checkpoint)
     bank, provider = _load_data(config, ("test",))
     _check_checkpoint(arrays, config, bank, provider)
 
@@ -239,31 +181,20 @@ def cmd_evaluate(args) -> int:
     ]
 
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "eval.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_EVAL_COLUMNS)
-        for r in reports:
-            writer.writerow([
-                bank.tag, r.gallery_size, r.seed, r.trials,
-                r.top1, r.top5, r.mean_ap, r.similarity,
-            ])
-    lines = [f"subject {bank.tag}: {len(test_ids)} zero-shot test queries"]
-    for r in reports:
-        lines.append(
-            f"n={r.gallery_size}: top1={r.top1:.6f} top5={r.top5:.6f} "
-            f"map={r.mean_ap:.6f} similarity={r.similarity:.6f}"
-        )
+    _write_csv(out / "eval.csv", _EVAL_COLUMNS, [
+        [bank.tag, r.gallery_size, r.seed, r.trials, r.top1, r.top5, r.mean_ap, r.similarity]
+        for r in reports
+    ])
+    lines = [f"subject {bank.tag}: {len(test_ids)} zero-shot test queries"] + [
+        f"n={r.gallery_size}: top1={r.top1:.6f} top5={r.top5:.6f} "
+        f"map={r.mean_ap:.6f} similarity={r.similarity:.6f}"
+        for r in reports
+    ]
     (out / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _write_manifest(out, "evaluate", config.evaluation.seed, config,
-                    filename="eval_manifest.json")
-    print("\n".join(lines))
-    return 0
+    return "\n".join(lines)
 
 
-def cmd_report(args) -> int:
-    config, _ = load_config(args.config, "report")
-    out = Path(args.out) if args.out else Path("report")
-    _refuse_existing([out / "report.csv", out / "manifest.json"], args.force)
+def _report(config: RunConfig, out: Path, seed) -> str:
     rows = []
     for run in config.paths.runs:
         eval_path = Path(run) / "eval.csv"
@@ -279,12 +210,70 @@ def cmd_report(args) -> int:
             for record in reader:
                 rows.append([run] + [record[c] for c in _EVAL_COLUMNS])
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "report.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("run",) + _EVAL_COLUMNS)
-        writer.writerows(rows)
-    _write_manifest(out, "report", None, config)
-    print(f"aggregated {len(rows)} result rows from {len(config.paths.runs)} runs into {out / 'report.csv'}")
+    _write_csv(out / "report.csv", ("run",) + _EVAL_COLUMNS, rows)
+    return f"aggregated {len(rows)} result rows from {len(config.paths.runs)} runs into {out / 'report.csv'}"
+
+
+@dataclasses.dataclass(frozen=True)
+class Command:
+    """One row of the README's "Artifacts per command" table. `out` and
+    `files` may name {dataset}, {run} (the checkpoint's directory) and
+    {checkpoint} (its file name) from the config's paths."""
+
+    work: object  # (config, out, seed) -> the line printed on success
+    help: str
+    # the config section whose seed --seed overrides; an int is the default
+    # of a seed the config does not hold; None: the command has no seed
+    seed: str | int | None
+    out: str  # the output directory when --out is not given
+    files: tuple[str, ...]
+    manifest: str = "manifest.json"
+
+
+COMMANDS = {
+    "generate": Command(_generate, "render the synthetic paired dataset and its embedding bank",
+                        "data", "{dataset}", (BANK_FILE, IMAGES_DIR)),
+    "transform": Command(_transform, "write the four degraded views of the configured input pixmap",
+                         0, "views", tuple(f"{name}.ppm" for name in _TRANSFORM_VIEWS)),
+    "train": Command(_train, "train the alignment model and write checkpoint + metrics",
+                     "training", "{run}", ("{checkpoint}", "metrics.csv")),
+    # evaluate shares the training run directory, so its manifest gets its
+    # own name instead of clobbering the train manifest
+    "evaluate": Command(_evaluate, "zero-shot n-way retrieval evaluation of a checkpoint",
+                        "evaluation", "{run}", ("eval.csv", "summary.txt"), "eval_manifest.json"),
+    "report": Command(_report, "aggregate eval.csv files across run directories",
+                      None, "report", ("report.csv",)),
+}
+
+
+def _run(args) -> int:
+    """The shared set-up of every command, then its work, then its manifest."""
+    command = COMMANDS[args.command]
+    config, manifest_seed = load_config(args.config, args.command)
+    seed = args.seed if args.seed is not None else manifest_seed
+    if seed is not None and seed < 0:
+        source = "--seed" if args.seed is not None else f"{args.config}: seed"
+        raise ConfigError(f"{source} must be >= 0, got {seed}")
+    if isinstance(command.seed, str):
+        if seed is not None:
+            section = dataclasses.replace(getattr(config, command.seed), seed=seed)
+            config = dataclasses.replace(config, **{command.seed: section})
+        seed = getattr(config, command.seed).seed
+    elif seed is None or command.seed is None:
+        seed = command.seed
+    ckpt = Path(config.paths.checkpoint)
+    paths = {"dataset": config.paths.dataset, "run": ckpt.parent, "checkpoint": ckpt.name}
+    out = Path(args.out or command.out.format(**paths))
+    if not args.force:
+        for name in command.files + (command.manifest,):
+            path = out / name.format(**paths)
+            if path.exists():
+                raise ConfigError(f"{path} already exists (pass --force to overwrite)")
+    summary = command.work(config, out, seed)
+    manifest = {"command": args.command, "seed": seed, "config": config.to_dict()}
+    text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
+    (out / command.manifest).write_text(text, encoding="utf-8")
+    print(summary)
     return 0
 
 
@@ -307,27 +296,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Foveated multi-view alignment: generate, transform, train, evaluate, report.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("generate", parents=[shared],
-                   help="render the synthetic paired dataset and its embedding bank").set_defaults(func=cmd_generate)
-    sub.add_parser("transform", parents=[shared],
-                   help="write the four degraded views of the configured input pixmap").set_defaults(func=cmd_transform)
-    sub.add_parser("train", parents=[shared],
-                   help="train the alignment model and write checkpoint + metrics").set_defaults(func=cmd_train)
-    sub.add_parser("evaluate", parents=[shared],
-                   help="zero-shot n-way retrieval evaluation of a checkpoint").set_defaults(func=cmd_evaluate)
-    sub.add_parser("report", parents=[shared],
-                   help="aggregate eval.csv files across run directories").set_defaults(func=cmd_report)
+    for name, command in COMMANDS.items():
+        sub.add_parser(name, parents=[shared], help=command.help)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ConfigError, FormatError, ProtocolError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        return _run(args)
+    except (ConfigError, FormatError, ProtocolError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

@@ -260,6 +260,9 @@ class RunConfig:
             )
         if e.trials < 1:
             raise ConfigError(f"evaluation.trials must be >= 1, got {e.trials}")
+        for name in ("data", "provider", "training", "evaluation"):
+            if getattr(self, name).seed < 0:
+                raise ConfigError(f"{name}.seed must be >= 0, got {getattr(self, name).seed}")
         return self
 
     def to_dict(self) -> dict:

@@ -14,14 +14,7 @@ import numpy as np
 
 from .errors import ConfigError
 
-__all__ = [
-    "ranks_of_truth",
-    "topk_accuracy",
-    "mean_average_precision",
-    "similarity_score",
-    "EvalReport",
-    "nway_evaluate",
-]
+__all__ = ["similarity_score", "EvalReport", "nway_evaluate"]
 
 
 def _check_matrix(similarity: np.ndarray, truth) -> tuple[np.ndarray, np.ndarray]:
@@ -34,34 +27,6 @@ def _check_matrix(similarity: np.ndarray, truth) -> tuple[np.ndarray, np.ndarray
     if np.any(t < 0) or np.any(t >= sim.shape[1]):
         raise ValueError("truth indices outside the gallery")
     return sim, t
-
-
-def ranks_of_truth(similarity: np.ndarray, truth) -> np.ndarray:
-    """1-based rank of each query's true gallery item.
-
-    rank = 1 + |{j : s_j > s_true}| + |{j < true : s_j == s_true}|,
-    i.e. ties are awarded to the lower gallery index.
-    """
-    sim, t = _check_matrix(similarity, truth)
-    true_scores = sim[np.arange(sim.shape[0]), t]
-    higher = (sim > true_scores[:, None]).sum(axis=1)
-    cols = np.arange(sim.shape[1])
-    tied_before = ((sim == true_scores[:, None]) & (cols[None, :] < t[:, None])).sum(axis=1)
-    return 1 + higher + tied_before
-
-
-def topk_accuracy(similarity: np.ndarray, truth, k: int) -> float:
-    """Fraction of queries whose truth ranks within the top k."""
-    sim, _ = _check_matrix(similarity, truth)
-    if not 1 <= k <= sim.shape[1]:
-        raise ValueError(f"k must lie in [1, {sim.shape[1]}], got {k}")
-    return float(np.mean(ranks_of_truth(similarity, truth) <= k))
-
-
-def mean_average_precision(similarity: np.ndarray, truth) -> float:
-    """Mean of 1/rank; with a single relevant item AP reduces to the
-    reciprocal rank."""
-    return float(np.mean(1.0 / ranks_of_truth(similarity, truth)))
 
 
 def similarity_score(similarity: np.ndarray) -> float:
@@ -98,7 +63,8 @@ def _ranks_among_draws(sim: np.ndarray, truth: np.ndarray, draws: np.ndarray) ->
 
     `draws` holds, per row, distinct indices into the gallery without the
     truth column; each is shifted past the truth to give a gallery column.
-    Ties go to the lower gallery index, as in `ranks_of_truth`.
+    Over those columns j, rank = 1 + |{j : s_j > s_true}| +
+    |{j < true : s_j == s_true}|: ties go to the lower gallery index.
     """
     others = draws + (draws >= truth[:, None])
     scores = np.take_along_axis(sim, others, axis=1)

@@ -182,10 +182,6 @@ class EmbeddingBank:
     labels: np.ndarray  # (N,) int64
     splits: list[str]  # "train" / "test" per sample
 
-    def __post_init__(self):
-        if isinstance(self.features, dict):  # {level: (N, views, dim_feature)} blocks
-            self.features = np.stack([self.features[l] for l in self.kernel_levels], axis=1)
-
     @property
     def sample_count(self) -> int:
         return int(self.neural.shape[0])

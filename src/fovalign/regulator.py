@@ -52,18 +52,16 @@ class BlurSchedule:
         self,
         sample_ids,
         kernel_init: int,
-        momentum: float = 0.9,
-        step: int = 6,
-        kernel_min: int = 1,
-        kernel_max: int | None = None,
+        momentum: float,
+        step: int,
+        kernel_min: int,
+        kernel_max: int,
     ):
         ids = [int(i) for i in sample_ids]
         if len(ids) == 0:
             raise ValueError("the schedule needs at least one sample id")
         if len(set(ids)) != len(ids):
             raise ValueError("sample ids must be unique")
-        if kernel_max is None:
-            kernel_max = 2 * kernel_init - 1
         for name, k in (("kernel_init", kernel_init), ("kernel_min", kernel_min),
                         ("kernel_max", kernel_max)):
             if k < 1 or k % 2 == 0:
@@ -113,9 +111,6 @@ class BlurSchedule:
         self._smoothed[slots] = updated
         self._seen[slots] = True
         return updated.copy()
-
-    def smoothed_of(self, sample_ids) -> np.ndarray:
-        return self._smoothed[self._slots(sample_ids)].copy()
 
     def kernels_of(self, sample_ids) -> np.ndarray:
         return self._kernels[self._slots(sample_ids)].copy()

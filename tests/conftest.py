@@ -1,6 +1,7 @@
 """Shared test helpers: finite differences, the row-wise fsum oracle, the
 per-image einsum encoder oracle, the per-group AdamW oracle, small config
-factories and writers of malformed checkpoint and bank files."""
+factories, full-gallery distractor draws and writers of malformed
+checkpoint and bank files."""
 
 from __future__ import annotations
 
@@ -118,6 +119,12 @@ def tiny_config(**overrides) -> RunConfig:
 
 def random_image(rng: np.random.Generator, channels: int = 3, height: int = 8, width: int = 8):
     return rng.random((channels, height, width))
+
+
+def every_other_column(rng: np.random.Generator, queries: int, gallery: int) -> np.ndarray:
+    """Distractor draws for `evaluation._ranks_among_draws` that cover all
+    of the gallery but the truth, each row in its own shuffled order."""
+    return np.stack([rng.permutation(gallery - 1) for _ in range(queries)])
 
 
 def level_block(bank, level: int) -> np.ndarray:

@@ -16,17 +16,13 @@ import time
 import numpy as np
 import scipy.ndimage
 
-from conftest import central_difference, relative_error, tiny_config
+from conftest import central_difference, every_other_column, relative_error, tiny_config
 from fovalign import fusion, nn
-from fovalign.alignment import (
-    init_parameters,
-    loss_and_gradients,
-    symmetric_contrastive_loss,
-)
+from fovalign.alignment import init_parameters, loss_and_gradients
 from fovalign.cli import main
 from fovalign.config import ablation_ladder, config_from_dict, config_hash
 from fovalign.datagen import generate_dataset
-from fovalign.evaluation import ranks_of_truth
+from fovalign.evaluation import _ranks_among_draws
 from fovalign.providers import SyntheticProvider
 from fovalign.regulator import BlurSchedule, confidence_bounds
 from fovalign.transforms import foveation_mask, gaussian_blur, gaussian_kernel
@@ -151,23 +147,24 @@ def test_criterion_4_loss_properties():
     f_n = rng.standard_normal((8, 6))
     f_v = rng.standard_normal((8, 6))
 
-    loss_ab, z_ab = symmetric_contrastive_loss(f_n, f_v, 0.2)
-    loss_ba, z_ba = symmetric_contrastive_loss(f_v, f_n, 0.2)
+    log_tau = math.log(0.2)
+    loss_ab, z_ab = loss_and_gradients(f_n, f_v, log_tau)[:2]
+    loss_ba, z_ba = loss_and_gradients(f_v, f_n, log_tau)[:2]
     swap_exact = loss_ab == loss_ba and np.array_equal(z_ab, z_ba.T)
 
     perm_dev = 0.0
     for _ in range(20):
         perm = rng.permutation(8)
-        permuted, _ = symmetric_contrastive_loss(f_n[perm], f_v[perm], 0.2)
+        permuted = loss_and_gradients(f_n[perm], f_v[perm], log_tau)[0]
         perm_dev = max(perm_dev, abs(permuted - loss_ab))
 
     scale_n = rng.uniform(0.1, 10.0, size=(8, 1))
     scale_v = rng.uniform(0.1, 10.0, size=(8, 1))
-    rescaled, _ = symmetric_contrastive_loss(f_n * scale_n, f_v * scale_v, 0.2)
+    rescaled = loss_and_gradients(f_n * scale_n, f_v * scale_v, log_tau)[0]
     rescale_dev = abs(rescaled - loss_ab)
 
     eye = np.eye(2)
-    closed, _ = symmetric_contrastive_loss(eye, eye, 1.0)
+    closed = loss_and_gradients(eye, eye, 0.0)[0]
     closed_dev = abs(closed - math.log(1.0 + math.exp(-1.0)))
 
     ok = swap_exact and perm_dev <= 1e-9 and rescale_dev <= 1e-6 and closed_dev <= 1e-6
@@ -181,7 +178,9 @@ def test_criterion_4_loss_properties():
 def test_criterion_5_regulator_oracle():
     # closed loop: a stream that always reads confidently aligned walks
     # kernel 75 down to the floor in ceil((75 - 1) / 6) = 13 moves
-    sched = BlurSchedule(sample_ids=[0], kernel_init=75, step=6, kernel_min=1)
+    sched = BlurSchedule(
+        sample_ids=[0], kernel_init=75, momentum=0.9, step=6, kernel_min=1, kernel_max=149
+    )
     sched.update_smoothed([0], [1.0])
     path = [int(sched.update_kernels([0], (0.0, 0.5))[0]) for _ in range(13)]
     loop_ok = path[11] > 1 and path[12] == 1
@@ -190,7 +189,9 @@ def test_criterion_5_regulator_oracle():
     bounds_ok = abs(lower - 0.4400) <= 1e-4 and abs(upper - 0.7600) <= 1e-4
 
     rng = np.random.default_rng(55)
-    herd = BlurSchedule(sample_ids=range(1000), kernel_init=75, step=6, kernel_min=1)
+    herd = BlurSchedule(
+        sample_ids=range(1000), kernel_init=75, momentum=0.9, step=6, kernel_min=1, kernel_max=149
+    )
     ids = np.arange(1000)
     updates = 0
     parity_ok = True
@@ -211,12 +212,15 @@ def test_criterion_5_regulator_oracle():
 
 
 def test_criterion_6_retrieval_metrics():
+    # the production ranker, given every other gallery column in shuffled
+    # order, against a stable descending sort
     rng = np.random.default_rng(66)
+    shuffle = np.random.default_rng(67)
     exact = True
     for _ in range(500):
         sim = rng.standard_normal((10, 10))
         truth = rng.integers(0, 10, size=10)
-        got = ranks_of_truth(sim, truth)
+        got = _ranks_among_draws(sim, truth, every_other_column(shuffle, 10, 10))
         for q in range(10):
             order = sorted(range(10), key=lambda j: (-sim[q, j], j))
             exact = exact and got[q] == 1 + order.index(int(truth[q]))
@@ -249,7 +253,8 @@ def test_criterion_6_retrieval_metrics():
         latent, _ = fusion.fusion_forward(feats, params, c.fusion, train_mode=False)
         f_n = nn.affine_forward(neural, params["enc_w"], params["enc_b"])
         sim = f_n @ latent.T  # ranks are scale-free; cosine would tie out the same
-        hits += int((ranks_of_truth(sim, truth) == 1).sum())
+        ranks = _ranks_among_draws(sim, truth, every_other_column(shuffle, len(ids), len(ids)))
+        hits += int((ranks == 1).sum())
     total = trials * len(ids)
     rate = hits / total
     p = 1.0 / 200.0

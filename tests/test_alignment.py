@@ -19,7 +19,6 @@ from fovalign.alignment import (
     encode_pairs,
     init_parameters,
     loss_and_gradients,
-    symmetric_contrastive_loss,
 )
 from fovalign.datagen import generate_dataset
 from fovalign.errors import ConfigError, NumericError
@@ -125,7 +124,7 @@ class TestSymmetricLoss:
         # each row of Z is (1, 0) up to ordering, so every cross-entropy
         # term is log(1 + e^{-1})
         f = np.array([[1.0, 0.0], [0.0, 1.0]])
-        loss, logits = symmetric_contrastive_loss(f, f, tau=1.0)
+        loss, logits = loss_and_gradients(f, f, 0.0)[:2]  # tau = 1
         np.testing.assert_allclose(loss, math.log(1.0 + math.exp(-1.0)), atol=1e-6)
         np.testing.assert_array_equal(logits, np.eye(2))
 
@@ -135,8 +134,8 @@ class TestSymmetricLoss:
             f_n = rng.standard_normal((5, 7))
             f_v = rng.standard_normal((5, 7))
             tau = float(rng.uniform(0.05, 1.0))
-            loss_ab, z_ab = symmetric_contrastive_loss(f_n, f_v, tau)
-            loss_ba, z_ba = symmetric_contrastive_loss(f_v, f_n, tau)
+            loss_ab, z_ab = loss_and_gradients(f_n, f_v, math.log(tau))[:2]
+            loss_ba, z_ba = loss_and_gradients(f_v, f_n, math.log(tau))[:2]
             assert loss_ab == loss_ba, f"trial {trial}"
             np.testing.assert_array_equal(z_ab, z_ba.T)
 
@@ -144,39 +143,39 @@ class TestSymmetricLoss:
         rng = np.random.default_rng(4)
         f_n = rng.standard_normal((8, 6))
         f_v = rng.standard_normal((8, 6))
-        base, _ = symmetric_contrastive_loss(f_n, f_v, 0.2)
+        base, _ = loss_and_gradients(f_n, f_v, math.log(0.2))[:2]
         for _ in range(10):
             perm = rng.permutation(8)
-            permuted, _ = symmetric_contrastive_loss(f_n[perm], f_v[perm], 0.2)
+            permuted, _ = loss_and_gradients(f_n[perm], f_v[perm], math.log(0.2))[:2]
             assert abs(permuted - base) <= 1e-9
 
     def test_per_row_rescale_invariance(self):
         rng = np.random.default_rng(5)
         f_n = rng.standard_normal((6, 5))
         f_v = rng.standard_normal((6, 5))
-        base, _ = symmetric_contrastive_loss(f_n, f_v, 0.3)
+        base, _ = loss_and_gradients(f_n, f_v, math.log(0.3))[:2]
         scales_n = rng.uniform(0.1, 10.0, size=(6, 1))
         scales_v = rng.uniform(0.1, 10.0, size=(6, 1))
-        scaled, _ = symmetric_contrastive_loss(f_n * scales_n, f_v * scales_v, 0.3)
+        scaled, _ = loss_and_gradients(f_n * scales_n, f_v * scales_v, math.log(0.3))[:2]
         assert abs(scaled - base) <= 1e-6
 
     def test_perfect_alignment_beats_misalignment(self):
         rng = np.random.default_rng(6)
         f = rng.standard_normal((4, 8))
-        aligned, _ = symmetric_contrastive_loss(f, f, 0.1)
-        shuffled, _ = symmetric_contrastive_loss(f, np.roll(f, 1, axis=0), 0.1)
+        aligned, _ = loss_and_gradients(f, f, math.log(0.1))[:2]
+        shuffled, _ = loss_and_gradients(f, np.roll(f, 1, axis=0), math.log(0.1))[:2]
         assert aligned < shuffled
 
     def test_batch_of_one_rejected(self):
         with pytest.raises(ValueError):
-            symmetric_contrastive_loss(np.ones((1, 3)), np.ones((1, 3)), 1.0)
+            loss_and_gradients(np.ones((1, 3)), np.ones((1, 3)), 0.0)
 
     def test_nonpositive_temperature_rejected(self):
         f = np.eye(2)
         with pytest.raises(ValueError):
-            symmetric_contrastive_loss(f, f, 0.0)
+            loss_and_gradients(f, f, float("-inf"))  # tau = exp(-inf) = 0
         with pytest.raises(ValueError):
-            symmetric_contrastive_loss(f, f, float("nan"))
+            loss_and_gradients(f, f, float("nan"))
 
 
 class TestLossGradients:

@@ -562,6 +562,83 @@ class TestReport:
         assert "unexpected columns" in capsys.readouterr().err
 
 
+# every file each command writes, its manifest included (the README's
+# "Artifacts per command" table)
+ARTIFACTS = {
+    "generate": ("bank.bicp", "images", "manifest.json"),
+    "transform": ("foveated.ppm", "noise.ppm", "lowres.ppm", "mosaic.ppm", "manifest.json"),
+    "train": ("checkpoint.bick", "metrics.csv", "manifest.json"),
+    "evaluate": ("eval.csv", "summary.txt", "eval_manifest.json"),
+    "report": ("report.csv", "manifest.json"),
+}
+
+
+@pytest.mark.parametrize("command, name", [(c, n) for c, names in ARTIFACTS.items() for n in names])
+def test_existing_output_needs_force(workspace, tmp_path, capsys, command, name):
+    evals = tmp_path / "evals"  # a run directory for report, with no result rows
+    evals.mkdir()
+    (evals / "eval.csv").write_text("subject,n,seed,trials,top1,top5,map,similarity\n")
+    raw = json.loads(workspace["config"].read_text())
+    raw["paths"]["runs"] = [str(evals)]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    existing = out / name
+    existing.parent.mkdir()
+    if name == "images":  # a directory: a file inside it stands for its contents
+        existing.mkdir()
+        existing = existing / "sample_00000.ppm"
+    existing.write_bytes(b"keep")
+    argv = [command, "--config", str(cfg), "--out", str(out)]
+    assert main(argv) == 2
+    assert f"{out / name} already exists (pass --force to overwrite)" in capsys.readouterr().err
+    assert existing.read_bytes() == b"keep"
+    assert main(argv + ["--force"]) == 0
+
+
+class TestNegativeSeed:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_seed_flag(self, workspace, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        argv = [command, "--config", str(workspace["config"]), "--out", str(out), "--seed", "-1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: --seed must be >= 0, got -1\n"
+        assert not out.exists()
+
+    # each section with the command that first draws from its seed
+    @pytest.mark.parametrize("section, command", [
+        ("data", "generate"), ("provider", "generate"),
+        ("training", "train"), ("evaluation", "evaluate"),
+    ])
+    def test_config_seed(self, workspace, tmp_path, capsys, section, command):
+        raw = json.loads(workspace["config"].read_text())
+        raw[section]["seed"] = -1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {section}.seed must be >= 0, got -1\n"
+
+    def test_manifest_seed(self, workspace, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        config = json.loads(workspace["config"].read_text())
+        manifest.write_text(json.dumps({"command": "train", "seed": -1, "config": config}))
+        assert main(["train", "--config", str(manifest), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {manifest}: seed must be >= 0, got -1\n"
+
+    def test_no_traceback_from_the_command_line(self, workspace, tmp_path):
+        src_dir = str(Path(fovalign.__file__).resolve().parents[1])
+        inherited = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src_dir, inherited])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fovalign", "train", "--config", str(workspace["config"]),
+             "--out", str(tmp_path / "out"), "--seed", "-1"],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "error: --seed must be >= 0, got -1\n"
+
+
 class TestErrorSurface:
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -95,6 +95,10 @@ class TestRejection:
             ("data", "bank_levels", [], "non-empty"),
             ("evaluation", "trials", 0, ">= 1"),
             ("evaluation", "gallery_sizes", [], "positive"),
+            ("data", "seed", -1, "data.seed must be >= 0"),
+            ("provider", "seed", -1, "provider.seed must be >= 0"),
+            ("training", "seed", -1, "training.seed must be >= 0"),
+            ("evaluation", "seed", -1, "evaluation.seed must be >= 0"),
         ],
     )
     def test_validation_messages(self, section, key, value, fragment):

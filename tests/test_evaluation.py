@@ -5,22 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import every_other_column
 from fovalign import evaluation
 from fovalign.errors import ConfigError
-from fovalign.evaluation import (
-    EvalReport,
-    mean_average_precision,
-    nway_evaluate,
-    ranks_of_truth,
-    similarity_score,
-    topk_accuracy,
-)
+from fovalign.evaluation import EvalReport, _ranks_among_draws, nway_evaluate, similarity_score
 
 
 def oracle_rank(scores, true_index):
     """Stable descending sort: ties broken by the lower gallery index."""
     order = sorted(range(len(scores)), key=lambda j: (-scores[j], j))
     return 1 + order.index(true_index)
+
+
+def full_gallery_ranks(sim, truth):
+    """`_ranks_among_draws` with every other gallery column drawn, shuffled."""
+    sim = np.asarray(sim, dtype=np.float64)
+    draws = every_other_column(np.random.default_rng(0), *sim.shape)
+    return _ranks_among_draws(sim, np.asarray(truth, dtype=np.int64), draws)
 
 
 def loop_nway_evaluate(similarity, truth, n, trials, seed):
@@ -71,7 +72,7 @@ class TestRanks:
         for _ in range(200):
             sim = rng.standard_normal((6, 9))
             truth = rng.integers(0, 9, size=6)
-            got = ranks_of_truth(sim, truth)
+            got = _ranks_among_draws(sim, truth, every_other_column(rng, 6, 9))
             want = [oracle_rank(sim[q], int(truth[q])) for q in range(6)]
             np.testing.assert_array_equal(got, want)
 
@@ -80,57 +81,60 @@ class TestRanks:
         for _ in range(200):
             sim = rng.integers(0, 3, size=(5, 8)).astype(float)  # many ties
             truth = rng.integers(0, 8, size=5)
-            got = ranks_of_truth(sim, truth)
+            got = _ranks_among_draws(sim, truth, every_other_column(rng, 5, 8))
             want = [oracle_rank(sim[q], int(truth[q])) for q in range(5)]
             np.testing.assert_array_equal(got, want)
 
     def test_tie_goes_to_lower_index(self):
         sim = np.array([[0.5, 0.5, 0.1]])
-        assert ranks_of_truth(sim, [0])[0] == 1
-        assert ranks_of_truth(sim, [1])[0] == 2
+        assert full_gallery_ranks(sim, [0])[0] == 1
+        assert full_gallery_ranks(sim, [1])[0] == 2
 
     def test_best_and_worst(self):
         sim = np.array([[3.0, 2.0, 1.0]])
-        assert ranks_of_truth(sim, [0])[0] == 1
-        assert ranks_of_truth(sim, [2])[0] == 3
+        assert full_gallery_ranks(sim, [0])[0] == 1
+        assert full_gallery_ranks(sim, [2])[0] == 3
 
     def test_rejections(self):
         with pytest.raises(ValueError):
-            ranks_of_truth(np.zeros((2, 3)), [0])  # truth length mismatch
+            nway_evaluate(np.zeros((2, 3)), [0], n=1, trials=1, seed=0)  # truth length mismatch
         with pytest.raises(ValueError):
-            ranks_of_truth(np.zeros((2, 3)), [0, 3])  # outside gallery
+            nway_evaluate(np.zeros((2, 3)), [0, 3], n=1, trials=1, seed=0)  # outside gallery
         with pytest.raises(ValueError):
-            ranks_of_truth(np.zeros(3), [0])
+            nway_evaluate(np.zeros(3), [0], n=1, trials=1, seed=0)
 
 
 class TestAggregates:
+    """n equal to the gallery size: every trial ranks the full gallery."""
+
     def test_topk_counts_ranks(self):
         sim = np.array([[3.0, 2.0, 1.0], [1.0, 2.0, 3.0]])
-        truth = [0, 0]  # ranks 1 and 3
-        assert topk_accuracy(sim, truth, 1) == 0.5
-        assert topk_accuracy(sim, truth, 2) == 0.5
-        assert topk_accuracy(sim, truth, 3) == 1.0
+        report = nway_evaluate(sim, [0, 0], n=3, trials=1, seed=0)
+        # ranks 1 and 3: top-1 and top-2 are 0.5, top-3 (top5 at n = 3) is 1
+        assert report.top1 == 0.5
+        assert report.top5 == 1.0
+        assert report.mean_ap == pytest.approx((1.0 + 1.0 / 3.0) / 2.0)
 
     def test_map_is_mean_reciprocal_rank(self):
         sim = np.array([[3.0, 2.0], [3.0, 2.0]])
         truth = [0, 1]  # ranks 1 and 2
-        assert mean_average_precision(sim, truth) == pytest.approx(0.75)
+        assert nway_evaluate(sim, truth, n=2, trials=1, seed=0).mean_ap == pytest.approx(0.75)
 
     def test_rank_two_gives_half(self):
         sim = np.array([[1.0, 2.0]])
-        assert mean_average_precision(sim, [0]) == pytest.approx(0.5)
+        assert nway_evaluate(sim, [0], n=2, trials=1, seed=0).mean_ap == pytest.approx(0.5)
 
     def test_single_item_gallery(self):
-        sim = np.array([[0.3]])
-        assert topk_accuracy(sim, [0], 1) == 1.0
-        assert mean_average_precision(sim, [0]) == 1.0
+        report = nway_evaluate(np.array([[0.3]]), [0], n=1, trials=1, seed=0)
+        assert report.top1 == 1.0
+        assert report.mean_ap == 1.0
 
     def test_bad_k_rejected(self):
         sim = np.zeros((1, 3))
         with pytest.raises(ValueError):
-            topk_accuracy(sim, [0], 0)
+            nway_evaluate(sim, [0], n=0, trials=1, seed=0)
         with pytest.raises(ValueError):
-            topk_accuracy(sim, [0], 4)
+            nway_evaluate(sim, [0], n=4, trials=1, seed=0)
 
     def test_similarity_score_is_mean_diagonal(self):
         sim = np.array([[1.0, 0.0], [0.0, 0.5]])
@@ -184,9 +188,10 @@ class TestNWay:
         sim, truth = diagonal_setup
         sim = sim + np.random.default_rng(9).normal(0, 2.0, sim.shape)
         report = nway_evaluate(sim, truth, n=12, trials=3, seed=0)
-        assert report.top1 == pytest.approx(topk_accuracy(sim, truth, 1))
-        assert report.top5 == pytest.approx(topk_accuracy(sim, truth, 5))
-        assert report.mean_ap == pytest.approx(mean_average_precision(sim, truth))
+        ranks = np.array([oracle_rank(sim[q], int(truth[q])) for q in range(12)])
+        assert report.top1 == pytest.approx(np.mean(ranks <= 1))
+        assert report.top5 == pytest.approx(np.mean(ranks <= 5))
+        assert report.mean_ap == pytest.approx(np.mean(1.0 / ranks))
 
     def test_two_way_random_scores_near_half(self):
         rng = np.random.default_rng(10)
@@ -291,7 +296,7 @@ def test_rank_bounds_and_oracle_property(n_gallery, seed):
     rng = np.random.default_rng(seed)
     sim = rng.integers(-2, 3, size=(3, n_gallery)).astype(float)
     truth = rng.integers(0, n_gallery, size=3)
-    ranks = ranks_of_truth(sim, truth)
+    ranks = _ranks_among_draws(sim, truth, every_other_column(rng, 3, n_gallery))
     assert np.all((1 <= ranks) & (ranks <= n_gallery))
     for q in range(3):
         assert ranks[q] == oracle_rank(sim[q], int(truth[q]))

@@ -169,9 +169,9 @@ def bank_bytes(scratch):
     n, views, dim_f, dim_n = 4, 2, 3, 2
     bank = EmbeddingBank(
         tag="fuzz", views=views, dim_feature=dim_f, dim_neural=dim_n, kernel_levels=[1, 5],
-        features={
-            level: rng.standard_normal((n, views, dim_f)).astype(np.float32) for level in (1, 5)
-        },
+        features=np.stack(
+            [rng.standard_normal((n, views, dim_f)).astype(np.float32) for _ in (1, 5)], axis=1
+        ),
         neural=rng.standard_normal((n, dim_n)).astype(np.float32),
         labels=np.arange(n, dtype=np.int64),
         splits=["train", "train", "test", "test"],

@@ -231,15 +231,6 @@ class TestEmbeddingBank:
         assert loaded.features.dtype == np.float32
         assert not loaded.features.flags.owndata
 
-    def test_level_mapping_stacks_in_level_order(self):
-        bank = _tiny_bank(levels=(1, 5, 9))
-        blocks = {level: level_block(bank, level) for level in (9, 1, 5)}
-        stacked = EmbeddingBank(
-            bank.tag, bank.views, bank.dim_feature, bank.dim_neural, bank.kernel_levels,
-            blocks, bank.neural, bank.labels, bank.splits,
-        )
-        np.testing.assert_array_equal(stacked.features, bank.features)
-
     def test_save_is_deterministic(self, tmp_path):
         a, b = tmp_path / "a.bicp", tmp_path / "b.bicp"
         save_embedding_bank(a, _tiny_bank())

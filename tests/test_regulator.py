@@ -48,7 +48,7 @@ class TestConfidenceBounds:
 
 
 def make_schedule(n=4, **kwargs):
-    defaults = dict(kernel_init=75, momentum=0.9, step=6, kernel_min=1)
+    defaults = dict(kernel_init=75, momentum=0.9, step=6, kernel_min=1, kernel_max=149)
     defaults.update(kwargs)
     return BlurSchedule(sample_ids=range(n), **defaults)
 
@@ -82,7 +82,8 @@ class TestSmoothing:
         sched = make_schedule()
         sched.update_smoothed([0, 1], [0.2, 0.8])
         sched.update_smoothed([0], [0.4])
-        np.testing.assert_allclose(sched.smoothed_of([1]), [0.8])
+        # feeding 0.8 again returns 0.8 only if sample 1 still holds 0.8
+        np.testing.assert_allclose(sched.update_smoothed([1], [0.8]), [0.8])
 
     def test_mean_smoothed_only_counts_seen(self):
         sched = make_schedule(n=3)
@@ -138,14 +139,6 @@ class TestKernelMoves:
             sched.update_kernels([0, 1], (0.2, 0.8))
         np.testing.assert_array_equal(sched.kernels_of([0, 1]), [1, 5])
 
-    def test_default_ceiling_doubles_start(self):
-        sched = make_schedule(n=1)  # kernel_init=75 -> default max 149
-        assert sched.kernel_max == 149
-        sched.update_smoothed([0], [0.0])
-        for _ in range(20):
-            sched.update_kernels([0], (0.5, 1.0))
-        assert sched.kernels_of([0])[0] == 149
-
     def test_closed_loop_reaches_floor_in_exact_step_count(self):
         # a stream that always reads as confidently aligned drives the
         # kernel from 75 down to the floor in ceil(74 / 6) = 13 moves
@@ -196,11 +189,13 @@ class TestConstruction:
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError, match="unique"):
-            BlurSchedule(sample_ids=[1, 1], kernel_init=5)
+            BlurSchedule(sample_ids=[1, 1], kernel_init=5, momentum=0.9, step=6,
+                         kernel_min=1, kernel_max=9)
 
     def test_empty_ids_rejected(self):
         with pytest.raises(ValueError):
-            BlurSchedule(sample_ids=[], kernel_init=5)
+            BlurSchedule(sample_ids=[], kernel_init=5, momentum=0.9, step=6,
+                         kernel_min=1, kernel_max=9)
 
     def test_init_outside_clamp_rejected(self):
         with pytest.raises(ValueError, match="outside"):
@@ -224,7 +219,7 @@ class TestConstruction:
 def test_parity_and_clamp_invariants(scores, kernel_init, step, data):
     """Kernels stay odd and inside the clamp under any update stream."""
     sched = BlurSchedule(
-        sample_ids=[0], kernel_init=kernel_init, step=step, kernel_min=1,
+        sample_ids=[0], kernel_init=kernel_init, momentum=0.9, step=step, kernel_min=1,
         kernel_max=2 * kernel_init - 1 if kernel_init > 1 else 1,
     )
     for s in scores:
