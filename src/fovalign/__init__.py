@@ -35,7 +35,6 @@ from .providers import (
 )
 from .regulator import BlurSchedule, confidence_bounds
 from .transforms import (
-    FoveationParams,
     add_noise,
     foveate,
     foveation_mask,
@@ -53,7 +52,6 @@ __all__ = [
     "EmbeddingBank",
     "EvalReport",
     "FormatError",
-    "FoveationParams",
     "NumericError",
     "ProtocolError",
     "RunConfig",

@@ -22,6 +22,7 @@ AdamW with decoupled weight decay applied to weight matrices only.
 from __future__ import annotations
 
 import math
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,13 +146,13 @@ class AdamW:
     within its kind, so a step is a few in-place whole-buffer operations and
     the decay one slice. Each is the per-group arithmetic of the textbook
     update, element for element, so the results are the same bits. The
-    constructor rebinds every entry of `params` to a view of the parameter
-    buffer; write into those views in place. An entry rebound to another
-    array is copied back into the buffer at the start of the next step.
+    constructor copies `params` into the buffer and leaves the dict alone;
+    `self.params` maps each name to a view of the buffer. It is read-only:
+    rebinding an entry raises TypeError, writing into a view in place works.
     """
 
-    def __init__(self, params: dict, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8, weight_decay: float = 0.0):
+    def __init__(self, params: dict, lr: float, beta1: float, beta2: float,
+                 eps: float, weight_decay: float):
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
@@ -168,24 +169,16 @@ class AdamW:
         self.v = np.zeros(total)
         self._grads = np.empty(total)  # the gradients in, then the update
         self._scratch = np.empty(total)
-        self._param_views: dict[str, np.ndarray] = {}
+        views = {}
         start = 0
         for name, size in zip(names, sizes):
-            self._param_views[name] = self.params_flat[start : start + size].reshape(shapes[name])
+            views[name] = self.params_flat[start : start + size].reshape(shapes[name])
+            views[name][...] = params[name]
             start += size
-        self._adopt(params)
+        self.params = types.MappingProxyType(views)
 
-    def _adopt(self, params: dict) -> None:
-        """Copy every entry of `params` that is not its buffer view into the
-        buffer, then rebind the entry to the view."""
-        for name, view in self._param_views.items():
-            if params[name] is not view:
-                view[...] = params[name]
-                params[name] = view
-
-    def step(self, params: dict, grads: dict) -> None:
-        self._adopt(params)
-        np.concatenate([np.ravel(grads[name]) for name in self._param_views], out=self._grads)
+    def step(self, grads: dict) -> None:
+        np.concatenate([np.ravel(grads[name]) for name in self.params], out=self._grads)
         self.t += 1
         bias1 = 1.0 - self.beta1**self.t
         bias2 = 1.0 - self.beta2**self.t
@@ -255,12 +248,12 @@ class Trainer:
                 f"training needs at least one full batch: "
                 f"{len(self.train_ids)} samples < batch_size {config.training.batch_size}"
             )
-        self.params = init_parameters(config, bank.dim_neural)
         tr = config.training
         self.optimizer = AdamW(
-            self.params, lr=tr.learning_rate, beta1=tr.adam_beta1,
+            init_parameters(config, bank.dim_neural), lr=tr.learning_rate, beta1=tr.adam_beta1,
             beta2=tr.adam_beta2, eps=tr.adam_eps, weight_decay=tr.weight_decay,
         )
+        self.params = self.optimizer.params
         self.schedule = BlurSchedule(
             sample_ids=self.train_ids,
             kernel_init=config.transforms.kernel_size,
@@ -313,7 +306,7 @@ class Trainer:
                 d_f_n, neural_in, self.params["enc_w"]
             )
             grads["log_tau"] = np.array(d_log_tau)
-            self.optimizer.step(self.params, grads)
+            self.optimizer.step(grads)
             # in place: the entry is a view of the optimizer's buffer
             np.clip(
                 self.params["log_tau"],

@@ -130,7 +130,7 @@ def _train(config: RunConfig, out: Path, seed) -> str:
     return f"trained {config.training.epochs} epochs ({tail}); checkpoint at {checkpoint_path}"
 
 
-def _check_checkpoint(arrays: dict, config: RunConfig, bank: EmbeddingBank, provider) -> None:
+def _check_checkpoint(arrays: dict, config: RunConfig, bank: EmbeddingBank) -> None:
     """Structural compatibility between a checkpoint and the configured model."""
     expected = init_parameters(config, bank.dim_neural)
     missing = sorted(set(expected) - set(arrays))
@@ -139,16 +139,6 @@ def _check_checkpoint(arrays: dict, config: RunConfig, bank: EmbeddingBank, prov
         raise ConfigError(
             f"checkpoint arrays do not match the configured model "
             f"(missing {missing}, unexpected {extra})"
-        )
-    if arrays["enc_w"].shape[0] != bank.dim_neural:
-        raise ConfigError(
-            f"checkpoint was trained with dim_neural={arrays['enc_w'].shape[0]} "
-            f"but the dataset provides dim_neural={bank.dim_neural}"
-        )
-    if arrays["proj_w"].shape[0] != provider.dim_feature:
-        raise ConfigError(
-            f"checkpoint was trained with dim_feature={arrays['proj_w'].shape[0]} "
-            f"but the provider supplies dim_feature={provider.dim_feature}"
         )
     for name, ref in expected.items():
         if arrays[name].shape != ref.shape:
@@ -161,7 +151,7 @@ def _check_checkpoint(arrays: dict, config: RunConfig, bank: EmbeddingBank, prov
 def _evaluate(config: RunConfig, out: Path, seed) -> str:
     arrays, _ = load_checkpoint(config.paths.checkpoint)
     bank, provider = _load_data(config, ("test",))
-    _check_checkpoint(arrays, config, bank, provider)
+    _check_checkpoint(arrays, config, bank)
 
     test_ids = bank.indices("test")
     # fail before the costly encoding, with nway_evaluate's message

@@ -13,6 +13,7 @@ import dataclasses
 import hashlib
 import json
 import sys
+import typing
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
@@ -280,67 +281,49 @@ def _listify(value):
     return value
 
 
-def _coerce_scalar(path: str, value, target: type):
-    if target is bool:
+def _coerce(path: str, value, hint, what: str = ""):
+    """`value` as the field annotation `hint` declares it: bool, int, float,
+    str, tuple[X, ...], a fixed-length tuple[X, Y] or X | None. `what`
+    prefixes the expected form in error messages."""
+    args = typing.get_args(hint)
+    if type(None) in args:
+        if value is None:
+            return None
+        (inner,) = (a for a in args if a is not type(None))
+        return _coerce(path, value, inner, "null or ")
+    if typing.get_origin(hint) is tuple:
+        variadic = args[-1] is Ellipsis
+        if not isinstance(value, (list, tuple)) or not (variadic or len(value) == len(args)):
+            count = "" if variadic else f"{len(args)} "
+            raise ConfigError(
+                f"{path}: expected {what}a list of {count}{args[0].__name__}, got {value!r}"
+            )
+        items = args[:1] * len(value) if variadic else args
+        return tuple(_coerce(f"{path}[{i}]", v, t) for i, (v, t) in enumerate(zip(value, items)))
+    if hint is bool:
         if isinstance(value, bool):
             return value
-        raise ConfigError(f"{path}: expected a boolean, got {value!r}")
-    allowed = (int, float) if target is float else (target,)
+        raise ConfigError(f"{path}: expected {what}a boolean, got {value!r}")
+    allowed = (int, float) if hint is float else (hint,)
     if isinstance(value, bool) or not isinstance(value, allowed):
-        raise ConfigError(f"{path}: expected {target.__name__}, got {value!r}")
+        raise ConfigError(f"{path}: expected {what}{hint.__name__}, got {value!r}")
     # NaN fails the comparison, and so do infinities and ints too large for a float
-    if target is float and not abs(value) <= sys.float_info.max:
+    if hint is float and not abs(value) <= sys.float_info.max:
         raise ConfigError(f"{path}: expected a finite number, got {value!r}")
-    return target(value)
-
-
-def _coerce_list(path: str, value, target: type) -> tuple:
-    return tuple(_coerce_scalar(f"{path}[{i}]", v, target) for i, v in enumerate(value))
+    return hint(value)
 
 
 def _section_from_dict(cls, data: dict, path: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected an object, got {type(data).__name__}")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - set(fields))
+    hints = typing.get_type_hints(cls)
+    unknown = sorted(set(data) - set(hints))
     if unknown:
         raise ConfigError(f"unknown config key: {path}.{unknown[0]}")
-    kwargs = {}
-    for name, value in data.items():
-        key = f"{path}.{name}"
-        if (cls, name) == (TransformConfig, "center"):
-            if value is None:
-                kwargs[name] = None
-            elif isinstance(value, (list, tuple)) and len(value) == 2:
-                kwargs[name] = _coerce_list(key, value, int)
-            else:
-                raise ConfigError(f"{key}: expected null or [row, col], got {value!r}")
-        elif (cls, name) == (RegulatorConfig, "kernel_max"):
-            kwargs[name] = None if value is None else _coerce_scalar(key, value, int)
-        elif name in ("gallery_sizes", "bank_levels"):
-            if not isinstance(value, (list, tuple)):
-                raise ConfigError(f"{key}: expected a list of integers, got {value!r}")
-            kwargs[name] = _coerce_list(key, value, int)
-        elif name == "runs":
-            if not isinstance(value, (list, tuple)):
-                raise ConfigError(f"{key}: expected a list of paths, got {value!r}")
-            kwargs[name] = _coerce_list(key, value, str)
-        else:
-            kwargs[name] = _coerce_scalar(key, value, type(getattr(cls(), name)))
-    return cls(**kwargs)
+    return cls(**{name: _coerce(f"{path}.{name}", value, hints[name]) for name, value in data.items()})
 
 
-_SECTIONS = {
-    "transforms": TransformConfig,
-    "views": ViewsConfig,
-    "provider": ProviderConfig,
-    "fusion": FusionConfig,
-    "training": TrainingConfig,
-    "regulator": RegulatorConfig,
-    "data": DataConfig,
-    "evaluation": EvalConfig,
-    "paths": PathsConfig,
-}
+_SECTIONS = {f.name: f.default_factory for f in dataclasses.fields(RunConfig)}
 
 
 def config_from_dict(data: dict) -> RunConfig:
@@ -376,7 +359,7 @@ def load_config(path, command: str | None = None) -> tuple[RunConfig, int | None
     seed = None
     if isinstance(data, dict) and "command" in data and "config" in data:
         if data["command"] == command and data.get("seed") is not None:
-            seed = _coerce_scalar(f"{path}: seed", data["seed"], int)
+            seed = _coerce(f"{path}: seed", data["seed"], int)
         data = data["config"]
     return config_from_dict(data), seed
 

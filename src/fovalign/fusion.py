@@ -93,7 +93,7 @@ def belief_weights(evidence: np.ndarray) -> EvidenceState:
     return EvidenceState(e, strength, uncertainty, belief)
 
 
-def evidential_pool(features: np.ndarray, weights: np.ndarray, eps: float = 1e-8):
+def evidential_pool(features: np.ndarray, weights: np.ndarray, eps: float):
     """Belief-weighted mean over the view axis (exactly rounded sums).
 
     features: (..., V, d); weights: (..., V). Returns (pooled, den) with

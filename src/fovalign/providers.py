@@ -25,7 +25,7 @@ import numpy as np
 from .config import TransformConfig, ViewsConfig
 from .container import read_container, write_container
 from .errors import FormatError, ProtocolError
-from .transforms import FoveationParams, add_noise, foveate, resample
+from .transforms import add_noise, foveate, resample
 
 __all__ = [
     "POOL_GRID",
@@ -347,7 +347,7 @@ class SyntheticProvider:
         if name == "identity":
             return image
         if name == "foveated":
-            return foveate(image, FoveationParams(t.center, t.gamma, kernel))
+            return foveate(image, kernel, t.center, t.gamma)
         if name == "noise":
             return add_noise(image, t.noise_sigma, noise_seed)
         if name == "lowres":

@@ -26,13 +26,11 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
 __all__ = [
-    "FoveationParams",
     "foveation_mask",
     "gaussian_blur",
     "gaussian_kernel",
@@ -40,24 +38,6 @@ __all__ = [
     "add_noise",
     "resample",
 ]
-
-
-@dataclass(frozen=True)
-class FoveationParams:
-    """Parameters of the foveated degradation.
-
-    center is a (row, col) pixel coordinate; None selects the image centre
-    (height // 2, width // 2). kernel_size is the current blur kernel k.
-    """
-
-    center: tuple[int, int] | None = None
-    gamma: float = 1.0
-    kernel_size: int = 75
-
-    def __post_init__(self):
-        if not np.isfinite(self.gamma) or self.gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        _check_kernel_size(self.kernel_size)
 
 
 def _check_kernel_size(k: int) -> None:
@@ -97,13 +77,7 @@ def foveation_mask(
     rows = np.arange(height, dtype=np.float64)[:, None] - float(row)
     cols = np.arange(width, dtype=np.float64)[None, :] - float(col)
     dist = np.hypot(rows, cols)
-    # farthest pixel from the focus is always one of the four corners
-    corners = [
-        np.hypot(float(r - row), float(c - col))
-        for r in (0, height - 1)
-        for c in (0, width - 1)
-    ]
-    farthest = max(corners)
+    farthest = float(dist.max())
     if farthest == 0.0:  # 1x1 grid: the focus is the whole image
         return np.ones((height, width))
     return np.exp(-gamma * dist / farthest)
@@ -160,20 +134,21 @@ def _cached_mask(height: int, width: int, center: tuple[int, int], gamma: float)
     return mask
 
 
-def foveate(image: np.ndarray, params: FoveationParams) -> np.ndarray:
+def foveate(image: np.ndarray, kernel_size: int, center: tuple[int, int] | None,
+            gamma: float) -> np.ndarray:
     """Blend the image with its blurred copy under the acuity mask.
 
-    output = M * image + (1 - M) * blur_k(image), elementwise per channel.
+    output = M * image + (1 - M) * blur_k(image), elementwise per channel,
+    with M the foveation mask around `center`, a (row, col) pixel or None
+    for the image centre (height // 2, width // 2), and k `kernel_size`.
     Linear in the image (blur and blend are linear maps; the final clip
     never binds for in-range inputs).
     """
     arr = _check_image(image)
     _, height, width = arr.shape
-    center = params.center if params.center is not None else (height // 2, width // 2)
-    mask = _cached_mask(
-        height, width, tuple(operator.index(c) for c in center), params.gamma
-    )
-    blurred = _blur(arr, params.kernel_size)
+    center = (height // 2, width // 2) if center is None else center
+    mask = _cached_mask(height, width, tuple(operator.index(c) for c in center), gamma)
+    blurred = _blur(arr, kernel_size)
     out = mask[None, :, :] * arr + (1.0 - mask[None, :, :]) * blurred
     return np.clip(out, 0.0, 1.0)
 

@@ -76,8 +76,8 @@ class DictAdamW:
     out of place in sorted-name order. The oracle for bit-equality of the
     one-buffer `fovalign.alignment.AdamW`."""
 
-    def __init__(self, params: dict, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8, weight_decay: float = 0.0):
+    def __init__(self, params: dict, lr: float, beta1: float, beta2: float,
+                 eps: float, weight_decay: float):
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2

@@ -219,39 +219,39 @@ class TestLossGradients:
         assert np.all(np.isfinite(d_f_n)) and np.all(np.isfinite(d_f_v))
 
 
+ADAM = {"beta1": 0.9, "beta2": 0.999, "eps": 1e-8}
+
+
 class TestAdamW:
     def test_zero_learning_rate_freezes_parameters(self):
         params = {"w": np.ones((2, 2)), "b": np.zeros(2)}
-        opt = AdamW(params, lr=0.0, weight_decay=0.5)
-        before = {k: v.copy() for k, v in params.items()}
-        opt.step(params, {"w": np.ones((2, 2)), "b": np.ones(2)})
+        opt = AdamW(params, lr=0.0, weight_decay=0.5, **ADAM)
+        opt.step({"w": np.ones((2, 2)), "b": np.ones(2)})
         for k in params:
-            np.testing.assert_array_equal(params[k], before[k])
+            np.testing.assert_array_equal(opt.params[k], params[k])
 
     def test_first_step_magnitude_is_learning_rate(self):
         # with bias correction the first Adam update is lr * sign(g)
-        params = {"w": np.zeros((3, 3))}
-        opt = AdamW(params, lr=0.01)
+        opt = AdamW({"w": np.zeros((3, 3))}, lr=0.01, weight_decay=0.0, **ADAM)
         g = np.random.default_rng(8).standard_normal((3, 3))
-        opt.step(params, {"w": g})
-        np.testing.assert_allclose(np.abs(params["w"]), 0.01, rtol=1e-6)
-        np.testing.assert_array_equal(np.sign(params["w"]), -np.sign(g))
+        opt.step({"w": g})
+        np.testing.assert_allclose(np.abs(opt.params["w"]), 0.01, rtol=1e-6)
+        np.testing.assert_array_equal(np.sign(opt.params["w"]), -np.sign(g))
 
     def test_decay_skips_vectors_and_scalars(self):
         params = {"w": np.full((2, 2), 10.0), "b": np.full(2, 10.0), "s": np.array(10.0)}
-        opt = AdamW(params, lr=0.001, weight_decay=0.1)
-        opt.step(params, {k: np.zeros_like(v) for k, v in params.items()})
+        opt = AdamW(params, lr=0.001, weight_decay=0.1, **ADAM)
+        opt.step({k: np.zeros_like(v) for k, v in params.items()})
         # zero gradient: the only movement comes from decoupled decay
-        assert np.all(params["w"] < 10.0)
-        np.testing.assert_array_equal(params["b"], np.full(2, 10.0))
-        np.testing.assert_array_equal(params["s"], np.array(10.0))
+        assert np.all(opt.params["w"] < 10.0)
+        np.testing.assert_array_equal(opt.params["b"], np.full(2, 10.0))
+        np.testing.assert_array_equal(opt.params["s"], np.array(10.0))
 
     def test_descends_a_quadratic(self):
-        params = {"w": np.array([[5.0]])}
-        opt = AdamW(params, lr=0.1)
+        opt = AdamW({"w": np.array([[5.0]])}, lr=0.1, weight_decay=0.0, **ADAM)
         for _ in range(200):
-            opt.step(params, {"w": 2.0 * params["w"]})
-        assert abs(params["w"][0, 0]) < 0.5
+            opt.step({"w": 2.0 * opt.params["w"]})
+        assert abs(opt.params["w"][0, 0]) < 0.5
 
 
 _GROUP_SHAPES = st.sampled_from([(), (1,), (5,), (1, 1), (3, 4), (7, 2)])
@@ -261,7 +261,7 @@ class TestFlatAdamW:
     """The one-buffer AdamW against the per-group oracle, bit for bit."""
 
     @staticmethod
-    def bits(arrays: dict) -> dict:
+    def bits(arrays) -> dict:
         return {k: np.asarray(v, dtype=np.float64).view(np.int64).tolist()
                 for k, v in arrays.items()}
 
@@ -282,38 +282,33 @@ class TestFlatAdamW:
             return rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 4)
 
         params = {n: draw(s) for n, s in zip(names, shapes)}
+        given_bits = self.bits(params)
         oracle_params = {n: p.copy() for n, p in params.items()}
         flat = AdamW(params, lr=lr, beta1=0.8, beta2=0.99, eps=1e-8, weight_decay=weight_decay)
         oracle = DictAdamW(oracle_params, lr=lr, beta1=0.8, beta2=0.99, eps=1e-8,
                            weight_decay=weight_decay)
-        caller = dict(params)  # the entries the constructor rebound
         for _ in range(steps):
             grads = {n: draw(s) for n, s in zip(names, shapes)}
             grads[names[0]] = np.zeros(shapes[0])  # a group at rest
-            flat.step(params, grads)
+            flat.step(grads)
             oracle.step(oracle_params, grads)
-            assert self.bits(params) == self.bits(oracle_params)
-            assert self.bits(caller) == self.bits(oracle_params)
-            assert all(caller[n] is params[n] for n in names)
+            assert self.bits(flat.params) == self.bits(oracle_params)
+        # the constructor copied the caller's dict and left it as it was
+        assert self.bits(params) == given_bits
+        assert not any(np.shares_memory(params[n], flat.params_flat) for n in names)
 
-    def test_a_rebound_entry_is_taken_back_into_the_buffer(self):
-        params = {"w": np.ones((2, 2)), "b": np.zeros(3)}
-        oracle_params = {k: v.copy() for k, v in params.items()}
-        flat = AdamW(params, lr=0.1, weight_decay=0.1)
-        oracle = DictAdamW(oracle_params, lr=0.1, weight_decay=0.1)
-        params["b"] = np.full(3, 2.0)
-        oracle_params["b"] = np.full(3, 2.0)
-        grads = {"w": np.full((2, 2), 0.5), "b": np.array([1.0, -1.0, 0.0])}
-        flat.step(params, grads)
-        oracle.step(oracle_params, grads)
-        assert self.bits(params) == self.bits(oracle_params)
-        assert np.shares_memory(params["b"], flat.params_flat)
+    def test_params_cannot_be_rebound_but_take_in_place_writes(self):
+        flat = AdamW({"w": np.ones((2, 2)), "b": np.zeros(3)}, lr=0.1, weight_decay=0.1, **ADAM)
+        with pytest.raises(TypeError):
+            flat.params["b"] = np.full(3, 2.0)
+        flat.params["b"][...] = 2.0
+        np.testing.assert_array_equal(flat.params_flat, [1.0] * 4 + [2.0] * 3)
 
     def test_weight_matrices_lead_the_buffer(self):
         params = {"a": np.zeros(2), "w": np.ones((2, 3)), "s": np.array(4.0), "v": np.ones((1, 1))}
-        flat = AdamW(params, lr=0.1)
+        flat = AdamW(params, lr=0.1, weight_decay=0.0, **ADAM)
         np.testing.assert_array_equal(flat.params_flat, [1.0] * 7 + [0.0, 0.0, 4.0])
-        assert params["s"].shape == () and params["w"].shape == (2, 3)
+        assert flat.params["s"].shape == () and flat.params["w"].shape == (2, 3)
 
 
 @pytest.fixture(scope="module")
@@ -463,10 +458,10 @@ class TestNumericGuard:
         trainer = self._trainer(tiny_run)
         step = trainer.optimizer.step
 
-        def corrupting(params, grads):
-            step(params, grads)
+        def corrupting(grads):
+            step(grads)
             # in place, as AdamW writes: the entry is a view of its buffer
-            params["proj_b"][1] = np.inf
+            trainer.params["proj_b"][1] = np.inf
 
         monkeypatch.setattr(trainer.optimizer, "step", corrupting)
         with pytest.raises(NumericError, match="non-finite parameter of proj_b at epoch 0, batch 0") as exc:

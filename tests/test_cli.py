@@ -18,12 +18,12 @@ import fovalign.cli
 import fovalign.datagen
 import fovalign.fusion
 from fovalign.alignment import init_parameters
-from fovalign.checkpoint import load_checkpoint
+from fovalign.checkpoint import load_checkpoint, save_checkpoint
 from fovalign.cli import main
 from fovalign.config import config_from_dict
 from fovalign.errors import NumericError
 from fovalign.pixmap import read_pixmap, to_bytes_quantized, write_pixmap
-from fovalign.transforms import FoveationParams, add_noise, foveate, resample
+from fovalign.transforms import add_noise, foveate, resample
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 COMMANDS = ("generate", "transform", "train", "evaluate", "report")
@@ -190,7 +190,7 @@ class TestTransform:
         out = tmp_path / "views"
         assert main(["transform", "--config", str(cfg), "--out", str(out), "--seed", "4"]) == 0
         want = {
-            "foveated": foveate(image, FoveationParams(gamma=2.0, kernel_size=15)),
+            "foveated": foveate(image, 15, None, 2.0),
             "noise": add_noise(image, 10.0, 4),
             "lowres": resample(image, 0.5, "bilinear"),
             "mosaic": resample(image, 1 / 16, "nearest"),
@@ -405,9 +405,13 @@ class TestEvaluate:
         # replaying a training run from the evaluation manifest must reuse
         # the config's training seed, not the evaluation seed
         run = workspace["root"] / "run"
+        evaluated = tmp_path / "evaluated"
+        assert main([
+            "evaluate", "--config", str(workspace["config"]), "--out", str(evaluated)
+        ]) == 0
         out = tmp_path / "from-eval-manifest"
         assert main([
-            "train", "--config", str(run / "eval_manifest.json"), "--out", str(out)
+            "train", "--config", str(evaluated / "eval_manifest.json"), "--out", str(out)
         ]) == 0
         assert filecmp.cmp(run / "checkpoint.bick", out / "checkpoint.bick", shallow=False)
         manifest = json.loads((out / "manifest.json").read_text())
@@ -462,6 +466,23 @@ class TestEvaluate:
         cfg.write_text(json.dumps(raw))
         assert main(["evaluate", "--config", str(cfg), "--out", str(tmp_path / "e")]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["enc_w", "proj_w"])
+    def test_checkpoint_of_the_wrong_shape_exits_2(self, workspace, tmp_path, capsys, name):
+        arrays, meta = load_checkpoint(workspace["root"] / "run" / "checkpoint.bick")
+        want = arrays[name].shape
+        # a 0-d encoder weight, or a projection one feature short
+        arrays[name] = np.array(0.5) if name == "enc_w" else arrays[name][:-1]
+        raw = json.loads(workspace["config"].read_text())
+        raw["paths"]["checkpoint"] = str(tmp_path / "bad.bick")
+        save_checkpoint(tmp_path / "bad.bick", arrays, {k: v for k, v in meta.items() if k != "arrays"})
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        assert main(["evaluate", "--config", str(cfg), "--out", str(tmp_path / "e")]) == 2
+        assert (
+            f"checkpoint array {name!r} has shape {arrays[name].shape}, "
+            f"the configured model expects {want}"
+        ) in capsys.readouterr().err
 
     def test_missing_checkpoint(self, workspace, tmp_path, capsys):
         raw = json.loads(workspace["config"].read_text())

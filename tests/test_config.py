@@ -165,8 +165,9 @@ class TestCoercions:
         assert cfg.transforms.center == (3, 4)
 
     def test_center_bad_shape(self):
-        with pytest.raises(ConfigError, match="row, col"):
+        with pytest.raises(ConfigError) as exc:
             config_from_dict({"transforms": {"center": [1, 2, 3]}})
+        assert "transforms.center: expected null or a list of 2 int, got [1, 2, 3]" in str(exc.value)
 
     @pytest.mark.parametrize("center", [["a", 1], [None, 1], [1.7, 2], [1, True]])
     def test_center_entries_type_checked(self, center):
@@ -188,6 +189,21 @@ class TestCoercions:
     def test_list_entries_type_checked(self):
         with pytest.raises(ConfigError, match=r"gallery_sizes\[1\]"):
             config_from_dict({"evaluation": {"gallery_sizes": [10, "5"]}})
+
+
+DEFAULTS = RunConfig().to_dict()
+EVERY_FIELD = [(section, name) for section in DEFAULTS for name in DEFAULTS[section]]
+
+
+@pytest.mark.parametrize("section,name", EVERY_FIELD)
+def test_every_field_parses_its_default(section, name):
+    raw = json.loads(json.dumps({section: {name: DEFAULTS[section][name]}}))
+    parsed = getattr(getattr(config_from_dict(raw), section), name)
+    default = getattr(getattr(RunConfig(), section), name)
+    if (section, name) == ("regulator", "kernel_max"):
+        default = RunConfig().kernel_max  # to_dict writes the default None resolved
+    # repr tells 1 from 1.0, True from 1 and a tuple from a list
+    assert repr(parsed) == repr(default)
 
 
 FLOAT_FIELDS = [

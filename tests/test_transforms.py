@@ -22,7 +22,6 @@ from scipy import ndimage
 from conftest import random_image
 from fovalign import transforms
 from fovalign.transforms import (
-    FoveationParams,
     add_noise,
     foveate,
     foveation_mask,
@@ -95,6 +94,20 @@ def blur_cases(draw):
     return image, kernel
 
 
+def corner_formula_mask(height: int, width: int, center, gamma: float) -> np.ndarray:
+    """The foveation mask normalised by the largest of the four corner
+    distances, each computed on its own."""
+    row, col = center
+    rows = np.arange(height, dtype=np.float64)[:, None] - float(row)
+    cols = np.arange(width, dtype=np.float64)[None, :] - float(col)
+    farthest = max(
+        np.hypot(float(r - row), float(c - col)) for r in (0, height - 1) for c in (0, width - 1)
+    )
+    if farthest == 0.0:
+        return np.ones((height, width))
+    return np.exp(-gamma * np.hypot(rows, cols) / farthest)
+
+
 class TestFoveationMask:
     def test_center_is_exactly_one(self):
         mask = foveation_mask(11, 17, (5, 8), gamma=2.5)
@@ -135,6 +148,22 @@ class TestFoveationMask:
     def test_bad_gamma_rejected(self):
         with pytest.raises(ValueError):
             foveation_mask(4, 4, (0, 0), 0.0)
+
+    @given(
+        data=st.data(),
+        height=st.integers(1, 40),
+        width=st.integers(1, 40),
+        gamma=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    )
+    @settings(max_examples=200, deadline=None)
+    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply")  # gamma near 1e308
+    def test_farthest_distance_is_a_corner_distance(self, data, height, width, gamma):
+        row = data.draw(st.integers(0, height - 1))
+        col = data.draw(st.integers(0, width - 1))
+        np.testing.assert_array_equal(
+            foveation_mask(height, width, (row, col), gamma),
+            corner_formula_mask(height, width, (row, col), gamma),
+        )
 
 
 class TestGaussianKernel:
@@ -229,25 +258,23 @@ class TestFoveate:
     def test_blend_formula(self):
         rng = np.random.default_rng(5)
         image = random_image(rng, height=9, width=9)
-        params = FoveationParams(gamma=2.0, kernel_size=5)
         mask = foveation_mask(9, 9, (4, 4), 2.0)
         blurred = gaussian_blur(image, 5)
         expected = mask[None] * image + (1 - mask[None]) * blurred
-        np.testing.assert_allclose(foveate(image, params), expected, atol=1e-12)
+        np.testing.assert_allclose(foveate(image, 5, None, 2.0), expected, atol=1e-12)
 
     def test_validates_its_image_once(self, monkeypatch):
         checked = []
         check = transforms._check_image
         monkeypatch.setattr(transforms, "_check_image", lambda a: checked.append(1) or check(a))
         image = random_image(np.random.default_rng(4), height=9, width=9)
-        params = FoveationParams(gamma=2.0, kernel_size=5)
         blurred = gaussian_blur(image, 5)
         assert len(checked) == 1
         expected = foveation_mask(9, 9, (4, 4), 2.0)[None]
         expected = expected * image + (1 - expected) * blurred
-        np.testing.assert_array_equal(foveate(image, params), np.clip(expected, 0.0, 1.0))
+        np.testing.assert_array_equal(foveate(image, 5, None, 2.0), np.clip(expected, 0.0, 1.0))
         assert len(checked) == 2
-        for call in (lambda a: foveate(a, params), lambda a: gaussian_blur(a, 5)):
+        for call in (lambda a: foveate(a, 5, None, 2.0), lambda a: gaussian_blur(a, 5)):
             with pytest.raises(ValueError, match="non-finite"):
                 call(np.full((3, 9, 9), np.nan))
             with pytest.raises(ValueError, match=r"expected a \(C, H, W\) image"):
@@ -256,30 +283,26 @@ class TestFoveate:
     def test_default_center_is_midpoint(self):
         rng = np.random.default_rng(6)
         image = random_image(rng, height=8, width=6)
-        explicit = FoveationParams(center=(4, 3), gamma=1.0, kernel_size=3)
-        implicit = FoveationParams(gamma=1.0, kernel_size=3)
-        np.testing.assert_array_equal(foveate(image, implicit), foveate(image, explicit))
+        np.testing.assert_array_equal(foveate(image, 3, None, 1.0), foveate(image, 3, (4, 3), 1.0))
 
     def test_linearity_in_image(self):
         rng = np.random.default_rng(7)
         a = 0.3 * random_image(rng)
         b = 0.3 * random_image(rng)
-        params = FoveationParams(gamma=1.5, kernel_size=7)
-        lhs = foveate(a + b, params)
-        rhs = foveate(a, params) + foveate(b, params)
+        lhs = foveate(a + b, 7, None, 1.5)
+        rhs = foveate(a, 7, None, 1.5) + foveate(b, 7, None, 1.5)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_focus_pixel_untouched(self):
         rng = np.random.default_rng(8)
         image = random_image(rng, height=7, width=7)
-        out = foveate(image, FoveationParams(gamma=3.0, kernel_size=9))
+        out = foveate(image, 9, None, 3.0)
         np.testing.assert_allclose(out[:, 3, 3], image[:, 3, 3], atol=1e-12)
 
     def test_periphery_approaches_blur(self):
         rng = np.random.default_rng(9)
         image = random_image(rng, height=11, width=11)
-        params = FoveationParams(gamma=8.0, kernel_size=7)
-        out = foveate(image, params)
+        out = foveate(image, 7, None, 8.0)
         blurred = gaussian_blur(image, 7)
         corner = np.abs(out[:, 0, 0] - blurred[:, 0, 0]).max()
         center = np.abs(out[:, 5, 5] - blurred[:, 5, 5]).max()
@@ -290,7 +313,7 @@ class TestFoveate:
         rng = np.random.default_rng(10)
         image = random_image(rng, height=12, width=10)
         copy = image.copy()
-        foveate(image, FoveationParams(center=(3, 7), gamma=1.5, kernel_size=9))
+        foveate(image, 9, (3, 7), 1.5)
         np.testing.assert_array_equal(image, copy)
 
     def test_cached_mask_is_read_only(self):
@@ -305,34 +328,46 @@ class TestFoveate:
         # numpy integers and lists name the same center as a tuple of ints
         rng = np.random.default_rng(11)
         image = random_image(rng, height=8, width=6)
-        expected = foveate(image, FoveationParams(center=(5, 2), kernel_size=3))
+        expected = foveate(image, 3, (5, 2), 1.0)
         for center in ((np.int64(5), np.int32(2)), [5, 2]):
-            out = foveate(image, FoveationParams(center=center, kernel_size=3))
+            out = foveate(image, 3, center, 1.0)
             np.testing.assert_array_equal(out, expected)
 
     def test_non_integer_center_rejected(self):
         image = np.zeros((1, 4, 4))
         with pytest.raises(TypeError):
-            foveate(image, FoveationParams(center=(1.5, 2), kernel_size=3))
+            foveate(image, 3, (1.5, 2), 1.0)
+
+    @pytest.mark.parametrize(
+        "kernel_size, gamma, message",
+        [(4, 1.0, "kernel size must be an odd integer >= 1, got 4"),
+         (3, 0.0, "gamma must be positive, got 0.0"),
+         (3, float("nan"), "gamma must be positive, got nan")],
+    )
+    def test_invalid_settings_rejected_on_every_call(self, kernel_size, gamma, message):
+        image = np.zeros((1, 4, 4))
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                foveate(image, kernel_size, None, gamma)
 
     def test_invalid_center_not_cached(self):
         image = np.zeros((1, 4, 4))
         for _ in range(2):
             with pytest.raises(ValueError, match="outside"):
-                foveate(image, FoveationParams(center=(4, 0), kernel_size=3))
+                foveate(image, 3, (4, 0), 1.0)
 
 
 _THREAD_PROBE = """
 import hashlib, sys
 import numpy as np
-from fovalign.transforms import FoveationParams, foveate, gaussian_blur
+from fovalign.transforms import foveate, gaussian_blur
 digest = hashlib.sha256()
 rng = np.random.default_rng(0)
 for height, width in ((64, 64), (80, 48)):
     image = rng.random((3, height, width))
     for k in (1, 3, 75, 149, 171):
         digest.update(gaussian_blur(image, k).tobytes())
-        digest.update(foveate(image, FoveationParams(gamma=1.3, kernel_size=k)).tobytes())
+        digest.update(foveate(image, k, None, 1.3).tobytes())
 print(digest.hexdigest())
 """
 
