@@ -66,25 +66,25 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _norms(a: np.ndarray, floor: float) -> np.ndarray:
-    """Row norms floored at `floor`, summed as `_dots` sums a row with itself."""
-    return np.maximum(np.sqrt((a * a).sum(axis=-1)), floor)
+def _norms(a: np.ndarray) -> np.ndarray:
+    """Row norms floored at NORM_FLOOR, summed as `_dots` sums a row with itself."""
+    return np.maximum(np.sqrt((a * a).sum(axis=-1)), NORM_FLOOR)
 
 
-def _cosine(a: np.ndarray, b: np.ndarray, floor: float):
+def _cosine(a: np.ndarray, b: np.ndarray):
     """Return (cos, na, nb): the cosine matrix and the floored row norms."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ValueError(f"incompatible feature shapes {a.shape} and {b.shape}")
-    na = _norms(a, floor)
-    nb = _norms(b, floor)
+    na = _norms(a)
+    nb = _norms(b)
     return _dots(a, b) / (na[:, None] * nb[None, :]), na, nb
 
 
-def cosine_similarity_matrix(a: np.ndarray, b: np.ndarray, floor: float = NORM_FLOOR) -> np.ndarray:
-    """Pairwise cosine similarities with norms floored at `floor`."""
-    return _cosine(a, b, floor)[0]
+def cosine_similarity_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pairwise cosine similarities with norms floored at NORM_FLOOR."""
+    return _cosine(a, b)[0]
 
 
 def _row_cross_entropy(z: np.ndarray) -> float:
@@ -112,7 +112,7 @@ def loss_and_gradients(f_n: np.ndarray, f_latent: np.ndarray, log_tau: float):
     tau = math.exp(float(log_tau))
     if not np.isfinite(tau) or tau <= 0:
         raise ValueError(f"temperature must be positive, got {tau}")
-    cos, na, nb = _cosine(f_n, f_latent, NORM_FLOOR)
+    cos, na, nb = _cosine(f_n, f_latent)
     logits = cos / tau
     loss = 0.5 * (_row_cross_entropy(logits) + _row_cross_entropy(logits.T))
 
@@ -288,9 +288,7 @@ class Trainer:
             dropout_rng = np.random.default_rng(
                 np.random.SeedSequence((cfg.training.seed, 2, epoch, b))
             )
-            latent, cache = fusion.fusion_forward(
-                feats, self.params, cfg.fusion, train_mode=True, dropout_rng=dropout_rng
-            )
+            latent, cache = fusion.fusion_forward(feats, self.params, cfg.fusion, dropout_rng)
             neural_in = self.bank.neural[ids]
             f_n = nn.affine_forward(neural_in, self.params["enc_w"], self.params["enc_b"])
             loss, logits, d_f_n, d_latent, d_log_tau = loss_and_gradients(
@@ -373,22 +371,15 @@ class Trainer:
         }
 
 
-def encode_pairs(
-    config: RunConfig,
-    bank: EmbeddingBank,
-    provider,
-    params: dict,
-    indices,
-    kernel: int,
-    noise_base_seed: int,
-):
+def encode_pairs(config: RunConfig, bank: EmbeddingBank, provider, params: dict, indices):
     """Deterministic eval-mode embeddings for the given samples.
 
-    Returns (f_n, f_latent). Views are built at the fixed `kernel`; the
-    noise view derives its seed from (noise_base_seed, sample_index, 0).
+    Returns (f_n, f_latent). Views are built at transforms.kernel_size;
+    the noise view derives its seed from (evaluation.seed, sample_index, 0).
     """
-    feats = provider.features(indices, [kernel] * len(indices), noise_base_seed, 0)
-    latent, _ = fusion.fusion_forward(feats, params, config.fusion, train_mode=False)
+    kernels = [config.transforms.kernel_size] * len(indices)
+    feats = provider.features(indices, kernels, config.evaluation.seed, 0)
+    latent, _ = fusion.fusion_forward(feats, params, config.fusion)
     f_n = nn.affine_forward(
         bank.neural[np.asarray(indices, dtype=np.int64)], params["enc_w"], params["enc_b"]
     )

@@ -7,7 +7,8 @@ the arrays as `<f4`, row-major, in manifest order.
 
 Parameters are trained in float64 and stored as float32; `load_checkpoint`
 returns float64 arrays, so a save/load round trip is exact at float32
-precision and bit-stable across runs.
+precision and bit-stable across runs. It rejects an array holding NaN or
+inf, which would otherwise rank every retrieval query first.
 """
 
 from __future__ import annotations
@@ -70,6 +71,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
             arrays[name] = np.frombuffer(chunk, dtype="<f4").astype(np.float64).reshape(shape)
         except ValueError as exc:  # more axes, or a larger extent, than NumPy allows
             raise FormatError(f"{path}: array {name!r} cannot take shape {list(shape)}") from exc
+        if not np.all(np.isfinite(arrays[name])):
+            raise FormatError(f"{path}: array {name!r} contains non-finite values")
         offset += nbytes
     if offset != len(payload):
         raise FormatError(f"{path}: {len(payload) - offset} trailing payload bytes")

@@ -111,9 +111,9 @@ def _train(config: RunConfig, out: Path, seed) -> str:
         "dataset_tag": bank.tag,
         "seed": config.training.seed,
         "epochs": config.training.epochs,
-        "views": provider.views,
+        "views": config.views.count,
         "view_names": config.views.enabled(),
-        "dim_feature": provider.dim_feature,
+        "dim_feature": config.provider.dim_feature,
         "dim_neural": bank.dim_neural,
         "dim_latent": config.fusion.dim_latent,
         "kernel_hist": {str(k): v for k, v in trainer.schedule.kernel_histogram().items()},
@@ -158,11 +158,7 @@ def _evaluate(config: RunConfig, out: Path, seed) -> str:
     largest = max(config.evaluation.gallery_sizes)
     if largest > len(test_ids):
         raise ConfigError(f"gallery size n={largest} exceeds the test set size {len(test_ids)}")
-    f_n, latent = encode_pairs(
-        config, bank, provider, arrays, test_ids,
-        kernel=config.transforms.kernel_size,
-        noise_base_seed=config.evaluation.seed,
-    )
+    f_n, latent = encode_pairs(config, bank, provider, arrays, test_ids)
     similarity = cosine_similarity_matrix(f_n, latent)
     truth = np.arange(len(test_ids))
     reports = [

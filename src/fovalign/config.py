@@ -267,18 +267,11 @@ class RunConfig:
         return self
 
     def to_dict(self) -> dict:
-        """Fully resolved plain-dict form (tuples as lists, kernel_max filled in)."""
+        """Fully resolved plain-dict form (kernel_max filled in); json.dumps
+        writes its tuples as lists."""
         raw = dataclasses.asdict(self)
         raw["regulator"]["kernel_max"] = self.kernel_max
-        return _listify(raw)
-
-
-def _listify(value):
-    if isinstance(value, dict):
-        return {k: _listify(v) for k, v in value.items()}
-    if isinstance(value, tuple):
-        return [_listify(v) for v in value]
-    return value
+        return raw
 
 
 def _coerce(path: str, value, hint, what: str = ""):

@@ -114,15 +114,15 @@ def fusion_forward(
     features: np.ndarray,
     params: dict,
     settings: FusionConfig,
-    train_mode: bool = False,
     dropout_rng: np.random.Generator | None = None,
 ):
     """Batched forward pass.
 
     features: (B, V, d) frozen view features. Returns (latent, cache)
-    where latent is (B, dim_latent). Dropout fires only in train mode and
-    draws its mask from `dropout_rng`, so a fixed generator state makes
-    the pass deterministic (finite-difference checks rely on this).
+    where latent is (B, dim_latent). A generator makes it a train-mode
+    pass: dropout draws its mask from `dropout_rng`, so a fixed generator
+    state makes the pass deterministic (finite-difference checks rely on
+    this). Without one, dropout is off (eval mode).
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 3:
@@ -131,7 +131,7 @@ def fusion_forward(
 
     if settings.evidence:
         h1 = nn.affine_forward(x, params["ev_w1"], params["ev_b1"])
-        a1, h1_erf = nn._gelu(h1)
+        a1, h1_erf = nn.gelu(h1)
         raw = nn.affine_forward(a1, params["ev_w2"], params["ev_b2"])[..., 0]
         sp = nn.softplus(raw)
         evidence = sp if settings.softplus_only else np.exp(sp)
@@ -157,11 +157,9 @@ def fusion_forward(
 
     f_fus = f_ev + f_att
     p1 = nn.affine_forward(f_fus, params["pur_w1"], params["pur_b1"])
-    g1, p1_erf = nn._gelu(p1)
+    g1, p1_erf = nn.gelu(p1)
     p2 = nn.affine_forward(g1, params["pur_w2"], params["pur_b2"])
-    if train_mode and settings.dropout > 0.0:
-        if dropout_rng is None:
-            raise ValueError("train-mode forward with dropout needs a generator")
+    if dropout_rng is not None and settings.dropout > 0.0:
         mask = nn.dropout_mask(p2.shape, settings.dropout, dropout_rng)
         dropped = p2 * mask
     else:

@@ -334,14 +334,6 @@ class SyntheticProvider:
         self.images = images
         self._rows: dict[tuple[int, str], tuple[int | None, np.ndarray]] = {}
 
-    @property
-    def views(self) -> int:
-        return len(self.view_names)
-
-    @property
-    def dim_feature(self) -> int:
-        return self.encoder.dim
-
     def view_image(self, name: str, image: np.ndarray, kernel: int, noise_seed: int) -> np.ndarray:
         t = self.transforms
         if name == "identity":
@@ -368,7 +360,7 @@ class SyntheticProvider:
             seeds = [derive_noise_seed(noise_base, index, epoch) for index in ids]
         else:
             seeds = [0] * len(ids)
-        out = np.empty((len(ids), self.views, self.dim_feature))
+        out = np.empty((len(ids), len(self.view_names), self.encoder.dim))
         for v, name in enumerate(self.view_names):
             misses: dict[tuple[int, int | None], list[int]] = {}  # (index, key) -> positions
             for j, (index, kernel, seed) in enumerate(zip(ids, kernels, seeds)):
@@ -390,7 +382,7 @@ class SyntheticProvider:
         """Rows of view `name` for (index, kernel, noise_seed) requests.
         Views of one image shape are rendered into a (BLOCK, C, H, W)
         buffer and encoded one block per call."""
-        rows = np.empty((len(requests), self.dim_feature))
+        rows = np.empty((len(requests), self.encoder.dim))
         by_shape: dict[tuple[int, ...], list[int]] = {}
         for n, (index, _, _) in enumerate(requests):
             by_shape.setdefault(np.shape(self.images[index]), []).append(n)
@@ -418,14 +410,6 @@ class BankProvider:
     def __init__(self, bank: EmbeddingBank):
         self.bank = bank
         self.level_clamps = 0
-
-    @property
-    def views(self) -> int:
-        return self.bank.views
-
-    @property
-    def dim_feature(self) -> int:
-        return self.bank.dim_feature
 
     def features(self, ids, kernels, noise_base: int = 0, epoch: int = 0) -> np.ndarray:
         """(len(ids), views, dim_feature) rows stored at each kernel's level."""

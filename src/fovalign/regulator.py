@@ -17,30 +17,20 @@ and an even step they stay odd forever.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 __all__ = ["confidence_bounds", "BlurSchedule"]
 
 
 def confidence_bounds(smoothed_batch: np.ndarray, z: float) -> tuple[float, float]:
-    """Normal-approximation bounds mean +- z * sigma (population sigma).
-
-    A batch of fewer than two values has no spread to estimate; it
-    degenerates to (mean, mean) with a warning.
-    """
+    """Normal-approximation bounds mean +- z * sigma (population sigma);
+    a single value has sigma 0, so its bounds are (mean, mean)."""
     values = np.asarray(smoothed_batch, dtype=np.float64)
     if values.ndim != 1 or values.size == 0:
         raise ValueError(f"need a non-empty 1-D batch, got shape {values.shape}")
     if not np.isfinite(z) or z < 0:
         raise ValueError(f"z must be a non-negative real, got {z}")
     mean = float(values.mean())
-    if values.size < 2:
-        warnings.warn(
-            "confidence bounds over a single value are degenerate", stacklevel=2
-        )
-        return mean, mean
     sigma = float(values.std())  # ddof=0: population standard deviation
     return mean - z * sigma, mean + z * sigma
 

@@ -80,7 +80,8 @@ def foveation_mask(
     farthest = float(dist.max())
     if farthest == 0.0:  # 1x1 grid: the focus is the whole image
         return np.ones((height, width))
-    return np.exp(-gamma * dist / farthest)
+    with np.errstate(over="ignore"):  # a huge gamma overflows to -inf, and exp(-inf) is 0
+        return np.exp(-gamma * dist / farthest)
 
 
 def gaussian_kernel(kernel_size: int) -> np.ndarray:
@@ -196,17 +197,12 @@ def _gather_linear(arr: np.ndarray, axis: int, n_dst: int) -> np.ndarray:
     return (1.0 - weight) * a + weight * b
 
 
-def resample(
-    image: np.ndarray,
-    scale: float,
-    mode: str,
-    restore: bool = True,
-) -> np.ndarray:
-    """Downsample by `scale` and (optionally) resize back to the input size.
+def resample(image: np.ndarray, scale: float, mode: str) -> np.ndarray:
+    """Downsample by `scale` and resize back to the input size.
 
     mode is "bilinear" (low-resolution view) or "nearest" (mosaic view).
-    Both the shrink and the restore pass use the half-pixel-centre grid
-    documented at module level. scale = 1 is an exact identity.
+    Both passes use the half-pixel-centre grid documented at module
+    level. scale = 1 is an exact identity.
     """
     arr = _check_image(image)
     if not 0.0 < scale <= 1.0:
@@ -222,6 +218,4 @@ def resample(
         )
     gather = _gather_nearest if mode == "nearest" else _gather_linear
     small = gather(gather(arr, 1, h_small), 2, w_small)
-    if not restore:
-        return small
     return gather(gather(small, 1, height), 2, width)

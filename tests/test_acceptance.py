@@ -101,7 +101,7 @@ def test_criterion_3_gradient_checks():
     })
 
     def graph_loss(params, feats, neural):
-        latent, _ = fusion.fusion_forward(feats, params, cfg.fusion, train_mode=False)
+        latent, _ = fusion.fusion_forward(feats, params, cfg.fusion)
         f_n = nn.affine_forward(neural, params["enc_w"], params["enc_b"])
         return loss_and_gradients(f_n, latent, float(params["log_tau"]))[0]
 
@@ -115,7 +115,7 @@ def test_criterion_3_gradient_checks():
         )
         params = init_parameters(c, 8)
 
-        latent, cache = fusion.fusion_forward(feats, params, cfg.fusion, train_mode=False)
+        latent, cache = fusion.fusion_forward(feats, params, cfg.fusion)
         f_n = nn.affine_forward(neural, params["enc_w"], params["enc_b"])
         _, _, d_f_n, d_latent, d_log_tau = loss_and_gradients(
             f_n, latent, float(params["log_tau"])
@@ -250,7 +250,7 @@ def test_criterion_6_retrieval_metrics():
             cfg, training=dataclasses.replace(cfg.training, seed=1000 + model)
         )
         params = init_parameters(c, bank.dim_neural)
-        latent, _ = fusion.fusion_forward(feats, params, c.fusion, train_mode=False)
+        latent, _ = fusion.fusion_forward(feats, params, c.fusion)
         f_n = nn.affine_forward(neural, params["enc_w"], params["enc_b"])
         sim = f_n @ latent.T  # ranks are scale-free; cosine would tie out the same
         ranks = _ranks_among_draws(sim, truth, every_other_column(shuffle, len(ids), len(ids)))

@@ -502,16 +502,13 @@ class TestEncodePairs:
         )
         params = init_parameters(config, bank.dim_neural)
         ids = bank.indices("test")
-        f_n, latent = encode_pairs(
-            config, bank, provider, params, ids,
-            kernel=config.transforms.kernel_size, noise_base_seed=7,
+        config = dataclasses.replace(
+            config, evaluation=dataclasses.replace(config.evaluation, seed=7)
         )
+        f_n, latent = encode_pairs(config, bank, provider, params, ids)
         assert f_n.shape == (len(ids), config.fusion.dim_latent)
         assert latent.shape == (len(ids), config.fusion.dim_latent)
-        f_n2, latent2 = encode_pairs(
-            config, bank, provider, params, ids,
-            kernel=config.transforms.kernel_size, noise_base_seed=7,
-        )
+        f_n2, latent2 = encode_pairs(config, bank, provider, params, ids)
         np.testing.assert_array_equal(f_n, f_n2)
         np.testing.assert_array_equal(latent, latent2)
 
@@ -526,14 +523,12 @@ class TestEncodePairs:
             config.transforms, config.views, config.provider.dim_feature,
             config.provider.seed, images,
         )
-        level = bank.kernel_levels[0]
-        common = dict(kernel=level, noise_base_seed=config.data.seed + 4)
-        f_n_bank, latent_bank = encode_pairs(
-            config, bank, BankProvider(bank), params, ids,
-            **common,
+        config = dataclasses.replace(
+            config,
+            transforms=dataclasses.replace(config.transforms, kernel_size=bank.kernel_levels[0]),
+            evaluation=dataclasses.replace(config.evaluation, seed=config.data.seed + 4),
         )
-        f_n_live, latent_live = encode_pairs(
-            config, bank, synth, params, ids, **common,
-        )
+        f_n_bank, latent_bank = encode_pairs(config, bank, BankProvider(bank), params, ids)
+        f_n_live, latent_live = encode_pairs(config, bank, synth, params, ids)
         np.testing.assert_array_equal(f_n_bank, f_n_live)
         np.testing.assert_allclose(latent_bank, latent_live, atol=1e-5)

@@ -484,6 +484,20 @@ class TestEvaluate:
             f"the configured model expects {want}"
         ) in capsys.readouterr().err
 
+    def test_non_finite_checkpoint_exits_2(self, workspace, tmp_path, capsys):
+        # NaN parameters would otherwise evaluate as perfect retrieval
+        arrays, meta = load_checkpoint(workspace["root"] / "run" / "checkpoint.bick")
+        arrays["proj_w"] = np.full_like(arrays["proj_w"], np.nan)
+        save_checkpoint(tmp_path / "nan.bick", arrays, {k: v for k, v in meta.items() if k != "arrays"})
+        raw = json.loads(workspace["config"].read_text())
+        raw["paths"]["checkpoint"] = str(tmp_path / "nan.bick")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "e"
+        assert main(["evaluate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "array 'proj_w' contains non-finite values" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_checkpoint(self, workspace, tmp_path, capsys):
         raw = json.loads(workspace["config"].read_text())
         raw["paths"]["checkpoint"] = str(tmp_path / "none.bick")

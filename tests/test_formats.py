@@ -273,6 +273,15 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="cannot take shape"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_array_rejected_by_name(self, tmp_path, bad):
+        # NaN parameters would rank every retrieval query first
+        path = tmp_path / "ck.bick"
+        arrays = {"a": np.ones(2), "b": np.array([0.5, bad]), "c": np.full(3, bad)}
+        save_checkpoint(path, arrays, {})
+        with pytest.raises(FormatError, match="array 'b' contains non-finite values"):
+            load_checkpoint(path)
+
     def test_empty_dimension_reads_an_empty_array(self, tmp_path):
         path = tmp_path / "ck.bick"
         save_checkpoint(path, {"w": np.zeros((0, 3))}, {})

@@ -216,7 +216,7 @@ class TestFusionForward:
         x = rng.standard_normal((2, 4, 8))
         latent, _ = fusion_forward(x, params, settings)
 
-        h = nn.gelu(x @ params["ev_w1"] + params["ev_b1"])
+        h = nn.gelu(x @ params["ev_w1"] + params["ev_b1"])[0]
         raw = (h @ params["ev_w2"] + params["ev_b2"])[..., 0]
         evidence = np.exp(nn.softplus(raw))
         w = belief_weights(evidence).belief
@@ -226,7 +226,7 @@ class TestFusionForward:
         alpha = nn.softmax(scores, axis=-1)
         f_att = np.einsum("bv,bvd->bd", alpha, x)
         f_fus = f_ev + f_att
-        p2 = nn.gelu(f_fus @ params["pur_w1"] + params["pur_b1"]) @ params["pur_w2"] + params["pur_b2"]
+        p2 = nn.gelu(f_fus @ params["pur_w1"] + params["pur_b1"])[0] @ params["pur_w2"] + params["pur_b2"]
         expected, _ = nn.layernorm_forward(
             f_fus + p2, params["ln_gain"], params["ln_bias"], settings.layernorm_eps
         )
@@ -273,23 +273,14 @@ class TestFusionForward:
         latent, _ = fusion_forward(x, params, settings)
         assert latent.shape == (2, 6)
 
-    def test_train_mode_requires_generator(self):
-        settings = make_settings(dropout=0.5)
-        params = make_params(settings, dim_feature=8, seed=9)
-        x = np.random.default_rng(19).standard_normal((2, 3, 8))
-        with pytest.raises(ValueError):
-            fusion_forward(x, params, settings, train_mode=True)
-
     def test_dropout_only_fires_in_train_mode(self):
         settings = make_settings(dropout=0.9)
         params = make_params(settings, dim_feature=8, seed=10)
         x = np.random.default_rng(20).standard_normal((2, 3, 8))
-        a, _ = fusion_forward(x, params, settings, train_mode=False)
-        b, _ = fusion_forward(x, params, settings, train_mode=False)
+        a, _ = fusion_forward(x, params, settings)
+        b, _ = fusion_forward(x, params, settings)
         np.testing.assert_array_equal(a, b)
-        c, _ = fusion_forward(
-            x, params, settings, train_mode=True, dropout_rng=np.random.default_rng(0)
-        )
+        c, _ = fusion_forward(x, params, settings, np.random.default_rng(0))
         assert not np.array_equal(a, c)
 
     def test_bad_rank_rejected(self):
@@ -301,13 +292,8 @@ class TestFusionForward:
 
 def _graph_loss(x, params, settings, probe, rng_seed=None):
     """Scalar readout sum(latent * probe); optional frozen dropout mask."""
-    if rng_seed is None:
-        latent, _ = fusion_forward(x, params, settings, train_mode=False)
-    else:
-        latent, _ = fusion_forward(
-            x, params, settings, train_mode=True,
-            dropout_rng=np.random.default_rng(rng_seed),
-        )
+    dropout_rng = None if rng_seed is None else np.random.default_rng(rng_seed)
+    latent, _ = fusion_forward(x, params, settings, dropout_rng)
     return float(np.sum(latent * probe))
 
 
@@ -328,13 +314,8 @@ def test_parameter_gradients_match_finite_differences(mode):
     probe = rng.standard_normal((3, latent_dim))
     rng_seed = 55 if mode == "train" else None
 
-    if rng_seed is None:
-        latent, cache = fusion_forward(x, params, settings, train_mode=False)
-    else:
-        latent, cache = fusion_forward(
-            x, params, settings, train_mode=True,
-            dropout_rng=np.random.default_rng(rng_seed),
-        )
+    dropout_rng = None if rng_seed is None else np.random.default_rng(rng_seed)
+    latent, cache = fusion_forward(x, params, settings, dropout_rng)
     grads = fusion_backward(probe, cache, params, settings)
     assert set(grads) == set(params)
 

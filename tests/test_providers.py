@@ -64,7 +64,7 @@ class TestSyntheticEncoder:
         np.testing.assert_allclose(flat, 0.25, atol=1e-12)
 
     def test_small_images_poolable(self):
-        # images below the pool grid (e.g. non-restored mosaics) still encode
+        # images below the pool grid still encode
         enc = SyntheticEncoder(8, seed=1)
         z = enc.encode(np.random.default_rng(3).random((3, 2, 2)))
         np.testing.assert_allclose(np.linalg.norm(z), 1.0, rtol=1e-12)
@@ -417,7 +417,7 @@ class TestSyntheticProvider:
         encode, view_image = provider.encoder.encode, provider.view_image
         for ids, kernels, epoch in requests:
             rows = provider.features(ids, kernels, 6, epoch)
-            assert rows.shape == (len(ids), provider.views, 8)
+            assert rows.shape == (len(ids), len(provider.view_names), 8)
             for j, (i, k) in enumerate(zip(ids, kernels)):
                 seed = derive_noise_seed(6, i, epoch)
                 want = [encode(view_image(n, BATCH_IMAGES[i], k, seed)) for n in provider.view_names]
@@ -509,8 +509,8 @@ class TestSyntheticProvider:
 
     def test_disabled_views_drop_rows(self):
         provider = self._provider(noise=False)
-        assert provider.views == 3
         assert provider.view_names == ["foveated", "lowres", "mosaic"]
+        assert provider.features([], []).shape == (0, 3, 8)
 
     def test_identity_view_is_plain_encoding(self):
         rng = np.random.default_rng(6)
@@ -553,7 +553,7 @@ class TestSyntheticProvider:
         with pytest.raises(ValueError, match="sample index 1 has no image"):
             provider.features([0, 1], [9, 9])
         assert provider._rows == {}
-        assert provider.features([0], [9]).shape == (1, provider.views, provider.dim_feature)
+        assert provider.features([0], [9]).shape == (1, 4, 8)
 
     def test_kernel_count_must_match_ids(self):
         provider = self._provider([random_image(np.random.default_rng(0))])

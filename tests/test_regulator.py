@@ -1,6 +1,7 @@
 """Feedback-controlled blur schedule: smoothing, bounds, kernel moves."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -31,10 +32,10 @@ class TestConfidenceBounds:
         lower, upper = confidence_bounds(np.array([0.2, 0.4, 0.9]), z=0.0)
         assert lower == upper == pytest.approx(0.5)
 
-    def test_single_value_degenerates_with_warning(self):
-        with pytest.warns(UserWarning, match="degenerate"):
-            lower, upper = confidence_bounds(np.array([0.3]), z=1.96)
-        assert lower == upper == pytest.approx(0.3)
+    def test_single_value_degenerates_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert confidence_bounds(np.array([0.3]), z=1.96) == (0.3, 0.3)
 
     def test_rejections(self):
         with pytest.raises(ValueError):
