@@ -209,7 +209,7 @@ class AdamW:
 class EpochReport:
     epoch: int
     loss: float
-    mean_smoothed: float
+    mean_smoothed_sim: float
     kernel_min: int
     kernel_mean: float
     kernel_max: int
@@ -288,7 +288,15 @@ class Trainer:
             dropout_rng = np.random.default_rng(
                 np.random.SeedSequence((cfg.training.seed, 2, epoch, b))
             )
-            latent, cache = fusion.fusion_forward(feats, self.params, cfg.fusion, dropout_rng)
+            try:
+                latent, cache = fusion.fusion_forward(feats, self.params, cfg.fusion, dropout_rng)
+            except ValueError as exc:
+                # huge but finite parameters pass the post-step check and
+                # can still make the evidence NaN here
+                raise NumericError(
+                    f"fusion forward failed at epoch {epoch}, batch {b}: {exc}",
+                    state=self.diagnostics(epoch, b, math.nan),
+                ) from exc
             neural_in = self.bank.neural[ids]
             f_n = nn.affine_forward(neural_in, self.params["enc_w"], self.params["enc_b"])
             loss, logits, d_f_n, d_latent, d_log_tau = loss_and_gradients(
@@ -328,7 +336,7 @@ class Trainer:
         report = EpochReport(
             epoch=epoch,
             loss=float(np.mean(losses)),
-            mean_smoothed=self.schedule.mean_smoothed(),
+            mean_smoothed_sim=self.schedule.mean_smoothed(),
             kernel_min=int(kernels.min()),
             kernel_mean=float(kernels.mean()),
             kernel_max=int(kernels.max()),

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .alignment import Trainer, cosine_similarity_matrix, encode_pairs, init_parameters
+from .alignment import EpochReport, Trainer, cosine_similarity_matrix, encode_pairs, init_parameters
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, config_hash, load_config
 from .datagen import BANK_FILE, IMAGES_DIR, generate_dataset, load_dataset, save_dataset
@@ -34,10 +34,6 @@ from .providers import BankProvider, EmbeddingBank, SyntheticProvider
 __all__ = ["main"]
 
 _TRANSFORM_VIEWS = ("foveated", "noise", "lowres", "mosaic")
-_METRICS_COLUMNS = (
-    "epoch", "loss", "mean_smoothed_sim",
-    "kernel_min", "kernel_mean", "kernel_max", "t_lower", "t_upper",
-)
 _EVAL_COLUMNS = ("subject", "n", "seed", "trials", "top1", "top5", "map", "similarity")
 
 
@@ -121,11 +117,10 @@ def _train(config: RunConfig, out: Path, seed) -> str:
     }
     checkpoint_path = out / Path(config.paths.checkpoint).name
     save_checkpoint(checkpoint_path, trainer.params, metadata)
-    _write_csv(out / "metrics.csv", _METRICS_COLUMNS, [
-        [r.epoch, r.loss, r.mean_smoothed,
-         r.kernel_min, r.kernel_mean, r.kernel_max, r.t_lower, r.t_upper]
-        for r in reports
-    ])
+    # a column per field of the epoch record, in declaration order, but the
+    # histogram, which the checkpoint keeps
+    columns = [f.name for f in dataclasses.fields(EpochReport) if f.name != "kernel_hist"]
+    _write_csv(out / "metrics.csv", columns, [[getattr(r, c) for c in columns] for r in reports])
     tail = f"final loss {reports[-1].loss:.6f}" if reports else "no epochs run"
     return f"trained {config.training.epochs} epochs ({tail}); checkpoint at {checkpoint_path}"
 

@@ -7,8 +7,6 @@ either a plain config file or a manifest, so any run can be reproduced
 from its own manifest.
 """
 
-from __future__ import annotations
-
 import dataclasses
 import hashlib
 import json
@@ -16,6 +14,7 @@ import sys
 import typing
 from dataclasses import dataclass, field
 from statistics import NormalDist
+from typing import Annotated
 
 from .errors import ConfigError
 
@@ -37,14 +36,31 @@ __all__ = [
 ]
 
 
+# A field annotated Annotated[T, (text, test)] accepts the values that pass
+# `test`, each item of a tuple on its own; `RunConfig.validate` rejects any
+# other with "{section}.{field} must {text}, got {value}".
+def _at_least(low: int) -> tuple:
+    return f"be >= {low}", lambda v: v >= low
+
+
+_POSITIVE = ("be positive", lambda v: v > 0)
+_ODD = ("be odd >= 1", lambda v: v >= 1 and v % 2 == 1)
+_EVEN = ("be even positive", lambda v: v >= 2 and v % 2 == 0)
+_UNIT = ("lie in [0, 1]", lambda v: 0.0 <= v <= 1.0)
+_UNIT_NO_0 = ("lie in (0, 1]", lambda v: 0.0 < v <= 1.0)
+_UNIT_NO_1 = ("lie in [0, 1)", lambda v: 0.0 <= v < 1.0)
+# below 2**-53, 1 - alpha/2 rounds to 1, which has no normal quantile
+_ALPHA = ("lie in (0, 1) and exceed 2**-53", lambda v: 2.0**-53 < v < 1.0)
+
+
 @dataclass(frozen=True)
 class TransformConfig:
-    gamma: float = 1.0
-    kernel_size: int = 75
-    perturbation: int = 6
-    noise_sigma: float = 10.0
-    scale_low: float = 0.5
-    scale_mosaic: float = 1.0 / 16.0
+    gamma: Annotated[float, _POSITIVE] = 1.0
+    kernel_size: Annotated[int, _ODD] = 75
+    perturbation: Annotated[int, _EVEN] = 6
+    noise_sigma: Annotated[float, _at_least(0)] = 10.0
+    scale_low: Annotated[float, _UNIT_NO_0] = 0.5
+    scale_mosaic: Annotated[float, _UNIT_NO_0] = 1.0 / 16.0
     center: tuple[int, int] | None = None
 
     def check_fits(self, height: int, width: int, views, source: str) -> None:
@@ -86,44 +102,44 @@ class ViewsConfig:
 @dataclass(frozen=True)
 class ProviderConfig:
     kind: str = "synthetic"  # "synthetic" (from images) or "bank" (precomputed)
-    dim_feature: int = 64
-    seed: int = 7
+    dim_feature: Annotated[int, _at_least(2)] = 64
+    seed: Annotated[int, _at_least(0)] = 7
 
 
 @dataclass(frozen=True)
 class FusionConfig:
-    dim_latent: int = 64
-    dim_hidden: int = 64
-    dim_bottleneck: int = 32
-    dropout: float = 0.1
-    layernorm_eps: float = 1e-5
-    fuse_eps: float = 1e-8
+    dim_latent: Annotated[int, _at_least(1)] = 64
+    dim_hidden: Annotated[int, _at_least(1)] = 64
+    dim_bottleneck: Annotated[int, _at_least(1)] = 32
+    dropout: Annotated[float, _UNIT_NO_1] = 0.1
+    layernorm_eps: Annotated[float, _POSITIVE] = 1e-5
+    fuse_eps: Annotated[float, _POSITIVE] = 1e-8
     softplus_only: bool = False
     evidence: bool = True
 
 
 @dataclass(frozen=True)
 class TrainingConfig:
-    epochs: int = 150
-    batch_size: int = 32
-    learning_rate: float = 1e-4
-    weight_decay: float = 0.01
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
+    epochs: Annotated[int, _at_least(0)] = 150
+    batch_size: Annotated[int, _at_least(2)] = 32
+    learning_rate: Annotated[float, _at_least(0)] = 1e-4
+    weight_decay: Annotated[float, _at_least(0)] = 0.01
+    adam_beta1: Annotated[float, _UNIT_NO_1] = 0.9
+    adam_beta2: Annotated[float, _UNIT_NO_1] = 0.999
+    adam_eps: Annotated[float, _POSITIVE] = 1e-8
     temperature_init: float = 0.07
     temperature_min: float = 1e-3
     temperature_max: float = 1.0
-    seed: int = 42
+    seed: Annotated[int, _at_least(0)] = 42
 
 
 @dataclass(frozen=True)
 class RegulatorConfig:
     enabled: bool = True
-    momentum: float = 0.9
-    alpha: float = 0.05
-    start_epoch: int = 1
-    kernel_min: int = 1
+    momentum: Annotated[float, _UNIT] = 0.9
+    alpha: Annotated[float, _ALPHA] = 0.05
+    start_epoch: Annotated[int, _at_least(0)] = 1
+    kernel_min: Annotated[int, _ODD] = 1
     kernel_max: int | None = None  # None resolves to 2 * kernel_size - 1
 
     @property
@@ -136,20 +152,20 @@ class RegulatorConfig:
 class DataConfig:
     classes: int = 60
     test_classes: int = 50
-    train_samples_per_class: int = 48
-    image_size: int = 64
-    dim_neural: int = 64
-    neural_noise: float = 0.02
-    seed: int = 123
+    train_samples_per_class: Annotated[int, _at_least(1)] = 48
+    image_size: Annotated[int, _at_least(2)] = 64
+    dim_neural: Annotated[int, _at_least(2)] = 64
+    neural_noise: Annotated[float, _at_least(0)] = 0.02
+    seed: Annotated[int, _at_least(0)] = 123
     tag: str = "synthetic"
-    bank_levels: tuple[int, ...] = (1, 75, 149)
+    bank_levels: Annotated[tuple[int, ...], _ODD] = (1, 75, 149)
 
 
 @dataclass(frozen=True)
 class EvalConfig:
-    gallery_sizes: tuple[int, ...] = (50,)
-    trials: int = 20
-    seed: int = 7
+    gallery_sizes: Annotated[tuple[int, ...], _POSITIVE] = (50,)
+    trials: Annotated[int, _at_least(1)] = 20
+    seed: Annotated[int, _at_least(0)] = 7
 
 
 @dataclass(frozen=True)
@@ -179,91 +195,45 @@ class RunConfig:
         return 2 * self.transforms.kernel_size - 1
 
     def validate(self) -> "RunConfig":
-        t = self.transforms
-        if t.kernel_size < 1 or t.kernel_size % 2 == 0:
-            raise ConfigError(f"transforms.kernel_size must be odd >= 1, got {t.kernel_size}")
-        if t.perturbation < 2 or t.perturbation % 2 != 0:
-            raise ConfigError(f"transforms.perturbation must be even positive, got {t.perturbation}")
-        if t.gamma <= 0:
-            raise ConfigError(f"transforms.gamma must be positive, got {t.gamma}")
-        if t.noise_sigma < 0:
-            raise ConfigError(f"transforms.noise_sigma must be >= 0, got {t.noise_sigma}")
-        for name in ("scale_low", "scale_mosaic"):
-            value = getattr(t, name)
-            if not 0.0 < value <= 1.0:
-                raise ConfigError(f"transforms.{name} must lie in (0, 1], got {value}")
+        for section, name, (text, test) in _RULES:
+            value = getattr(getattr(self, section), name)
+            items = value if isinstance(value, tuple) else (value,)
+            for i, item in enumerate(items):
+                if not test(item):
+                    index = f"[{i}]" if isinstance(value, tuple) else ""
+                    raise ConfigError(f"{section}.{name}{index} must {text}, got {item}")
+        # the rules that compare two or more fields, and the provider kind
+        t, r, tr, d, e = self.transforms, self.regulator, self.training, self.data, self.evaluation
         if self.views.count < 1:
             raise ConfigError("all views disabled: at least one view must be enabled")
         if self.provider.kind not in ("synthetic", "bank"):
             raise ConfigError(f"provider.kind must be 'synthetic' or 'bank', got {self.provider.kind!r}")
-        if self.provider.dim_feature < 2:
-            raise ConfigError(f"provider.dim_feature must be >= 2, got {self.provider.dim_feature}")
-        f = self.fusion
-        for name in ("dim_latent", "dim_hidden", "dim_bottleneck"):
-            if getattr(f, name) < 1:
-                raise ConfigError(f"fusion.{name} must be >= 1, got {getattr(f, name)}")
-        if not 0.0 <= f.dropout < 1.0:
-            raise ConfigError(f"fusion.dropout must lie in [0, 1), got {f.dropout}")
-        tr = self.training
-        if tr.epochs < 0:
-            raise ConfigError(f"training.epochs must be >= 0, got {tr.epochs}")
-        if tr.batch_size < 2:
-            raise ConfigError(f"training.batch_size must be >= 2, got {tr.batch_size}")
-        if tr.learning_rate < 0 or tr.weight_decay < 0:
-            raise ConfigError("training.learning_rate and weight_decay must be >= 0")
         if not 0 < tr.temperature_min <= tr.temperature_init <= tr.temperature_max:
             raise ConfigError(
                 "temperature bounds must satisfy 0 < min <= init <= max, got "
                 f"{tr.temperature_min}, {tr.temperature_init}, {tr.temperature_max}"
             )
-        r = self.regulator
-        if not 0.0 <= r.momentum <= 1.0:
-            raise ConfigError(f"regulator.momentum must lie in [0, 1], got {r.momentum}")
-        if not 0.0 < r.alpha < 1.0:
-            raise ConfigError(f"regulator.alpha must lie in (0, 1), got {r.alpha}")
-        if r.start_epoch < 0:
-            raise ConfigError(f"regulator.start_epoch must be >= 0, got {r.start_epoch}")
-        if r.kernel_min < 1 or r.kernel_min % 2 == 0:
-            raise ConfigError(f"regulator.kernel_min must be odd >= 1, got {r.kernel_min}")
         k_max = self.kernel_max
         if k_max % 2 == 0 or not r.kernel_min <= t.kernel_size <= k_max:
             raise ConfigError(
                 f"kernel bounds must be odd with kernel_min <= kernel_size <= kernel_max, "
                 f"got [{r.kernel_min}, {k_max}] around {t.kernel_size}"
             )
-        d = self.data
-        if d.classes < 1 or not 0 < d.test_classes < d.classes:
+        if not 0 < d.test_classes < d.classes:
             raise ConfigError(
                 f"data.test_classes must satisfy 0 < test_classes < classes, "
                 f"got {d.test_classes} of {d.classes}"
             )
-        if d.train_samples_per_class < 1:
-            raise ConfigError("data.train_samples_per_class must be >= 1")
-        if d.image_size < 2:
-            raise ConfigError(f"data.image_size must be >= 2, got {d.image_size}")
         t.check_fits(d.image_size, d.image_size, self.views.enabled(), "image (data.image_size)")
-        if d.dim_neural < 2:
-            raise ConfigError(f"data.dim_neural must be >= 2, got {d.dim_neural}")
-        if d.neural_noise < 0:
-            raise ConfigError(f"data.neural_noise must be >= 0, got {d.neural_noise}")
-        for level in d.bank_levels:
-            if level < 1 or level % 2 == 0:
-                raise ConfigError(f"data.bank_levels entries must be odd >= 1, got {level}")
         if len(set(d.bank_levels)) != len(d.bank_levels) or not d.bank_levels:
             raise ConfigError("data.bank_levels must be non-empty and free of duplicates")
-        e = self.evaluation
-        if not e.gallery_sizes or any(n < 1 for n in e.gallery_sizes):
-            raise ConfigError("evaluation.gallery_sizes must be positive integers")
+        if not e.gallery_sizes:
+            raise ConfigError("evaluation.gallery_sizes must list at least one positive size")
         if max(e.gallery_sizes) > d.test_classes:
             raise ConfigError(
                 f"evaluation.gallery_sizes: gallery size n={max(e.gallery_sizes)} exceeds "
                 f"the test set size {d.test_classes} (data.test_classes)"
             )
-        if e.trials < 1:
-            raise ConfigError(f"evaluation.trials must be >= 1, got {e.trials}")
-        for name in ("data", "provider", "training", "evaluation"):
-            if getattr(self, name).seed < 0:
-                raise ConfigError(f"{name}.seed must be >= 0, got {getattr(self, name).seed}")
         return self
 
     def to_dict(self) -> dict:
@@ -276,8 +246,11 @@ class RunConfig:
 
 def _coerce(path: str, value, hint, what: str = ""):
     """`value` as the field annotation `hint` declares it: bool, int, float,
-    str, tuple[X, ...], a fixed-length tuple[X, Y] or X | None. `what`
-    prefixes the expected form in error messages."""
+    str, tuple[X, ...], a fixed-length tuple[X, Y] or X | None, each maybe
+    wrapped in Annotated[..., rule]. `what` prefixes the expected form in
+    error messages."""
+    if typing.get_origin(hint) is Annotated:
+        hint = hint.__origin__
     args = typing.get_args(hint)
     if type(None) in args:
         if value is None:
@@ -309,7 +282,7 @@ def _coerce(path: str, value, hint, what: str = ""):
 def _section_from_dict(cls, data: dict, path: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected an object, got {type(data).__name__}")
-    hints = typing.get_type_hints(cls)
+    hints = {f.name: f.type for f in dataclasses.fields(cls)}
     unknown = sorted(set(data) - set(hints))
     if unknown:
         raise ConfigError(f"unknown config key: {path}.{unknown[0]}")
@@ -317,6 +290,13 @@ def _section_from_dict(cls, data: dict, path: str):
 
 
 _SECTIONS = {f.name: f.default_factory for f in dataclasses.fields(RunConfig)}
+# (section, field, rule) for every field annotated Annotated[T, rule]
+_RULES = [
+    (section, f.name, f.type.__metadata__[0])
+    for section, cls in _SECTIONS.items()
+    for f in dataclasses.fields(cls)
+    if typing.get_origin(f.type) is Annotated
+]
 
 
 def config_from_dict(data: dict) -> RunConfig:

@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ import fovalign.fusion
 from fovalign.alignment import init_parameters
 from fovalign.checkpoint import load_checkpoint, save_checkpoint
 from fovalign.cli import main
-from fovalign.config import config_from_dict
+from fovalign.config import RunConfig, config_from_dict
 from fovalign.errors import NumericError
 from fovalign.pixmap import read_pixmap, to_bytes_quantized, write_pixmap
 from fovalign.transforms import add_noise, foveate, resample
@@ -672,6 +673,70 @@ class TestNegativeSeed:
         )
         assert proc.returncode == 2
         assert proc.stderr == "error: --seed must be >= 0, got -1\n"
+
+
+# every int and float setting of these sections but the sizes, which could
+# ask for a huge allocation
+SWEPT_SECTIONS = ("training", "fusion", "regulator")
+EDGE_INTS = (0, 1, -1, 2**62)
+EDGE_FLOATS = (0.0, 1.0, -1.0, 5e-324, 1e308, -1e308, 0.5)
+
+
+def edge_cases():
+    for section in SWEPT_SECTIONS:
+        for name, hint in typing.get_type_hints(type(getattr(RunConfig(), section))).items():
+            if name.startswith("dim_") or name in ("batch_size", "epochs"):
+                continue
+            kinds = {hint, *typing.get_args(hint)}
+            values = EDGE_FLOATS if float in kinds else EDGE_INTS if int in kinds else ()
+            for value in values:
+                yield pytest.param(section, name, value, id=f"{section}.{name}={value!r}")
+
+
+@pytest.fixture(scope="module")
+def bank_recipe(tmp_path_factory):
+    """The tiny config on the bank provider for one epoch, its dataset generated."""
+    root = tmp_path_factory.mktemp("edges")
+    raw = tiny_config().to_dict()
+    raw["provider"]["kind"] = "bank"
+    raw["training"]["epochs"] = 1
+    raw["paths"].update(dataset=str(root / "data"), checkpoint=str(root / "run" / "checkpoint.bick"))
+    cfg = root / "config.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["generate", "--config", str(cfg)]) == 0
+    return raw
+
+
+def train_with(raw, tmp_path, section, name, value):
+    """The exit code of `train` on `raw` with one setting changed."""
+    raw = json.loads(json.dumps(raw))
+    raw[section][name] = value
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    return main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
+
+
+# diverging runs overflow on their way to exit 3
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("section, name, value", list(edge_cases()))
+def test_edge_value_ends_in_a_documented_exit(bank_recipe, tmp_path, capsys, section, name, value):
+    code = train_with(bank_recipe, tmp_path, section, name, value)
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name", ["learning_rate", "weight_decay"])
+def test_diverging_run_names_the_forward_stage(bank_recipe, tmp_path, capsys, name):
+    assert train_with(bank_recipe, tmp_path, "training", name, 1e308) == 3
+    first, dump = capsys.readouterr().err.split("\n", 1)
+    assert first.startswith("numeric failure: fusion forward failed at epoch 0, batch 1: ")
+
+    def reject(token):
+        raise ValueError(f"bare {token} token in the dump")
+
+    assert json.loads(dump, parse_constant=reject)["loss"] == "nan"
 
 
 class TestErrorSurface:

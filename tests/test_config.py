@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import math
+import typing
 
 import pytest
 
@@ -99,12 +101,29 @@ class TestRejection:
             ("provider", "seed", -1, "provider.seed must be >= 0"),
             ("training", "seed", -1, "training.seed must be >= 0"),
             ("evaluation", "seed", -1, "evaluation.seed must be >= 0"),
+            ("training", "adam_beta1", 1.0, "training.adam_beta1 must lie in [0, 1), got 1.0"),
+            ("training", "adam_beta1", -1.0, "training.adam_beta1 must lie in [0, 1), got -1.0"),
+            ("training", "adam_beta2", 2.0, "training.adam_beta2 must lie in [0, 1), got 2.0"),
+            ("training", "adam_eps", -1, "training.adam_eps must be positive, got -1.0"),
+            ("fusion", "layernorm_eps", -1, "fusion.layernorm_eps must be positive, got -1.0"),
+            ("fusion", "fuse_eps", -1, "fusion.fuse_eps must be positive, got -1.0"),
+            ("fusion", "fuse_eps", 0, "fusion.fuse_eps must be positive, got 0.0"),
+            # 1 - alpha/2 rounds to 1, which has no normal quantile
+            ("regulator", "alpha", 1e-17, "regulator.alpha must lie in (0, 1) and exceed 2**-53"),
+            ("regulator", "alpha", 5e-324, "regulator.alpha must lie in (0, 1) and exceed 2**-53"),
+            ("data", "bank_levels", [1, 4], "data.bank_levels[1] must be odd >= 1, got 4"),
+            ("evaluation", "gallery_sizes", [0], "evaluation.gallery_sizes[0] must be positive, got 0"),
         ],
     )
     def test_validation_messages(self, section, key, value, fragment):
         with pytest.raises(ConfigError) as exc:
             config_from_dict({section: {key: value}})
         assert fragment in str(exc.value)
+
+    def test_smallest_alpha_with_a_quantile(self):
+        alpha = math.nextafter(2.0**-53, 1.0)
+        cfg = config_from_dict({"regulator": {"alpha": alpha}})
+        assert math.isfinite(cfg.regulator.z_value)
 
     def test_all_views_disabled(self):
         with pytest.raises(ConfigError, match="at least one view"):
@@ -185,6 +204,8 @@ class TestCoercions:
         assert cfg.evaluation.gallery_sizes == (10, 5)
         with pytest.raises(ConfigError, match="expected a list"):
             config_from_dict({"evaluation": {"gallery_sizes": 10}})
+        with pytest.raises(ConfigError, match="data.bank_levels: expected a list of int, got 5"):
+            config_from_dict({"data": {"bank_levels": 5}})
 
     def test_list_entries_type_checked(self):
         with pytest.raises(ConfigError, match=r"gallery_sizes\[1\]"):
@@ -221,6 +242,34 @@ def test_float_fields_must_be_finite(section, name, value):
     raw = json.loads(json.dumps({section: {name: value}}))
     with pytest.raises(ConfigError, match=f"{section}\\.{name}: expected a finite number"):
         config_from_dict(raw)
+
+
+# numeric fields that only the rules comparing two or more fields check
+CROSS_FIELD_ONLY = {
+    ("transforms", "center"),
+    ("training", "temperature_init"),
+    ("training", "temperature_min"),
+    ("training", "temperature_max"),
+    ("regulator", "kernel_max"),
+    ("data", "classes"),
+    ("data", "test_classes"),
+}
+
+
+def holds_numbers(hint) -> bool:
+    """int or float, or a tuple or optional of them."""
+    return hint in (int, float) or any(holds_numbers(a) for a in typing.get_args(hint))
+
+
+def test_every_numeric_field_declares_its_range():
+    # a new int or float field gets a range in its annotation, or joins the list
+    unranged = {
+        (section.name, name)
+        for section in dataclasses.fields(RunConfig)
+        for name, hint in typing.get_type_hints(section.default_factory, include_extras=True).items()
+        if typing.get_origin(hint) is not typing.Annotated and holds_numbers(hint)
+    }
+    assert unranged == CROSS_FIELD_ONLY
 
 
 class TestViews:
