@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
+from .errors import ConfigError
 from .pixmap import read_pixmap, to_bytes_quantized, write_pixmap
 from .providers import (
     BLOCK, EmbeddingBank, SyntheticProvider, load_embedding_bank, save_embedding_bank,
@@ -111,11 +112,16 @@ def generate_dataset(config: RunConfig) -> tuple[EmbeddingBank, list[np.ndarray]
         (config.provider.dim_feature, d.dim_neural)
     ) / np.sqrt(config.provider.dim_feature)
     neural = clean @ neural_map
-    for i in range(len(images)):
-        noise_rng = np.random.default_rng(
-            np.random.SeedSequence((d.seed, _NEURAL_NOISE_TAG, i))
+    with np.errstate(over="ignore"):  # a huge noise scale overflows; named below
+        for i in range(len(images)):
+            noise_rng = np.random.default_rng(
+                np.random.SeedSequence((d.seed, _NEURAL_NOISE_TAG, i))
+            )
+            neural[i] += d.neural_noise * noise_rng.standard_normal(d.dim_neural)
+    if not np.all(np.isfinite(neural)):
+        raise ConfigError(
+            f"data.neural_noise {d.neural_noise!r} takes the neural vectors past the float range"
         )
-        neural[i] += d.neural_noise * noise_rng.standard_normal(d.dim_neural)
 
     levels = sorted(d.bank_levels)
     ids = np.arange(len(images))

@@ -74,6 +74,27 @@ def _ranks_among_draws(sim: np.ndarray, truth: np.ndarray, draws: np.ndarray) ->
     return 1 + higher + tied_before
 
 
+def _trial_ranks(sim: np.ndarray, truth: np.ndarray, n: int, rng) -> np.ndarray:
+    """Each query's rank among its truth and n - 1 distractors drawn by
+    `rng`, one draw per query in order, or among every other gallery column
+    when `rng` is None. Queries are ranked in blocks of at most
+    RANK_BLOCK_DRAWS distractors."""
+    n_queries, n_gallery = sim.shape
+    rows = max(1, RANK_BLOCK_DRAWS // max(1, n - 1))
+    ranks = np.empty(n_queries, dtype=np.int64)
+    for start in range(0, n_queries, rows):
+        stop = min(start + rows, n_queries)
+        if rng is None:
+            draws = np.broadcast_to(np.arange(n - 1), (stop - start, n - 1))
+        else:
+            draws = np.stack([
+                rng.choice(n_gallery - 1, size=n - 1, replace=False)
+                for _ in range(start, stop)
+            ])
+        ranks[start:stop] = _ranks_among_draws(sim[start:stop], truth[start:stop], draws)
+    return ranks
+
+
 def nway_evaluate(
     similarity: np.ndarray, truth, n: int, trials: int, seed: int
 ) -> EvalReport:
@@ -81,8 +102,11 @@ def nway_evaluate(
 
     Per trial, each query faces its true item plus n - 1 distractors
     sampled without replacement from the remaining gallery (PCG64 seeded
-    by (seed, trial)). Top-5 uses k = min(5, n). The similarity score is
-    the mean diagonal of the full matrix and does not depend on trials.
+    by (seed, trial)). When n is the gallery size every other column is a
+    distractor whatever the draw, so each query is ranked once, with no
+    generator, and the report does not depend on `seed`. Top-5 uses
+    k = min(5, n). The similarity score is the mean diagonal of the full
+    matrix and does not depend on trials.
     """
     sim, t = _check_matrix(similarity, truth)
     n_gallery = sim.shape[1]
@@ -93,19 +117,15 @@ def nway_evaluate(
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     k5 = min(5, n)
-    n_queries = sim.shape[0]
-    rows = max(1, RANK_BLOCK_DRAWS // max(1, n - 1))
+    full = n == n_gallery
+    ranks = _trial_ranks(sim, t, n, None) if full else None
     top1_sum = top5_sum = ap_sum = 0.0
     for trial in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, trial)))
-        ranks = np.empty(n_queries, dtype=np.int64)
-        for start in range(0, n_queries, rows):
-            stop = min(start + rows, n_queries)
-            draws = np.stack([
-                rng.choice(n_gallery - 1, size=n - 1, replace=False)
-                for _ in range(start, stop)
-            ])
-            ranks[start:stop] = _ranks_among_draws(sim[start:stop], t[start:stop], draws)
+        if not full:
+            rng = np.random.default_rng(np.random.SeedSequence((seed, trial)))
+            ranks = _trial_ranks(sim, t, n, rng)
+        # one sum per trial, as many trials as asked, so the means keep
+        # the bits of the per-trial loop
         top1_sum += (ranks <= 1).mean()
         top5_sum += (ranks <= k5).mean()
         ap_sum += (1.0 / ranks).mean()

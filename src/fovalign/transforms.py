@@ -8,9 +8,9 @@ values in [0, 1]. Conventions committed here, relied on by the tests:
   boundary preserves constants and the total brightness exactly.
 * The blur is applied by matrix products, ``A_H @ X @ A_W^T``. ``A_n`` is
   the (n, n) operator of one separable pass with the reflect padding
-  folded in, built once per (n, kernel size) by running the separable
-  correlation on the identity and cached read-only. It agrees with the
-  two-pass correlation to about 4e-16 per pixel.
+  folded in, built once per (n, kernel size) in NumPy, bit for bit the
+  scipy.ndimage ``correlate1d`` of the identity, and cached read-only. It
+  agrees with the two-pass correlation to about 4e-16 per pixel.
 * The blur width is tied to the kernel size by
   ``sigma = 0.3 * ((k - 1) / 2 - 1) + 0.8``, the convention mainstream
   image libraries use when only a size is given.
@@ -28,7 +28,6 @@ import functools
 import operator
 
 import numpy as np
-from scipy import ndimage
 
 __all__ = [
     "foveation_mask",
@@ -93,17 +92,40 @@ def gaussian_kernel(kernel_size: int) -> np.ndarray:
     return taps / taps.sum()
 
 
+def _reflect(index: np.ndarray, n: int) -> np.ndarray:
+    """Edge-repeating reflection of indices into [0, n), over any number
+    of periods."""
+    m = index % (2 * n)
+    return np.where(m < n, m, 2 * n - 1 - m)
+
+
 @functools.lru_cache(maxsize=256)
 def _blur_operator(n: int, kernel_size: int) -> np.ndarray:
     """Read-only (n, n) matrix of one blur pass along an axis of length n.
 
     Row i holds the weights the reflect-padded correlation gives each
     input pixel at output i, so kernels wider than 2n fold over several
-    reflection periods exactly as the correlation does.
+    reflection periods exactly as the correlation does. Each entry is
+    summed in the order of scipy.ndimage's symmetric correlation, so the
+    matrix equals ``correlate1d(np.eye(n), taps, mode="reflect")`` bit for
+    bit: the centre tap first, then the tap pairs from the farthest in, a
+    pair that reflects onto one column adding twice its weight at once.
     """
-    op = ndimage.correlate1d(
-        np.eye(n), gaussian_kernel(kernel_size), axis=0, mode="reflect"
-    )
+    taps = gaussian_kernel(kernel_size)
+    radius = kernel_size // 2
+    out = np.arange(n)
+    offsets = np.arange(radius, 0, -1)[:, None]
+    below, above = _reflect(out - offsets, n), _reflect(out + offsets, n)
+    weight = np.broadcast_to(taps[radius - offsets], below.shape)
+    same = below == above
+    # every term in summation order: the centre taps, then (pair, side,
+    # output); bincount adds the terms of each entry in input order
+    index = np.concatenate([out * (n + 1), (n * out + np.stack([below, above], axis=1)).ravel()])
+    terms = np.concatenate([
+        np.full(n, taps[radius]),
+        np.stack([np.where(same, 2.0 * weight, weight), np.where(same, 0.0, weight)], axis=1).ravel(),
+    ])
+    op = np.bincount(index, terms, minlength=n * n).reshape(n, n)
     op.flags.writeable = False
     return op
 

@@ -771,6 +771,19 @@ class TestErrorSurface:
         assert "transforms.scale_mosaic 0.0625 collapses the 8x8 image" in err
         assert not (tmp_path / "d").exists()
 
+    def test_neural_noise_past_the_float_range(self, tmp_path, capsys):
+        raw = tiny_config().to_dict()
+        raw["data"]["neural_noise"] = 1e308
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "error: data.neural_noise 1e+308 takes the neural vectors past the float range\n"
+        )
+        assert "Traceback" not in err
+        assert not (tmp_path / "d").exists()
+
     def test_unreadable_config(self, tmp_path, capsys):
         assert main(["generate", "--config", str(tmp_path / "nope.json")]) == 2
         assert "cannot read config" in capsys.readouterr().err

@@ -1,5 +1,7 @@
 """Retrieval metrics against brute-force oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -263,6 +265,37 @@ class TestNWayMatchesLoop:
         for n in (1, 2, 3, 14):
             assert nway_evaluate(sim, truth, n, trials=3, seed=5) == (
                 loop_nway_evaluate(sim, truth, n, trials=3, seed=5)
+            )
+
+    def test_full_gallery_constructs_no_generator(self, monkeypatch):
+        sim, truth = self._tied(6, 9, seed=1)
+        made = []
+        real = np.random.default_rng
+
+        def counting(*args, **kwargs):
+            made.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        nway_evaluate(sim, truth, 9, trials=5, seed=0)
+        assert made == []
+        nway_evaluate(sim, truth, 8, trials=5, seed=0)
+        assert len(made) == 5  # a partial gallery draws from one generator per trial
+
+    def test_full_gallery_report_does_not_depend_on_the_seed(self):
+        sim, truth = self._tied(7, 7, seed=2)
+        reports = {
+            dataclasses.replace(nway_evaluate(sim, truth, 7, trials=3, seed=seed), seed=0)
+            for seed in (0, 1, 12345)
+        }
+        assert len(reports) == 1
+
+    def test_full_gallery_on_a_tied_rectangular_matrix(self):
+        # seven trials each add the same means: the sums must keep the loop's bits
+        sim, truth = self._tied(5, 12, seed=3)
+        for seed in range(3):
+            assert nway_evaluate(sim, truth, 12, trials=7, seed=seed) == (
+                loop_nway_evaluate(sim, truth, 12, trials=7, seed=seed)
             )
 
     @settings(max_examples=60, deadline=None)

@@ -251,6 +251,12 @@ class TestGaussianBlur:
             rtol=0, atol=1e-12,
         )
 
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 130), kernel=st.integers(0, 150).map(lambda half: 2 * half + 1))
+    def test_operator_is_the_correlation_of_the_identity_bit_for_bit(self, n, kernel):
+        want = ndimage.correlate1d(np.eye(n), gaussian_kernel(kernel), axis=0, mode="reflect")
+        assert transforms._blur_operator(n, kernel).tobytes() == want.tobytes()
+
     def test_cached_operator_is_read_only(self):
         op = transforms._blur_operator(9, 5)
         assert op is transforms._blur_operator(9, 5)
@@ -377,10 +383,17 @@ print(digest.hexdigest())
 """
 
 
-def test_blur_bytes_do_not_depend_on_the_blas_thread_count():
+def _env_with_src() -> dict:
+    """The environment without a BLAS thread setting, this checkout's
+    package first on the path."""
     src = str(Path(transforms.__file__).resolve().parents[1])
     base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, base.get("PYTHONPATH")]))
+    return base
+
+
+def test_blur_bytes_do_not_depend_on_the_blas_thread_count():
+    base = _env_with_src()
     digests = []
     for threads in (None, "1"):
         env = dict(base) if threads is None else {**base, "OPENBLAS_NUM_THREADS": threads}
@@ -390,6 +403,14 @@ def test_blur_bytes_do_not_depend_on_the_blas_thread_count():
         )
         digests.append(proc.stdout.strip())
     assert digests[0] == digests[1]
+
+
+def test_the_command_line_does_not_import_scipy_ndimage():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, fovalign.cli; print('scipy.ndimage' in sys.modules)"],
+        env=_env_with_src(), capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.strip() == "False"
 
 
 class TestAddNoise:
