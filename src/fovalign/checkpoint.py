@@ -2,8 +2,8 @@
 
 A checkpoint is a `container` file with magic b"BICK" and version 1. Its
 header, the manifest, carries an "arrays" list of {name, shape} sorted by
-name, plus run metadata (config hash, views, dims, ...); the payload is
-the arrays as `<f4`, row-major, in manifest order.
+name, plus run metadata (the model record, config hash, ...); the payload
+is the arrays as `<f4`, row-major, in manifest order.
 
 Parameters are trained in float64 and stored as float32; `load_checkpoint`
 returns float64 arrays, so a save/load round trip is exact at float32

@@ -37,22 +37,45 @@ _TRANSFORM_VIEWS = ("foveated", "noise", "lowres", "mosaic")
 _EVAL_COLUMNS = ("subject", "n", "seed", "trials", "top1", "top5", "map", "similarity")
 
 
+class _Absent:  # the value of an entry that one side of a comparison lacks
+    def __repr__(self) -> str:
+        return "(absent)"
+
+
+def _require_match(source: str, found, expected, entry: str = "") -> None:
+    """ConfigError naming the first entry where what `source` holds differs
+    from what the config expects, with both values. Dicts are compared
+    entry by entry, the expected ones first; an entry only one side has
+    differs too."""
+    if isinstance(found, dict) and isinstance(expected, dict):
+        for key in list(expected) + sorted(set(found) - set(expected)):
+            name = f"{entry}.{key}" if entry else key
+            _require_match(source, found.get(key, _Absent()), expected.get(key, _Absent()), name)
+    elif found != expected:
+        raise ConfigError(f"{source} gives {entry} = {found!r}, the config {expected!r}")
+
+
+def _model(config: RunConfig, bank: EmbeddingBank) -> dict:
+    """What a trained model's arrays mean: the views fused, in order, the
+    frozen encoder, the fusion set-up and the dataset. `enc_w`'s shape
+    fixes dim_neural; both provider kinds serve the same encoder's rows."""
+    return {
+        "views": config.views.enabled(),
+        "provider": {"dim_feature": config.provider.dim_feature, "seed": config.provider.seed},
+        "fusion": dataclasses.asdict(config.fusion),
+        "dataset_tag": bank.tag,
+    }
+
+
 def _load_data(config: RunConfig, splits):
     """(bank, provider) for the configured provider kind; only the synthetic
     provider reads pixmaps, and only those of the samples in `splits`."""
     kind = config.provider.kind
     bank, images = load_dataset(config.paths.dataset, splits if kind == "synthetic" else ())
     if kind == "bank":
-        if bank.views != config.views.count:
-            raise ConfigError(
-                f"embedding bank stores {bank.views} views but the config "
-                f"enables {config.views.count}"
-            )
-        if bank.dim_feature != config.provider.dim_feature:
-            raise ConfigError(
-                f"embedding bank stores dim_feature={bank.dim_feature} but the "
-                f"config asks for {config.provider.dim_feature}"
-            )
+        _require_match(f"embedding bank {Path(config.paths.dataset) / BANK_FILE}",
+                       {"views": bank.views, "dim_feature": bank.dim_feature},
+                       {"views": config.views.count, "dim_feature": config.provider.dim_feature})
         return bank, BankProvider(bank)
     for height, width in sorted({image.shape[1:] for image in images if image is not None}):
         config.transforms.check_fits(
@@ -104,14 +127,7 @@ def _train(config: RunConfig, out: Path, seed) -> str:
     out.mkdir(parents=True, exist_ok=True)
     metadata = {
         "config_hash": config_hash(config),
-        "dataset_tag": bank.tag,
-        "seed": config.training.seed,
-        "epochs": config.training.epochs,
-        "views": config.views.count,
-        "view_names": config.views.enabled(),
-        "dim_feature": config.provider.dim_feature,
-        "dim_neural": bank.dim_neural,
-        "dim_latent": config.fusion.dim_latent,
+        "model": _model(config, bank),
         "kernel_hist": {str(k): v for k, v in trainer.schedule.kernel_histogram().items()},
         "final_loss": reports[-1].loss if reports else None,
     }
@@ -125,28 +141,14 @@ def _train(config: RunConfig, out: Path, seed) -> str:
     return f"trained {config.training.epochs} epochs ({tail}); checkpoint at {checkpoint_path}"
 
 
-def _check_checkpoint(arrays: dict, config: RunConfig, bank: EmbeddingBank) -> None:
-    """Structural compatibility between a checkpoint and the configured model."""
-    expected = init_parameters(config, bank.dim_neural)
-    missing = sorted(set(expected) - set(arrays))
-    extra = sorted(set(arrays) - set(expected))
-    if missing or extra:
-        raise ConfigError(
-            f"checkpoint arrays do not match the configured model "
-            f"(missing {missing}, unexpected {extra})"
-        )
-    for name, ref in expected.items():
-        if arrays[name].shape != ref.shape:
-            raise ConfigError(
-                f"checkpoint array {name!r} has shape {arrays[name].shape}, "
-                f"the configured model expects {ref.shape}"
-            )
-
-
 def _evaluate(config: RunConfig, out: Path, seed) -> str:
-    arrays, _ = load_checkpoint(config.paths.checkpoint)
+    arrays, header = load_checkpoint(config.paths.checkpoint)
     bank, provider = _load_data(config, ("test",))
-    _check_checkpoint(arrays, config, bank)
+    found, expected = ({name: list(a.shape) for name, a in params.items()}
+                       for params in (arrays, init_parameters(config, bank.dim_neural)))
+    _require_match(f"checkpoint {config.paths.checkpoint}",
+                   {"model": header.get("model", _Absent()), "arrays": found},
+                   {"model": _model(config, bank), "arrays": expected})
 
     test_ids = bank.indices("test")
     # fail before the costly encoding, with nway_evaluate's message
@@ -184,12 +186,18 @@ def _report(config: RunConfig, out: Path, seed) -> str:
                 f"searched {run} for eval.csv and found none: run `evaluate` for "
                 f"{run} first, and list an `evaluate --out` directory in paths.runs"
             )
-        with open(eval_path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames != list(_EVAL_COLUMNS):
-                raise FormatError(f"{eval_path} has unexpected columns {reader.fieldnames}")
-            for record in reader:
-                rows.append([run] + [record[c] for c in _EVAL_COLUMNS])
+        try:
+            with open(eval_path, "r", encoding="utf-8", newline="") as fh:
+                header, *records = list(csv.reader(fh)) or [[]]
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise FormatError(f"{eval_path} is not UTF-8 CSV text: {exc}") from exc
+        if header != list(_EVAL_COLUMNS):
+            raise FormatError(f"{eval_path} has unexpected columns {header}")
+        for i, record in enumerate(records, start=1):
+            if len(record) != len(header):
+                raise FormatError(
+                    f"{eval_path}: row {i} has {len(record)} cells, the header {len(header)}")
+            rows.append([run] + record)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "report.csv", ("run",) + _EVAL_COLUMNS, rows)
     return f"aggregated {len(rows)} result rows from {len(config.paths.runs)} runs into {out / 'report.csv'}"

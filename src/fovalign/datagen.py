@@ -39,8 +39,12 @@ BANK_FILE, IMAGES_DIR = "bank.bicp", "images"
 _STYLE_TAG, _SAMPLE_TAG, _MAP_TAG, _NEURAL_NOISE_TAG, _VIEW_NOISE_TAG = 0, 1, 2, 3, 4
 
 
+def _stream(*key) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(key))
+
+
 def _class_style(data_seed: int, class_id: int) -> dict:
-    rng = np.random.default_rng(np.random.SeedSequence((data_seed, _STYLE_TAG, class_id)))
+    rng = _stream(data_seed, _STYLE_TAG, class_id)
     blobs = []
     for _ in range(int(rng.integers(2, 5))):
         blobs.append({
@@ -83,51 +87,37 @@ def generate_dataset(config: RunConfig) -> tuple[EmbeddingBank, list[np.ndarray]
     """
     d = config.data
     train_classes = d.classes - d.test_classes
-    images: list[np.ndarray] = []
-    labels: list[int] = []
-    splits: list[str] = []
-    for class_id in range(d.classes):
-        style = _class_style(d.seed, class_id)
-        split = "train" if class_id < train_classes else "test"
-        copies = d.train_samples_per_class if split == "train" else 1
-        for copy in range(copies):
-            rng = np.random.default_rng(
-                np.random.SeedSequence((d.seed, _SAMPLE_TAG, class_id, copy))
-            )
-            images.append(render_sample(style, rng, d.image_size))
-            labels.append(class_id)
-            splits.append(split)
-
-    provider = SyntheticProvider(
-        config.transforms, config.views,
-        config.provider.dim_feature, config.provider.seed, images,
-    )
-    # encoded BLOCK images per call, never as one stack of every image
-    clean = np.empty((len(images), config.provider.dim_feature))
-    for start in range(0, len(images), BLOCK):
-        block = np.stack(images[start : start + BLOCK])
-        clean[start : start + BLOCK] = provider.encoder.encode(block)
-    map_rng = np.random.default_rng(np.random.SeedSequence((d.seed, _MAP_TAG)))
-    neural_map = map_rng.standard_normal(
-        (config.provider.dim_feature, d.dim_neural)
-    ) / np.sqrt(config.provider.dim_feature)
-    neural = clean @ neural_map
-    with np.errstate(over="ignore"):  # a huge noise scale overflows; named below
-        for i in range(len(images)):
-            noise_rng = np.random.default_rng(
-                np.random.SeedSequence((d.seed, _NEURAL_NOISE_TAG, i))
-            )
-            neural[i] += d.neural_noise * noise_rng.standard_normal(d.dim_neural)
-    if not np.all(np.isfinite(neural)):
+    # (class, copy) of each sample, in sample order
+    samples = [(class_id, copy) for class_id in range(d.classes)
+               for copy in range(d.train_samples_per_class if class_id < train_classes else 1)]
+    # the noise does not depend on the images: it is drawn, and a scale
+    # past the float range named, before any rendering
+    with np.errstate(over="ignore"):
+        noise = d.neural_noise * np.stack([
+            _stream(d.seed, _NEURAL_NOISE_TAG, i).standard_normal(d.dim_neural)
+            for i in range(len(samples))
+        ])
+    if not np.all(np.isfinite(noise)):
         raise ConfigError(
             f"data.neural_noise {d.neural_noise!r} takes the neural vectors past the float range"
         )
+    styles = [_class_style(d.seed, class_id) for class_id in range(d.classes)]
+    images = [render_sample(styles[class_id], _stream(d.seed, _SAMPLE_TAG, class_id, copy),
+                            d.image_size) for class_id, copy in samples]
+
+    dim = config.provider.dim_feature
+    provider = SyntheticProvider(config.transforms, config.views, dim, config.provider.seed, images)
+    # encoded BLOCK images per call, never as one stack of every image
+    clean = np.empty((len(images), dim))
+    for start in range(0, len(images), BLOCK):
+        block = np.stack(images[start : start + BLOCK])
+        clean[start : start + BLOCK] = provider.encoder.encode(block)
+    neural_map = _stream(d.seed, _MAP_TAG).standard_normal((dim, d.dim_neural)) / np.sqrt(dim)
+    neural = clean @ neural_map + noise
 
     levels = sorted(d.bank_levels)
     ids = np.arange(len(images))
-    features = np.empty(
-        (len(ids), len(levels), config.views.count, config.provider.dim_feature), dtype=np.float32
-    )
+    features = np.empty((len(ids), len(levels), config.views.count, dim), dtype=np.float32)
     # one request per level; the provider's cache serves the
     # kernel-independent rows, the noise row included, once per sample
     for j, level in enumerate(levels):
@@ -135,13 +125,13 @@ def generate_dataset(config: RunConfig) -> tuple[EmbeddingBank, list[np.ndarray]
     bank = EmbeddingBank(
         tag=d.tag,
         views=config.views.count,
-        dim_feature=config.provider.dim_feature,
+        dim_feature=dim,
         dim_neural=d.dim_neural,
         kernel_levels=levels,
         features=features,
         neural=neural,
-        labels=np.asarray(labels, dtype=np.int64),
-        splits=splits,
+        labels=np.asarray([class_id for class_id, _ in samples], dtype=np.int64),
+        splits=["train" if class_id < train_classes else "test" for class_id, _ in samples],
     ).validate()
     return bank, images
 

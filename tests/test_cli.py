@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour on a small workspace."""
 
 import csv
+import dataclasses
 import filecmp
 import json
 import os
@@ -21,7 +22,7 @@ import fovalign.fusion
 from fovalign.alignment import init_parameters
 from fovalign.checkpoint import load_checkpoint, save_checkpoint
 from fovalign.cli import main
-from fovalign.config import RunConfig, config_from_dict
+from fovalign.config import FusionConfig, RunConfig, config_from_dict, config_hash
 from fovalign.errors import NumericError
 from fovalign.pixmap import read_pixmap, to_bytes_quantized, write_pixmap
 from fovalign.transforms import add_noise, foveate, resample
@@ -265,9 +266,16 @@ class TestTrain:
     def test_checkpoint_metadata(self, workspace):
         arrays, meta = load_checkpoint(workspace["root"] / "run" / "checkpoint.bick")
         cfg = config_from_dict(json.loads(workspace["config"].read_text()))
-        assert meta["epochs"] == cfg.training.epochs
-        assert meta["dim_neural"] == cfg.data.dim_neural
-        assert meta["view_names"] == cfg.views.enabled()
+        # the array table, the model and the manifest beside the checkpoint
+        # hold the rest: views, dimensions, tag, seed and epochs
+        assert set(meta) == {"arrays", "config_hash", "model", "kernel_hist", "final_loss"}
+        assert meta["config_hash"] == config_hash(cfg)
+        assert meta["model"] == {
+            "views": ["foveated", "noise", "lowres", "mosaic"],
+            "provider": {"dim_feature": 16, "seed": cfg.provider.seed},
+            "fusion": dataclasses.asdict(cfg.fusion),
+            "dataset_tag": "synthetic",
+        }
         assert set(arrays) == set(init_parameters(cfg, cfg.data.dim_neural))
         assert sum(meta["kernel_hist"].values()) == 40
 
@@ -481,8 +489,8 @@ class TestEvaluate:
         cfg.write_text(json.dumps(raw))
         assert main(["evaluate", "--config", str(cfg), "--out", str(tmp_path / "e")]) == 2
         assert (
-            f"checkpoint array {name!r} has shape {arrays[name].shape}, "
-            f"the configured model expects {want}"
+            f"checkpoint {tmp_path / 'bad.bick'} gives arrays.{name} = "
+            f"{list(arrays[name].shape)}, the config {list(want)}"
         ) in capsys.readouterr().err
 
     def test_non_finite_checkpoint_exits_2(self, workspace, tmp_path, capsys):
@@ -536,6 +544,125 @@ def test_each_command_reads_only_the_pixmaps_of_its_split(
         read.clear()
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
         assert sorted(Path(path).name for path in read) == [f"sample_{i:05d}.ppm" for i in ids]
+
+
+def _changed(value):
+    """Another valid value of a fusion setting."""
+    if isinstance(value, bool):
+        return not value
+    return value + 1 if isinstance(value, int) else value * 2
+
+
+TINY_VIEWS = ["foveated", "noise", "lowres", "mosaic"]
+# one setting the model depends on, as (config edits, the differing entry,
+# the checkpoint's value, the config's value)
+MODEL_CHANGES = {
+    "views": ({"views": {"identity": True, "foveated": False}}, "model.views",
+              TINY_VIEWS, ["identity"] + TINY_VIEWS[1:]),
+    "provider.dim_feature": ({"provider": {"dim_feature": 24}},
+                             "model.provider.dim_feature", 16, 24),
+    "provider.seed": ({"provider": {"seed": 99}}, "model.provider.seed", 7, 99),
+    **{
+        f"fusion.{f.name}": (
+            {"fusion": {f.name: _changed(f.default)}}, f"model.fusion.{f.name}",
+            getattr(tiny_config().fusion, f.name), _changed(f.default),
+        )
+        for f in dataclasses.fields(FusionConfig)
+    },
+}
+# sections that may differ between training and evaluation
+FREE_CHANGES = {
+    "transforms": {"transforms": {"gamma": 2.0, "kernel_size": 9}},
+    "evaluation": {"evaluation": {"trials": 3, "seed": 1}},
+    "training": {"training": {"epochs": 7, "learning_rate": 0.5, "seed": 3}},
+    "regulator": {"regulator": {"enabled": False, "alpha": 0.1}},
+    "provider.kind": {"provider": {"kind": "bank"}},
+}
+
+
+class TestModelMatch:
+    """`evaluate` refuses a checkpoint whose model or arrays differ from
+    its config's, naming the first differing entry and both values."""
+
+    def _evaluate(self, workspace, tmp_path, edits=(), **paths):
+        raw = json.loads(workspace["config"].read_text())
+        for section, values in dict(edits).items():
+            raw[section].update(values)
+        raw["paths"].update(paths)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        return main(["evaluate", "--config", str(cfg), "--out", str(tmp_path / "e")])
+
+    def _rewrite(self, workspace, tmp_path, arrays=None, **meta_changes):
+        """A copy of the workspace checkpoint with other arrays or header entries
+        (None drops one); returns its path."""
+        saved, meta = load_checkpoint(workspace["root"] / "run" / "checkpoint.bick")
+        meta = {k: v for k, v in {**meta, **meta_changes}.items() if v is not None}
+        path = tmp_path / "edited.bick"
+        save_checkpoint(path, saved if arrays is None else arrays(saved),
+                        {k: v for k, v in meta.items() if k != "arrays"})
+        return path
+
+    @pytest.mark.parametrize("change", MODEL_CHANGES.values(), ids=MODEL_CHANGES.keys())
+    def test_another_model_exits_2(self, workspace, tmp_path, capsys, change):
+        edits, entry, trained, configured = change
+        assert self._evaluate(workspace, tmp_path, edits) == 2
+        checkpoint = workspace["root"] / "run" / "checkpoint.bick"
+        assert capsys.readouterr().err == (
+            f"error: checkpoint {checkpoint} gives {entry} = {trained!r}, "
+            f"the config {configured!r}\n"
+        )
+        assert not (tmp_path / "e").exists()
+
+    def test_another_dataset_tag_exits_2(self, workspace, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(workspace["root"] / "data", data)
+        rewrite_bank_header(data / "bank.bicp", tag="other")
+        assert self._evaluate(workspace, tmp_path, dataset=str(data)) == 2
+        assert "gives model.dataset_tag = 'synthetic', the config 'other'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda a: {k: v for k, v in a.items() if k != "enc_b"},
+         "gives arrays.enc_b = (absent), the config [16]"),
+        (lambda a: {**a, "extra": np.zeros(2)}, "gives arrays.extra = [2], the config (absent)"),
+    ], ids=["missing", "extra"])
+    def test_a_missing_or_extra_array_exits_2(self, workspace, tmp_path, capsys, edit, message):
+        path = self._rewrite(workspace, tmp_path, arrays=edit)
+        assert self._evaluate(workspace, tmp_path, checkpoint=str(path)) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model, shown", [(None, "(absent)"), ([1, 2], "[1, 2]")],
+                             ids=["absent", "not-an-object"])
+    def test_a_checkpoint_without_a_model_object_exits_2(
+        self, workspace, tmp_path, capsys, model, shown
+    ):
+        # a checkpoint written before the model was recorded lacks the entry
+        path = self._rewrite(workspace, tmp_path, model=model, views=4, dim_feature=16)
+        assert self._evaluate(workspace, tmp_path, checkpoint=str(path)) == 2
+        err = capsys.readouterr().err
+        assert f"checkpoint {path} gives model = {shown}, the config {{'views': " in err
+
+    @pytest.mark.parametrize("edits", FREE_CHANGES.values(), ids=FREE_CHANGES.keys())
+    def test_settings_outside_the_model_may_differ(self, workspace, tmp_path, edits):
+        assert self._evaluate(workspace, tmp_path, edits) == 0
+        assert (tmp_path / "e" / "eval.csv").exists()
+
+
+@pytest.mark.parametrize("edits, message", [
+    ({"views": {"mosaic": False}}, "gives views = 4, the config 3"),
+    ({"provider": {"dim_feature": 24}, "fusion": {"dim_latent": 24}},
+     "gives dim_feature = 16, the config 24"),
+], ids=["views", "dim_feature"])
+def test_bank_of_other_dimensions_exits_2(workspace, tmp_path, capsys, edits, message):
+    raw = json.loads(workspace["config"].read_text())
+    raw["provider"]["kind"] = "bank"
+    for section, values in edits.items():
+        raw[section].update(values)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    bank = workspace["root"] / "data" / "bank.bicp"
+    assert f"error: embedding bank {bank} {message}" in capsys.readouterr().err
 
 
 class TestReport:
@@ -596,6 +723,34 @@ class TestReport:
         cfg.write_text(json.dumps(raw))
         assert main(["report", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
         assert "unexpected columns" in capsys.readouterr().err
+
+    def _report(self, workspace, tmp_path, content: bytes) -> int:
+        run = tmp_path / "bad-run"
+        run.mkdir()
+        (run / "eval.csv").write_bytes(content)
+        raw = json.loads(workspace["config"].read_text())
+        raw["paths"]["runs"] = [str(run)]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        return main(["report", "--config", str(cfg), "--out", str(tmp_path / "r")])
+
+    def test_eval_csv_that_is_not_utf8(self, workspace, tmp_path, capsys):
+        header = ",".join(fovalign.cli._EVAL_COLUMNS).encode()
+        assert self._report(workspace, tmp_path, header + b"\n\xff\xfe,4\n") == 2
+        err = capsys.readouterr().err
+        assert f"error: {tmp_path / 'bad-run' / 'eval.csv'} is not UTF-8 CSV text" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "r").exists()
+
+    def test_row_of_another_length(self, workspace, tmp_path, capsys):
+        header = ",".join(fovalign.cli._EVAL_COLUMNS)
+        row = "S,4,7,5,0.5,1.0,0.6,0.1"
+        content = f"{header}\n{row}\nS,50\n".encode()
+        assert self._report(workspace, tmp_path, content) == 2
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'bad-run' / 'eval.csv'}: row 2 has 2 cells, the header 8\n"
+        )
+        assert not (tmp_path / "r").exists()
 
 
 # every file each command writes, its manifest included (the README's
@@ -771,7 +926,11 @@ class TestErrorSurface:
         assert "transforms.scale_mosaic 0.0625 collapses the 8x8 image" in err
         assert not (tmp_path / "d").exists()
 
-    def test_neural_noise_past_the_float_range(self, tmp_path, capsys):
+    def test_neural_noise_past_the_float_range(self, tmp_path, monkeypatch, capsys):
+        def unreachable(*args):
+            raise AssertionError("a sample was rendered before the noise was checked")
+
+        monkeypatch.setattr(fovalign.datagen, "render_sample", unreachable)
         raw = tiny_config().to_dict()
         raw["data"]["neural_noise"] = 1e308
         cfg = tmp_path / "cfg.json"
@@ -787,6 +946,14 @@ class TestErrorSurface:
     def test_unreadable_config(self, tmp_path, capsys):
         assert main(["generate", "--config", str(tmp_path / "nope.json")]) == 2
         assert "cannot read config" in capsys.readouterr().err
+
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        assert main(["generate", "--config", str(bad), "--out", str(tmp_path / "d")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad} is not valid JSON: 'utf-8' codec can't decode")
+        assert "Traceback" not in err
 
     def test_console_script_help(self):
         # Call the declared target the way pip's generated wrapper does, so a

@@ -100,3 +100,25 @@ def test_a_perturbed_checkpoint_array_is_named(tiny_run, tmp_path):
     assert results["bank/summary.txt"].status == "parent only"
     assert all(r.status == "same" for p, r in results.items()
                if p not in ("synthetic/checkpoint.bick", "bank/summary.txt"))
+
+
+def test_checkpoint_header_changes_are_named_by_key(tiny_run, tmp_path):
+    copy = tmp_path / "copy"
+    shutil.copytree(tiny_run, copy)
+    path = copy / "bank" / "checkpoint.bick"
+    arrays, manifest = load_checkpoint(path)
+    header = {k: v for k, v in manifest.items() if k not in ("arrays", "final_loss")}
+    header["config_hash"] = "0" * 64
+    header["note"] = "added"
+    save_checkpoint(path, arrays, header)
+
+    differing = [r for r in parity.compare_dirs(tiny_run, copy) if r.status != "same"]
+    assert [r.path for r in differing] == ["bank/checkpoint.bick"]
+    assert differing[0].changes == {
+        "header.config_hash": "differs",
+        "header.final_loss": "parent only",
+        "header.note": "change only",
+    }
+    report = parity.format_results("threads one", differing)
+    assert ("differs      bank/checkpoint.bick  header.config_hash differs  "
+            "header.final_loss parent only  header.note change only") in report

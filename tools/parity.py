@@ -18,7 +18,8 @@ levels and 15 is clamped. `tiny` is the same shape at a few seconds' cost.
 
 Every file both runs wrote is compared by sha256. A CSV that differs is
 given the largest relative change per column, a checkpoint that differs
-the largest absolute change per array (read through `load_checkpoint`).
+the largest absolute change per array (read through `load_checkpoint`)
+and the header entries that differ.
 The checkouts are removed afterwards, and so are the run directories
 unless a file differs. Exit status: 0 when every file matches, 1 when one
 differs or exists on one side only, 2 when a checkout or a run fails.
@@ -177,7 +178,8 @@ def csv_changes(parent: Path, change: Path) -> dict[str, float | str]:
 
 def checkpoint_changes(parent: Path, change: Path) -> dict[str, float | str]:
     """Largest absolute change per array of two checkpoints; "shape" or
-    "missing" for an array that cannot be compared."""
+    "missing" for an array that cannot be compared. Each header entry that
+    differs, or that one side lacks, is named as "header.<key>"."""
     sys.path.insert(0, str(REPO / "src"))
     try:
         import numpy as np
@@ -198,9 +200,13 @@ def checkpoint_changes(parent: Path, change: Path) -> dict[str, float | str]:
             out[name] = "shape"
         elif not np.array_equal(arrays_a[name], arrays_b[name], equal_nan=True):
             out[name] = float(np.max(np.abs(arrays_b[name] - arrays_a[name])))
-    if {k: v for k, v in meta_a.items() if k != "arrays"} != \
-            {k: v for k, v in meta_b.items() if k != "arrays"}:
-        out["metadata"] = "differs"
+    for key in sorted((set(meta_a) | set(meta_b)) - {"arrays"}):
+        if key not in meta_b:
+            out[f"header.{key}"] = "parent only"
+        elif key not in meta_a:
+            out[f"header.{key}"] = "change only"
+        elif meta_a[key] != meta_b[key]:
+            out[f"header.{key}"] = "differs"
     return out
 
 
