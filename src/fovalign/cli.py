@@ -34,7 +34,10 @@ from .providers import BankProvider, EmbeddingBank, SyntheticProvider
 __all__ = ["main"]
 
 _TRANSFORM_VIEWS = ("foveated", "noise", "lowres", "mosaic")
-_EVAL_COLUMNS = ("subject", "n", "seed", "trials", "top1", "top5", "map", "similarity")
+# each numeric eval.csv column's range, in order; no upper bound: integers
+_EVAL_RANGES = {"n": (1, None), "seed": (0, None), "trials": (1, None), "top1": (0.0, 1.0),
+                "top5": (0.0, 1.0), "map": (0.0, 1.0), "similarity": (-1.0, 1.0)}
+_EVAL_COLUMNS = ("subject", *_EVAL_RANGES)
 
 
 class _Absent:  # the value of an entry that one side of a comparison lacks
@@ -177,6 +180,15 @@ def _evaluate(config: RunConfig, out: Path, seed) -> str:
     return "\n".join(lines)
 
 
+def _in_range(cell: str, low, high) -> bool:
+    if high is None:
+        return cell.isascii() and cell.isdigit() and int(cell) >= low
+    try:
+        return low <= float(cell) <= high  # nan and inf fall outside
+    except ValueError:
+        return False
+
+
 def _report(config: RunConfig, out: Path, seed) -> str:
     rows = []
     for run in config.paths.runs:
@@ -197,6 +209,10 @@ def _report(config: RunConfig, out: Path, seed) -> str:
             if len(record) != len(header):
                 raise FormatError(
                     f"{eval_path}: row {i} has {len(record)} cells, the header {len(header)}")
+            for (column, (low, high)), cell in zip(_EVAL_RANGES.items(), record[1:]):
+                if not _in_range(cell, low, high):
+                    wanted = f"an integer >= {low}" if high is None else f"a number in [{low}, {high}]"
+                    raise FormatError(f"{eval_path}: row {i}, column {column} holds {cell!r}, not {wanted}")
             rows.append([run] + record)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "report.csv", ("run",) + _EVAL_COLUMNS, rows)

@@ -10,9 +10,9 @@ Pipeline per sample (features X of shape (views, dim)):
     F_fus           = F_evidence + F_att
     F_latent        = layernorm(F_fus + dropout(affine(gelu(affine(F_fus)))))
 
-The pooled numerator and denominator are reduced with exactly rounded
-summation, so permuting views together with their weights leaves
-F_evidence bit-identical, not merely close.
+The pooled numerator and denominator are summed over views in sorted
+order, so permuting views together with their weights leaves F_evidence
+bit-identical, not merely close.
 
 Everything is differentiated by hand; `fusion_backward` returns parameter
 gradients only (the image-side features are produced by a frozen encoder
@@ -94,7 +94,7 @@ def belief_weights(evidence: np.ndarray) -> EvidenceState:
 
 
 def evidential_pool(features: np.ndarray, weights: np.ndarray, eps: float):
-    """Belief-weighted mean over the view axis (exactly rounded sums).
+    """Belief-weighted mean over the view axis (order-independent sums).
 
     features: (..., V, d); weights: (..., V). Returns (pooled, den) with
     den = sum_v w_v + eps, which the backward pass reuses. All-zero
@@ -102,8 +102,8 @@ def evidential_pool(features: np.ndarray, weights: np.ndarray, eps: float):
     """
     features = np.asarray(features, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
-    # one exact sum over [w x | w]: each column is reduced on its own, so
-    # the numerator and the weight total are those of two separate sums
+    # one sum over [w x | w]: each column is sorted and reduced on its own,
+    # so the numerator and the weight total are those of two separate sums
     w = weights[..., None]
     sums = nn.exact_sum(np.concatenate([w * features, w], axis=-1), axis=-2)
     den = sums[..., -1] + eps

@@ -4,13 +4,8 @@ Every operation the trainer differentiates through lives here as an
 analytic forward/backward pair; no autodiff framework is involved. The
 tests verify each pair against central finite differences.
 
-`exact_sum` is exactly rounded, bit for bit what math.fsum gives, which
-makes the result independent of summand order. The fusion stage leans on
-this where bit-level permutation invariance is required. It reduces all
-rows at once: a vectorised TwoSum expansion along the axis, rounded once
-as fsum rounds its partials. Its cost grows as the square of the axis
-length, so it is meant for short axes such as the view axis; rows with a
-non-finite input or result are handed to math.fsum itself.
+`exact_sum` sorts each row before adding it, so the fusion stage's pooled
+sums do not depend on the order of the views, to the last bit.
 """
 
 from __future__ import annotations
@@ -38,64 +33,17 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def exact_sum(arr: np.ndarray, axis: int) -> np.ndarray:
-    """Exactly rounded sum along one axis: bit for bit `math.fsum` per row.
-
-    Every row is reduced at once. Adding the entries one by one to a
-    Shewchuk grow-expansion (Knuth's TwoSum against each component)
-    leaves an exact, non-overlapping expansion of the row sum; fsum's
-    final step then rounds it once, with masks in place of branches.
-    The cost is n(n-1)/2 array TwoSums for an axis of length n, so the
-    axis is meant to be short. Rows with a non-finite input or result
-    go back through math.fsum, which gives inf and nan as before and
-    raises OverflowError on intermediate overflow and ValueError on
-    inf + -inf.
-    """
-    arr = np.asarray(arr, dtype=np.float64)
-    moved = np.moveaxis(arr, axis, 0)
-    cols = np.ascontiguousarray(moved).reshape(arr.shape[axis], math.prod(moved.shape[1:]))
-    expansion: list[np.ndarray] = []
-    with np.errstate(over="ignore", invalid="ignore"):  # such rows are redone below
-        for x in cols:
-            for i, e in enumerate(expansion):
-                s = x + e
-                bb = s - x
-                expansion[i] = (x - (s - bb)) + (e - bb)
-                x = s
-            expansion.append(x)
-        out = _round_expansion(expansion, cols.shape[1])
-    # an inf or nan entry reaches the top partial and so the result
-    for row in np.flatnonzero(~np.isfinite(out)):
-        out[row] = math.fsum(cols[:, row])
-    return out.reshape(moved.shape[1:])
-
-
-def _round_expansion(expansion: list[np.ndarray], rows: int) -> np.ndarray:
-    """fsum's final rounding of non-overlapping partials, smallest first.
-
-    Going down from the largest partial, hi takes in partials while they
-    add exactly; the first inexact step leaves its error in lo and stops
-    the row. Zeros may sit anywhere between the partials (fsum drops
-    them): they add nothing, and the half-even correction looks past them
-    to the nearest non-zero partial below the stop.
-    """
-    hi = expansion[-1] if expansion else np.zeros(rows)
-    lo = np.zeros(rows)
-    below = np.zeros(rows)
-    stopped = np.zeros(rows, dtype=bool)
-    for y in reversed(expansion[:-1]):
-        total = hi + y
-        rest = y - (total - hi)
-        below = np.where(stopped & (below == 0.0), y, below)
-        hi = np.where(stopped, hi, total)
-        lo = np.where(stopped, lo, rest)
-        stopped |= rest != 0.0
-    # half-even rounding across partials: when the partial below carries
-    # the sign of lo, the exact sum lies past the tie, so round away from
-    # hi by 2 * lo if that addition is exact
-    twice = 2.0 * lo
-    nudged = hi + twice
-    fix = (np.sign(lo) * np.sign(below) > 0.0) & (nudged - hi == twice)
-    return np.where(fix, nudged, hi) + 0.0
+    """Order-independent sum along one axis: each row is sorted, then added
+    in that order, smallest first, so any permutation of a row gives the
+    same bits. A row of n finite entries is within the usual
+    (n - 1) * 2**-53 * sum|x| of its exact sum. An overflow gives +-inf, and
+    inf - inf or a nan gives nan, without a warning."""
+    ordered = np.moveaxis(np.sort(np.asarray(arr, dtype=np.float64), axis=axis), axis, 0)
+    out = np.zeros(ordered.shape[1:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in ordered:
+            out += x
+    return out
 
 
 def affine_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:

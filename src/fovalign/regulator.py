@@ -100,10 +100,10 @@ class BlurSchedule:
         updated = np.where(self._seen[slots], blended, values)
         self._smoothed[slots] = updated
         self._seen[slots] = True
-        return updated.copy()
+        return updated
 
     def kernels_of(self, sample_ids) -> np.ndarray:
-        return self._kernels[self._slots(sample_ids)].copy()
+        return self._kernels[self._slots(sample_ids)]
 
     def update_kernels(self, sample_ids, bounds: tuple[float, float]) -> np.ndarray:
         """Move each sample's kernel one step against its smoothed score.
@@ -126,7 +126,7 @@ class BlurSchedule:
         )
         clamped = np.clip(moved, self.kernel_min, self.kernel_max)
         self._kernels[slots] = clamped
-        return clamped.copy()
+        return clamped
 
     def mean_smoothed(self) -> float:
         """Mean smoothed score over the samples observed so far (0 if none)."""

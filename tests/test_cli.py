@@ -752,6 +752,34 @@ class TestReport:
         )
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("row, column, cell, wanted", [
+        ("S,0,7,5,0.5,1.0,0.6,0.1", "n", "0", "an integer >= 1"),
+        ("S,4,-3,5,0.5,1.0,0.6,0.1", "seed", "-3", "an integer >= 0"),
+        ("S,4,7,2.5,0.5,1.0,0.6,0.1", "trials", "2.5", "an integer >= 1"),
+        ("S,4,7,5,nan,1.0,0.6,0.1", "top1", "nan", "a number in [0.0, 1.0]"),
+        ("S,4,7,5,0.5,-0.1,0.6,0.1", "top5", "-0.1", "a number in [0.0, 1.0]"),
+        ("S,4,7,5,0.5,1.0,1e999,0.1", "map", "1e999", "a number in [0.0, 1.0]"),
+        ("S,4,7,5,0.5,1.0,0.6,x", "similarity", "x", "a number in [-1.0, 1.0]"),
+        ("S,abc,7,5,nan,-3,1e999,x", "n", "abc", "an integer >= 1"),
+    ])
+    def test_cell_out_of_range(self, workspace, tmp_path, capsys, row, column, cell, wanted):
+        header = ",".join(fovalign.cli._EVAL_COLUMNS)
+        content = f"{header}\nS,4,7,5,0.5,1.0,0.6,0.1\n{row}\n".encode()
+        assert self._report(workspace, tmp_path, content) == 2
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'bad-run' / 'eval.csv'}: row 2, column {column} "
+            f"holds {cell!r}, not {wanted}\n"
+        )
+        assert not (tmp_path / "r").exists()
+
+    def test_cells_at_the_range_ends_are_copied_as_written(self, workspace, tmp_path):
+        header = ",".join(fovalign.cli._EVAL_COLUMNS)
+        rows = "S,1,0,1,0,1.0,1,-1\nS,007,12,3,1e-3,0.50,0.0,1.0\n"
+        assert self._report(workspace, tmp_path, f"{header}\n{rows}".encode()) == 0
+        run = tmp_path / "bad-run"
+        expected = f"run,{header}\r\n" + "".join(f"{run},{r}\r\n" for r in rows.splitlines())
+        assert (tmp_path / "r" / "report.csv").read_bytes() == expected.encode()
+
 
 # every file each command writes, its manifest included (the README's
 # "Artifacts per command" table)

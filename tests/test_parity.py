@@ -122,3 +122,23 @@ def test_checkpoint_header_changes_are_named_by_key(tiny_run, tmp_path):
     report = parity.format_results("threads one", differing)
     assert ("differs      bank/checkpoint.bick  header.config_hash differs  "
             "header.final_loss parent only  header.note change only") in report
+
+
+def test_a_numeric_header_change_is_given_its_relative_size(tiny_run, tmp_path):
+    copy = tmp_path / "copy"
+    shutil.copytree(tiny_run, copy)
+    path = copy / "synthetic" / "checkpoint.bick"
+    arrays, manifest = load_checkpoint(path)
+    header = {k: v for k, v in manifest.items() if k != "arrays"}
+    header["final_loss"] *= 1.0 + 1e-12
+    header["config_hash"] = "0" * 64
+    save_checkpoint(path, arrays, header)
+
+    differing = [r for r in parity.compare_dirs(tiny_run, copy) if r.status != "same"]
+    assert [r.path for r in differing] == ["synthetic/checkpoint.bick"]
+    changes = differing[0].changes
+    assert list(changes) == ["header.config_hash", "header.final_loss"]
+    assert changes["header.config_hash"] == "differs"
+    assert changes["header.final_loss"] == pytest.approx(1e-12, rel=1e-3)
+    report = parity.format_results("threads one", differing)
+    assert "header.config_hash differs  header.final_loss 1e-12" in report

@@ -176,6 +176,17 @@ class TestKernelMoves:
         assert hist == {69: 2, 75: 3}
         assert all(isinstance(k, int) and isinstance(v, int) for k, v in hist.items())
 
+    def test_writing_into_returned_arrays_leaves_the_schedule(self):
+        sched = make_schedule(n=3)
+        smoothed = sched.update_smoothed([0, 2], [0.9, 0.1])
+        moved = sched.update_kernels([0, 2], (0.2, 0.8))
+        kernels = sched.kernels_of([0, 1, 2])
+        for out in (smoothed, moved, kernels):
+            out[...] = 0
+        np.testing.assert_array_equal(sched.kernels_of([0, 1, 2]), [69, 75, 81])
+        assert sched.mean_smoothed() == 0.5
+        np.testing.assert_allclose(sched.update_smoothed([0, 2], [0.9, 0.1]), [0.9, 0.1])
+
 
 class TestConstruction:
     def test_even_kernel_rejected(self):

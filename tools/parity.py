@@ -19,7 +19,7 @@ levels and 15 is clamped. `tiny` is the same shape at a few seconds' cost.
 Every file both runs wrote is compared by sha256. A CSV that differs is
 given the largest relative change per column, a checkpoint that differs
 the largest absolute change per array (read through `load_checkpoint`)
-and the header entries that differ.
+and the header entries that differ, with the relative change of a number.
 The checkouts are removed afterwards, and so are the run directories
 unless a file differs. Exit status: 0 when every file matches, 1 when one
 differs or exists on one side only, 2 when a checkout or a run fails.
@@ -179,7 +179,8 @@ def csv_changes(parent: Path, change: Path) -> dict[str, float | str]:
 def checkpoint_changes(parent: Path, change: Path) -> dict[str, float | str]:
     """Largest absolute change per array of two checkpoints; "shape" or
     "missing" for an array that cannot be compared. Each header entry that
-    differs, or that one side lacks, is named as "header.<key>"."""
+    differs, or that one side lacks, is named as "header.<key>"; a numeric
+    one is given its relative change, as a CSV cell is."""
     sys.path.insert(0, str(REPO / "src"))
     try:
         import numpy as np
@@ -206,7 +207,9 @@ def checkpoint_changes(parent: Path, change: Path) -> dict[str, float | str]:
         elif key not in meta_a:
             out[f"header.{key}"] = "change only"
         elif meta_a[key] != meta_b[key]:
-            out[f"header.{key}"] = "differs"
+            a, b = meta_a[key], meta_b[key]
+            numeric = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b))
+            out[f"header.{key}"] = _relative(float(a), float(b)) if numeric else "differs"
     return out
 
 
