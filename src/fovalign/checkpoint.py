@@ -1,9 +1,10 @@
 """Binary checkpoint format for trained parameters.
 
 A checkpoint is a `container` file with magic b"BICK" and version 1. Its
-header, the manifest, carries an "arrays" list of {name, shape} sorted by
-name, plus run metadata (the model record, config hash, ...); the payload
-is the arrays as `<f4`, row-major, in manifest order.
+header, the manifest, carries an "arrays" list of `_ArrayEntry` objects
+{name, shape} sorted by name, plus run metadata (the model record, config
+hash, ...); the payload is the arrays as `<f4`, row-major, in manifest
+order.
 
 Parameters are trained in float64 and stored as float32; `load_checkpoint`
 returns float64 arrays, so a save/load round trip is exact at float32
@@ -14,9 +15,12 @@ inf, which would otherwise rank every retrieval query first.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
+from .config import _at_least, check_rules, parse_record
 from .container import read_container, write_container
 from .errors import FormatError
 
@@ -26,13 +30,10 @@ CHECKPOINT_MAGIC = b"BICK"
 CHECKPOINT_VERSION = 1
 
 
-def _is_array_entry(entry) -> bool:
-    return (
-        isinstance(entry, dict)
-        and isinstance(entry.get("name"), str)
-        and isinstance(entry.get("shape"), list)
-        and all(type(d) is int and d >= 0 for d in entry["shape"])
-    )
+@dataclass(frozen=True)
+class _ArrayEntry:
+    name: str
+    shape: Annotated[tuple[int, ...], _at_least(0)]
 
 
 def save_checkpoint(path, arrays: dict[str, np.ndarray], metadata: dict) -> None:
@@ -51,18 +52,16 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     manifest, payload = read_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint")
     if not isinstance(manifest, dict) or "arrays" not in manifest:
         raise FormatError(f"{path}: checkpoint manifest lacks the array table")
-    table = manifest["arrays"]
-    if not isinstance(table, list) or not all(_is_array_entry(e) for e in table):
-        raise FormatError(
-            f"{path}: checkpoint array table must list {{name, shape}} entries "
-            f"with a string name and non-negative integer dimensions"
-        )
-    if len({entry["name"] for entry in table}) != len(table):
-        raise FormatError(f"{path}: checkpoint array table names an array twice")
+    where = f"{path}: checkpoint array table"
+    table = parse_record(tuple[_ArrayEntry, ...], manifest["arrays"], where, FormatError)
+    for i, entry in enumerate(table):
+        check_rules(entry, f"{where}[{i}]", FormatError)
+    if len({entry.name for entry in table}) != len(table):
+        raise FormatError(f"{where} names an array twice")
     arrays: dict[str, np.ndarray] = {}
     offset = 0
     for entry in table:
-        name, shape = entry["name"], tuple(entry["shape"])
+        name, shape = entry.name, entry.shape
         nbytes = math.prod(shape) * 4
         chunk = payload[offset : offset + nbytes]
         if len(chunk) != nbytes:

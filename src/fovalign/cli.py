@@ -18,13 +18,14 @@ import csv
 import dataclasses
 import json
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
 
 from .alignment import EpochReport, Trainer, cosine_similarity_matrix, encode_pairs, init_parameters
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import RunConfig, config_hash, load_config
+from .config import _SIGNED_UNIT, _UNIT, RunConfig, _at_least, check_rules, config_hash, load_config, parse_record
 from .datagen import BANK_FILE, IMAGES_DIR, generate_dataset, load_dataset, save_dataset
 from .errors import ConfigError, FormatError, NumericError, ProtocolError
 from .evaluation import nway_evaluate
@@ -34,10 +35,22 @@ from .providers import BankProvider, EmbeddingBank, SyntheticProvider
 __all__ = ["main"]
 
 _TRANSFORM_VIEWS = ("foveated", "noise", "lowres", "mosaic")
-# each numeric eval.csv column's range, in order; no upper bound: integers
-_EVAL_RANGES = {"n": (1, None), "seed": (0, None), "trials": (1, None), "top1": (0.0, 1.0),
-                "top5": (0.0, 1.0), "map": (0.0, 1.0), "similarity": (-1.0, 1.0)}
-_EVAL_COLUMNS = ("subject", *_EVAL_RANGES)
+
+
+@dataclasses.dataclass(frozen=True)
+class _EvalRow:  # an eval.csv row, one field per column in order
+    subject: str
+    n: typing.Annotated[int, _at_least(1)]
+    seed: typing.Annotated[int, _at_least(0)]
+    trials: typing.Annotated[int, _at_least(1)]
+    top1: typing.Annotated[float, _UNIT]
+    top5: typing.Annotated[float, _UNIT]
+    map: typing.Annotated[float, _UNIT]
+    similarity: typing.Annotated[float, _SIGNED_UNIT]
+
+
+_EVAL_TYPES = typing.get_type_hints(_EvalRow)  # column -> int, float or str
+_EVAL_COLUMNS = tuple(_EVAL_TYPES)
 
 
 class _Absent:  # the value of an entry that one side of a comparison lacks
@@ -180,13 +193,14 @@ def _evaluate(config: RunConfig, out: Path, seed) -> str:
     return "\n".join(lines)
 
 
-def _in_range(cell: str, low, high) -> bool:
-    if high is None:
-        return cell.isascii() and cell.isdigit() and int(cell) >= low
+def _cell_value(cell: str, kind):
+    """An eval.csv cell read as `kind`: an int from ASCII digits, a float from ASCII
+    float() text with no whitespace or "_"; other cells stay text for `parse_record` to refuse."""
+    plain = cell.isascii() and "_" not in cell and cell == cell.strip()
     try:
-        return low <= float(cell) <= high  # nan and inf fall outside
-    except ValueError:
-        return False
+        return kind(cell) if plain and (kind is float or cell.isdigit()) else cell
+    except ValueError:  # text float() rejects, or more digits than int() reads
+        return cell
 
 
 def _report(config: RunConfig, out: Path, seed) -> str:
@@ -209,10 +223,9 @@ def _report(config: RunConfig, out: Path, seed) -> str:
             if len(record) != len(header):
                 raise FormatError(
                     f"{eval_path}: row {i} has {len(record)} cells, the header {len(header)}")
-            for (column, (low, high)), cell in zip(_EVAL_RANGES.items(), record[1:]):
-                if not _in_range(cell, low, high):
-                    wanted = f"an integer >= {low}" if high is None else f"a number in [{low}, {high}]"
-                    raise FormatError(f"{eval_path}: row {i}, column {column} holds {cell!r}, not {wanted}")
+            values = {c: _cell_value(cell, _EVAL_TYPES[c]) for c, cell in zip(header, record)}
+            where = f"{eval_path}: row {i}"
+            check_rules(parse_record(_EvalRow, values, where, FormatError), where, FormatError)
             rows.append([run] + record)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "report.csv", ("run",) + _EVAL_COLUMNS, rows)

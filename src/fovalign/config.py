@@ -8,6 +8,7 @@ from its own manifest.
 """
 
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -31,14 +32,17 @@ __all__ = [
     "RunConfig",
     "load_config",
     "config_from_dict",
+    "parse_record",
+    "check_rules",
     "config_hash",
     "ablation_ladder",
 ]
 
 
 # A field annotated Annotated[T, (text, test)] accepts the values that pass
-# `test`, each item of a tuple on its own; `RunConfig.validate` rejects any
-# other with "{section}.{field} must {text}, got {value}".
+# `test`, each item of a tuple on its own; `check_rules` rejects any other
+# with "{path} must {text}, got {value}". The file readers declare their
+# records the same way.
 def _at_least(low: int) -> tuple:
     return f"be >= {low}", lambda v: v >= low
 
@@ -47,6 +51,7 @@ _POSITIVE = ("be positive", lambda v: v > 0)
 _ODD = ("be odd >= 1", lambda v: v >= 1 and v % 2 == 1)
 _EVEN = ("be even positive", lambda v: v >= 2 and v % 2 == 0)
 _UNIT = ("lie in [0, 1]", lambda v: 0.0 <= v <= 1.0)
+_SIGNED_UNIT = ("lie in [-1, 1]", lambda v: -1.0 <= v <= 1.0)
 _UNIT_NO_0 = ("lie in (0, 1]", lambda v: 0.0 < v <= 1.0)
 _UNIT_NO_1 = ("lie in [0, 1)", lambda v: 0.0 <= v < 1.0)
 # below 2**-53, 1 - alpha/2 rounds to 1, which has no normal quantile
@@ -195,13 +200,7 @@ class RunConfig:
         return 2 * self.transforms.kernel_size - 1
 
     def validate(self) -> "RunConfig":
-        for section, name, (text, test) in _RULES:
-            value = getattr(getattr(self, section), name)
-            items = value if isinstance(value, tuple) else (value,)
-            for i, item in enumerate(items):
-                if not test(item):
-                    index = f"[{i}]" if isinstance(value, tuple) else ""
-                    raise ConfigError(f"{section}.{name}{index} must {text}, got {item}")
+        check_rules(self, "", ConfigError)
         # the rules that compare two or more fields, and the provider kind
         t, r, tr, d, e = self.transforms, self.regulator, self.training, self.data, self.evaluation
         if self.views.count < 1:
@@ -244,73 +243,79 @@ class RunConfig:
         return raw
 
 
-def _coerce(path: str, value, hint, what: str = ""):
-    """`value` as the field annotation `hint` declares it: bool, int, float,
-    str, tuple[X, ...], a fixed-length tuple[X, Y] or X | None, each maybe
-    wrapped in Annotated[..., rule]. `what` prefixes the expected form in
-    error messages."""
-    if typing.get_origin(hint) is Annotated:
-        hint = hint.__origin__
-    args = typing.get_args(hint)
+# a dataclass's field annotations, resolved once: a module that uses
+# `from __future__ import annotations` holds them as strings
+_hints = functools.cache(functools.partial(typing.get_type_hints, include_extras=True))
+
+
+def parse_record(cls, data, where: str, error: type[Exception], what: str = ""):
+    """`data`, a JSON value, as the annotation `cls` declares it, or `error`
+    naming `where`: a dataclass, from an object holding its fields (those
+    with no default required), or bool, int, float, str, tuple[X, ...],
+    tuple[X, Y] or X | None, each maybe in Annotated[..., rule], which
+    `check_rules` applies. `what` prefixes the expected form in messages."""
+    if typing.get_origin(cls) is Annotated:
+        cls = cls.__origin__
+    if dataclasses.is_dataclass(cls):
+        if not isinstance(data, dict):
+            raise error(f"{where or 'config root'}: expected an object, got {type(data).__name__}")
+        prefix = f"{where}." if where else ""
+        unknown = sorted(set(data) - set(_hints(cls)))
+        if unknown:
+            raise error(f"{prefix}{unknown[0]}: unknown key")
+        missing = [f.name for f in dataclasses.fields(cls)
+                   if f.name not in data and f.default is f.default_factory is dataclasses.MISSING]
+        if missing:
+            raise error(f"{prefix}{missing[0]}: missing")
+        return cls(**{k: parse_record(_hints(cls)[k], v, prefix + k, error) for k, v in data.items()})
+    args = typing.get_args(cls)
     if type(None) in args:
-        if value is None:
-            return None
         (inner,) = (a for a in args if a is not type(None))
-        return _coerce(path, value, inner, "null or ")
-    if typing.get_origin(hint) is tuple:
+        return None if data is None else parse_record(inner, data, where, error, "null or ")
+    if typing.get_origin(cls) is tuple:
         variadic = args[-1] is Ellipsis
-        if not isinstance(value, (list, tuple)) or not (variadic or len(value) == len(args)):
+        if not isinstance(data, (list, tuple)) or not (variadic or len(data) == len(args)):
             count = "" if variadic else f"{len(args)} "
-            raise ConfigError(
-                f"{path}: expected {what}a list of {count}{args[0].__name__}, got {value!r}"
-            )
-        items = args[:1] * len(value) if variadic else args
-        return tuple(_coerce(f"{path}[{i}]", v, t) for i, (v, t) in enumerate(zip(value, items)))
-    if hint is bool:
-        if isinstance(value, bool):
-            return value
-        raise ConfigError(f"{path}: expected {what}a boolean, got {value!r}")
-    allowed = (int, float) if hint is float else (hint,)
-    if isinstance(value, bool) or not isinstance(value, allowed):
-        raise ConfigError(f"{path}: expected {what}{hint.__name__}, got {value!r}")
+            raise error(f"{where}: expected {what}a list of {count}{args[0].__name__}, got {data!r}")
+        # a bank header lists thousands of labels: accept them at once
+        if variadic and args[0] in (int, str) and set(map(type, data)) <= {args[0]}:
+            return tuple(data)
+        items = args[:1] * len(data) if variadic else args
+        return tuple(
+            parse_record(t, v, f"{where}[{i}]", error) for i, (v, t) in enumerate(zip(data, items))
+        )
+    # bool is a subclass of int: a bool field takes only booleans, no other field takes one
+    allowed = (int, float) if cls is float else (cls,)
+    if isinstance(data, bool) != (cls is bool) or not isinstance(data, allowed):
+        expected = "a boolean" if cls is bool else cls.__name__
+        raise error(f"{where}: expected {what}{expected}, got {data!r}")
     # NaN fails the comparison, and so do infinities and ints too large for a float
-    if hint is float and not abs(value) <= sys.float_info.max:
-        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
-    return hint(value)
+    if cls is float and not abs(data) <= sys.float_info.max:
+        raise error(f"{where}: expected a finite number, got {data!r}")
+    return cls(data)
 
 
-def _section_from_dict(cls, data: dict, path: str):
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: expected an object, got {type(data).__name__}")
-    hints = {f.name: f.type for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - set(hints))
-    if unknown:
-        raise ConfigError(f"unknown config key: {path}.{unknown[0]}")
-    return cls(**{name: _coerce(f"{path}.{name}", value, hints[name]) for name, value in data.items()})
-
-
-_SECTIONS = {f.name: f.default_factory for f in dataclasses.fields(RunConfig)}
-# (section, field, rule) for every field annotated Annotated[T, rule]
-_RULES = [
-    (section, f.name, f.type.__metadata__[0])
-    for section, cls in _SECTIONS.items()
-    for f in dataclasses.fields(cls)
-    if typing.get_origin(f.type) is Annotated
-]
+def check_rules(record, where: str, error: type[Exception]) -> None:
+    """`error` for the first field of the dataclass `record`, or of a record
+    it holds, whose value fails its Annotated rule; a tuple's items are
+    checked each on its own."""
+    prefix = f"{where}." if where else ""
+    for name, hint in _hints(type(record)).items():
+        value = getattr(record, name)
+        if dataclasses.is_dataclass(value):
+            check_rules(value, prefix + name, error)
+        elif typing.get_origin(hint) is Annotated:
+            text, test = hint.__metadata__[0]
+            many = isinstance(value, tuple)
+            items = value if many else (value,)
+            if not all(map(test, items)):
+                i, item = next((i, v) for i, v in enumerate(items) if not test(v))
+                raise error(f"{prefix}{name}{f'[{i}]' if many else ''} must {text}, got {item}")
 
 
 def config_from_dict(data: dict) -> RunConfig:
     """Build and validate a RunConfig from a plain dict; reject unknown keys."""
-    if not isinstance(data, dict):
-        raise ConfigError(f"config root must be an object, got {type(data).__name__}")
-    unknown = sorted(set(data) - set(_SECTIONS))
-    if unknown:
-        raise ConfigError(f"unknown config key: {unknown[0]}")
-    kwargs = {
-        name: _section_from_dict(cls, data.get(name, {}), name)
-        for name, cls in _SECTIONS.items()
-    }
-    return RunConfig(**kwargs).validate()
+    return parse_record(RunConfig, data, "", ConfigError).validate()
 
 
 def load_config(path, command: str | None = None) -> tuple[RunConfig, int | None]:
@@ -332,7 +337,7 @@ def load_config(path, command: str | None = None) -> tuple[RunConfig, int | None
     seed = None
     if isinstance(data, dict) and "command" in data and "config" in data:
         if data["command"] == command and data.get("seed") is not None:
-            seed = _coerce(f"{path}: seed", data["seed"], int)
+            seed = parse_record(int, data["seed"], f"{path}: seed", ConfigError)
         data = data["config"]
     return config_from_dict(data), seed
 

@@ -9,9 +9,11 @@ reproducible and has a brute-force oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
+from .config import _UNIT, check_rules
 from .errors import ConfigError
 
 __all__ = ["similarity_score", "EvalReport", "nway_evaluate"]
@@ -42,16 +44,13 @@ class EvalReport:
     gallery_size: int
     trials: int
     seed: int
-    top1: float
-    top5: float
-    mean_ap: float
+    top1: Annotated[float, _UNIT]
+    top5: Annotated[float, _UNIT]
+    mean_ap: Annotated[float, _UNIT]
     similarity: float | None  # None unless the matrix is square
 
     def __post_init__(self):
-        for name in ("top1", "top5", "mean_ap"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
+        check_rules(self, "", ValueError)
 
 
 # most distractor draws ranked at once; bounds the per-block temporaries

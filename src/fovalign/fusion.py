@@ -134,7 +134,8 @@ def fusion_forward(
         a1, h1_erf = nn.gelu(h1)
         raw = nn.affine_forward(a1, params["ev_w2"], params["ev_b2"])[..., 0]
         sp = nn.softplus(raw)
-        evidence = sp if settings.softplus_only else np.exp(sp)
+        with np.errstate(over="ignore"):  # infinite evidence is belief 1
+            evidence = sp if settings.softplus_only else np.exp(sp)
         state = belief_weights(evidence)
         weights = state.belief
         cache.update(h1=h1, h1_erf=h1_erf, a1=a1, raw=raw, state=state)

@@ -8,21 +8,22 @@ provider replays rows precomputed at a ladder of blur-kernel levels from
 a binary embedding-bank file, ignoring pixels entirely.
 
 An embedding bank is a `container` file with magic b"BICP" and version
-1. Its header is {tag, sample_count, views, dim_feature, dim_neural,
-kernel_levels, labels, splits}; its `<f4` payload holds, per sample, the
-(kernel_levels, views, dim_feature) features, levels ascending, then the
-dim_neural neural vector. `EmbeddingBank.features` is that features
-block for all samples, one (N, levels, views, dim_feature) array.
+1. Its header is a `BankHeader`, whose annotations declare each entry's
+type and rule; its `<f4` payload holds, per sample, the (kernel_levels,
+views, dim_feature) features, levels ascending, then the dim_neural
+neural vector. `EmbeddingBank.features` is that features block for all
+samples, one (N, levels, views, dim_feature) array.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
-from .config import TransformConfig, ViewsConfig
+from .config import _ODD, TransformConfig, ViewsConfig, _at_least, check_rules, parse_record
 from .container import read_container, write_container
 from .errors import FormatError, ProtocolError
 from .transforms import add_noise, foveate, resample
@@ -33,6 +34,7 @@ __all__ = [
     "BANK_MAGIC",
     "derive_noise_seed",
     "SyntheticEncoder",
+    "BankHeader",
     "EmbeddingBank",
     "save_embedding_bank",
     "load_embedding_bank",
@@ -166,6 +168,20 @@ class SyntheticEncoder:
         return z / np.reshape(norms, z.shape[:-1] + (1,))
 
 
+@dataclass(frozen=True)
+class BankHeader:
+    """An embedding bank file's header, one entry per field."""
+
+    tag: str
+    sample_count: Annotated[int, _at_least(1)]
+    views: Annotated[int, _at_least(1)]
+    dim_feature: Annotated[int, _at_least(1)]
+    dim_neural: Annotated[int, _at_least(1)]
+    kernel_levels: Annotated[tuple[int, ...], _ODD]
+    labels: Annotated[tuple[int, ...], ("fit int64", lambda v: -(2**63) <= v < 2**63)]
+    splits: Annotated[tuple[str, ...], ("be 'train' or 'test'", lambda v: v in ("train", "test"))]
+
+
 @dataclass
 class EmbeddingBank:
     """The dataset record: precomputed per-view features at discrete
@@ -189,113 +205,75 @@ class EmbeddingBank:
     def indices(self, split: str) -> np.ndarray:
         return np.flatnonzero(np.asarray(self.splits, dtype=str) == split)
 
+    def header(self) -> BankHeader:
+        return BankHeader(
+            self.tag, self.sample_count, self.views, self.dim_feature, self.dim_neural,
+            tuple(int(l) for l in self.kernel_levels),
+            tuple(np.asarray(self.labels, dtype=np.int64).tolist()), tuple(self.splits),
+        )
+
     def validate(self) -> "EmbeddingBank":
-        n = self.sample_count
-        if n < 1:
-            raise FormatError("embedding bank holds no samples")
-        if self.views < 1 or self.dim_feature < 1 or self.dim_neural < 1:
-            raise FormatError("embedding bank dimensions must be >= 1")
-        levels = list(self.kernel_levels)
-        if not levels or levels != sorted(levels) or len(set(levels)) != len(levels):
-            raise FormatError(f"kernel levels must be sorted and unique, got {levels}")
-        if any(l < 1 or l % 2 == 0 for l in levels):
-            raise FormatError(f"kernel levels must be odd integers >= 1, got {levels}")
+        """Check the header's rules, then the rules that compare fields."""
+        check_rules(self.header(), "bank header", FormatError)
+        return self._check_fields("")
+
+    def _check_fields(self, prefix: str) -> "EmbeddingBank":
+        """The rules that compare fields or items; `prefix` starts each message."""
+        n, levels = self.sample_count, list(self.kernel_levels)
+        if not levels or levels != sorted(set(levels)):
+            raise FormatError(f"{prefix}kernel levels must be non-empty, sorted and unique, got {levels}")
         shape = (n, len(levels), self.views, self.dim_feature)
         if self.features.shape != shape:
-            raise FormatError(f"features have shape {self.features.shape}, expected {shape}")
+            raise FormatError(f"{prefix}features have shape {self.features.shape}, expected {shape}")
         if not np.all(np.isfinite(self.features)):
-            raise FormatError("features contain non-finite values")
+            raise FormatError(f"{prefix}features contain non-finite values")
         if self.neural.shape != (n, self.dim_neural):
             raise FormatError(
-                f"neural block has shape {self.neural.shape}, expected {(n, self.dim_neural)}"
+                f"{prefix}neural block has shape {self.neural.shape}, expected {(n, self.dim_neural)}"
             )
         if not np.all(np.isfinite(self.neural)):
-            raise FormatError("neural block contains non-finite values")
+            raise FormatError(f"{prefix}neural block contains non-finite values")
         if len(self.labels) != n or len(self.splits) != n:
-            raise FormatError("labels/splits length does not match the sample count")
-        bad = sorted(set(self.splits) - {"train", "test"})
-        if bad:
-            raise FormatError(f"unknown split tag {bad[0]!r}")
-        train_classes = {int(l) for l, s in zip(self.labels, self.splits) if s == "train"}
-        test_classes = {int(l) for l, s in zip(self.labels, self.splits) if s == "test"}
-        overlap = train_classes & test_classes
+            raise FormatError(f"{prefix}labels/splits length does not match the sample count")
+        classes = [{int(l) for l, s in zip(self.labels, self.splits) if s == t} for t in ("train", "test")]
+        overlap = sorted(set.intersection(*classes))
         if overlap:
-            raise ProtocolError(
-                f"train/test class sets overlap (zero-shot protocol): {sorted(overlap)[:5]}"
-            )
+            raise ProtocolError(f"{prefix}train/test class sets overlap (zero-shot protocol): {overlap[:5]}")
         return self
 
 
 def save_embedding_bank(path, bank: EmbeddingBank) -> None:
     bank.validate()
-    header = {
-        "tag": bank.tag,
-        "sample_count": bank.sample_count,
-        "views": bank.views,
-        "dim_feature": bank.dim_feature,
-        "dim_neural": bank.dim_neural,
-        "kernel_levels": [int(l) for l in bank.kernel_levels],
-        "labels": [int(l) for l in bank.labels],
-        "splits": list(bank.splits),
-    }
     n, width = bank.sample_count, bank.features[0].size
     payload = np.empty((n, width + bank.dim_neural), dtype="<f4")
     payload[:, :width] = bank.features.reshape(n, width)
     payload[:, width:] = bank.neural
-    write_container(path, BANK_MAGIC, BANK_VERSION, header, payload)
-
-
-def _is_int_list(value) -> bool:
-    """A JSON list of integers that fit int64."""
-    return isinstance(value, list) and all(
-        type(v) is int and -(2**63) <= v < 2**63 for v in value
-    )
+    write_container(path, BANK_MAGIC, BANK_VERSION, vars(bank.header()), payload)
 
 
 def load_embedding_bank(path) -> EmbeddingBank:
-    header, payload = read_container(path, BANK_MAGIC, BANK_VERSION, "bank")
-    required = {
-        "tag", "sample_count", "views", "dim_feature",
-        "dim_neural", "kernel_levels", "labels", "splits",
-    }
-    if not isinstance(header, dict) or set(header) != required:
-        raise FormatError(f"{path}: bank header must hold exactly {sorted(required)}")
-    counts = [header[k] for k in ("sample_count", "views", "dim_feature", "dim_neural")]
-    # positive counts and at least one level bound every array extent
-    # by the payload size, which is checked next
-    if not (
-        all(type(c) is int and c >= 1 for c in counts)
-        and all(_is_int_list(header[k]) for k in ("kernel_levels", "labels"))
-        and header["kernel_levels"]
-        and isinstance(header["splits"], list)
-        and all(isinstance(s, str) for s in header["splits"])
-    ):
-        raise FormatError(
-            f"{path}: bank header needs positive integer counts and "
-            f"dimensions, a non-empty integer list of kernel levels, an "
-            f"integer list of labels and a list of split names"
-        )
-    n, views, dim_f, dim_n = counts
-    levels = list(header["kernel_levels"])
-    width = len(levels) * views * dim_f
-    expected_bytes = n * (width + dim_n) * 4
+    raw, payload = read_container(path, BANK_MAGIC, BANK_VERSION, "bank")
+    where = f"{path}: bank header"
+    h = parse_record(BankHeader, raw, where, FormatError)
+    # positive counts and at least one level bound every array extent by the payload size
+    check_rules(h, where, FormatError)
+    if not h.kernel_levels:
+        raise FormatError(f"{where}.kernel_levels must be non-empty")
+    n, levels = h.sample_count, list(h.kernel_levels)
+    width = len(levels) * h.views * h.dim_feature
+    expected_bytes = n * (width + h.dim_neural) * 4
     if len(payload) != expected_bytes:
         raise FormatError(
-            f"{path}: payload has {len(payload)} bytes, expected {expected_bytes}"
+            f"{path}: payload has {len(payload)} bytes, the bank header describes {expected_bytes}"
         )
-    flat = np.frombuffer(payload, dtype="<f4").reshape(n, width + dim_n)
-    bank = EmbeddingBank(
-        tag=str(header["tag"]),
-        views=views,
-        dim_feature=dim_f,
-        dim_neural=dim_n,
-        kernel_levels=levels,
-        features=flat[:, :width].reshape(n, len(levels), views, dim_f),
+    flat = np.frombuffer(payload, dtype="<f4").reshape(n, width + h.dim_neural)
+    return EmbeddingBank(
+        h.tag, h.views, h.dim_feature, h.dim_neural, levels,
+        features=flat[:, :width].reshape(n, len(levels), h.views, h.dim_feature),
         neural=flat[:, width:].astype(np.float64),
-        labels=np.asarray(header["labels"], dtype=np.int64),
-        splits=list(header["splits"]),
-    )
-    return bank.validate()
+        labels=np.asarray(h.labels, dtype=np.int64),
+        splits=list(h.splits),
+    )._check_fields(f"{path}: ")  # the header's own rules were checked above
 
 
 def select_kernel_level(levels, kernels) -> np.ndarray:

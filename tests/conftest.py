@@ -138,11 +138,16 @@ def write_checkpoint_manifest(path, manifest, payload=b""):
     path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", 1, len(blob)) + blob + payload)
 
 
+ABSENT = object()  # a `rewrite_bank_header` value that removes the field
+
+
 def rewrite_bank_header(path, **changes):
-    """Replace header fields of a saved bank, keeping its payload."""
+    """Replace header fields of a saved bank, keeping its payload; a field
+    given as ABSENT is removed."""
     data = path.read_bytes()
     (length,) = struct.unpack("<I", data[8:12])
     header = json.loads(data[12 : 12 + length])
     header.update(changes)
+    header = {k: v for k, v in header.items() if v is not ABSENT}
     blob = json.dumps(header).encode("utf-8")
     path.write_bytes(data[:8] + struct.pack("<I", len(blob)) + blob + data[12 + length :])

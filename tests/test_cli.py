@@ -507,6 +507,20 @@ class TestEvaluate:
         assert "array 'proj_w' contains non-finite values" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_evidence_evaluates_without_a_warning(self, workspace, tmp_path, capsys):
+        # exp(softplus) overflows to infinite evidence, which is belief 1 by
+        # design; a finite checkpoint evaluates with nothing on stderr
+        arrays, meta = load_checkpoint(workspace["root"] / "run" / "checkpoint.bick")
+        arrays["ev_b1"][:] = 1e3
+        arrays["ev_w2"][:] = 1e3
+        save_checkpoint(tmp_path / "big.bick", arrays, {k: v for k, v in meta.items() if k != "arrays"})
+        raw = json.loads(workspace["config"].read_text())
+        raw["paths"]["checkpoint"] = str(tmp_path / "big.bick")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        assert main(["evaluate", "--config", str(cfg), "--out", str(tmp_path / "e")]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_missing_checkpoint(self, workspace, tmp_path, capsys):
         raw = json.loads(workspace["config"].read_text())
         raw["paths"]["checkpoint"] = str(tmp_path / "none.bick")
@@ -752,23 +766,28 @@ class TestReport:
         )
         assert not (tmp_path / "r").exists()
 
-    @pytest.mark.parametrize("row, column, cell, wanted", [
-        ("S,0,7,5,0.5,1.0,0.6,0.1", "n", "0", "an integer >= 1"),
-        ("S,4,-3,5,0.5,1.0,0.6,0.1", "seed", "-3", "an integer >= 0"),
-        ("S,4,7,2.5,0.5,1.0,0.6,0.1", "trials", "2.5", "an integer >= 1"),
-        ("S,4,7,5,nan,1.0,0.6,0.1", "top1", "nan", "a number in [0.0, 1.0]"),
-        ("S,4,7,5,0.5,-0.1,0.6,0.1", "top5", "-0.1", "a number in [0.0, 1.0]"),
-        ("S,4,7,5,0.5,1.0,1e999,0.1", "map", "1e999", "a number in [0.0, 1.0]"),
-        ("S,4,7,5,0.5,1.0,0.6,x", "similarity", "x", "a number in [-1.0, 1.0]"),
-        ("S,abc,7,5,nan,-3,1e999,x", "n", "abc", "an integer >= 1"),
+    @pytest.mark.parametrize("row, message", [
+        ("S,0,7,5,0.5,1.0,0.6,0.1", "n must be >= 1, got 0"),
+        ("S,4,-3,5,0.5,1.0,0.6,0.1", "seed: expected int, got '-3'"),
+        ("S,4,7,2.5,0.5,1.0,0.6,0.1", "trials: expected int, got '2.5'"),
+        ("S,4,7,5,nan,1.0,0.6,0.1", "top1: expected a finite number, got nan"),
+        ("S,4,7,5,0.5,-0.1,0.6,0.1", "top5 must lie in [0, 1], got -0.1"),
+        ("S,4,7,5,0.5,1.0,1e999,0.1", "map: expected a finite number, got inf"),
+        ("S,4,7,5,0.5,1.0,0.6,x", "similarity: expected float, got 'x'"),
+        ("S,abc,7,5,nan,-3,1e999,x", "n: expected int, got 'abc'"),
+        # float() reads these, but a cell must be ASCII with no whitespace or "_"
+        ("S,4,7,5,0.2_5, 0.5 ,\u0660.\u0665,+0.1", "top1: expected float, got '0.2_5'"),
+        ("S,4,7,5,0.25, 0.5 ,\u0660.\u0665,+0.1", "top5: expected float, got ' 0.5 '"),
+        ("S,4,7,5,0.25,0.5,\u0660.\u0665,+0.1", "map: expected float, got '\u0660.\u0665'"),
+        ("S,4,7,5,0.25,0.5,0.5,0.1\t", "similarity: expected float, got '0.1\\t'"),
+        ("S,\u0664,7,5,0.25,0.5,0.5,0.1", "n: expected int, got '\u0664'"),
     ])
-    def test_cell_out_of_range(self, workspace, tmp_path, capsys, row, column, cell, wanted):
+    def test_cell_out_of_range(self, workspace, tmp_path, capsys, row, message):
         header = ",".join(fovalign.cli._EVAL_COLUMNS)
         content = f"{header}\nS,4,7,5,0.5,1.0,0.6,0.1\n{row}\n".encode()
         assert self._report(workspace, tmp_path, content) == 2
         assert capsys.readouterr().err == (
-            f"error: {tmp_path / 'bad-run' / 'eval.csv'}: row 2, column {column} "
-            f"holds {cell!r}, not {wanted}\n"
+            f"error: {tmp_path / 'bad-run' / 'eval.csv'}: row 2.{message}\n"
         )
         assert not (tmp_path / "r").exists()
 
@@ -927,7 +946,7 @@ class TestErrorSurface:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"data": {"classez": 3}}))
         assert main(["generate", "--config", str(cfg)]) == 2
-        assert "unknown config key: data.classez" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: data.classez: unknown key\n"
 
     def test_non_finite_config_value(self, tmp_path, capsys):
         # NaN is a JSON literal that Python's json module accepts

@@ -253,11 +253,12 @@ class TestCheckpoint:
             [{"name": "w", "shape": 1}],
             [{"name": 7, "shape": [1]}],
             ["w"],
+            [{"name": "w", "shape": [1], "dtype": "<f4"}],
         ],
         ids=[
             "entry-without-name", "table-is-string", "non-numeric-dim", "negative-dim",
             "fractional-dim", "boolean-dim", "shape-not-list", "name-not-string",
-            "entry-not-object",
+            "entry-not-object", "entry-with-extra-key",
         ],
     )
     def test_malformed_array_table_rejected(self, tmp_path, table):

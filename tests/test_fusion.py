@@ -283,6 +283,20 @@ class TestFusionForward:
         c, _ = fusion_forward(x, params, settings, np.random.default_rng(0))
         assert not np.array_equal(a, c)
 
+    def test_overflowing_evidence_is_belief_one_without_a_warning(self):
+        # exp(softplus(raw)) overflows to inf for raw above ~709; a warning
+        # would fail this test (pyproject turns RuntimeWarning into an error)
+        settings = make_settings()
+        params = make_params(settings, dim_feature=8, seed=3)
+        params["ev_b1"][:] = 1e3
+        params["ev_w2"][:] = 1e3
+        x = np.random.default_rng(4).standard_normal((2, 3, 8))
+        latent, cache = fusion_forward(x, params, settings, np.random.default_rng(0))
+        assert np.all(np.isinf(cache["state"].evidence))
+        np.testing.assert_array_equal(cache["weights"], 1.0)
+        grads = fusion_backward(np.ones_like(latent), cache, params, settings)
+        assert all(np.all(np.isfinite(g)) for g in [latent, *grads.values()])
+
     def test_bad_rank_rejected(self):
         settings = make_settings()
         params = make_params(settings, dim_feature=8)

@@ -1,13 +1,16 @@
-"""Fuzzing of the four readers of outside input: the config parser, the
-pixmap reader, the checkpoint reader and the embedding-bank reader. Each
-must return a valid object or raise its documented error (ConfigError,
-FormatError; ProtocolError for a bank that breaks the zero-shot split),
-which the CLI turns into exit code 2. Anything else is a traceback."""
+"""Fuzzing of the five readers of outside input: the config parser, the
+pixmap reader, the checkpoint reader, the embedding-bank reader and the
+eval.csv reader of `report`. Each must return a valid object or raise its
+documented error (ConfigError, FormatError; ProtocolError for a bank that
+breaks the zero-shot split), which the CLI turns into exit code 2.
+Anything else is a traceback."""
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
+import math
 import struct
 
 import numpy as np
@@ -17,6 +20,7 @@ from hypothesis import strategies as st
 
 from conftest import rewrite_bank_header, write_checkpoint_manifest
 from fovalign.checkpoint import load_checkpoint, save_checkpoint
+from fovalign.cli import main
 from fovalign.config import RunConfig, config_from_dict
 from fovalign.errors import ConfigError, FormatError, ProtocolError
 from fovalign.pixmap import read_pixmap
@@ -203,3 +207,73 @@ def test_load_embedding_bank_header_bytes(scratch, bank_bytes, edits):
     path = scratch / "mutated.bicp"
     path.write_bytes(_mutate(bank_bytes, edits, 12 + length))
     _check_bank(path)
+
+
+# each numeric eval.csv column: an int cell is ASCII digits, a float cell
+# ASCII text that float() reads, with no whitespace or "_"; then the range
+EVAL_CELL_RULES = {
+    "n": (int, 1, math.inf), "seed": (int, 0, math.inf), "trials": (int, 1, math.inf),
+    "top1": (float, 0.0, 1.0), "top5": (float, 0.0, 1.0), "map": (float, 0.0, 1.0),
+    "similarity": (float, -1.0, 1.0),
+}
+EVAL_CELLS = st.one_of(
+    st.integers(-2, 12).map(str),
+    st.floats(-1.5, 1.5).map(repr),
+    st.sampled_from(["nan", "NaN", "inf", "-inf", "1e999", "1e-3", ".5", "1.", "+0.1", "007", "-0", ""]),
+    # numbers in range that float() reads but a cell may not hold
+    st.sampled_from(["0.2_5", "1_0", " 0.5", "0.5 ", "\t1", "\u0660.\u0665", "\u0661", "\uff11"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=4),
+)
+
+
+def _cell_within_rule(cell: str, kind, low, high) -> bool:
+    if not cell.isascii() or "_" in cell or cell != cell.strip():
+        return False
+    if kind is int:
+        return cell.isdigit() and low <= int(cell) <= high
+    try:
+        return low <= float(cell) <= high
+    except ValueError:
+        return False
+
+
+@pytest.fixture(scope="module")
+def report_config(scratch):
+    run = scratch / "evals"
+    run.mkdir()
+    config = RunConfig().to_dict()
+    config["paths"]["runs"] = [str(run)]
+    path = scratch / "report.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return path, run / "eval.csv"
+
+
+@st.composite
+def eval_rows(draw):
+    """The numeric cells of a valid eval.csv row, often with one of them
+    replaced by a near-valid cell."""
+    row = [
+        draw(st.integers(low, 10**4).map(str) if kind is int else st.floats(low, high).map(repr))
+        for kind, low, high in EVAL_CELL_RULES.values()
+    ]
+    if draw(st.booleans()):
+        row[draw(st.integers(0, len(row) - 1))] = draw(EVAL_CELLS)
+    return row
+
+
+@FUZZ
+@given(rows=st.lists(eval_rows(), min_size=1, max_size=2))
+def test_report_eval_csv_cells(scratch, report_config, rows):
+    config, eval_csv = report_config
+    with open(eval_csv, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([["subject", *EVAL_CELL_RULES]] + [["S", *row] for row in rows])
+    out = scratch / "report"
+    code = main(["report", "--config", str(config), "--out", str(out), "--force"])
+    assert code in (0, 2)
+    if code == 0:
+        for row in rows:
+            for cell, rule in zip(row, EVAL_CELL_RULES.values()):
+                assert _cell_within_rule(cell, *rule), cell
+        with open(out / "report.csv", encoding="utf-8", newline="") as fh:
+            copied = list(csv.reader(fh))[1:]
+        assert copied == [[str(eval_csv.parent), "S", *row] for row in rows]

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from fovalign.checkpoint import load_checkpoint, save_checkpoint
+from fovalign.providers import load_embedding_bank, save_embedding_bank
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "parity.py"
 SPEC = importlib.util.spec_from_file_location("parity", TOOL)
@@ -142,3 +143,23 @@ def test_a_numeric_header_change_is_given_its_relative_size(tiny_run, tmp_path):
     assert changes["header.final_loss"] == pytest.approx(1e-12, rel=1e-3)
     report = parity.format_results("threads one", differing)
     assert "header.config_hash differs  header.final_loss 1e-12" in report
+
+
+def test_a_perturbed_bank_names_its_blocks_and_header_keys(tiny_run, tmp_path):
+    copy = tmp_path / "copy"
+    shutil.copytree(tiny_run, copy)
+    path = copy / "data" / "bank.bicp"
+    bank = load_embedding_bank(path)
+    bank.features = bank.features.copy()
+    bank.features[0, 0, 0, 0] += 0.25
+    bank.tag = "renamed"
+    save_embedding_bank(path, bank)
+
+    differing = [r for r in parity.compare_dirs(tiny_run, copy) if r.status != "same"]
+    assert [r.path for r in differing] == ["data/bank.bicp"]
+    changes = differing[0].changes
+    assert list(changes) == ["features", "header.tag"]
+    assert changes["features"] == pytest.approx(0.25, abs=1e-6)
+    assert changes["header.tag"] == "differs"
+    report = parity.format_results("threads one", differing)
+    assert "differs      data/bank.bicp  features 0.25  header.tag differs" in report

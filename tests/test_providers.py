@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import einsum_encode, level_block, random_image, rewrite_bank_header
+from conftest import ABSENT, einsum_encode, level_block, random_image, rewrite_bank_header
 from fovalign.config import TransformConfig, ViewsConfig
 from fovalign.errors import FormatError, ProtocolError
 from fovalign.providers import (
@@ -195,6 +195,12 @@ MALFORMED_BANK_HEADERS = {
     "no-samples": {"sample_count": 0},
     "no-samples-huge-views": {"sample_count": 0, "views": 2**63},
     "no-kernel-levels": {"kernel_levels": []},
+    # the payload size still matches: 6 samples of 34 floats
+    "no-kernel-levels-huge-views": {"kernel_levels": [], "dim_neural": 34, "views": 2**63},
+    "numeric-tag": {"tag": 7},
+    "missing-labels": {"labels": ABSENT},
+    "extra-key": {"kernel": 75},
+    "val-split": {"splits": ["train"] * 4 + ["test", "val"]},
 }
 
 
@@ -260,6 +266,37 @@ class TestEmbeddingBank:
         rewrite_bank_header(path, **changes)
         with pytest.raises(FormatError, match="bank header"):
             load_embedding_bank(path)
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"tag": 7}, "tag: expected str, got 7"),
+        ({"labels": ABSENT}, "labels: missing"),
+        ({"kernel": 75}, "kernel: unknown key"),
+        ({"views": 0}, "views must be >= 1, got 0"),
+        ({"kernel_levels": []}, "kernel_levels must be non-empty"),
+        ({"kernel_levels": [1, 4]}, "kernel_levels[1] must be odd >= 1, got 4"),
+        ({"splits": ["train"] * 4 + ["test", "val"]}, "splits[5] must be 'train' or 'test', got val"),
+    ])
+    def test_header_error_names_the_file_and_the_entry(self, tmp_path, changes, message):
+        path = tmp_path / "bank.bicp"
+        save_embedding_bank(path, _tiny_bank())
+        rewrite_bank_header(path, **changes)
+        with pytest.raises(FormatError) as exc:
+            load_embedding_bank(path)
+        assert str(exc.value) == f"{path}: bank header.{message}"
+
+    @pytest.mark.parametrize("changes, error, message", [
+        ({"labels": [0, 1, 2, 3, 4]}, FormatError,
+         "labels/splits length does not match the sample count"),
+        ({"labels": [0, 1, 2, 3, 3, 5]}, ProtocolError,
+         "train/test class sets overlap (zero-shot protocol): [3]"),
+    ])
+    def test_field_comparison_error_names_the_file(self, tmp_path, changes, error, message):
+        path = tmp_path / "bank.bicp"
+        save_embedding_bank(path, _tiny_bank())
+        rewrite_bank_header(path, **changes)
+        with pytest.raises(error) as exc:
+            load_embedding_bank(path)
+        assert str(exc.value) == f"{path}: {message}"
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "bank.bicp"

@@ -17,9 +17,11 @@ over 9-15, and the bank stores levels 5/9/13, so kernel 11 ties between two
 levels and 15 is clamped. `tiny` is the same shape at a few seconds' cost.
 
 Every file both runs wrote is compared by sha256. A CSV that differs is
-given the largest relative change per column, a checkpoint that differs
-the largest absolute change per array (read through `load_checkpoint`)
-and the header entries that differ, with the relative change of a number.
+given the largest relative change per column. A checkpoint that differs
+is given the largest absolute change per array, and an embedding bank
+the largest absolute change in its feature and its neural block; both
+then name the header entries that differ, with the relative change of a
+number.
 The checkouts are removed afterwards, and so are the run directories
 unless a file differs. Exit status: 0 when every file matches, 1 when one
 differs or exists on one side only, 2 when a checkout or a run fails.
@@ -176,23 +178,23 @@ def csv_changes(parent: Path, change: Path) -> dict[str, float | str]:
     return out
 
 
-def checkpoint_changes(parent: Path, change: Path) -> dict[str, float | str]:
-    """Largest absolute change per array of two checkpoints; "shape" or
-    "missing" for an array that cannot be compared. Each header entry that
-    differs, or that one side lacks, is named as "header.<key>"; a numeric
-    one is given its relative change, as a CSV cell is."""
+def _fovalign():
+    """This tree's `fovalign`, imported from its `src/` with the readers."""
     sys.path.insert(0, str(REPO / "src"))
     try:
-        import numpy as np
-        from fovalign.checkpoint import load_checkpoint
-        from fovalign.errors import FormatError
+        import fovalign.checkpoint
+        import fovalign.errors
+        import fovalign.providers
     finally:
         sys.path.remove(str(REPO / "src"))
-    try:
-        arrays_a, meta_a = load_checkpoint(parent)
-        arrays_b, meta_b = load_checkpoint(change)
-    except FormatError as exc:
-        return {"unreadable": str(exc)}
+    return fovalign
+
+
+def _array_changes(arrays_a: dict, arrays_b: dict) -> dict[str, float | str]:
+    """Largest absolute change per named array; "shape" or "missing" for an
+    array that cannot be compared."""
+    import numpy as np
+
     out: dict[str, float | str] = {}
     for name in sorted(set(arrays_a) | set(arrays_b)):
         if name not in arrays_a or name not in arrays_b:
@@ -201,7 +203,14 @@ def checkpoint_changes(parent: Path, change: Path) -> dict[str, float | str]:
             out[name] = "shape"
         elif not np.array_equal(arrays_a[name], arrays_b[name], equal_nan=True):
             out[name] = float(np.max(np.abs(arrays_b[name] - arrays_a[name])))
-    for key in sorted((set(meta_a) | set(meta_b)) - {"arrays"}):
+    return out
+
+
+def _header_changes(meta_a: dict, meta_b: dict) -> dict[str, float | str]:
+    """Each header entry that differs, or that one side lacks, named as
+    "header.<key>"; a numeric one is given its relative change."""
+    out: dict[str, float | str] = {}
+    for key in sorted(set(meta_a) | set(meta_b)):
         if key not in meta_b:
             out[f"header.{key}"] = "parent only"
         elif key not in meta_a:
@@ -211,6 +220,37 @@ def checkpoint_changes(parent: Path, change: Path) -> dict[str, float | str]:
             numeric = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b))
             out[f"header.{key}"] = _relative(float(a), float(b)) if numeric else "differs"
     return out
+
+
+def checkpoint_changes(parent: Path, change: Path) -> dict[str, float | str]:
+    """Largest absolute change per array of two checkpoints (read through
+    `load_checkpoint`), then the header entries that differ."""
+    fv = _fovalign()
+    try:
+        arrays_a, meta_a = fv.checkpoint.load_checkpoint(parent)
+        arrays_b, meta_b = fv.checkpoint.load_checkpoint(change)
+    except fv.errors.FormatError as exc:
+        return {"unreadable": str(exc)}
+    meta_a, meta_b = ({k: v for k, v in m.items() if k != "arrays"} for m in (meta_a, meta_b))
+    return {**_array_changes(arrays_a, arrays_b), **_header_changes(meta_a, meta_b)}
+
+
+def bank_changes(parent: Path, change: Path) -> dict[str, float | str]:
+    """Largest absolute change in the feature and the neural block of two
+    embedding banks (read through `load_embedding_bank`), then the header
+    entries that differ."""
+    fv = _fovalign()
+    try:
+        banks = [fv.providers.load_embedding_bank(path) for path in (parent, change)]
+    except (fv.errors.FormatError, fv.errors.ProtocolError) as exc:
+        return {"unreadable": str(exc)}
+    blocks = [{"features": bank.features, "neural": bank.neural} for bank in banks]
+    headers = [vars(bank.header()) for bank in banks]
+    return {**_array_changes(*blocks), **_header_changes(*headers)}
+
+
+# how a differing file of each suffix is explained
+EXPLAIN = {".csv": csv_changes, ".bick": checkpoint_changes, ".bicp": bank_changes}
 
 
 def compare_dirs(parent: Path, change: Path) -> list[FileResult]:
@@ -225,13 +265,10 @@ def compare_dirs(parent: Path, change: Path) -> list[FileResult]:
             results.append(FileResult(rel, "change only"))
         elif _sha256(parent / rel) == _sha256(change / rel):
             results.append(FileResult(rel, "same"))
-        elif rel.endswith(".csv"):
-            results.append(FileResult(rel, "differs", csv_changes(parent / rel, change / rel)))
-        elif rel.endswith(".bick"):
-            results.append(FileResult(rel, "differs",
-                                      checkpoint_changes(parent / rel, change / rel)))
         else:
-            results.append(FileResult(rel, "differs"))
+            explain = EXPLAIN.get(Path(rel).suffix)
+            changes = explain(parent / rel, change / rel) if explain else {}
+            results.append(FileResult(rel, "differs", changes))
     return results
 
 
