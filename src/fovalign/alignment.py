@@ -229,6 +229,15 @@ def init_parameters(config: RunConfig, dim_neural: int) -> dict[str, np.ndarray]
     return params
 
 
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
+
+
+def _fits_float32(a: np.ndarray) -> bool:
+    """Every entry lies within +-float32 max, the range a checkpoint
+    stores; NaN does not."""
+    return bool(-_FLOAT32_MAX <= a.min() and a.max() <= _FLOAT32_MAX)
+
+
 def _json_number(x: float) -> float | str:
     """x itself if finite, else its repr, which strict JSON can carry."""
     return x if math.isfinite(x) else repr(x)
@@ -288,15 +297,7 @@ class Trainer:
             dropout_rng = np.random.default_rng(
                 np.random.SeedSequence((cfg.training.seed, 2, epoch, b))
             )
-            try:
-                latent, cache = fusion.fusion_forward(feats, self.params, cfg.fusion, dropout_rng)
-            except ValueError as exc:
-                # huge but finite parameters pass the post-step check and
-                # can still make the evidence NaN here
-                raise NumericError(
-                    f"fusion forward failed at epoch {epoch}, batch {b}: {exc}",
-                    state=self.diagnostics(epoch, b, math.nan),
-                ) from exc
+            latent, cache = fusion.fusion_forward(feats, self.params, cfg.fusion, dropout_rng)
             neural_in = self.bank.neural[ids]
             f_n = nn.affine_forward(neural_in, self.params["enc_w"], self.params["enc_b"])
             loss, logits, d_f_n, d_latent, d_log_tau = loss_and_gradients(
@@ -321,9 +322,10 @@ class Trainer:
                 out=self.params["log_tau"],
             )
             # AdamW carries a non-finite gradient into its parameter (NaN
-            # directly, inf as inf / inf), so one sum over the post-step
-            # parameter buffer checks both
-            if not math.isfinite(self.optimizer.params_flat.sum()):
+            # directly, inf as inf / inf), so one range check of the
+            # post-step parameter buffer finds both, and any parameter that
+            # float32, the checkpoint's type, cannot hold
+            if not _fits_float32(self.optimizer.params_flat):
                 self._raise_first_non_finite(epoch, b, loss, grads)
             smoothed = self.schedule.update_smoothed(ids, np.diagonal(logits))
             lower, upper = confidence_bounds(smoothed, cfg.regulator.z_value)
@@ -354,27 +356,25 @@ class Trainer:
 
     def _raise_first_non_finite(self, epoch: int, batch: int, loss: float, grads: dict) -> None:
         """NumericError naming the first non-finite gradient group, else the
-        first non-finite parameter group, in sorted order. Returns when every
-        group is finite (the sum overflowed on finite values)."""
-        for kind, groups in (("gradient", grads), ("parameter", self.params)):
-            for name in sorted(groups):
-                if not np.all(np.isfinite(groups[name])):
-                    state = self.diagnostics(epoch, batch, loss)
-                    state["non_finite"] = {"kind": kind, "group": name}
-                    raise NumericError(
-                        f"non-finite {kind} of {name} at epoch {epoch}, batch {batch}",
-                        state=state,
-                    )
+        first parameter group that float32 cannot hold, in sorted order."""
+        bad = [("gradient", k, f"non-finite gradient of {k}")
+               for k in sorted(grads) if not np.all(np.isfinite(grads[k]))]
+        bad += [("parameter", k, f"parameter {k} outside the float32 range")
+                for k in sorted(self.params) if not _fits_float32(self.params[k])]
+        kind, name, problem = bad[0]
+        state = self.diagnostics(epoch, batch, loss)
+        state["non_finite"] = {"kind": kind, "group": name}
+        raise NumericError(f"{problem} at epoch {epoch}, batch {batch}", state=state)
 
     def diagnostics(self, epoch: int, batch: int, loss: float) -> dict:
+        with np.errstate(over="ignore"):  # a norm past the float range is "inf"
+            norms = {k: _json_number(float(np.linalg.norm(p))) for k, p in sorted(self.params.items())}
         return {
             "epoch": epoch,
             "batch": batch,
             "loss": repr(loss),
             "temperature": _json_number(math.exp(float(self.params["log_tau"]))),
-            "param_norms": {
-                k: _json_number(float(np.linalg.norm(p))) for k, p in sorted(self.params.items())
-            },
+            "param_norms": norms,
             "kernel_hist": {str(k): v for k, v in self.schedule.kernel_histogram().items()},
         }
 

@@ -115,7 +115,7 @@ def generate_dataset(config: RunConfig) -> tuple[EmbeddingBank, list[np.ndarray]
     neural_map = _stream(d.seed, _MAP_TAG).standard_normal((dim, d.dim_neural)) / np.sqrt(dim)
     neural = clean @ neural_map + noise
 
-    levels = sorted(d.bank_levels)
+    levels = tuple(sorted(d.bank_levels))
     ids = np.arange(len(images))
     features = np.empty((len(ids), len(levels), config.views.count, dim), dtype=np.float32)
     # one request per level; the provider's cache serves the
@@ -124,14 +124,15 @@ def generate_dataset(config: RunConfig) -> tuple[EmbeddingBank, list[np.ndarray]
         features[:, j] = provider.features(ids, np.full(len(ids), level), d.seed + _VIEW_NOISE_TAG, 0)
     bank = EmbeddingBank(
         tag=d.tag,
+        sample_count=len(samples),
         views=config.views.count,
         dim_feature=dim,
         dim_neural=d.dim_neural,
         kernel_levels=levels,
+        labels=tuple(class_id for class_id, _ in samples),
+        splits=tuple("train" if class_id < train_classes else "test" for class_id, _ in samples),
         features=features,
         neural=neural,
-        labels=np.asarray([class_id for class_id, _ in samples], dtype=np.int64),
-        splits=["train" if class_id < train_classes else "test" for class_id, _ in samples],
     ).validate()
     return bank, images
 

@@ -11,14 +11,15 @@ An embedding bank is a `container` file with magic b"BICP" and version
 1. Its header is a `BankHeader`, whose annotations declare each entry's
 type and rule; its `<f4` payload holds, per sample, the (kernel_levels,
 views, dim_feature) features, levels ascending, then the dim_neural
-neural vector. `EmbeddingBank.features` is that features block for all
-samples, one (N, levels, views, dim_feature) array.
+neural vector. `EmbeddingBank` is a `BankHeader` plus two arrays:
+`features`, that features block for all samples, one (sample_count,
+levels, views, dim_feature) array, and `neural`.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Annotated
 
 import numpy as np
@@ -168,7 +169,7 @@ class SyntheticEncoder:
         return z / np.reshape(norms, z.shape[:-1] + (1,))
 
 
-@dataclass(frozen=True)
+@dataclass
 class BankHeader:
     """An embedding bank file's header, one entry per field."""
 
@@ -183,38 +184,20 @@ class BankHeader:
 
 
 @dataclass
-class EmbeddingBank:
-    """The dataset record: precomputed per-view features at discrete
-    kernel levels, plus the paired neural vectors, class labels and split
-    tags."""
+class EmbeddingBank(BankHeader):
+    """The dataset record: the header's entries, plus the precomputed
+    per-view features at discrete kernel levels and the paired neural
+    vectors."""
 
-    tag: str
-    views: int
-    dim_feature: int
-    dim_neural: int
-    kernel_levels: list[int]
-    features: np.ndarray  # (N, len(kernel_levels), views, dim_feature) float32
-    neural: np.ndarray  # (N, dim_neural) float64; the bank file stores float32
-    labels: np.ndarray  # (N,) int64
-    splits: list[str]  # "train" / "test" per sample
-
-    @property
-    def sample_count(self) -> int:
-        return int(self.neural.shape[0])
+    features: np.ndarray  # (sample_count, len(kernel_levels), views, dim_feature) float32
+    neural: np.ndarray  # (sample_count, dim_neural) float64; the bank file stores float32
 
     def indices(self, split: str) -> np.ndarray:
         return np.flatnonzero(np.asarray(self.splits, dtype=str) == split)
 
-    def header(self) -> BankHeader:
-        return BankHeader(
-            self.tag, self.sample_count, self.views, self.dim_feature, self.dim_neural,
-            tuple(int(l) for l in self.kernel_levels),
-            tuple(np.asarray(self.labels, dtype=np.int64).tolist()), tuple(self.splits),
-        )
-
     def validate(self) -> "EmbeddingBank":
         """Check the header's rules, then the rules that compare fields."""
-        check_rules(self.header(), "bank header", FormatError)
+        check_rules(self, "bank header", FormatError)
         return self._check_fields("")
 
     def _check_fields(self, prefix: str) -> "EmbeddingBank":
@@ -235,7 +218,7 @@ class EmbeddingBank:
             raise FormatError(f"{prefix}neural block contains non-finite values")
         if len(self.labels) != n or len(self.splits) != n:
             raise FormatError(f"{prefix}labels/splits length does not match the sample count")
-        classes = [{int(l) for l, s in zip(self.labels, self.splits) if s == t} for t in ("train", "test")]
+        classes = [{l for l, s in zip(self.labels, self.splits) if s == t} for t in ("train", "test")]
         overlap = sorted(set.intersection(*classes))
         if overlap:
             raise ProtocolError(f"{prefix}train/test class sets overlap (zero-shot protocol): {overlap[:5]}")
@@ -248,7 +231,8 @@ def save_embedding_bank(path, bank: EmbeddingBank) -> None:
     payload = np.empty((n, width + bank.dim_neural), dtype="<f4")
     payload[:, :width] = bank.features.reshape(n, width)
     payload[:, width:] = bank.neural
-    write_container(path, BANK_MAGIC, BANK_VERSION, vars(bank.header()), payload)
+    header = {f.name: getattr(bank, f.name) for f in fields(BankHeader)}
+    write_container(path, BANK_MAGIC, BANK_VERSION, header, payload)
 
 
 def load_embedding_bank(path) -> EmbeddingBank:
@@ -259,8 +243,8 @@ def load_embedding_bank(path) -> EmbeddingBank:
     check_rules(h, where, FormatError)
     if not h.kernel_levels:
         raise FormatError(f"{where}.kernel_levels must be non-empty")
-    n, levels = h.sample_count, list(h.kernel_levels)
-    width = len(levels) * h.views * h.dim_feature
+    n = h.sample_count
+    width = len(h.kernel_levels) * h.views * h.dim_feature
     expected_bytes = n * (width + h.dim_neural) * 4
     if len(payload) != expected_bytes:
         raise FormatError(
@@ -268,11 +252,9 @@ def load_embedding_bank(path) -> EmbeddingBank:
         )
     flat = np.frombuffer(payload, dtype="<f4").reshape(n, width + h.dim_neural)
     return EmbeddingBank(
-        h.tag, h.views, h.dim_feature, h.dim_neural, levels,
-        features=flat[:, :width].reshape(n, len(levels), h.views, h.dim_feature),
+        **vars(h),
+        features=flat[:, :width].reshape(n, len(h.kernel_levels), h.views, h.dim_feature),
         neural=flat[:, width:].astype(np.float64),
-        labels=np.asarray(h.labels, dtype=np.int64),
-        splits=list(h.splits),
     )._check_fields(f"{path}: ")  # the header's own rules were checked above
 
 

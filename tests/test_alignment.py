@@ -454,17 +454,20 @@ class TestNumericGuard:
         )
         return Trainer(cfg, bank, BankProvider(bank))
 
-    def test_non_finite_parameter_named(self, tiny_run, monkeypatch):
+    # a checkpoint stores float32, so a parameter that float64 holds but
+    # float32 does not stops the run too
+    @pytest.mark.parametrize("value", [np.inf, np.nan, 1e308, -3.5e38])
+    def test_parameter_outside_float32_named(self, tiny_run, monkeypatch, value):
         trainer = self._trainer(tiny_run)
         step = trainer.optimizer.step
 
         def corrupting(grads):
             step(grads)
             # in place, as AdamW writes: the entry is a view of its buffer
-            trainer.params["proj_b"][1] = np.inf
+            trainer.params["proj_b"][1] = value
 
         monkeypatch.setattr(trainer.optimizer, "step", corrupting)
-        with pytest.raises(NumericError, match="non-finite parameter of proj_b at epoch 0, batch 0") as exc:
+        with pytest.raises(NumericError, match="parameter proj_b outside the float32 range at epoch 0, batch 0") as exc:
             trainer.train_epoch(0)
         assert exc.value.state["non_finite"] == {"kind": "parameter", "group": "proj_b"}
 
@@ -483,14 +486,6 @@ class TestNumericGuard:
             trainer.train_epoch(0)
         assert exc.value.state["non_finite"] == {"kind": "gradient", "group": "ln_gain"}
         assert not np.all(np.isfinite(trainer.params["ln_gain"]))
-
-    @pytest.mark.filterwarnings("ignore:overflow encountered in reduce")
-    def test_finite_groups_whose_sum_overflows_pass(self, tiny_run):
-        trainer = self._trainer(tiny_run)
-        grads = {"a": np.array([1e308, 1e308]), "b": np.array([-1e308])}
-        trainer.params = {k: v.copy() for k, v in grads.items()}
-        assert not math.isfinite(np.concatenate(list(grads.values())).sum())
-        trainer._raise_first_non_finite(0, 0, 1.0, grads)
 
 
 class TestEncodePairs:

@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import typing
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -918,8 +919,6 @@ def train_with(raw, tmp_path, section, name, value):
     return main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
 
 
-# diverging runs overflow on their way to exit 3
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("section, name, value", list(edge_cases()))
 def test_edge_value_ends_in_a_documented_exit(bank_recipe, tmp_path, capsys, section, name, value):
     code = train_with(bank_recipe, tmp_path, section, name, value)
@@ -928,17 +927,32 @@ def test_edge_value_ends_in_a_documented_exit(bank_recipe, tmp_path, capsys, sec
     assert "Traceback" not in err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("name", ["learning_rate", "weight_decay"])
-def test_diverging_run_names_the_forward_stage(bank_recipe, tmp_path, capsys, name):
+@pytest.mark.parametrize("name, group", [("learning_rate", "att_b"), ("weight_decay", "att_w")])
+def test_diverging_run_names_the_parameter_group(bank_recipe, tmp_path, capsys, name, group):
     assert train_with(bank_recipe, tmp_path, "training", name, 1e308) == 3
     first, dump = capsys.readouterr().err.split("\n", 1)
-    assert first.startswith("numeric failure: fusion forward failed at epoch 0, batch 1: ")
+    assert first == f"numeric failure: parameter {group} outside the float32 range at epoch 0, batch 0"
 
     def reject(token):
         raise ValueError(f"bare {token} token in the dump")
 
-    assert json.loads(dump, parse_constant=reject)["loss"] == "nan"
+    state = json.loads(dump, parse_constant=reject)
+    assert state["non_finite"] == {"kind": "parameter", "group": group}
+    assert "inf" in state["param_norms"].values()
+
+
+def test_diverging_run_stops_before_its_checkpoint(bank_recipe, tmp_path, capsys):
+    # the parameters outgrow float32 while float64 still holds them: the run
+    # stops there, before an overflow warning and before a checkpoint holding inf
+    raw = json.loads(json.dumps(bank_recipe))
+    raw["training"]["epochs"] = 6
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = train_with(raw, tmp_path, "training", "learning_rate", 1e5)
+    assert (code, [str(w.message) for w in caught]) == (3, [])
+    first = capsys.readouterr().err.split("\n", 1)[0]
+    assert first == "numeric failure: parameter att_w outside the float32 range at epoch 2, batch 2"
+    assert not list(tmp_path.rglob("*.bick"))
 
 
 class TestErrorSurface:

@@ -70,7 +70,7 @@ class TestGenerate:
         for x, y in zip(a_images, b_images):
             np.testing.assert_array_equal(x, y)
         np.testing.assert_array_equal(a.neural, b.neural)
-        np.testing.assert_array_equal(a.labels, b.labels)
+        assert a.labels == b.labels
         assert a.splits == b.splits
         for level in a.kernel_levels:
             np.testing.assert_array_equal(level_block(a, level), level_block(b, level))
@@ -91,21 +91,16 @@ class TestGenerate:
         train_classes = cfg.data.classes - cfg.data.test_classes
         n_train = train_classes * cfg.data.train_samples_per_class
         assert bank.sample_count == n_train + cfg.data.test_classes
-        assert bank.splits[:n_train] == ["train"] * n_train
-        assert bank.splits[n_train:] == ["test"] * cfg.data.test_classes
+        assert bank.splits == ("train",) * n_train + ("test",) * cfg.data.test_classes
         # training labels repeat per class; each test class appears once
-        np.testing.assert_array_equal(
-            bank.labels[:n_train],
-            np.repeat(np.arange(train_classes), cfg.data.train_samples_per_class),
-        )
-        np.testing.assert_array_equal(
-            bank.labels[n_train:], np.arange(train_classes, cfg.data.classes)
-        )
+        assert bank.labels == tuple(
+            np.repeat(np.arange(train_classes), cfg.data.train_samples_per_class).tolist()
+        ) + tuple(range(train_classes, cfg.data.classes))
 
     def test_train_and_test_classes_disjoint(self, generated):
         bank, _ = generated
-        train_labels = set(bank.labels[bank.indices("train")].tolist())
-        test_labels = set(bank.labels[bank.indices("test")].tolist())
+        train_labels = {bank.labels[i] for i in bank.indices("train")}
+        test_labels = {bank.labels[i] for i in bank.indices("test")}
         assert train_labels.isdisjoint(test_labels)
 
     def test_same_class_samples_share_style(self, generated):
@@ -113,7 +108,7 @@ class TestGenerate:
         # to each other than to a different class
         bank, images = generated
         same = np.abs(images[0] - images[1]).mean()
-        other = bank.indices("train")[bank.labels[bank.indices("train")] == 1][0]
+        other = bank.labels.index(1)
         cross = np.abs(images[0] - images[other]).mean()
         assert same < cross
 
@@ -172,7 +167,7 @@ class TestGenerate:
 class TestBank:
     def test_levels_sorted_and_match_config(self, generated):
         cfg = tiny_config()
-        assert generated[0].kernel_levels == sorted(cfg.data.bank_levels)
+        assert generated[0].kernel_levels == tuple(sorted(cfg.data.bank_levels))
 
     def test_rows_replay_the_live_encoder(self, generated):
         cfg = tiny_config()
@@ -234,7 +229,7 @@ class TestLoadDataset:
             np.testing.assert_array_equal(
                 level_block(loaded, level), level_block(bank, level)
             )
-        np.testing.assert_array_equal(loaded.labels, bank.labels)
+        assert loaded.labels == bank.labels
         assert loaded.splits == bank.splits
         assert loaded.tag == bank.tag
 

@@ -297,6 +297,25 @@ class TestFusionForward:
         grads = fusion_backward(np.ones_like(latent), cache, params, settings)
         assert all(np.all(np.isfinite(g)) for g in [latent, *grads.values()])
 
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), softplus_only=st.booleans())
+    def test_float32_extremes_give_no_nan_evidence(self, seed, softplus_only):
+        # training stops before a parameter leaves float32's range, and
+        # features are float32: at those extremes the evidence MLP's raw
+        # output stays far below overflow, so the evidence is finite or +inf
+        fusion_settings = make_settings(softplus_only=softplus_only)
+        rng = np.random.default_rng(seed)
+        big = float(np.finfo(np.float32).max)
+
+        def extremes(shape):
+            return big * rng.choice([-1.0, 0.0, 1.0], size=shape)
+
+        params = {k: extremes(np.shape(v)) for k, v in make_params(fusion_settings, 8).items()}
+        # the stages after the evidence may overflow; NaN evidence raises
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, cache = fusion_forward(extremes((2, 3, 8)), params, fusion_settings, rng)
+        assert not np.any(np.isnan(cache["state"].evidence))
+
     def test_bad_rank_rejected(self):
         settings = make_settings()
         params = make_params(settings, dim_feature=8)

@@ -24,7 +24,9 @@ from fovalign.cli import main
 from fovalign.config import RunConfig, config_from_dict
 from fovalign.errors import ConfigError, FormatError, ProtocolError
 from fovalign.pixmap import read_pixmap
-from fovalign.providers import EmbeddingBank, load_embedding_bank, save_embedding_bank
+from fovalign.providers import (
+    BankHeader, EmbeddingBank, load_embedding_bank, save_embedding_bank,
+)
 
 FUZZ = settings(
     max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -172,23 +174,19 @@ def bank_bytes(scratch):
     rng = np.random.default_rng(1)
     n, views, dim_f, dim_n = 4, 2, 3, 2
     bank = EmbeddingBank(
-        tag="fuzz", views=views, dim_feature=dim_f, dim_neural=dim_n, kernel_levels=[1, 5],
+        tag="fuzz", sample_count=n, views=views, dim_feature=dim_f, dim_neural=dim_n,
+        kernel_levels=(1, 5), labels=tuple(range(n)), splits=("train", "train", "test", "test"),
         features=np.stack(
             [rng.standard_normal((n, views, dim_f)).astype(np.float32) for _ in (1, 5)], axis=1
         ),
         neural=rng.standard_normal((n, dim_n)).astype(np.float32),
-        labels=np.arange(n, dtype=np.int64),
-        splits=["train", "train", "test", "test"],
     )
     path = scratch / "reference.bicp"
     save_embedding_bank(path, bank)
     return path.read_bytes()
 
 
-BANK_FIELDS = (
-    "tag", "sample_count", "views", "dim_feature", "dim_neural",
-    "kernel_levels", "labels", "splits",
-)
+BANK_FIELDS = tuple(f.name for f in dataclasses.fields(BankHeader))
 
 
 @FUZZ

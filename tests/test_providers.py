@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from fovalign.errors import FormatError, ProtocolError
 from fovalign.providers import (
     BANK_MAGIC,
     BLOCK,
+    BankHeader,
     BankProvider,
     EmbeddingBank,
     SyntheticEncoder,
@@ -115,18 +117,17 @@ def _tiny_bank(levels=(1, 9), n=6, views=3, dim_f=5, dim_n=4, test_from=4):
     features = np.stack(
         [rng.standard_normal((n, views, dim_f)).astype(np.float32) for _ in levels], axis=1
     )
-    labels = np.arange(n, dtype=np.int64)
-    splits = ["train" if i < test_from else "test" for i in range(n)]
     return EmbeddingBank(
         tag="tiny",
+        sample_count=n,
         views=views,
         dim_feature=dim_f,
         dim_neural=dim_n,
-        kernel_levels=list(levels),
+        kernel_levels=tuple(levels),
+        labels=tuple(range(n)),
+        splits=tuple("train" if i < test_from else "test" for i in range(n)),
         features=features,
         neural=rng.standard_normal((n, dim_n)).astype(np.float32),
-        labels=labels,
-        splits=splits,
     )
 
 
@@ -169,16 +170,17 @@ def banks(draw):
     test_from = draw(st.integers(0, n))
     return EmbeddingBank(
         tag=draw(st.text(max_size=5)),
+        sample_count=n,
         views=views,
         dim_feature=dim_f,
         dim_neural=dim_n,
-        kernel_levels=levels,
+        kernel_levels=tuple(levels),
+        labels=tuple(range(n)),
+        splits=tuple("train" if i < test_from else "test" for i in range(n)),
         features=values((n, len(levels), views, dim_f)).astype(
             draw(st.sampled_from([np.float32, np.float64]))
         ),
         neural=values((n, dim_n)),
-        labels=np.arange(n, dtype=np.int64),
-        splits=["train" if i < test_from else "test" for i in range(n)],
     )
 
 
@@ -210,10 +212,10 @@ class TestEmbeddingBank:
         path = tmp_path / "bank.bicp"
         save_embedding_bank(path, bank)
         loaded = load_embedding_bank(path)
-        assert loaded.tag == bank.tag
-        assert loaded.kernel_levels == bank.kernel_levels
-        assert loaded.splits == bank.splits
-        np.testing.assert_array_equal(loaded.labels, bank.labels)
+        for entry in fields(BankHeader):
+            want = getattr(bank, entry.name)
+            got = getattr(loaded, entry.name)
+            assert (type(got), got) == (type(want), want), entry.name
         np.testing.assert_array_equal(loaded.neural, bank.neural)
         for level in bank.kernel_levels:
             np.testing.assert_array_equal(
@@ -306,7 +308,7 @@ class TestEmbeddingBank:
 
     def test_class_overlap_violates_protocol(self):
         bank = _tiny_bank()
-        bank.labels = np.array([0, 1, 2, 3, 3, 5])  # class 3 in both splits
+        bank.labels = (0, 1, 2, 3, 3, 5)  # class 3 in both splits
         with pytest.raises(ProtocolError):
             bank.validate()
 
@@ -317,7 +319,7 @@ class TestEmbeddingBank:
 
     def test_unsorted_levels_rejected(self):
         bank = _tiny_bank()
-        bank.kernel_levels = [9, 1]
+        bank.kernel_levels = (9, 1)
         with pytest.raises(FormatError):
             bank.validate()
 
@@ -333,6 +335,19 @@ class TestEmbeddingBank:
         with pytest.raises(FormatError, match="features contain non-finite values"):
             bank.validate()
 
+    @pytest.mark.parametrize("count", [5, 7])
+    def test_sample_count_checked_against_every_array(self, count):
+        bank = _tiny_bank()
+        bank.sample_count = count
+        with pytest.raises(FormatError, match=r"features have shape \(6, 2, 3, 5\), expected"):
+            bank.validate()
+        bank.features = np.resize(bank.features, (count, *bank.features.shape[1:]))
+        with pytest.raises(FormatError, match=r"neural block has shape \(6, 4\), expected"):
+            bank.validate()
+        bank.neural = np.resize(bank.neural, (count, bank.dim_neural))
+        with pytest.raises(FormatError, match="labels/splits length does not match the sample count"):
+            bank.validate()
+
     def test_features_missing_a_level_rejected(self):
         bank = _tiny_bank(levels=(1, 5, 9))
         bank.features = bank.features[:, :2]
@@ -341,7 +356,7 @@ class TestEmbeddingBank:
 
     def test_bad_split_tag_rejected(self):
         bank = _tiny_bank()
-        bank.splits[1] = "validation"
+        bank.splits = ("train", "validation") + bank.splits[2:]
         with pytest.raises(FormatError):
             bank.validate()
 

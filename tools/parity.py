@@ -39,7 +39,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -245,7 +245,8 @@ def bank_changes(parent: Path, change: Path) -> dict[str, float | str]:
     except (fv.errors.FormatError, fv.errors.ProtocolError) as exc:
         return {"unreadable": str(exc)}
     blocks = [{"features": bank.features, "neural": bank.neural} for bank in banks]
-    headers = [vars(bank.header()) for bank in banks]
+    names = [f.name for f in fields(fv.providers.BankHeader)]
+    headers = [{name: getattr(bank, name) for name in names} for bank in banks]
     return {**_array_changes(*blocks), **_header_changes(*headers)}
 
 
