@@ -20,7 +20,7 @@ from typing import Annotated
 
 import numpy as np
 
-from .config import _at_least, check_rules, parse_record
+from .config import _at_least, parse_record
 from .container import read_container, write_container
 from .errors import FormatError
 
@@ -54,8 +54,6 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         raise FormatError(f"{path}: checkpoint manifest lacks the array table")
     where = f"{path}: checkpoint array table"
     table = parse_record(tuple[_ArrayEntry, ...], manifest["arrays"], where, FormatError)
-    for i, entry in enumerate(table):
-        check_rules(entry, f"{where}[{i}]", FormatError)
     if len({entry.name for entry in table}) != len(table):
         raise FormatError(f"{where} names an array twice")
     arrays: dict[str, np.ndarray] = {}

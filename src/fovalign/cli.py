@@ -25,7 +25,7 @@ import numpy as np
 
 from .alignment import EpochReport, Trainer, cosine_similarity_matrix, encode_pairs, init_parameters
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import _SIGNED_UNIT, _UNIT, RunConfig, _at_least, check_rules, config_hash, load_config, parse_record
+from .config import _SIGNED_UNIT, _UNIT, RunConfig, _at_least, config_hash, load_config, parse_record
 from .datagen import BANK_FILE, IMAGES_DIR, generate_dataset, load_dataset, save_dataset
 from .errors import ConfigError, FormatError, NumericError, ProtocolError
 from .evaluation import nway_evaluate
@@ -224,8 +224,7 @@ def _report(config: RunConfig, out: Path, seed) -> str:
                 raise FormatError(
                     f"{eval_path}: row {i} has {len(record)} cells, the header {len(header)}")
             values = {c: _cell_value(cell, _EVAL_TYPES[c]) for c, cell in zip(header, record)}
-            where = f"{eval_path}: row {i}"
-            check_rules(parse_record(_EvalRow, values, where, FormatError), where, FormatError)
+            parse_record(_EvalRow, values, f"{eval_path}: row {i}", FormatError)
             rows.append([run] + record)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "report.csv", ("run",) + _EVAL_COLUMNS, rows)

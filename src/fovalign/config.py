@@ -2,6 +2,8 @@
 
 Configs are JSON objects mirroring the dataclasses below. Every key has a
 default; unknown keys are hard errors (typos must not silently fall back).
+`parse_record` reads, coerces and checks a record in one walk, and checks
+a record built in code (say, by `dataclasses.replace`) the same way.
 A run manifest embeds the fully resolved config, and `load_config` accepts
 either a plain config file or a manifest, so any run can be reproduced
 from its own manifest.
@@ -33,14 +35,13 @@ __all__ = [
     "load_config",
     "config_from_dict",
     "parse_record",
-    "check_rules",
     "config_hash",
     "ablation_ladder",
 ]
 
 
 # A field annotated Annotated[T, (text, test)] accepts the values that pass
-# `test`, each item of a tuple on its own; `check_rules` rejects any other
+# `test`, each item of a tuple on its own; `parse_record` rejects any other
 # with "{path} must {text}, got {value}". The file readers declare their
 # records the same way.
 def _at_least(low: int) -> tuple:
@@ -200,7 +201,7 @@ class RunConfig:
         return 2 * self.transforms.kernel_size - 1
 
     def validate(self) -> "RunConfig":
-        check_rules(self, "", ConfigError)
+        parse_record(RunConfig, self, "", ConfigError)
         # the rules that compare two or more fields, and the provider kind
         t, r, tr, d, e = self.transforms, self.regulator, self.training, self.data, self.evaluation
         if self.views.count < 1:
@@ -252,14 +253,27 @@ def parse_record(cls, data, where: str, error: type[Exception], what: str = ""):
     """`data`, a JSON value, as the annotation `cls` declares it, or `error`
     naming `where`: a dataclass, from an object holding its fields (those
     with no default required), or bool, int, float, str, tuple[X, ...],
-    tuple[X, Y] or X | None, each maybe in Annotated[..., rule], which
-    `check_rules` applies. `what` prefixes the expected form in messages."""
+    tuple[X, Y] or X | None, each maybe in Annotated[..., rule], the rule
+    applied to the value read (to each item of a tuple). An instance of the
+    dataclass `cls`, built in code, is checked the same way and returned
+    unchanged. `what` prefixes the expected form in messages."""
     if typing.get_origin(cls) is Annotated:
-        cls = cls.__origin__
+        value = parse_record(cls.__origin__, data, where, error, what)
+        text, test = cls.__metadata__[0]
+        many = isinstance(value, tuple)
+        items = value if many else (value,)
+        if not all(map(test, items)):
+            i, item = next((i, v) for i, v in enumerate(items) if not test(v))
+            raise error(f"{where}{f'[{i}]' if many else ''} must {text}, got {item}")
+        return value
     if dataclasses.is_dataclass(cls):
+        prefix = f"{where}." if where else ""
+        if isinstance(data, cls):
+            for name, hint in _hints(cls).items():
+                parse_record(hint, getattr(data, name), prefix + name, error)
+            return data
         if not isinstance(data, dict):
             raise error(f"{where or 'config root'}: expected an object, got {type(data).__name__}")
-        prefix = f"{where}." if where else ""
         unknown = sorted(set(data) - set(_hints(cls)))
         if unknown:
             raise error(f"{prefix}{unknown[0]}: unknown key")
@@ -293,24 +307,6 @@ def parse_record(cls, data, where: str, error: type[Exception], what: str = ""):
     if cls is float and not abs(data) <= sys.float_info.max:
         raise error(f"{where}: expected a finite number, got {data!r}")
     return cls(data)
-
-
-def check_rules(record, where: str, error: type[Exception]) -> None:
-    """`error` for the first field of the dataclass `record`, or of a record
-    it holds, whose value fails its Annotated rule; a tuple's items are
-    checked each on its own."""
-    prefix = f"{where}." if where else ""
-    for name, hint in _hints(type(record)).items():
-        value = getattr(record, name)
-        if dataclasses.is_dataclass(value):
-            check_rules(value, prefix + name, error)
-        elif typing.get_origin(hint) is Annotated:
-            text, test = hint.__metadata__[0]
-            many = isinstance(value, tuple)
-            items = value if many else (value,)
-            if not all(map(test, items)):
-                i, item = next((i, v) for i, v in enumerate(items) if not test(v))
-                raise error(f"{prefix}{name}{f'[{i}]' if many else ''} must {text}, got {item}")
 
 
 def config_from_dict(data: dict) -> RunConfig:

@@ -13,7 +13,7 @@ from typing import Annotated
 
 import numpy as np
 
-from .config import _UNIT, check_rules
+from .config import _UNIT, parse_record
 from .errors import ConfigError
 
 __all__ = ["similarity_score", "EvalReport", "nway_evaluate"]
@@ -50,7 +50,7 @@ class EvalReport:
     similarity: float | None  # None unless the matrix is square
 
     def __post_init__(self):
-        check_rules(self, "", ValueError)
+        parse_record(EvalReport, self, "", ValueError)
 
 
 # most distractor draws ranked at once; bounds the per-block temporaries

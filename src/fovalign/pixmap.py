@@ -3,10 +3,13 @@
 Images travel through the package as float64 arrays of shape
 (channels, height, width) with values in [0, 1]. On disk they are plain
 P6 pixmaps: 8-bit, maxval 255, three channels. Single-channel arrays are
-replicated to RGB on write.
+replicated to RGB on write. The reader matches the header against one
+pattern, `_HEADER`, and every error it raises names the file.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 
@@ -15,51 +18,34 @@ from .errors import FormatError
 __all__ = ["read_pixmap", "write_pixmap", "to_bytes_quantized"]
 
 
-def _read_header_tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
-    """Return the first `count` whitespace-separated tokens, skipping
-    '#' comments, plus the offset of the byte following the header."""
-    tokens: list[bytes] = []
-    i = 0
-    n = len(data)
-    while len(tokens) < count:
-        while i < n and data[i : i + 1].isspace():
-            i += 1
-        if i < n and data[i : i + 1] == b"#":
-            while i < n and data[i : i + 1] != b"\n":
-                i += 1
-            continue
-        start = i
-        while i < n and not data[i : i + 1].isspace():
-            i += 1
-        if start == i:
-            raise FormatError("pixmap header ended unexpectedly")
-        tokens.append(data[start:i])
-    # exactly one whitespace byte separates the header from the raster
-    if i >= n:
-        raise FormatError("pixmap raster is missing")
-    i += 1
-    return tokens, i
+# "P6", then width, height and maxval as decimal numerals of at most nine
+# digits (past any raster held in memory, and within what int() reads),
+# apart by whitespace and "#" comments, then one whitespace byte. A token
+# must end at whitespace, (?!\S), and a comment at the end of its line,
+# (?![^\n]), so an input matches one way or not at all and a refused
+# header costs time linear in its length.
+_GAP = rb"(?:\s|#[^\n]*(?![^\n]))*"
+_NUMBER = rb"(0|[1-9][0-9]{0,8})"
+_HEADER = re.compile(rb"P6(?!\S)" + (_GAP + _NUMBER + rb"(?!\S)") * 2 + _GAP + _NUMBER + rb"\s")
 
 
 def read_pixmap(path) -> np.ndarray:
     """Read a binary P6 pixmap into a (3, H, W) float64 array in [0, 1]."""
     with open(path, "rb") as fh:
         data = fh.read()
-    if data[:2] != b"P6":
-        raise FormatError(f"{path}: not a binary P6 pixmap")
-    tokens, offset = _read_header_tokens(data, 4)
-    if tokens[0] != b"P6":
-        raise FormatError(f"{path}: not a binary P6 pixmap (magic {tokens[0][:16]!r})")
-    try:
-        width, height, maxval = (int(t) for t in tokens[1:])
-    except ValueError as exc:
-        raise FormatError(f"{path}: non-numeric pixmap header") from exc
+    header = _HEADER.match(data)
+    if header is None:
+        raise FormatError(
+            f"{path}: not a binary P6 pixmap: expected P6, then width, height and maxval "
+            "as decimal numerals of at most 9 digits, then one whitespace byte"
+        )
+    width, height, maxval = map(int, header.groups())
     if width < 1 or height < 1:
         raise FormatError(f"{path}: bad pixmap dimensions {width}x{height}")
     if maxval != 255:
         raise FormatError(f"{path}: only maxval 255 is supported, got {maxval}")
     expected = width * height * 3
-    raster = data[offset:]
+    raster = data[header.end():]
     if len(raster) != expected:
         raise FormatError(
             f"{path}: raster has {len(raster)} bytes, expected {expected}"

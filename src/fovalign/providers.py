@@ -24,7 +24,7 @@ from typing import Annotated
 
 import numpy as np
 
-from .config import _ODD, TransformConfig, ViewsConfig, _at_least, check_rules, parse_record
+from .config import _ODD, TransformConfig, ViewsConfig, _at_least, parse_record
 from .container import read_container, write_container
 from .errors import FormatError, ProtocolError
 from .transforms import add_noise, foveate, resample
@@ -196,8 +196,8 @@ class EmbeddingBank(BankHeader):
         return np.flatnonzero(np.asarray(self.splits, dtype=str) == split)
 
     def validate(self) -> "EmbeddingBank":
-        """Check the header's rules, then the rules that compare fields."""
-        check_rules(self, "bank header", FormatError)
+        """Check the header's types and rules, then the rules that compare fields."""
+        parse_record(BankHeader, self, "bank header", FormatError)
         return self._check_fields("")
 
     def _check_fields(self, prefix: str) -> "EmbeddingBank":
@@ -238,9 +238,8 @@ def save_embedding_bank(path, bank: EmbeddingBank) -> None:
 def load_embedding_bank(path) -> EmbeddingBank:
     raw, payload = read_container(path, BANK_MAGIC, BANK_VERSION, "bank")
     where = f"{path}: bank header"
-    h = parse_record(BankHeader, raw, where, FormatError)
     # positive counts and at least one level bound every array extent by the payload size
-    check_rules(h, where, FormatError)
+    h = parse_record(BankHeader, raw, where, FormatError)
     if not h.kernel_levels:
         raise FormatError(f"{where}.kernel_levels must be non-empty")
     n = h.sample_count

@@ -324,6 +324,18 @@ class TestTrain:
         assert main(["train", "--config", str(cfg)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_truncated_pixmap_exits_2_naming_the_file(self, workspace, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(workspace["root"] / "data", data)
+        image = data / "images" / "sample_00003.ppm"
+        image.write_bytes(b"P6\n32 32")
+        raw = json.loads(workspace["config"].read_text())
+        raw["paths"]["dataset"] = str(data)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        assert f"{image}: not a binary P6 pixmap" in capsys.readouterr().err
+
     @pytest.mark.parametrize("misfit", IMAGE_MISFITS.values(), ids=IMAGE_MISFITS.keys())
     def test_dataset_images_must_fit_the_config(self, workspace, tmp_path, capsys, misfit):
         cfg = misfit_config(workspace, tmp_path, misfit[0])

@@ -5,6 +5,7 @@ import json
 import math
 import typing
 
+import numpy as np
 import pytest
 
 from fovalign.config import (
@@ -119,6 +120,14 @@ class TestRejection:
         with pytest.raises(ConfigError) as exc:
             config_from_dict({section: {key: value}})
         assert fragment in str(exc.value)
+
+    def test_config_built_in_code_is_type_checked(self):
+        base = RunConfig()
+        cfg = dataclasses.replace(
+            base, training=dataclasses.replace(base.training, epochs=np.int64(3))
+        )
+        with pytest.raises(ConfigError, match=r"^training\.epochs: expected int, got "):
+            cfg.validate()
 
     def test_smallest_alpha_with_a_quantile(self):
         alpha = math.nextafter(2.0**-53, 1.0)

@@ -72,13 +72,20 @@ class TestPixmap:
             b"P6\n2 2\n255\n" + bytes(11),  # short raster
             b"P6\n0 2\n255\n",  # zero dimension
             b"P6\n2 x\n255\n" + bytes(12),  # non-numeric token
+            b"P6\n32 32",  # header cut after the height
+            b"P6\n2 2\n255",  # no byte after maxval
+            b"P6\n2 2\n# note",  # a comment running to the end of the file
+            b"P6\n+2 2\n255\n" + bytes(12),  # signed width
+            b"P6\n1_2 1\n255\n" + bytes(36),  # digit separator
+            b"P6\n02 2\n255\n" + bytes(12),  # leading zero
         ],
     )
     def test_malformed_files_rejected(self, tmp_path, payload):
         path = tmp_path / "bad.ppm"
         path.write_bytes(payload)
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError) as exc:
             read_pixmap(path)
+        assert str(exc.value).startswith(f"{path}: ")
 
     @pytest.mark.parametrize("magic", [b"P6x", b"P66", b"P6\x00"])
     def test_magic_token_must_be_exactly_p6(self, tmp_path, magic):

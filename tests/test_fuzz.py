@@ -11,6 +11,7 @@ import csv
 import dataclasses
 import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -76,7 +77,7 @@ def test_config_from_dict(data):
 
 _TOKENS = st.one_of(
     st.integers(-2, 6).map(lambda n: str(n).encode()),
-    st.just(b"255"),
+    st.sampled_from([b"255", b"+2", b"1_2", b"#"]),
     st.binary(max_size=3),
 )
 _SEPARATORS = st.sampled_from([b" ", b"\n", b"\t", b"\n# note\n", b""])
@@ -84,13 +85,25 @@ _SEPARATORS = st.sampled_from([b" ", b"\n", b"\t", b"\n# note\n", b""])
 
 @st.composite
 def pixmap_tails(draw):
-    """What follows b"P6": arbitrary bytes, or tokens that look like a header."""
-    if draw(st.booleans()):
+    """What follows b"P6": arbitrary bytes; tokens that look like a header,
+    then arbitrary bytes; or a width and a height token and maxval 255,
+    then a raster of the size that int() reads from the two tokens, which
+    a lenient reader would accept."""
+    kind = draw(st.sampled_from(["bytes", "tokens", "header"]))
+    if kind == "bytes":
         return draw(st.binary(max_size=64))
-    parts = []
-    for _ in range(draw(st.integers(0, 4))):
-        parts += [draw(_SEPARATORS), draw(_TOKENS)]
-    return b"".join(parts) + draw(_SEPARATORS) + draw(st.binary(max_size=160))
+    if kind == "tokens":
+        parts = []
+        for _ in range(draw(st.integers(0, 4))):
+            parts += [draw(_SEPARATORS), draw(_TOKENS)]
+        return b"".join(parts) + draw(_SEPARATORS) + draw(st.binary(max_size=160))
+    width, height = draw(_TOKENS), draw(_TOKENS)
+    gaps = [draw(_SEPARATORS.filter(bool)) for _ in range(3)] + [draw(st.sampled_from([b" ", b"\n"]))]
+    try:
+        size = 3 * int(width) * int(height)
+    except ValueError:
+        size = 0
+    return b"".join(g + t for g, t in zip(gaps, (width, height, b"255", bytes(max(size, 0)))))
 
 
 @FUZZ
@@ -104,6 +117,10 @@ def test_read_pixmap(scratch, tail):
         return
     assert image.dtype == np.float64 and image.ndim == 3 and image.shape[0] == 3
     assert image.min() >= 0.0 and image.max() <= 1.0
+    _, height, width = image.shape
+    header = path.read_bytes()[: -3 * height * width]
+    tokens = re.sub(rb"#[^\n]*", b"", header).split()
+    assert tokens == [b"P6", str(width).encode(), str(height).encode(), b"255"]
 
 
 def _mutate(data: bytes, edits, limit: int) -> bytes:

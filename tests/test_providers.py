@@ -306,6 +306,19 @@ class TestEmbeddingBank:
         with pytest.raises(FormatError):
             load_embedding_bank(path)
 
+    @pytest.mark.parametrize("labels, message", [
+        (np.arange(6), "bank header.labels: expected a list of int, got array("),
+        (tuple(np.arange(6)), f"bank header.labels[0]: expected int, got {np.int64(0)!r}"),
+    ])
+    def test_labels_built_in_code_are_type_checked(self, tmp_path, labels, message):
+        bank = _tiny_bank()
+        bank.labels = labels
+        path = tmp_path / "bank.bicp"
+        with pytest.raises(FormatError) as exc:
+            save_embedding_bank(path, bank)
+        assert str(exc.value).startswith(message)
+        assert not path.exists()
+
     def test_class_overlap_violates_protocol(self):
         bank = _tiny_bank()
         bank.labels = (0, 1, 2, 3, 3, 5)  # class 3 in both splits
