@@ -20,7 +20,7 @@ from .alignment import (
 )
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, ablation_ladder, config_from_dict, config_hash, load_config
-from .datagen import generate_dataset, load_dataset, save_dataset
+from .datagen import generate_dataset, load_dataset
 from .errors import ConfigError, FormatError, NumericError, ProtocolError
 from .evaluation import EvalReport, nway_evaluate
 from .fusion import belief_weights, fusion_backward, fusion_forward
@@ -82,7 +82,6 @@ __all__ = [
     "read_pixmap",
     "resample",
     "save_checkpoint",
-    "save_dataset",
     "save_embedding_bank",
     "write_pixmap",
     "__version__",

@@ -44,7 +44,7 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], metadata: dict) -> None
     manifest["arrays"] = [
         {"name": name, "shape": list(np.asarray(arrays[name]).shape)} for name in order
     ]
-    payload = b"".join(np.ascontiguousarray(arrays[name], dtype="<f4").tobytes() for name in order)
+    payload = (np.ascontiguousarray(arrays[name], dtype="<f4") for name in order)
     write_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, manifest, payload)
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from .alignment import EpochReport, Trainer, cosine_similarity_matrix, encode_pairs, init_parameters
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import _SIGNED_UNIT, _UNIT, RunConfig, _at_least, config_hash, load_config, parse_record
-from .datagen import BANK_FILE, IMAGES_DIR, generate_dataset, load_dataset, save_dataset
+from .datagen import BANK_FILE, IMAGES_DIR, generate_dataset, load_dataset
 from .errors import ConfigError, FormatError, NumericError, ProtocolError
 from .evaluation import nway_evaluate
 from .pixmap import read_pixmap, write_pixmap
@@ -114,8 +114,7 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def _generate(config: RunConfig, out: Path, seed) -> str:
-    bank, images = generate_dataset(config)
-    save_dataset(out, bank, images)
+    bank = generate_dataset(config, out)
     return f"generated {bank.sample_count} samples ({len(bank.indices('test'))} test) in {out}"
 
 

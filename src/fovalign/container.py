@@ -15,11 +15,13 @@ __all__ = ["write_container", "read_container"]
 
 
 def write_container(path, magic: bytes, version: int, header: dict, payload) -> None:
-    """Write `header` and then the bytes-like `payload` under `magic`."""
+    """Write `header` and then the payload, an iterable of bytes-like
+    chunks written in order, under `magic`."""
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(magic + struct.pack("<II", version, len(blob)) + blob)
-        fh.write(payload)
+        for chunk in payload:
+            fh.write(chunk)
 
 
 def read_container(path, magic: bytes, version: int, what: str) -> tuple[object, memoryview]:

@@ -13,8 +13,8 @@ are disjoint by construction and validated on every bank load.
 
 The embedding bank is the dataset record (tag, labels, splits, neural
 vectors and view features), with the images beside it as a list. Only
-`save_dataset` and `load_dataset` know the directory layout: `bank.bicp`
-plus `images/sample_%05d.ppm`.
+`generate_dataset` and `load_dataset` know the directory layout:
+`bank.bicp` plus `images/sample_%05d.ppm`.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ from .providers import (
     BLOCK, EmbeddingBank, SyntheticProvider, load_embedding_bank, save_embedding_bank,
 )
 
-__all__ = ["BANK_FILE", "IMAGES_DIR", "render_sample", "generate_dataset", "save_dataset",
-           "load_dataset"]
+__all__ = ["BANK_FILE", "IMAGES_DIR", "render_sample", "generate_dataset", "load_dataset"]
 
 BANK_FILE, IMAGES_DIR = "bank.bicp", "images"
 
@@ -76,14 +75,16 @@ def render_sample(style: dict, rng: np.random.Generator, size: int) -> np.ndarra
     return to_bytes_quantized(canvas).astype(np.float64) / 255.0
 
 
-def generate_dataset(config: RunConfig) -> tuple[EmbeddingBank, list[np.ndarray]]:
-    """Render every sample and return (bank, images): the embedding bank
-    holds the paired vectors, unrounded, and the view features at the
-    configured kernel levels.
+def generate_dataset(config: RunConfig, directory) -> EmbeddingBank:
+    """Render every sample into the dataset directory `directory` and return
+    its embedding bank: the paired vectors, unrounded, and the view
+    features at the configured kernel levels.
 
     Classes [0, classes - test_classes) are training classes with
     `train_samples_per_class` renderings each; the remaining classes are
     test classes with a single rendering each (one image per concept).
+    Samples are rendered, encoded and written BLOCK at a time, so at most
+    BLOCK images are held at once.
     """
     d = config.data
     train_classes = d.classes - d.test_classes
@@ -102,26 +103,30 @@ def generate_dataset(config: RunConfig) -> tuple[EmbeddingBank, list[np.ndarray]
             f"data.neural_noise {d.neural_noise!r} takes the neural vectors past the float range"
         )
     styles = [_class_style(d.seed, class_id) for class_id in range(d.classes)]
-    images = [render_sample(styles[class_id], _stream(d.seed, _SAMPLE_TAG, class_id, copy),
-                            d.image_size) for class_id, copy in samples]
-
-    dim = config.provider.dim_feature
+    dim, levels = config.provider.dim_feature, tuple(sorted(d.bank_levels))
+    images = [None] * len(samples)
     provider = SyntheticProvider(config.transforms, config.views, dim, config.provider.seed, images)
-    # encoded BLOCK images per call, never as one stack of every image
-    clean = np.empty((len(images), dim))
-    for start in range(0, len(images), BLOCK):
-        block = np.stack(images[start : start + BLOCK])
-        clean[start : start + BLOCK] = provider.encoder.encode(block)
+    clean = np.empty((len(samples), dim))
+    features = np.empty((len(samples), len(levels), config.views.count, dim), dtype=np.float32)
+    root = Path(directory)
+    (root / IMAGES_DIR).mkdir(parents=True, exist_ok=True)
+    # every row is per image, so a block's rows equal those of one batch of all samples
+    for start in range(0, len(samples), BLOCK):
+        ids = np.arange(start, min(start + BLOCK, len(samples)))
+        for i in ids.tolist():
+            class_id, copy = samples[i]
+            rng = _stream(d.seed, _SAMPLE_TAG, class_id, copy)
+            images[i] = render_sample(styles[class_id], rng, d.image_size)
+        clean[ids] = provider.encoder.encode(np.stack(images[start : start + BLOCK]))
+        # one request per level; the provider's cache serves the
+        # kernel-independent rows, the noise row included, once per sample
+        for j, level in enumerate(levels):
+            kernels = np.full(len(ids), level)
+            features[ids, j] = provider.features(ids, kernels, d.seed + _VIEW_NOISE_TAG, 0)
+        for i in ids.tolist():
+            write_pixmap(_image_path(root, i), images[i])
+            images[i] = None
     neural_map = _stream(d.seed, _MAP_TAG).standard_normal((dim, d.dim_neural)) / np.sqrt(dim)
-    neural = clean @ neural_map + noise
-
-    levels = tuple(sorted(d.bank_levels))
-    ids = np.arange(len(images))
-    features = np.empty((len(ids), len(levels), config.views.count, dim), dtype=np.float32)
-    # one request per level; the provider's cache serves the
-    # kernel-independent rows, the noise row included, once per sample
-    for j, level in enumerate(levels):
-        features[:, j] = provider.features(ids, np.full(len(ids), level), d.seed + _VIEW_NOISE_TAG, 0)
     bank = EmbeddingBank(
         tag=d.tag,
         sample_count=len(samples),
@@ -132,23 +137,14 @@ def generate_dataset(config: RunConfig) -> tuple[EmbeddingBank, list[np.ndarray]
         labels=tuple(class_id for class_id, _ in samples),
         splits=tuple("train" if class_id < train_classes else "test" for class_id, _ in samples),
         features=features,
-        neural=neural,
-    ).validate()
-    return bank, images
+        neural=clean @ neural_map + noise,
+    )
+    save_embedding_bank(root / BANK_FILE, bank)  # validates the bank first
+    return bank
 
 
 def _image_path(root: Path, index: int) -> Path:
     return root / IMAGES_DIR / f"sample_{index:05d}.ppm"
-
-
-def save_dataset(directory, bank: EmbeddingBank, images) -> None:
-    """Write `images` as pixmaps and `bank` as the bank file of a dataset
-    directory."""
-    root = Path(directory)
-    (root / IMAGES_DIR).mkdir(parents=True, exist_ok=True)
-    for i, image in enumerate(images):
-        write_pixmap(_image_path(root, i), image)
-    save_embedding_bank(root / BANK_FILE, bank)
 
 
 def load_dataset(directory, splits=("train", "test")) -> tuple[EmbeddingBank, list]:

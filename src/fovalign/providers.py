@@ -228,9 +228,12 @@ class EmbeddingBank(BankHeader):
 def save_embedding_bank(path, bank: EmbeddingBank) -> None:
     bank.validate()
     n, width = bank.sample_count, bank.features[0].size
-    payload = np.empty((n, width + bank.dim_neural), dtype="<f4")
-    payload[:, :width] = bank.features.reshape(n, width)
-    payload[:, width:] = bank.neural
+    # one (features, neural) float32 row per sample, BLOCK rows per write
+    payload = (
+        np.concatenate([bank.features[s : s + BLOCK].reshape(-1, width), bank.neural[s : s + BLOCK]],
+                       axis=1, dtype="<f4")
+        for s in range(0, n, BLOCK)
+    )
     header = {f.name: getattr(bank, f.name) for f in fields(BankHeader)}
     write_container(path, BANK_MAGIC, BANK_VERSION, header, payload)
 

@@ -1,6 +1,6 @@
 """Shared test helpers: finite differences, the row-wise fsum oracle, the
 per-image einsum encoder oracle, the per-group AdamW oracle, small config
-factories, full-gallery distractor draws and writers of malformed
+factories, a generated dataset read back, full-gallery distractor draws and writers of malformed
 checkpoint and bank files."""
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import struct
 import numpy as np
 
 from fovalign.checkpoint import CHECKPOINT_MAGIC
+from fovalign.datagen import generate_dataset, load_dataset
 from fovalign.providers import POOL_GRID, _pool_matrix
 from fovalign.config import (
     DataConfig,
@@ -115,6 +116,13 @@ def tiny_config(**overrides) -> RunConfig:
         evaluation=EvalConfig(gallery_sizes=(4, 2), trials=5),
     )
     return dataclasses.replace(base, **overrides).validate()
+
+
+def generate_and_load(config: RunConfig, directory) -> tuple:
+    """(bank, images): the bank `generate_dataset` returns, its neural
+    vectors unrounded, and the images it wrote, read back."""
+    bank = generate_dataset(config, directory)
+    return bank, load_dataset(directory)[1]
 
 
 def random_image(rng: np.random.Generator, channels: int = 3, height: int = 8, width: int = 8):

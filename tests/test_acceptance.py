@@ -16,12 +16,13 @@ import time
 import numpy as np
 import scipy.ndimage
 
-from conftest import central_difference, every_other_column, relative_error, tiny_config
+from conftest import (
+    central_difference, every_other_column, generate_and_load, relative_error, tiny_config,
+)
 from fovalign import fusion, nn
 from fovalign.alignment import init_parameters, loss_and_gradients
 from fovalign.cli import main
 from fovalign.config import ablation_ladder, config_from_dict, config_hash
-from fovalign.datagen import generate_dataset
 from fovalign.evaluation import _ranks_among_draws
 from fovalign.providers import SyntheticProvider
 from fovalign.regulator import BlurSchedule, confidence_bounds
@@ -211,7 +212,7 @@ def test_criterion_5_regulator_oracle():
     )
 
 
-def test_criterion_6_retrieval_metrics():
+def test_criterion_6_retrieval_metrics(tmp_path):
     # the production ranker, given every other gallery column in shuffled
     # order, against a stable descending sort
     rng = np.random.default_rng(66)
@@ -234,7 +235,7 @@ def test_criterion_6_retrieval_metrics():
         "provider": {"dim_feature": 16},
         "fusion": {"dim_latent": 16, "dim_hidden": 16, "dim_bottleneck": 8},
     })
-    bank, images = generate_dataset(cfg)
+    bank, images = generate_and_load(cfg, tmp_path)
     provider = SyntheticProvider(
         cfg.transforms, cfg.views, cfg.provider.dim_feature, cfg.provider.seed, images
     )

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DictAdamW, central_difference, fsum_along, relative_error, tiny_config
+from conftest import (
+    DictAdamW, central_difference, fsum_along, generate_and_load, relative_error, tiny_config,
+)
 from fovalign import alignment
 from fovalign.alignment import (
     AdamW,
@@ -20,7 +22,6 @@ from fovalign.alignment import (
     init_parameters,
     loss_and_gradients,
 )
-from fovalign.datagen import generate_dataset
 from fovalign.errors import ConfigError, NumericError
 from fovalign.providers import BankProvider, SyntheticProvider
 
@@ -312,9 +313,9 @@ class TestFlatAdamW:
 
 
 @pytest.fixture(scope="module")
-def tiny_run():
+def tiny_run(tmp_path_factory):
     config = tiny_config()
-    bank, images = generate_dataset(config)
+    bank, images = generate_and_load(config, tmp_path_factory.mktemp("tiny_run"))
     return config, bank, images
 
 

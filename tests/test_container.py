@@ -35,7 +35,9 @@ def _frame(magic: bytes, version: int, blob: bytes, payload: bytes = b"", length
 @given(header=JSON, payload=st.binary(max_size=64), version=st.integers(0, 2**32 - 1))
 def test_round_trip(tmp_path, header, payload, version):
     path = tmp_path / "c.bin"
-    write_container(path, MAGIC, version, header, payload)
+    # the payload is written chunk by chunk, in order
+    half = len(payload) // 2
+    write_container(path, MAGIC, version, header, [payload[:half], memoryview(payload)[half:]])
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     assert path.read_bytes() == _frame(MAGIC, version, blob, payload)
     got, body = read_container(path, MAGIC, version, "test")

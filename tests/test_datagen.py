@@ -1,13 +1,18 @@
 """Procedural dataset generation: determinism, layout, pairing, bank."""
 
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
 
-from conftest import einsum_encode, level_block, tiny_config
+from conftest import einsum_encode, generate_and_load, level_block, tiny_config
+import fovalign.datagen
 import fovalign.providers
-from fovalign.datagen import _MAP_TAG, generate_dataset, load_dataset, render_sample, save_dataset
+from fovalign.datagen import (
+    _MAP_TAG, _SAMPLE_TAG, _VIEW_NOISE_TAG, _class_style, _stream, generate_dataset, load_dataset,
+    render_sample,
+)
 from fovalign.providers import (
     BLOCK,
     SyntheticEncoder,
@@ -18,8 +23,14 @@ from fovalign.providers import (
 
 
 @pytest.fixture(scope="module")
-def generated():
-    return generate_dataset(tiny_config())
+def dataset_dir(tmp_path_factory):
+    """The directory the tiny dataset is generated into."""
+    return tmp_path_factory.mktemp("dataset")
+
+
+@pytest.fixture(scope="module")
+def generated(dataset_dir):
+    return generate_and_load(tiny_config(), dataset_dir)
 
 
 def _style():
@@ -64,8 +75,8 @@ class TestRenderSample:
 
 
 class TestGenerate:
-    def test_deterministic(self, generated):
-        (a, a_images), (b, b_images) = generated, generate_dataset(tiny_config())
+    def test_deterministic(self, generated, tmp_path):
+        (a, a_images), (b, b_images) = generated, generate_and_load(tiny_config(), tmp_path)
         assert len(a_images) == len(b_images)
         for x, y in zip(a_images, b_images):
             np.testing.assert_array_equal(x, y)
@@ -75,13 +86,13 @@ class TestGenerate:
         for level in a.kernel_levels:
             np.testing.assert_array_equal(level_block(a, level), level_block(b, level))
 
-    def test_data_seed_changes_everything(self):
+    def test_data_seed_changes_everything(self, tmp_path):
         cfg = tiny_config()
         other = dataclasses.replace(
             cfg, data=dataclasses.replace(cfg.data, seed=cfg.data.seed + 1)
         )
-        a, a_images = generate_dataset(cfg)
-        b, b_images = generate_dataset(other)
+        a, a_images = generate_and_load(cfg, tmp_path / "a")
+        b, b_images = generate_and_load(other, tmp_path / "b")
         assert not np.array_equal(a_images[0], b_images[0])
         assert not np.array_equal(a.neural, b.neural)
 
@@ -112,7 +123,7 @@ class TestGenerate:
         cross = np.abs(images[0] - images[other]).mean()
         assert same < cross
 
-    def test_neural_is_a_shared_linear_map_of_clean_embeddings(self):
+    def test_neural_is_a_shared_linear_map_of_clean_embeddings(self, tmp_path):
         # with the pairing noise off, every neural vector must be the same
         # linear function of its clean-image embedding: the least-squares
         # map fits all samples (train and test alike) with zero residual
@@ -120,7 +131,7 @@ class TestGenerate:
         cfg = dataclasses.replace(
             cfg, data=dataclasses.replace(cfg.data, neural_noise=0.0)
         )
-        bank, images = generate_dataset(cfg)
+        bank, images = generate_and_load(cfg, tmp_path)
         from fovalign.providers import SyntheticEncoder
 
         encoder = SyntheticEncoder(cfg.provider.dim_feature, cfg.provider.seed)
@@ -129,22 +140,26 @@ class TestGenerate:
         fitted = clean @ mapping
         np.testing.assert_allclose(fitted, bank.neural, atol=1e-9)
 
-    def test_clean_embeddings_are_encoded_in_blocks(self, monkeypatch):
+    def test_clean_embeddings_are_encoded_in_blocks(self, monkeypatch, tmp_path):
         # with the pairing noise off, neural = clean @ map exactly; the clean
-        # rows, encoded BLOCK images per call, equal the per-image oracle
+        # rows, encoded BLOCK images per call right after the block is
+        # rendered, equal the per-image oracle
         cfg = tiny_config()
         cfg = dataclasses.replace(cfg, data=dataclasses.replace(cfg.data, neural_noise=0.0))
-        shapes = []
-        encode = SyntheticEncoder.encode
+        events = []  # "render", or the shape of an encoder call
+        encode, render = SyntheticEncoder.encode, fovalign.datagen.render_sample
         monkeypatch.setattr(
-            SyntheticEncoder, "encode", lambda self, x: shapes.append(np.shape(x)) or encode(self, x)
+            SyntheticEncoder, "encode", lambda self, x: events.append(np.shape(x)) or encode(self, x)
         )
-        bank, images = generate_dataset(cfg)
-        clean_blocks = shapes[: -(-len(images) // BLOCK)]
+        monkeypatch.setattr(
+            fovalign.datagen, "render_sample", lambda *a: events.append("render") or render(*a)
+        )
+        bank, images = generate_and_load(cfg, tmp_path)
+        clean_blocks = [e for prev, e in zip(events, events[1:]) if prev == "render" != e]
         assert [s[0] for s in clean_blocks] == [
             min(BLOCK, len(images) - start) for start in range(0, len(images), BLOCK)
         ]
-        assert max(s[0] for s in shapes) <= BLOCK
+        assert max(e[0] for e in events if e != "render") <= BLOCK
         encoder = SyntheticEncoder(cfg.provider.dim_feature, cfg.provider.seed)
         clean = np.stack([einsum_encode(encoder, img) for img in images])
         map_rng = np.random.default_rng(np.random.SeedSequence((cfg.data.seed, _MAP_TAG)))
@@ -153,15 +168,51 @@ class TestGenerate:
         ) / np.sqrt(cfg.provider.dim_feature)
         np.testing.assert_array_equal(bank.neural, clean @ neural_map)
 
-    def test_pairing_noise_perturbs_neural(self, generated):
+    def test_pairing_noise_perturbs_neural(self, generated, tmp_path):
         cfg = tiny_config()
         quiet = dataclasses.replace(
             cfg, data=dataclasses.replace(cfg.data, neural_noise=0.0)
         )
-        clean, _ = generate_dataset(quiet)
+        clean = generate_dataset(quiet, tmp_path)
         delta = generated[0].neural - clean.neural
         observed = delta.std()
         assert 0.5 * cfg.data.neural_noise < observed < 2.0 * cfg.data.neural_noise
+
+    def test_streaming_equals_all_at_once(self, generated, dataset_dir):
+        # 44 samples: two full blocks and a short one. Every image is its
+        # (class, copy) stream's rendering, and one request over all ids per
+        # level on the written images reproduces the bank bit for bit
+        cfg, (_, images) = tiny_config(), generated
+        bank, _ = load_dataset(dataset_dir)
+        assert bank.sample_count == 44 and bank.sample_count % BLOCK == 12
+        for i, (image, class_id) in enumerate(zip(images, bank.labels, strict=True)):
+            copy = bank.labels[:i].count(class_id)  # earlier renderings of its class
+            rng = _stream(cfg.data.seed, _SAMPLE_TAG, class_id, copy)
+            want = render_sample(_class_style(cfg.data.seed, class_id), rng, cfg.data.image_size)
+            np.testing.assert_array_equal(image, want)
+        provider = SyntheticProvider(
+            cfg.transforms, cfg.views, cfg.provider.dim_feature, cfg.provider.seed, images
+        )
+        ids = np.arange(bank.sample_count)
+        for j, level in enumerate(bank.kernel_levels):
+            rows = provider.features(ids, np.full(len(ids), level), cfg.data.seed + _VIEW_NOISE_TAG, 0)
+            assert rows.astype(np.float32).tobytes() == bank.features[:, j].tobytes(), level
+
+    def test_holds_at_most_a_block_of_renders(self, monkeypatch, tmp_path):
+        # at every render, at most BLOCK earlier renderings are still alive
+        alive_at_render, refs = [], []
+        render = fovalign.datagen.render_sample
+
+        def tracked(*args):
+            alive_at_render.append(sum(ref() is not None for ref in refs))
+            image = render(*args)
+            refs.append(weakref.ref(image))
+            return image
+
+        monkeypatch.setattr(fovalign.datagen, "render_sample", tracked)
+        bank = generate_dataset(tiny_config(), tmp_path)
+        assert len(alive_at_render) == bank.sample_count
+        assert max(alive_at_render) <= BLOCK, alive_at_render
 
 
 class TestBank:
@@ -185,14 +236,14 @@ class TestBank:
             ]).astype(np.float32)
             np.testing.assert_array_equal(level_block(bank, level)[index], want)
 
-    def test_noise_view_rendered_once_per_sample(self, monkeypatch):
+    def test_noise_view_rendered_once_per_sample(self, monkeypatch, tmp_path):
         calls = []
         real = fovalign.providers.add_noise
         monkeypatch.setattr(
             fovalign.providers, "add_noise", lambda *a: calls.append(a) or real(*a)
         )
         cfg = tiny_config()
-        bank, _ = generate_dataset(cfg)
+        bank = generate_dataset(cfg, tmp_path)
         assert len(cfg.data.bank_levels) >= 2
         assert len(calls) == bank.sample_count
 
@@ -212,15 +263,12 @@ class TestBank:
 
 
 class TestLoadDataset:
-    def test_round_trip_through_directory(self, generated, tmp_path):
-        bank, images = generated
-        save_dataset(tmp_path, bank, images)
-        loaded, loaded_images = load_dataset(tmp_path)
-        # images are quantized at render time, so the pixmap round trip
-        # is exact; neural vectors are generated unrounded in float64 and
-        # come back as their float32 rounding, widened to float64
-        for a, b in zip(loaded_images, images, strict=True):
-            np.testing.assert_array_equal(a, b)
+    def test_round_trip_through_directory(self, generated, dataset_dir):
+        bank, _ = generated
+        loaded, _ = load_dataset(dataset_dir)
+        # neural vectors are generated unrounded in float64 and come back
+        # as their float32 rounding, widened to float64 (the images' exact
+        # round trip is checked against `render_sample` above)
         assert bank.neural.dtype == loaded.neural.dtype == np.float64
         rounded = bank.neural.astype(np.float32).astype(np.float64)
         assert not np.array_equal(bank.neural, rounded)
@@ -241,10 +289,9 @@ class TestLoadDataset:
         assert loaded.sample_count == bank.sample_count
 
     @pytest.mark.parametrize("split", ["train", "test"])
-    def test_reads_only_the_listed_split(self, generated, tmp_path, split):
+    def test_reads_only_the_listed_split(self, generated, dataset_dir, split):
         bank, images = generated
-        save_dataset(tmp_path, bank, images)
-        _, loaded = load_dataset(tmp_path, splits=(split,))
+        _, loaded = load_dataset(dataset_dir, splits=(split,))
         for index, (want, got) in enumerate(zip(images, loaded, strict=True)):
             if bank.splits[index] == split:
                 np.testing.assert_array_equal(got, want)

@@ -230,6 +230,13 @@ class TestEmbeddingBank:
         save_embedding_bank_per_sample(tmp_path / "old.bicp", bank)
         assert (tmp_path / "new.bicp").read_bytes() == (tmp_path / "old.bicp").read_bytes()
 
+    def test_bytes_equal_the_per_sample_writer_across_blocks(self, tmp_path):
+        # the payload is written BLOCK samples at a time: two full blocks and a short one
+        bank = _tiny_bank(n=2 * BLOCK + 3, test_from=2 * BLOCK)
+        save_embedding_bank(tmp_path / "new.bicp", bank)
+        save_embedding_bank_per_sample(tmp_path / "old.bicp", bank)
+        assert (tmp_path / "new.bicp").read_bytes() == (tmp_path / "old.bicp").read_bytes()
+
     def test_loaded_features_view_the_payload(self, tmp_path):
         bank = _tiny_bank(levels=(1, 5, 9))
         path = tmp_path / "bank.bicp"
