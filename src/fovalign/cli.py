@@ -93,10 +93,10 @@ def _load_data(config: RunConfig, splits):
                        {"views": bank.views, "dim_feature": bank.dim_feature},
                        {"views": config.views.count, "dim_feature": config.provider.dim_feature})
         return bank, BankProvider(bank)
-    for height, width in sorted({image.shape[1:] for image in images if image is not None}):
-        config.transforms.check_fits(
-            height, width, config.views.enabled(), f"images of dataset {config.paths.dataset}"
-        )
+    first = next((image for image in images if image is not None), None)
+    if first is not None:  # load_dataset read every image at one size
+        config.transforms.check_fits(*first.shape[1:], config.views.enabled(),
+                                     f"images of dataset {config.paths.dataset}")
     return bank, SyntheticProvider(
         config.transforms, config.views,
         config.provider.dim_feature, config.provider.seed, images,

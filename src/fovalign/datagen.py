@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
-from .errors import ConfigError
+from .errors import ConfigError, FormatError
 from .pixmap import read_pixmap, to_bytes_quantized, write_pixmap
 from .providers import (
     BLOCK, EmbeddingBank, SyntheticProvider, load_embedding_bank, save_embedding_bank,
@@ -149,11 +149,16 @@ def _image_path(root: Path, index: int) -> Path:
 
 def load_dataset(directory, splits=("train", "test")) -> tuple[EmbeddingBank, list]:
     """Read a dataset directory back as (bank, images). Only the pixmaps of
-    samples in `splits` are read; the other entries of `images` are None."""
+    samples in `splits` are read; the other entries of `images` are None.
+    Every pixmap read must have the size of the first one."""
     root = Path(directory)
     bank = load_embedding_bank(root / BANK_FILE)
-    images = [
-        read_pixmap(_image_path(root, i)) if split in splits else None
-        for i, split in enumerate(bank.splits)
-    ]
+    images = [None] * bank.sample_count
+    read = [i for i, split in enumerate(bank.splits) if split in splits]
+    for i in read:
+        images[i] = read_pixmap(_image_path(root, i))
+        if images[i].shape != images[read[0]].shape:
+            (_, h, w), (_, h0, w0) = images[i].shape, images[read[0]].shape
+            raise FormatError(f"{_image_path(root, i)}: pixmap is {w}x{h}, "
+                              f"{_image_path(root, read[0]).name} is {w0}x{h0}")
     return bank, images

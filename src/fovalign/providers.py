@@ -282,8 +282,9 @@ class SyntheticProvider:
     the others. A repeat request reuses the row and a new key replaces it,
     so the cache holds at most one row per (index, view).
 
-    A batch's misses are rendered one view at a time, into blocks of up
-    to BLOCK images of one shape, and each block is encoded with one call.
+    A batch's images share one (C, H, W) shape. Per view, one pass serves
+    the hits; misses are rendered in batch order, once per request, into
+    one (BLOCK, C, H, W) buffer every view shares, a block per encode call.
     """
 
     def __init__(self, transforms: TransformConfig, views: ViewsConfig, dim: int, seed: int,
@@ -318,47 +319,33 @@ class SyntheticProvider:
         if blank:
             raise ValueError(f"sample index {blank[0]} has no image")
         ids, kernels = ids.tolist(), kernels.tolist()
+        shapes = sorted({np.shape(self.images[index]) for index in ids})
+        if len(shapes) > 1 or any(len(shape) != 3 for shape in shapes):
+            raise ValueError(f"expected (C, H, W) images of one shape, got shapes {shapes}")
         if "noise" in self.view_names:
             seeds = [derive_noise_seed(noise_base, index, epoch) for index in ids]
         else:
             seeds = [0] * len(ids)
         out = np.empty((len(ids), len(self.view_names), self.encoder.dim))
+        block = np.empty((min(BLOCK, len(ids)), *(shapes or [()])[0]))
         for v, name in enumerate(self.view_names):
-            misses: dict[tuple[int, int | None], list[int]] = {}  # (index, key) -> positions
-            for j, (index, kernel, seed) in enumerate(zip(ids, kernels, seeds)):
-                key = kernel if name == "foveated" else seed if name == "noise" else None
+            keys = kernels if name == "foveated" else seeds if name == "noise" else [None] * len(ids)
+            misses = []
+            for j, (index, key) in enumerate(zip(ids, keys)):
                 cached = self._rows.get((index, name))
                 if cached is not None and cached[0] == key:
                     out[j, v] = cached[1]
                 else:
-                    misses.setdefault((index, key), []).append(j)
-            requests = [(index, kernels[js[0]], seeds[js[0]]) for (index, _), js in misses.items()]
-            rows = self._encode_views(name, requests)
-            for ((index, key), js), row in zip(misses.items(), rows):
-                # a copy, so a cached row does not keep its whole block alive
-                self._rows[(index, name)] = (key, row.copy())
-                out[js, v] = row
+                    misses.append(j)
+            for start in range(0, len(misses), BLOCK):
+                chunk = misses[start : start + BLOCK]
+                for b, j in enumerate(chunk):
+                    block[b] = self.view_image(name, self.images[ids[j]], kernels[j], seeds[j])
+                out[chunk, v] = self.encoder.encode(block[: len(chunk)])
+            for j in misses:
+                # a copy, so a cached row does not keep the whole batch alive
+                self._rows[(ids[j], name)] = (keys[j], out[j, v].copy())
         return out
-
-    def _encode_views(self, name: str, requests) -> np.ndarray:
-        """Rows of view `name` for (index, kernel, noise_seed) requests.
-        Views of one image shape are rendered into a (BLOCK, C, H, W)
-        buffer and encoded one block per call."""
-        rows = np.empty((len(requests), self.encoder.dim))
-        by_shape: dict[tuple[int, ...], list[int]] = {}
-        for n, (index, _, _) in enumerate(requests):
-            by_shape.setdefault(np.shape(self.images[index]), []).append(n)
-        for shape, members in by_shape.items():
-            if len(shape) != 3:
-                raise ValueError(f"expected a (C, H, W) image, got shape {shape}")
-            block = np.empty((min(BLOCK, len(members)), *shape))
-            for start in range(0, len(members), BLOCK):
-                chunk = members[start : start + BLOCK]
-                for b, n in enumerate(chunk):
-                    index, kernel, seed = requests[n]
-                    block[b] = self.view_image(name, self.images[index], kernel, seed)
-                rows[chunk] = self.encoder.encode(block[: len(chunk)])
-        return rows
 
 
 class BankProvider:

@@ -336,6 +336,25 @@ class TestTrain:
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
         assert f"{image}: not a binary P6 pixmap" in capsys.readouterr().err
 
+    def test_mixed_size_pixmaps_exit_2_naming_the_file(self, workspace, tmp_path, capsys):
+        # one train and one test pixmap at 40x40 among the dataset's 32x32
+        data = tmp_path / "data"
+        shutil.copytree(workspace["root"] / "data", data)
+        rng = np.random.default_rng(4)
+        for i in (3, 42):
+            write_pixmap(data / "images" / f"sample_{i:05d}.ppm", rng.random((3, 40, 40)))
+        raw = json.loads(workspace["config"].read_text())
+        raw["paths"]["dataset"] = str(data)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        for command, i in (("train", 3), ("evaluate", 42)):
+            out = tmp_path / command
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert f"images/sample_{i:05d}.ppm: pixmap is 40x40, sample_" in err
+            assert "is 32x32" in err
+            assert not out.exists()
+
     @pytest.mark.parametrize("misfit", IMAGE_MISFITS.values(), ids=IMAGE_MISFITS.keys())
     def test_dataset_images_must_fit_the_config(self, workspace, tmp_path, capsys, misfit):
         cfg = misfit_config(workspace, tmp_path, misfit[0])

@@ -1,6 +1,8 @@
 """Procedural dataset generation: determinism, layout, pairing, bank."""
 
 import dataclasses
+import re
+import shutil
 import weakref
 
 import numpy as np
@@ -13,6 +15,8 @@ from fovalign.datagen import (
     _MAP_TAG, _SAMPLE_TAG, _VIEW_NOISE_TAG, _class_style, _stream, generate_dataset, load_dataset,
     render_sample,
 )
+from fovalign.errors import FormatError
+from fovalign.pixmap import write_pixmap
 from fovalign.providers import (
     BLOCK,
     SyntheticEncoder,
@@ -297,3 +301,15 @@ class TestLoadDataset:
                 np.testing.assert_array_equal(got, want)
             else:
                 assert got is None
+
+    def test_mixed_sizes_rejected_naming_the_first_that_differs(self, generated, dataset_dir, tmp_path):
+        # the images are 32x32; 5 is 32 wide and 24 high, 9 is 40x40
+        shutil.copytree(dataset_dir, tmp_path / "data")
+        images = tmp_path / "data" / "images"
+        write_pixmap(images / "sample_00005.ppm", np.zeros((3, 24, 32)))
+        write_pixmap(images / "sample_00009.ppm", np.zeros((3, 40, 40)))
+        message = f"{images / 'sample_00005.ppm'}: pixmap is 32x24, sample_00000.ppm is 32x32"
+        with pytest.raises(FormatError, match=re.escape(message)):
+            load_dataset(tmp_path / "data")
+        # a split that reads neither is accepted
+        assert load_dataset(tmp_path / "data", splits=("test",))[1][5] is None

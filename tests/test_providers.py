@@ -543,9 +543,9 @@ class TestSyntheticProvider:
 
     def test_misses_beyond_one_block_equal_per_sample_rows(self, monkeypatch):
         # 40 samples, 13 warmed: hits, replaced foveated rows and more than
-        # BLOCK misses per view, over two image shapes that never share a block
+        # BLOCK misses per view, at a size 16 does not divide (index-array pool)
         rng = np.random.default_rng(13)
-        images = [random_image(rng, height=20, width=20 if i % 8 else 24) for i in range(40)]
+        images = [random_image(rng, height=20, width=24) for _ in range(40)]
         provider = self._provider(images, identity=True)
         warm = list(range(0, 40, 3))
         provider.features(warm, [5] * len(warm), 2, 0)
@@ -564,7 +564,29 @@ class TestSyntheticProvider:
             hits[name] = len(warm)
         assert sum(shape[0] for shape in blocks) == sum(40 - h for h in hits.values())
         assert max(shape[0] for shape in blocks) == BLOCK
-        assert {shape[1:] for shape in blocks} == {(3, 20, 20), (3, 20, 24)}
+        assert {shape[1:] for shape in blocks} == {(3, 20, 24)}
+
+    def test_images_of_two_shapes_rejected(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        images = [random_image(rng, height=20, width=20 if i % 2 else 24) for i in range(4)]
+        provider = self._provider(images, identity=True)
+        rendered = []
+        monkeypatch.setattr(provider, "view_image", lambda *a: rendered.append(a[0]))
+        with pytest.raises(ValueError, match=r"one shape, got shapes \[\(3, 20, 20\), \(3, 20, 24\)\]"):
+            provider.features([0, 2, 1], [5, 5, 5])
+        assert rendered == [] and provider._rows == {}
+
+    def test_image_without_channels_rejected(self):
+        # identity returns the image as it is: a (H, W) image must not
+        # reach the encoder, which would read a block of them as one image
+        provider = SyntheticProvider(
+            TransformConfig(), ViewsConfig(
+                foveated=False, noise=False, lowres=False, mosaic=False, identity=True
+            ), dim=8, seed=3, images=[np.zeros((16, 16)), np.ones((16, 16))],
+        )
+        with pytest.raises(ValueError, match=r"expected \(C, H, W\) images .* \[\(16, 16\)\]"):
+            provider.features([0, 1], [5, 5])
+        assert provider._rows == {}
 
     def test_batch_stacks_samples(self):
         rng = np.random.default_rng(10)

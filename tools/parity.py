@@ -66,7 +66,7 @@ RECIPES = {
         "fusion": {"dim_latent": 16, "dim_hidden": 16, "dim_bottleneck": 8},
         "training": {"epochs": 3, "batch_size": 4, "learning_rate": 3e-3},
         "data": {**_REGULATED_BASE["data"], "classes": 5, "test_classes": 2,
-                 "train_samples_per_class": 4, "image_size": 32, "dim_neural": 16},
+                 "train_samples_per_class": 4, "image_size": 40, "dim_neural": 16},
         "evaluation": {"gallery_sizes": [2], "trials": 2},
     },
 }
