@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fusion, nn
-from .config import RunConfig
+from .config import FusionConfig, RunConfig
 from .errors import ConfigError, NumericError
 from .providers import EmbeddingBank
 from .regulator import BlurSchedule, confidence_bounds
@@ -36,6 +36,7 @@ from .regulator import BlurSchedule, confidence_bounds
 __all__ = [
     "cosine_similarity_matrix",
     "loss_and_gradients",
+    "batch_gradients",
     "AdamW",
     "EpochReport",
     "Trainer",
@@ -135,6 +136,23 @@ def loss_and_gradients(f_n: np.ndarray, f_latent: np.ndarray, log_tau: float):
     d_f_n = (d_cos @ v - live_a * u * row_dot) / na[:, None]
     d_f_latent = (d_cos.T @ u - live_b * v * col_dot) / nb[:, None]
     return loss, logits, d_f_n, d_f_latent, d_log_tau
+
+
+def batch_gradients(params: dict, feats: np.ndarray, neural: np.ndarray,
+                    settings: FusionConfig, dropout_rng: np.random.Generator | None = None):
+    """One contrastive step through the whole graph: fusion forward over
+    `feats` (B, V, d), the affine map of the paired `neural` rows, the loss
+    and every backward pass; a generator makes it a train-mode pass.
+    Returns (loss, logits, grads), a gradient for every entry of `params`."""
+    latent, cache = fusion.fusion_forward(feats, params, settings, dropout_rng)
+    f_n = nn.affine_forward(neural, params["enc_w"], params["enc_b"])
+    loss, logits, d_f_n, d_latent, d_log_tau = loss_and_gradients(
+        f_n, latent, float(params["log_tau"])
+    )
+    grads = fusion.fusion_backward(d_latent, cache, params, settings)
+    _, grads["enc_w"], grads["enc_b"] = nn.affine_backward(d_f_n, neural, params["enc_w"])
+    grads["log_tau"] = np.array(d_log_tau)
+    return loss, logits, grads
 
 
 class AdamW:
@@ -276,18 +294,12 @@ class Trainer:
         )
         self.reports: list[EpochReport] = []
 
-    def _regulation_active(self, epoch: int) -> bool:
-        return (
-            self.config.regulator.enabled
-            and self.config.views.foveated
-            and epoch >= self.config.regulator.start_epoch
-        )
-
     def train_epoch(self, epoch: int) -> EpochReport:
         cfg = self.config
         batch_size = cfg.training.batch_size
         order = self._shuffle_rng.permutation(self.train_ids)
         n_batches = len(order) // batch_size  # the trailing partial batch is dropped
+        regulating = cfg.regulator.enabled and cfg.views.foveated and epoch >= cfg.regulator.start_epoch
         losses, lowers, uppers = [], [], []
         for b in range(n_batches):
             ids = order[b * batch_size : (b + 1) * batch_size]
@@ -297,22 +309,14 @@ class Trainer:
             dropout_rng = np.random.default_rng(
                 np.random.SeedSequence((cfg.training.seed, 2, epoch, b))
             )
-            latent, cache = fusion.fusion_forward(feats, self.params, cfg.fusion, dropout_rng)
-            neural_in = self.bank.neural[ids]
-            f_n = nn.affine_forward(neural_in, self.params["enc_w"], self.params["enc_b"])
-            loss, logits, d_f_n, d_latent, d_log_tau = loss_and_gradients(
-                f_n, latent, float(self.params["log_tau"])
+            loss, logits, grads = batch_gradients(
+                self.params, feats, self.bank.neural[ids], cfg.fusion, dropout_rng
             )
             if not math.isfinite(loss):
                 raise NumericError(
                     f"non-finite loss at epoch {epoch}, batch {b}",
                     state=self.diagnostics(epoch, b, loss),
                 )
-            grads = fusion.fusion_backward(d_latent, cache, self.params, cfg.fusion)
-            _, grads["enc_w"], grads["enc_b"] = nn.affine_backward(
-                d_f_n, neural_in, self.params["enc_w"]
-            )
-            grads["log_tau"] = np.array(d_log_tau)
             self.optimizer.step(grads)
             # in place: the entry is a view of the optimizer's buffer
             np.clip(
@@ -329,7 +333,7 @@ class Trainer:
                 self._raise_first_non_finite(epoch, b, loss, grads)
             smoothed = self.schedule.update_smoothed(ids, np.diagonal(logits))
             lower, upper = confidence_bounds(smoothed, cfg.regulator.z_value)
-            if self._regulation_active(epoch):
+            if regulating:
                 self.schedule.update_kernels(ids, (lower, upper))
             losses.append(loss)
             lowers.append(lower)

@@ -126,6 +126,7 @@ def generate_dataset(config: RunConfig, directory) -> EmbeddingBank:
         for i in ids.tolist():
             write_pixmap(_image_path(root, i), images[i])
             images[i] = None
+        provider._rows.clear()  # no row of a finished block is asked for again
     neural_map = _stream(d.seed, _MAP_TAG).standard_normal((dim, d.dim_neural)) / np.sqrt(dim)
     bank = EmbeddingBank(
         tag=d.tag,

@@ -20,7 +20,7 @@ from conftest import (
     central_difference, every_other_column, generate_and_load, relative_error, tiny_config,
 )
 from fovalign import fusion, nn
-from fovalign.alignment import init_parameters, loss_and_gradients
+from fovalign.alignment import batch_gradients, init_parameters, loss_and_gradients
 from fovalign.cli import main
 from fovalign.config import ablation_ladder, config_from_dict, config_hash
 from fovalign.evaluation import _ranks_among_draws
@@ -94,19 +94,19 @@ def test_criterion_2_evidence_math():
 
 
 def test_criterion_3_gradient_checks():
+    # the trainer's own step, `batch_gradients`, in eval mode and in train
+    # mode, where a fresh generator of one seed gives every evaluation of
+    # the loss the same dropout mask
     start = time.perf_counter()
     cfg = config_from_dict({
         "provider": {"dim_feature": 8},
         "fusion": {"dim_latent": 8, "dim_hidden": 8, "dim_bottleneck": 4},
         "data": {"dim_neural": 8},
     })
+    assert cfg.fusion.dropout > 0.0
 
-    def graph_loss(params, feats, neural):
-        latent, _ = fusion.fusion_forward(feats, params, cfg.fusion)
-        f_n = nn.affine_forward(neural, params["enc_w"], params["enc_b"])
-        return loss_and_gradients(f_n, latent, float(params["log_tau"]))[0]
-
-    worst = 0.0
+    worst = {"eval": 0.0, "train": 0.0}
+    masked = 0  # seeds whose dropout mask changes the loss
     for seed in range(10):
         rng = np.random.default_rng(300 + seed)
         feats = rng.standard_normal((4, 4, 8))  # B=4 samples, V=4 views, d=8
@@ -116,29 +116,27 @@ def test_criterion_3_gradient_checks():
         )
         params = init_parameters(c, 8)
 
-        latent, cache = fusion.fusion_forward(feats, params, cfg.fusion)
-        f_n = nn.affine_forward(neural, params["enc_w"], params["enc_b"])
-        _, _, d_f_n, d_latent, d_log_tau = loss_and_gradients(
-            f_n, latent, float(params["log_tau"])
-        )
-        analytic = fusion.fusion_backward(d_latent, cache, params, cfg.fusion)
-        _, analytic["enc_w"], analytic["enc_b"] = nn.affine_backward(
-            d_f_n, neural, params["enc_w"]
-        )
-        analytic["log_tau"] = np.array(d_log_tau)
+        losses = {}
+        for mode in worst:
+            def graph(p, _mode=mode):
+                dropout_rng = np.random.default_rng(seed) if _mode == "train" else None
+                return batch_gradients(p, feats, neural, cfg.fusion, dropout_rng)
 
-        for name in sorted(params):
-            fd = central_difference(
-                lambda arr, _n=name: graph_loss({**params, _n: arr}, feats, neural),
-                params[name], step=1e-5,
-            )
-            worst = max(worst, relative_error(analytic[name], fd))
+            losses[mode], _, analytic = graph(params)
+            for name in sorted(params):
+                fd = central_difference(
+                    lambda arr, _n=name: graph({**params, _n: arr})[0],
+                    params[name], step=1e-5,
+                )
+                worst[mode] = max(worst[mode], relative_error(analytic[name], fd))
+        masked += losses["train"] != losses["eval"]
 
     elapsed = time.perf_counter() - start
-    ok = worst <= 1e-4 and elapsed < 30.0
+    ok = max(worst.values()) <= 1e-4 and masked == 10 and elapsed < 30.0
     _verdict(
         3, "gradient checks", ok,
-        f"max rel err={worst:.2e} over 10 seeds (B=4, V=4, d=8), "
+        f"max rel err eval={worst['eval']:.2e} train={worst['train']:.2e} "
+        f"over 10 seeds (B=4, V=4, d=8), dropout moved the loss in {masked}/10, "
         f"elapsed={elapsed:.2f}s",
     )
 

@@ -17,6 +17,7 @@ from fovalign import alignment
 from fovalign.alignment import (
     AdamW,
     Trainer,
+    batch_gradients,
     cosine_similarity_matrix,
     encode_pairs,
     init_parameters,
@@ -429,6 +430,39 @@ class TestTrainer:
         with pytest.raises(ConfigError):
             Trainer(cfg, bank, BankProvider(bank))
 
+    def test_step_applies_batch_gradients(self, tiny_run, monkeypatch):
+        # batch 0 of epoch 0 starts from the initial parameters, so the
+        # gradients it hands the optimizer are those of `batch_gradients`
+        # on its features with the trainer's (seed, 2, epoch, batch) stream
+        config, bank, _ = tiny_run
+        cfg = dataclasses.replace(
+            config, provider=dataclasses.replace(config.provider, kind="bank")
+        )
+        assert cfg.fusion.dropout > 0.0
+        provider = BankProvider(bank)
+        trainer = Trainer(cfg, bank, provider)
+        batches, steps = [], []
+        features, step = provider.features, trainer.optimizer.step
+
+        def recording_features(ids, *args):
+            batches.append((ids, features(ids, *args)))
+            return batches[-1][1]
+
+        def recording_step(grads):
+            steps.append(grads)
+            step(grads)
+
+        monkeypatch.setattr(provider, "features", recording_features)
+        monkeypatch.setattr(trainer.optimizer, "step", recording_step)
+        trainer.train_epoch(0)
+        ids, feats = batches[0]
+        rng = np.random.default_rng(np.random.SeedSequence((cfg.training.seed, 2, 0, 0)))
+        params = init_parameters(cfg, bank.dim_neural)
+        _, _, want = batch_gradients(params, feats, bank.neural[ids], cfg.fusion, rng)
+        assert set(steps[0]) == set(want)
+        for k in want:
+            np.testing.assert_array_equal(steps[0][k], want[k], err_msg=k)
+
     @pytest.mark.filterwarnings("ignore:overflow encountered in exp")
     def test_log_tau_stays_clamped(self, tiny_run):
         # deliberately absurd learning rate: evidence may saturate to inf
@@ -454,6 +488,21 @@ class TestNumericGuard:
             config, provider=dataclasses.replace(config.provider, kind="bank")
         )
         return Trainer(cfg, bank, BankProvider(bank))
+
+    def test_non_finite_loss_stops_before_the_step(self, tiny_run, monkeypatch):
+        trainer = self._trainer(tiny_run)
+        before = trainer.optimizer.params_flat.copy()
+        loss_and_grads = alignment.loss_and_gradients
+
+        def nan_loss(*args):
+            return (math.nan, *loss_and_grads(*args)[1:])
+
+        monkeypatch.setattr(alignment, "loss_and_gradients", nan_loss)
+        with pytest.raises(NumericError, match="^non-finite loss at epoch 0, batch 0$") as exc:
+            trainer.train_epoch(0)
+        assert exc.value.state["loss"] == "nan"
+        assert trainer.optimizer.t == 0
+        np.testing.assert_array_equal(trainer.optimizer.params_flat, before)
 
     # a checkpoint stores float32, so a parameter that float64 holds but
     # float32 does not stops the run too
