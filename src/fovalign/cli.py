@@ -122,9 +122,8 @@ def _transform(config: RunConfig, out: Path, noise_seed: int) -> str:
     image = read_pixmap(config.paths.input_image)
     t = config.transforms
     t.check_fits(*image.shape[1:], _TRANSFORM_VIEWS, f"input image {config.paths.input_image}")
-    provider = SyntheticProvider(
-        t, config.views, config.provider.dim_feature, config.provider.seed, [image]
-    )
+    # only view_image is used, which takes the float image itself
+    provider = SyntheticProvider(t, config.views, config.provider.dim_feature, config.provider.seed, [])
     views = [
         provider.view_image(name, image, t.kernel_size, noise_seed) for name in _TRANSFORM_VIEWS
     ]

@@ -2,8 +2,9 @@
 
 Each class owns a seeded style (background colour plus a handful of soft
 geometric blobs); each sample is a jittered rendering of its class style,
-quantized to the 8-bit pixmap grid so the in-memory image equals its
-on-disk round trip bit for bit.
+quantized to uint8 pixmap levels, so the in-memory image equals its
+on-disk round trip bit for bit. A loaded dataset keeps those levels too,
+an eighth of the bytes of their float64 widening.
 
 The "neural" vector paired with a sample is a fixed linear map of the
 clean image's (frozen-encoder) embedding plus seeded Gaussian noise. The
@@ -56,7 +57,7 @@ def _class_style(data_seed: int, class_id: int) -> dict:
 
 
 def render_sample(style: dict, rng: np.random.Generator, size: int) -> np.ndarray:
-    """One jittered rendering of a class style, quantized to 8-bit levels."""
+    """One jittered rendering of a class style as (3, size, size) uint8 levels."""
     canvas = np.ones((3, size, size)) * style["background"][:, None, None]
     rows = np.arange(size, dtype=np.float64)[:, None]
     cols = np.arange(size, dtype=np.float64)[None, :]
@@ -72,7 +73,7 @@ def render_sample(style: dict, rng: np.random.Generator, size: int) -> np.ndarra
             dist = np.maximum(np.abs(dy), np.abs(dx))
         coverage = np.clip(radius - dist + 0.5, 0.0, 1.0)  # 1-pixel soft edge
         canvas = canvas * (1.0 - coverage) + color[:, None, None] * coverage
-    return to_bytes_quantized(canvas).astype(np.float64) / 255.0
+    return to_bytes_quantized(canvas)
 
 
 def generate_dataset(config: RunConfig, directory) -> EmbeddingBank:
@@ -117,14 +118,14 @@ def generate_dataset(config: RunConfig, directory) -> EmbeddingBank:
             class_id, copy = samples[i]
             rng = _stream(d.seed, _SAMPLE_TAG, class_id, copy)
             images[i] = render_sample(styles[class_id], rng, d.image_size)
-        clean[ids] = provider.encoder.encode(np.stack(images[start : start + BLOCK]))
+        clean[ids] = provider.encoder.encode(np.stack(images[start : start + BLOCK]) / 255.0)
         # one request per level; the provider's cache serves the
         # kernel-independent rows, the noise row included, once per sample
         for j, level in enumerate(levels):
             kernels = np.full(len(ids), level)
             features[ids, j] = provider.features(ids, kernels, d.seed + _VIEW_NOISE_TAG, 0)
         for i in ids.tolist():
-            write_pixmap(_image_path(root, i), images[i])
+            write_pixmap(_image_path(root, i), images[i] / 255.0)
             images[i] = None
         provider._rows.clear()  # no row of a finished block is asked for again
     neural_map = _stream(d.seed, _MAP_TAG).standard_normal((dim, d.dim_neural)) / np.sqrt(dim)
@@ -149,15 +150,16 @@ def _image_path(root: Path, index: int) -> Path:
 
 
 def load_dataset(directory, splits=("train", "test")) -> tuple[EmbeddingBank, list]:
-    """Read a dataset directory back as (bank, images). Only the pixmaps of
-    samples in `splits` are read; the other entries of `images` are None.
-    Every pixmap read must have the size of the first one."""
+    """Read a dataset directory back as (bank, images), each image its
+    (3, H, W) uint8 levels. Only the pixmaps of samples in `splits` are
+    read; the other entries of `images` are None. Every pixmap read must
+    have the size of the first one."""
     root = Path(directory)
     bank = load_embedding_bank(root / BANK_FILE)
     images = [None] * bank.sample_count
     read = [i for i, split in enumerate(bank.splits) if split in splits]
     for i in read:
-        images[i] = read_pixmap(_image_path(root, i))
+        images[i] = to_bytes_quantized(read_pixmap(_image_path(root, i)))  # exact
         if images[i].shape != images[read[0]].shape:
             (_, h, w), (_, h0, w0) = images[i].shape, images[read[0]].shape
             raise FormatError(f"{_image_path(root, i)}: pixmap is {w}x{h}, "

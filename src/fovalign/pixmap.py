@@ -1,7 +1,9 @@
 """Binary Portable Pixmap (P6) reading and writing.
 
-Images travel through the package as float64 arrays of shape
-(channels, height, width) with values in [0, 1]. On disk they are plain
+The reader, the writer, the views and the encoder take float64 arrays of
+shape (channels, height, width) with values in [0, 1], and refuse integer
+and bool arrays. A loaded dataset keeps each image as its uint8 levels,
+which the synthetic provider widens one at a time. On disk they are plain
 P6 pixmaps: 8-bit, maxval 255, three channels. Single-channel arrays are
 replicated to RGB on write. The reader matches the header against one
 pattern, `_HEADER`, and every error it raises names the file.
@@ -27,6 +29,16 @@ __all__ = ["read_pixmap", "write_pixmap", "to_bytes_quantized"]
 _GAP = rb"(?:\s|#[^\n]*(?![^\n]))*"
 _NUMBER = rb"(0|[1-9][0-9]{0,8})"
 _HEADER = re.compile(rb"P6(?!\S)" + (_GAP + _NUMBER + rb"(?!\S)") * 2 + _GAP + _NUMBER + rb"\s")
+
+
+def _float_pixels(image) -> np.ndarray:
+    """`image` as a float64 array. Integer and bool arrays are refused:
+    8-bit levels run to 255, and read as intensities they clip to white."""
+    arr = np.asarray(image)
+    if arr.dtype.kind in "biu":
+        raise ValueError(f"expected a float image in [0, 1], got dtype {arr.dtype}; "
+                         "divide 8-bit levels by 255.0 first")
+    return np.asarray(arr, dtype=np.float64)
 
 
 def read_pixmap(path) -> np.ndarray:
@@ -62,7 +74,7 @@ def to_bytes_quantized(image: np.ndarray) -> np.ndarray:
 
 def write_pixmap(path, image: np.ndarray) -> None:
     """Write a (C, H, W) float array in [0, 1] as a binary P6 pixmap."""
-    arr = np.asarray(image, dtype=np.float64)
+    arr = _float_pixels(image)
     if arr.ndim != 3:
         raise ValueError(f"expected a (C, H, W) array, got shape {arr.shape}")
     channels, height, width = arr.shape

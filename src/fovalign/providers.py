@@ -27,6 +27,7 @@ import numpy as np
 from .config import _ODD, TransformConfig, ViewsConfig, _at_least, parse_record
 from .container import read_container, write_container
 from .errors import FormatError, ProtocolError
+from .pixmap import _float_pixels
 from .transforms import add_noise, foveate, resample
 
 __all__ = [
@@ -151,7 +152,7 @@ class SyntheticEncoder:
     def project(self, images: np.ndarray) -> np.ndarray:
         """Pre-normalization features (the linear part of encode): (dim,)
         for a (C, H, W) image, (B, dim) for a (B, C, H, W) stack."""
-        arr = np.asarray(images, dtype=np.float64)
+        arr = _float_pixels(images)
         if arr.ndim not in (3, 4):
             raise ValueError(
                 f"expected a (C, H, W) image or a (B, C, H, W) stack, got shape {arr.shape}"
@@ -274,8 +275,9 @@ def select_kernel_level(levels, kernels) -> np.ndarray:
 
 class SyntheticProvider:
     """Builds the enabled views of its samples' images and encodes them.
-    An image may be None, a sample whose pixmap was not read; asking for
-    its rows raises ValueError.
+    The images are uint8 (C, H, W) pixmap levels. An image may be None, a
+    sample whose pixmap was not read; asking for its rows raises
+    ValueError.
 
     Each (index, view) keeps its last row under a key: the kernel for the
     foveated view, the noise seed for the noise view and a constant for
@@ -283,8 +285,10 @@ class SyntheticProvider:
     so the cache holds at most one row per (index, view).
 
     A batch's images share one (C, H, W) shape. Per view, one pass serves
-    the hits; misses are rendered in batch order, once per request, into
-    one (BLOCK, C, H, W) buffer every view shares, a block per encode call.
+    the hits; each miss is widened to [0, 1] in one (C, H, W) float64
+    scratch, one image at a time, and its view is rendered in batch order,
+    once per request, into one (BLOCK, C, H, W) buffer every view shares,
+    a block per encode call.
     """
 
     def __init__(self, transforms: TransformConfig, views: ViewsConfig, dim: int, seed: int,
@@ -298,6 +302,8 @@ class SyntheticProvider:
         self._rows: dict[tuple[int, str], tuple[int | None, np.ndarray]] = {}
 
     def view_image(self, name: str, image: np.ndarray, kernel: int, noise_seed: int) -> np.ndarray:
+        """One view of a float (C, H, W) image in [0, 1]; the identity view
+        is the image itself."""
         t = self.transforms
         if name == "identity":
             return image
@@ -320,14 +326,18 @@ class SyntheticProvider:
             raise ValueError(f"sample index {blank[0]} has no image")
         ids, kernels = ids.tolist(), kernels.tolist()
         shapes = sorted({np.shape(self.images[index]) for index in ids})
-        if len(shapes) > 1 or any(len(shape) != 3 for shape in shapes):
-            raise ValueError(f"expected (C, H, W) images of one shape, got shapes {shapes}")
+        dtypes = sorted({str(np.asarray(self.images[index]).dtype) for index in ids})
+        if len(shapes) > 1 or any(len(shape) != 3 for shape in shapes) or set(dtypes) - {"uint8"}:
+            raise ValueError(f"expected (C, H, W) images of one shape, got shapes {shapes}; "
+                             f"expected dtype uint8, got dtypes {dtypes}")
         if "noise" in self.view_names:
             seeds = [derive_noise_seed(noise_base, index, epoch) for index in ids]
         else:
             seeds = [0] * len(ids)
         out = np.empty((len(ids), len(self.view_names), self.encoder.dim))
-        block = np.empty((min(BLOCK, len(ids)), *(shapes or [()])[0]))
+        shape = (shapes or [()])[0]
+        block = np.empty((min(BLOCK, len(ids)), *shape))
+        pixels = np.empty(shape)  # the miss being rendered, widened to [0, 1]
         for v, name in enumerate(self.view_names):
             keys = kernels if name == "foveated" else seeds if name == "noise" else [None] * len(ids)
             misses = []
@@ -340,7 +350,9 @@ class SyntheticProvider:
             for start in range(0, len(misses), BLOCK):
                 chunk = misses[start : start + BLOCK]
                 for b, j in enumerate(chunk):
-                    block[b] = self.view_image(name, self.images[ids[j]], kernels[j], seeds[j])
+                    # the same bits as read_pixmap's astype(float64) / 255.0
+                    np.divide(self.images[ids[j]], 255.0, out=pixels)
+                    block[b] = self.view_image(name, pixels, kernels[j], seeds[j])
                 out[chunk, v] = self.encoder.encode(block[: len(chunk)])
             for j in misses:
                 # a copy, so a cached row does not keep the whole batch alive

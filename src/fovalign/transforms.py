@@ -1,7 +1,8 @@
 """Biologically motivated image degradations used to build the views.
 
 Images are numpy float64 arrays of shape (channels, height, width) with
-values in [0, 1]. Conventions committed here, relied on by the tests:
+values in [0, 1]; integer and bool arrays are refused. Conventions
+committed here, relied on by the tests:
 
 * Gaussian blur pads with edge-repeating reflection (numpy ``symmetric``,
   scipy.ndimage ``reflect``). With a normalized symmetric kernel this
@@ -29,6 +30,8 @@ import operator
 
 import numpy as np
 
+from .pixmap import _float_pixels
+
 __all__ = [
     "foveation_mask",
     "gaussian_blur",
@@ -45,7 +48,7 @@ def _check_kernel_size(k: int) -> None:
 
 
 def _check_image(image: np.ndarray) -> np.ndarray:
-    arr = np.asarray(image, dtype=np.float64)
+    arr = _float_pixels(image)
     if arr.ndim != 3 or arr.shape[0] < 1 or arr.shape[1] < 1 or arr.shape[2] < 1:
         raise ValueError(f"expected a (C, H, W) image, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):

@@ -129,6 +129,11 @@ def random_image(rng: np.random.Generator, channels: int = 3, height: int = 8, w
     return rng.random((channels, height, width))
 
 
+def random_levels(rng: np.random.Generator, channels: int = 3, height: int = 8, width: int = 8):
+    """A (C, H, W) uint8 image of pixmap levels, as `load_dataset` keeps it."""
+    return rng.integers(0, 256, (channels, height, width), dtype=np.uint8)
+
+
 def every_other_column(rng: np.random.Generator, queries: int, gallery: int) -> np.ndarray:
     """Distractor draws for `evaluation._ranks_among_draws` that cover all
     of the gallery but the truth, each row in its own shuffled order."""

@@ -23,7 +23,7 @@ import fovalign.fusion
 from fovalign.alignment import init_parameters
 from fovalign.checkpoint import load_checkpoint, save_checkpoint
 from fovalign.cli import main
-from fovalign.config import FusionConfig, RunConfig, config_from_dict, config_hash
+from fovalign.config import FusionConfig, RunConfig, config_from_dict, config_hash, load_config
 from fovalign.errors import NumericError
 from fovalign.pixmap import read_pixmap, to_bytes_quantized, write_pixmap
 from fovalign.transforms import add_noise, foveate, resample
@@ -590,6 +590,16 @@ def test_each_command_reads_only_the_pixmaps_of_its_split(
         read.clear()
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
         assert sorted(Path(path).name for path in read) == [f"sample_{i:05d}.ppm" for i in ids]
+
+
+def test_loaded_split_holds_one_byte_per_channel_and_pixel(workspace):
+    # evaluate's images are the 4 test pixmaps' uint8 levels, 3x32x32 bytes
+    # each: a float64 copy of them would hold 8 times as many bytes
+    config, _ = load_config(str(workspace["config"]))
+    bank, provider = fovalign.cli._load_data(config, ("test",))
+    held = [image for image in provider.images if image is not None]
+    assert len(held) == len(bank.indices("test")) == 4
+    assert sum(image.nbytes for image in held) == 4 * 3 * 32 * 32
 
 
 def _changed(value):

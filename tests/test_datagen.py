@@ -16,7 +16,7 @@ from fovalign.datagen import (
     render_sample,
 )
 from fovalign.errors import FormatError
-from fovalign.pixmap import write_pixmap
+from fovalign.pixmap import read_pixmap, to_bytes_quantized, write_pixmap
 from fovalign.providers import (
     BLOCK,
     SyntheticEncoder,
@@ -53,7 +53,7 @@ class TestRenderSample:
     def test_shape_and_range(self):
         img = render_sample(_style(), np.random.default_rng(0), 32)
         assert img.shape == (3, 32, 32)
-        assert img.min() >= 0.0 and img.max() <= 1.0
+        assert img.dtype == np.uint8  # levels 0..255, intensities [0, 1] once widened
 
     def test_deterministic_for_equal_rng_state(self):
         a = render_sample(_style(), np.random.default_rng(5), 16)
@@ -66,11 +66,12 @@ class TestRenderSample:
         assert not np.array_equal(a, b)
 
     def test_quantized_to_8bit_grid(self):
+        # the levels survive the widening and write_pixmap's requantization
         img = render_sample(_style(), np.random.default_rng(3), 16)
-        np.testing.assert_array_equal(img * 255.0, np.round(img * 255.0))
+        np.testing.assert_array_equal(to_bytes_quantized(img / 255.0), img)
 
     def test_blobs_land_on_canvas(self):
-        img = render_sample(_style(), np.random.default_rng(4), 32)
+        img = render_sample(_style(), np.random.default_rng(4), 32) / 255.0
         background = np.array([0.1, 0.2, 0.3])
         off_background = np.any(
             np.abs(img - background[:, None, None]) > 0.1, axis=0
@@ -121,7 +122,8 @@ class TestGenerate:
     def test_same_class_samples_share_style(self, generated):
         # two renderings of one class differ only by jitter: much closer
         # to each other than to a different class
-        bank, images = generated
+        bank, levels = generated
+        images = [image / 255.0 for image in levels]  # uint8 differences wrap modulo 256
         same = np.abs(images[0] - images[1]).mean()
         other = bank.labels.index(1)
         cross = np.abs(images[0] - images[other]).mean()
@@ -139,7 +141,7 @@ class TestGenerate:
         from fovalign.providers import SyntheticEncoder
 
         encoder = SyntheticEncoder(cfg.provider.dim_feature, cfg.provider.seed)
-        clean = np.stack([encoder.encode(img) for img in images])
+        clean = np.stack([encoder.encode(img / 255.0) for img in images])
         mapping, residual, rank, _ = np.linalg.lstsq(clean, bank.neural, rcond=None)
         fitted = clean @ mapping
         np.testing.assert_allclose(fitted, bank.neural, atol=1e-9)
@@ -165,7 +167,7 @@ class TestGenerate:
         ]
         assert max(e[0] for e in events if e != "render") <= BLOCK
         encoder = SyntheticEncoder(cfg.provider.dim_feature, cfg.provider.seed)
-        clean = np.stack([einsum_encode(encoder, img) for img in images])
+        clean = np.stack([einsum_encode(encoder, img / 255.0) for img in images])
         map_rng = np.random.default_rng(np.random.SeedSequence((cfg.data.seed, _MAP_TAG)))
         neural_map = map_rng.standard_normal(
             (cfg.provider.dim_feature, cfg.data.dim_neural)
@@ -231,7 +233,7 @@ class TestBank:
             cfg.transforms, cfg.views, cfg.provider.dim_feature, cfg.provider.seed, images
         )
         index = 3
-        image = images[index]
+        image = images[index] / 255.0
         noise_seed = derive_noise_seed(cfg.data.seed + 4, index, 0)
         for level in bank.kernel_levels:
             want = np.stack([
@@ -284,6 +286,16 @@ class TestLoadDataset:
         assert loaded.labels == bank.labels
         assert loaded.splits == bank.splits
         assert loaded.tag == bank.tag
+
+    def test_images_are_uint8_levels_of_the_read(self, generated, dataset_dir):
+        # one byte per channel and pixel; widened, each is read_pixmap's image
+        bank, images = generated
+        assert len(images) == bank.sample_count
+        for i, image in enumerate(images):
+            assert image.dtype == np.uint8 and image.shape == (3, 32, 32)
+            assert image.nbytes == 3 * 32 * 32
+            read = read_pixmap(dataset_dir / "images" / f"sample_{i:05d}.ppm")
+            assert (image / 255.0).tobytes() == read.tobytes()
 
     def test_without_images(self, generated, tmp_path):
         bank, _ = generated

@@ -105,6 +105,27 @@ class TestPixmap:
         with pytest.raises(ValueError):
             write_pixmap(tmp_path / "x.ppm", np.zeros((2, 2, 2)))
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.bool_])
+    def test_integer_image_rejected(self, tmp_path, dtype):
+        # 8-bit levels read as intensities would clip to white
+        path = tmp_path / "x.ppm"
+        with pytest.raises(ValueError, match=f"got dtype {np.dtype(dtype)}"):
+            write_pixmap(path, np.ones((3, 2, 2), dtype=dtype))
+        assert not path.exists()
+
+    def test_every_level_widens_to_the_read_and_back(self, tmp_path):
+        # what a loaded dataset keeps (the quantized read) and what the
+        # synthetic provider widens it to (a division by 255 into a float
+        # scratch) give read_pixmap's bits, for all 256 levels
+        levels = np.arange(256, dtype=np.uint8).reshape(1, 16, 16).repeat(3, axis=0)
+        path = tmp_path / "levels.ppm"
+        write_pixmap(path, levels / 255.0)
+        image = read_pixmap(path)
+        np.testing.assert_array_equal(to_bytes_quantized(image), levels)
+        widened = np.empty(levels.shape)
+        np.divide(levels, 255.0, out=widened)
+        assert widened.tobytes() == image.tobytes()
+
 
 def save_checkpoint_per_array(path, arrays, metadata):
     """The per-array writer the one-container saver replaced, kept as its

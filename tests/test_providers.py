@@ -11,7 +11,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import ABSENT, einsum_encode, level_block, random_image, rewrite_bank_header
+from conftest import (
+    ABSENT, einsum_encode, level_block, random_image, random_levels, rewrite_bank_header,
+)
 from fovalign.config import TransformConfig, ViewsConfig
 from fovalign.errors import FormatError, ProtocolError
 from fovalign.providers import (
@@ -70,6 +72,14 @@ class TestSyntheticEncoder:
         enc = SyntheticEncoder(8, seed=1)
         z = enc.encode(np.random.default_rng(3).random((3, 2, 2)))
         np.testing.assert_allclose(np.linalg.norm(z), 1.0, rtol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.bool_])
+    def test_rejects_integer_images(self, dtype):
+        # 8-bit levels are not [0, 1] intensities; project and encode refuse them
+        enc = SyntheticEncoder(8, seed=0)
+        for call in (enc.project, enc.encode):
+            with pytest.raises(ValueError, match=f"got dtype {np.dtype(dtype)}"):
+                call(np.ones((2, 3, 16, 16), dtype=dtype))
 
     def test_rejects_bad_shapes(self):
         enc = SyntheticEncoder(8, seed=0)
@@ -443,7 +453,7 @@ class TestKernelLevelSelection:
 
 
 ALL_VIEWS = ("identity", "foveated", "noise", "lowres", "mosaic")
-BATCH_IMAGES = [random_image(np.random.default_rng(20 + i), height=16, width=16) for i in range(4)]
+BATCH_IMAGES = [random_levels(np.random.default_rng(20 + i), height=16, width=16) for i in range(4)]
 # a run of requests against one provider: (ids, kernels, epoch) per batch
 REQUESTS = st.lists(
     st.integers(1, 5).flatmap(lambda n: st.tuples(
@@ -466,13 +476,13 @@ class TestSyntheticProvider:
 
     def test_view_rows_match_manual_encoding(self):
         rng = np.random.default_rng(5)
-        image = random_image(rng, height=32, width=32)
+        image = random_levels(rng, height=32, width=32)
         provider = self._provider([image])
         rows = provider.features([0], [9], noise_base=4, epoch=2)
         assert rows.shape == (1, 4, 8)
         noise_seed = derive_noise_seed(4, 0, 2)
         for i, name in enumerate(provider.view_names):
-            view = provider.view_image(name, image, 9, noise_seed)
+            view = provider.view_image(name, image / 255.0, 9, noise_seed)
             np.testing.assert_array_equal(rows[0, i], provider.encoder.encode(view))
 
     @settings(max_examples=60, deadline=None)
@@ -492,14 +502,15 @@ class TestSyntheticProvider:
             assert rows.shape == (len(ids), len(provider.view_names), 8)
             for j, (i, k) in enumerate(zip(ids, kernels)):
                 seed = derive_noise_seed(6, i, epoch)
-                want = [encode(view_image(n, BATCH_IMAGES[i], k, seed)) for n in provider.view_names]
+                image = BATCH_IMAGES[i] / 255.0
+                want = [encode(view_image(n, image, k, seed)) for n in provider.view_names]
                 np.testing.assert_array_equal(rows[j], np.stack(want))
 
     def test_cached_rows_match_fresh_rows(self, monkeypatch):
         # repeated requests reuse cached rows; only the foveated row follows
         # the kernel and only the noise row follows the epoch. A row is
         # re-rendered only when its kernel or seed differs from the last one.
-        image = random_image(np.random.default_rng(9), height=32, width=32)
+        image = random_levels(np.random.default_rng(9), height=32, width=32)
         provider = self._provider([image])
         base = provider.features([0], [3], 5, 0)[0]
         rendered = []
@@ -519,14 +530,14 @@ class TestSyntheticProvider:
             assert set(rendered) <= {"foveated", "noise"}
             seed = derive_noise_seed(5, 0, epoch)
             for name, row, base_row in zip(provider.view_names, rows, base):
-                fresh = provider.encoder.encode(view_image(name, image, kernel, seed))
+                fresh = provider.encoder.encode(view_image(name, image / 255.0, kernel, seed))
                 np.testing.assert_array_equal(row, fresh)
                 moved = (name == "foveated" and kernel != 3) or (name == "noise" and epoch != 0)
                 assert np.array_equal(row, base_row) != moved, (name, kernel, epoch)
 
     def test_cache_holds_one_row_per_index_and_view(self):
         rng = np.random.default_rng(11)
-        images = [random_image(rng, height=16, width=16) for _ in range(2)]
+        images = [random_levels(rng, height=16, width=16) for _ in range(2)]
         provider = self._provider(images, identity=True)
         for epoch in range(4):
             for kernel in (1, 3, 5, 7, 9):
@@ -543,9 +554,12 @@ class TestSyntheticProvider:
 
     def test_misses_beyond_one_block_equal_per_sample_rows(self, monkeypatch):
         # 40 samples, 13 warmed: hits, replaced foveated rows and more than
-        # BLOCK misses per view, at a size 16 does not divide (index-array pool)
+        # BLOCK misses per view, at a size 16 does not divide (index-array
+        # pool). Every view of a uint8 image is that of its widening, which
+        # leaves the levels as they were
         rng = np.random.default_rng(13)
-        images = [random_image(rng, height=20, width=24) for _ in range(40)]
+        images = [random_levels(rng, height=20, width=24) for _ in range(40)]
+        levels = [image.copy() for image in images]
         provider = self._provider(images, identity=True)
         warm = list(range(0, 40, 3))
         provider.features(warm, [5] * len(warm), 2, 0)
@@ -557,7 +571,8 @@ class TestSyntheticProvider:
         rows = provider.features(ids, kernels, 2, 0)
         for j, (i, k) in enumerate(zip(ids, kernels)):
             seed = derive_noise_seed(2, i, 0)
-            want = [encode(provider.view_image(n, images[i], k, seed)) for n in provider.view_names]
+            image = images[i] / 255.0  # read_pixmap's bits
+            want = [encode(provider.view_image(n, image, k, seed)) for n in provider.view_names]
             np.testing.assert_array_equal(rows[j], np.stack(want))
         hits = {"foveated": sum(k == 5 for i, k in zip(ids, kernels) if i in warm)}
         for name in ("identity", "noise", "lowres", "mosaic"):
@@ -565,10 +580,11 @@ class TestSyntheticProvider:
         assert sum(shape[0] for shape in blocks) == sum(40 - h for h in hits.values())
         assert max(shape[0] for shape in blocks) == BLOCK
         assert {shape[1:] for shape in blocks} == {(3, 20, 24)}
+        assert all(np.array_equal(a, b) and a.dtype == np.uint8 for a, b in zip(images, levels))
 
     def test_images_of_two_shapes_rejected(self, monkeypatch):
         rng = np.random.default_rng(14)
-        images = [random_image(rng, height=20, width=20 if i % 2 else 24) for i in range(4)]
+        images = [random_levels(rng, height=20, width=20 if i % 2 else 24) for i in range(4)]
         provider = self._provider(images, identity=True)
         rendered = []
         monkeypatch.setattr(provider, "view_image", lambda *a: rendered.append(a[0]))
@@ -582,15 +598,29 @@ class TestSyntheticProvider:
         provider = SyntheticProvider(
             TransformConfig(), ViewsConfig(
                 foveated=False, noise=False, lowres=False, mosaic=False, identity=True
-            ), dim=8, seed=3, images=[np.zeros((16, 16)), np.ones((16, 16))],
+            ), dim=8, seed=3, images=[np.zeros((16, 16), np.uint8), np.ones((16, 16), np.uint8)],
         )
         with pytest.raises(ValueError, match=r"expected \(C, H, W\) images .* \[\(16, 16\)\]"):
             provider.features([0, 1], [5, 5])
         assert provider._rows == {}
 
+    def test_float_images_rejected(self, monkeypatch):
+        # a float image in [0, 1] would be divided by 255 a second time
+        rng = np.random.default_rng(15)
+        images = [random_levels(rng, height=16, width=16), random_image(rng, height=16, width=16)]
+        provider = self._provider(images)
+        rendered = []
+        monkeypatch.setattr(provider, "view_image", lambda *a: rendered.append(a[0]))
+        with pytest.raises(ValueError, match=r"dtype uint8, got dtypes \['float64', 'uint8'\]"):
+            provider.features([0, 1], [5, 5])
+        with pytest.raises(ValueError, match=r"dtypes \['float64'\]"):
+            provider.features([1], [5])
+        assert rendered == [] and provider._rows == {}
+        assert provider.features([0], [5]).shape == (1, 4, 8)
+
     def test_batch_stacks_samples(self):
         rng = np.random.default_rng(10)
-        images = [random_image(rng, height=16, width=16) for _ in range(3)]
+        images = [random_levels(rng, height=16, width=16) for _ in range(3)]
         provider = self._provider(images)
         feats = provider.features([2, 0], [3, 9], noise_base=1, epoch=4)
         assert feats.shape == (2, 4, 8)
@@ -598,7 +628,7 @@ class TestSyntheticProvider:
         np.testing.assert_array_equal(feats[1], provider.features([0], [9], 1, 4)[0])
 
     def test_empty_batch(self):
-        provider = self._provider([random_image(np.random.default_rng(0))])
+        provider = self._provider([random_levels(np.random.default_rng(0))])
         assert provider.features([], []).shape == (0, 4, 8)
 
     def test_disabled_views_drop_rows(self):
@@ -608,14 +638,14 @@ class TestSyntheticProvider:
 
     def test_identity_view_is_plain_encoding(self):
         rng = np.random.default_rng(6)
-        image = random_image(rng, height=16, width=16)
+        image = random_levels(rng, height=16, width=16)
         provider = SyntheticProvider(
             TransformConfig(), ViewsConfig(
                 foveated=False, noise=False, lowres=False, mosaic=False, identity=True
             ), dim=8, seed=3, images=[image],
         )
         rows = provider.features([0], [75])
-        np.testing.assert_array_equal(rows[0, 0], provider.encoder.encode(image))
+        np.testing.assert_array_equal(rows[0, 0], provider.encoder.encode(image / 255.0))
 
     def test_foveated_row_depends_on_kernel(self):
         rng = np.random.default_rng(7)
@@ -635,14 +665,14 @@ class TestSyntheticProvider:
         assert np.linalg.norm(heavy - clean) >= np.linalg.norm(light - clean)
 
     def test_missing_image_rejected(self):
-        provider = self._provider([random_image(np.random.default_rng(0))])
+        provider = self._provider([random_levels(np.random.default_rng(0))])
         for index in (1, -1):
             with pytest.raises(ValueError, match="has no image"):
                 provider.features([0, index], [9, 9])
         assert provider._rows == {}
 
     def test_unread_image_rejected(self):
-        image = random_image(np.random.default_rng(0), height=32, width=32)
+        image = random_levels(np.random.default_rng(0), height=32, width=32)
         provider = self._provider([image, None])
         with pytest.raises(ValueError, match="sample index 1 has no image"):
             provider.features([0, 1], [9, 9])
@@ -650,7 +680,7 @@ class TestSyntheticProvider:
         assert provider.features([0], [9]).shape == (1, 4, 8)
 
     def test_kernel_count_must_match_ids(self):
-        provider = self._provider([random_image(np.random.default_rng(0))])
+        provider = self._provider([random_levels(np.random.default_rng(0))])
         with pytest.raises(ValueError, match="1 sample ids but 2 kernels"):
             provider.features([0], [9, 9])
 

@@ -9,6 +9,7 @@ than the image.
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -290,6 +291,16 @@ class TestFoveate:
                 call(np.full((3, 9, 9), np.nan))
             with pytest.raises(ValueError, match=r"expected a \(C, H, W\) image"):
                 call(np.zeros((9, 9)))
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.bool_])
+    def test_integer_image_rejected(self, dtype):
+        # 8-bit levels read as intensities would clip to white
+        image = np.ones((3, 9, 9), dtype=dtype)
+        for call in (lambda a: foveate(a, 5, None, 2.0), lambda a: gaussian_blur(a, 5),
+                     lambda a: add_noise(a, 4.0, 0), lambda a: resample(a, 0.5, "nearest")):
+            message = f"expected a float image in [0, 1], got dtype {np.dtype(dtype)}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call(image)
 
     def test_default_center_is_midpoint(self):
         rng = np.random.default_rng(6)
