@@ -29,7 +29,7 @@ from .config import _SIGNED_UNIT, _UNIT, RunConfig, _at_least, config_hash, load
 from .datagen import BANK_FILE, IMAGES_DIR, generate_dataset, load_dataset
 from .errors import ConfigError, FormatError, NumericError, ProtocolError
 from .evaluation import nway_evaluate
-from .pixmap import read_pixmap, write_pixmap
+from .pixmap import read_pixmap, to_bytes_quantized, write_pixmap
 from .providers import BankProvider, EmbeddingBank, SyntheticProvider
 
 __all__ = ["main"]
@@ -119,17 +119,17 @@ def _generate(config: RunConfig, out: Path, seed) -> str:
 
 
 def _transform(config: RunConfig, out: Path, noise_seed: int) -> str:
-    image = read_pixmap(config.paths.input_image)
+    image = read_pixmap(config.paths.input_image) / 255.0
     t = config.transforms
     t.check_fits(*image.shape[1:], _TRANSFORM_VIEWS, f"input image {config.paths.input_image}")
-    # only view_image is used, which takes the float image itself
+    # only view_image is used, on the widened image; no dataset is loaded
     provider = SyntheticProvider(t, config.views, config.provider.dim_feature, config.provider.seed, [])
     views = [
         provider.view_image(name, image, t.kernel_size, noise_seed) for name in _TRANSFORM_VIEWS
     ]
     out.mkdir(parents=True, exist_ok=True)
     for name, view in zip(_TRANSFORM_VIEWS, views):
-        write_pixmap(out / f"{name}.ppm", view)
+        write_pixmap(out / f"{name}.ppm", to_bytes_quantized(view))
     return f"wrote {len(views)} views of {config.paths.input_image} to {out}"
 
 

@@ -2,9 +2,9 @@
 
 Each class owns a seeded style (background colour plus a handful of soft
 geometric blobs); each sample is a jittered rendering of its class style,
-quantized to uint8 pixmap levels, so the in-memory image equals its
-on-disk round trip bit for bit. A loaded dataset keeps those levels too,
-an eighth of the bytes of their float64 widening.
+quantized to uint8 pixmap levels. Those levels are written and read back
+as they are, so the in-memory image equals its on-disk round trip bit for
+bit, at an eighth of the bytes of its float64 widening.
 
 The "neural" vector paired with a sample is a fixed linear map of the
 clean image's (frozen-encoder) embedding plus seeded Gaussian noise. The
@@ -125,7 +125,7 @@ def generate_dataset(config: RunConfig, directory) -> EmbeddingBank:
             kernels = np.full(len(ids), level)
             features[ids, j] = provider.features(ids, kernels, d.seed + _VIEW_NOISE_TAG, 0)
         for i in ids.tolist():
-            write_pixmap(_image_path(root, i), images[i] / 255.0)
+            write_pixmap(_image_path(root, i), images[i])
             images[i] = None
         provider._rows.clear()  # no row of a finished block is asked for again
     neural_map = _stream(d.seed, _MAP_TAG).standard_normal((dim, d.dim_neural)) / np.sqrt(dim)
@@ -159,7 +159,7 @@ def load_dataset(directory, splits=("train", "test")) -> tuple[EmbeddingBank, li
     images = [None] * bank.sample_count
     read = [i for i, split in enumerate(bank.splits) if split in splits]
     for i in read:
-        images[i] = to_bytes_quantized(read_pixmap(_image_path(root, i)))  # exact
+        images[i] = read_pixmap(_image_path(root, i))
         if images[i].shape != images[read[0]].shape:
             (_, h, w), (_, h0, w0) = images[i].shape, images[read[0]].shape
             raise FormatError(f"{_image_path(root, i)}: pixmap is {w}x{h}, "

@@ -1,12 +1,12 @@
-"""Binary Portable Pixmap (P6) reading and writing.
+"""Binary Portable Pixmap (P6) reading and writing, as 8-bit levels.
 
-The reader, the writer, the views and the encoder take float64 arrays of
-shape (channels, height, width) with values in [0, 1], and refuse integer
-and bool arrays. A loaded dataset keeps each image as its uint8 levels,
-which the synthetic provider widens one at a time. On disk they are plain
-P6 pixmaps: 8-bit, maxval 255, three channels. Single-channel arrays are
-replicated to RGB on write. The reader matches the header against one
-pattern, `_HEADER`, and every error it raises names the file.
+On disk an image is a plain P6 pixmap: 8-bit, maxval 255, three channels.
+In memory it is the same bytes as a C-contiguous (3, height, width) uint8
+array of levels: `read_pixmap` returns one and `write_pixmap` takes one,
+and neither converts to float. Float images in [0, 1] exist only where
+they are made or used; `to_bytes_quantized` turns one into levels. The
+reader matches the header against one pattern, `_HEADER`, and every error
+it raises names the file.
 """
 
 from __future__ import annotations
@@ -31,18 +31,8 @@ _NUMBER = rb"(0|[1-9][0-9]{0,8})"
 _HEADER = re.compile(rb"P6(?!\S)" + (_GAP + _NUMBER + rb"(?!\S)") * 2 + _GAP + _NUMBER + rb"\s")
 
 
-def _float_pixels(image) -> np.ndarray:
-    """`image` as a float64 array. Integer and bool arrays are refused:
-    8-bit levels run to 255, and read as intensities they clip to white."""
-    arr = np.asarray(image)
-    if arr.dtype.kind in "biu":
-        raise ValueError(f"expected a float image in [0, 1], got dtype {arr.dtype}; "
-                         "divide 8-bit levels by 255.0 first")
-    return np.asarray(arr, dtype=np.float64)
-
-
 def read_pixmap(path) -> np.ndarray:
-    """Read a binary P6 pixmap into a (3, H, W) float64 array in [0, 1]."""
+    """Read a binary P6 pixmap as its C-contiguous (3, H, W) uint8 levels."""
     with open(path, "rb") as fh:
         data = fh.read()
     header = _HEADER.match(data)
@@ -63,7 +53,7 @@ def read_pixmap(path) -> np.ndarray:
             f"{path}: raster has {len(raster)} bytes, expected {expected}"
         )
     pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width, 3)
-    return pixels.transpose(2, 0, 1).astype(np.float64) / 255.0
+    return np.ascontiguousarray(pixels.transpose(2, 0, 1))
 
 
 def to_bytes_quantized(image: np.ndarray) -> np.ndarray:
@@ -72,17 +62,15 @@ def to_bytes_quantized(image: np.ndarray) -> np.ndarray:
     return np.floor(clipped * 255.0 + 0.5).astype(np.uint8)
 
 
-def write_pixmap(path, image: np.ndarray) -> None:
-    """Write a (C, H, W) float array in [0, 1] as a binary P6 pixmap."""
-    arr = _float_pixels(image)
-    if arr.ndim != 3:
-        raise ValueError(f"expected a (C, H, W) array, got shape {arr.shape}")
-    channels, height, width = arr.shape
-    if channels == 1:
-        arr = np.repeat(arr, 3, axis=0)
-    elif channels != 3:
-        raise ValueError(f"pixmaps hold 1 or 3 channels, got {channels}")
-    raster = to_bytes_quantized(arr).transpose(1, 2, 0).tobytes()
+def write_pixmap(path, levels: np.ndarray) -> None:
+    """Write (3, H, W) uint8 levels, what `read_pixmap` returns, as a
+    binary P6 pixmap. Any other dtype or shape is refused before the file
+    is opened."""
+    arr = np.asarray(levels)
+    if arr.dtype != np.uint8 or arr.ndim != 3 or arr.shape[0] != 3:
+        raise ValueError(f"expected (3, H, W) uint8 levels, got dtype {arr.dtype} "
+                         f"and shape {arr.shape}; quantize a float image first")
+    _, height, width = arr.shape
     with open(path, "wb") as fh:
         fh.write(b"P6\n%d %d\n255\n" % (width, height))
-        fh.write(raster)
+        fh.write(arr.transpose(1, 2, 0).tobytes())

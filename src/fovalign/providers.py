@@ -27,8 +27,7 @@ import numpy as np
 from .config import _ODD, TransformConfig, ViewsConfig, _at_least, parse_record
 from .container import read_container, write_container
 from .errors import FormatError, ProtocolError
-from .pixmap import _float_pixels
-from .transforms import add_noise, foveate, resample
+from .transforms import _float_pixels, add_noise, foveate, resample
 
 __all__ = [
     "POOL_GRID",
@@ -350,7 +349,7 @@ class SyntheticProvider:
             for start in range(0, len(misses), BLOCK):
                 chunk = misses[start : start + BLOCK]
                 for b, j in enumerate(chunk):
-                    # the same bits as read_pixmap's astype(float64) / 255.0
+                    # the levels widened to [0, 1], as `transform` widens its input
                     np.divide(self.images[ids[j]], 255.0, out=pixels)
                     block[b] = self.view_image(name, pixels, kernels[j], seeds[j])
                 out[chunk, v] = self.encoder.encode(block[: len(chunk)])

@@ -30,8 +30,6 @@ import operator
 
 import numpy as np
 
-from .pixmap import _float_pixels
-
 __all__ = [
     "foveation_mask",
     "gaussian_blur",
@@ -45,6 +43,16 @@ __all__ = [
 def _check_kernel_size(k: int) -> None:
     if k < 1 or k % 2 == 0:
         raise ValueError(f"kernel size must be an odd integer >= 1, got {k}")
+
+
+def _float_pixels(image) -> np.ndarray:
+    """`image` as a float64 array. Integer and bool arrays are refused:
+    8-bit levels run to 255, and read as intensities they clip to white."""
+    arr = np.asarray(image)
+    if arr.dtype.kind in "biu":
+        raise ValueError(f"expected a float image in [0, 1], got dtype {arr.dtype}; "
+                         "divide 8-bit levels by 255.0 first")
+    return np.asarray(arr, dtype=np.float64)
 
 
 def _check_image(image: np.ndarray) -> np.ndarray:

@@ -171,8 +171,10 @@ class TestTransform:
         assert filecmp.cmp(outs[0] / "foveated.ppm", outs[2] / "foveated.ppm", shallow=False)
 
     def _config_for(self, tmp_path, image, **transforms):
+        """A config whose input is `image`, a float image, quantized; and
+        the input as `transform` reads it, widened to [0, 1]."""
         input_image = tmp_path / "in.ppm"
-        write_pixmap(input_image, image)
+        write_pixmap(input_image, to_bytes_quantized(image))
         cfg = tmp_path / "cfg.json"
         raw = write_config(
             cfg,
@@ -182,7 +184,7 @@ class TestTransform:
         )
         raw["transforms"].update(transforms)
         cfg.write_text(json.dumps(raw))
-        return cfg, read_pixmap(input_image)
+        return cfg, read_pixmap(input_image) / 255.0
 
     def test_views_equal_the_transforms_of_the_input(self, tmp_path):
         rng = np.random.default_rng(17)
@@ -199,8 +201,7 @@ class TestTransform:
             "mosaic": resample(image, 1 / 16, "nearest"),
         }
         for name, view in want.items():
-            written = read_pixmap(out / f"{name}.ppm")
-            np.testing.assert_array_equal(to_bytes_quantized(written), to_bytes_quantized(view))
+            np.testing.assert_array_equal(read_pixmap(out / f"{name}.ppm"), to_bytes_quantized(view))
 
     def test_views_preserve_shape_and_range(self, tmp_path):
         rng = np.random.default_rng(18)
@@ -209,8 +210,7 @@ class TestTransform:
         assert main(["transform", "--config", str(cfg), "--out", str(out)]) == 0
         for name in ("foveated", "noise", "lowres", "mosaic"):
             view = read_pixmap(out / f"{name}.ppm")
-            assert view.shape == image.shape
-            assert view.min() >= 0.0 and view.max() <= 1.0
+            assert view.shape == image.shape and view.dtype == np.uint8
 
     def test_scale_collapsing_the_input_image(self, tmp_path, capsys):
         # the config's 32x32 image_size admits 1/16; the 16x8 input does not
@@ -234,7 +234,7 @@ class TestTransform:
     def test_center_outside_the_input_image(self, tmp_path, capsys):
         # the config's 32x32 image_size admits the center; the 8x8 input does not
         image = tmp_path / "small.ppm"
-        write_pixmap(image, np.zeros((3, 8, 8)))
+        write_pixmap(image, np.zeros((3, 8, 8), dtype=np.uint8))
         cfg = tmp_path / "cfg.json"
         raw = write_config(
             cfg,
@@ -342,7 +342,8 @@ class TestTrain:
         shutil.copytree(workspace["root"] / "data", data)
         rng = np.random.default_rng(4)
         for i in (3, 42):
-            write_pixmap(data / "images" / f"sample_{i:05d}.ppm", rng.random((3, 40, 40)))
+            write_pixmap(data / "images" / f"sample_{i:05d}.ppm",
+                         rng.integers(0, 256, (3, 40, 40), dtype=np.uint8))
         raw = json.loads(workspace["config"].read_text())
         raw["paths"]["dataset"] = str(data)
         cfg = tmp_path / "cfg.json"

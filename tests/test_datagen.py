@@ -66,7 +66,7 @@ class TestRenderSample:
         assert not np.array_equal(a, b)
 
     def test_quantized_to_8bit_grid(self):
-        # the levels survive the widening and write_pixmap's requantization
+        # the levels survive a widening to [0, 1] and its requantization
         img = render_sample(_style(), np.random.default_rng(3), 16)
         np.testing.assert_array_equal(to_bytes_quantized(img / 255.0), img)
 
@@ -288,14 +288,16 @@ class TestLoadDataset:
         assert loaded.tag == bank.tag
 
     def test_images_are_uint8_levels_of_the_read(self, generated, dataset_dir):
-        # one byte per channel and pixel; widened, each is read_pixmap's image
+        # one byte per channel and pixel, each image read_pixmap's levels;
+        # C-contiguous, as the provider widens each one into a (3, H, W)
+        # scratch, which a transposed view of the raster would fill by strides
         bank, images = generated
         assert len(images) == bank.sample_count
         for i, image in enumerate(images):
             assert image.dtype == np.uint8 and image.shape == (3, 32, 32)
-            assert image.nbytes == 3 * 32 * 32
+            assert image.nbytes == 3 * 32 * 32 and image.flags.c_contiguous
             read = read_pixmap(dataset_dir / "images" / f"sample_{i:05d}.ppm")
-            assert (image / 255.0).tobytes() == read.tobytes()
+            assert image.tobytes() == read.tobytes()
 
     def test_without_images(self, generated, tmp_path):
         bank, _ = generated
@@ -318,8 +320,8 @@ class TestLoadDataset:
         # the images are 32x32; 5 is 32 wide and 24 high, 9 is 40x40
         shutil.copytree(dataset_dir, tmp_path / "data")
         images = tmp_path / "data" / "images"
-        write_pixmap(images / "sample_00005.ppm", np.zeros((3, 24, 32)))
-        write_pixmap(images / "sample_00009.ppm", np.zeros((3, 40, 40)))
+        write_pixmap(images / "sample_00005.ppm", np.zeros((3, 24, 32), dtype=np.uint8))
+        write_pixmap(images / "sample_00009.ppm", np.zeros((3, 40, 40), dtype=np.uint8))
         message = f"{images / 'sample_00005.ppm'}: pixmap is 32x24, sample_00000.ppm is 32x32"
         with pytest.raises(FormatError, match=re.escape(message)):
             load_dataset(tmp_path / "data")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import struct
 
 import numpy as np
@@ -19,43 +20,51 @@ from fovalign.pixmap import read_pixmap, to_bytes_quantized, write_pixmap
 
 class TestPixmap:
     def test_round_trip_exact_at_8_bit(self, tmp_path):
+        # a float image's levels survive the file
         rng = np.random.default_rng(0)
         image = rng.random((3, 5, 7))
-        quantized = to_bytes_quantized(image).astype(np.float64) / 255.0
+        levels = to_bytes_quantized(image)
         path = tmp_path / "img.ppm"
-        write_pixmap(path, image)
-        np.testing.assert_array_equal(read_pixmap(path), quantized)
+        write_pixmap(path, levels)
+        np.testing.assert_array_equal(read_pixmap(path), levels)
 
     def test_round_trip_identity_on_quantized_input(self, tmp_path):
         rng = np.random.default_rng(1)
-        image = to_bytes_quantized(rng.random((3, 4, 4))).astype(np.float64) / 255.0
+        levels = rng.integers(0, 256, (3, 4, 4), dtype=np.uint8)
         path = tmp_path / "img.ppm"
-        write_pixmap(path, image)
-        np.testing.assert_array_equal(read_pixmap(path), image)
+        write_pixmap(path, levels)
+        read = read_pixmap(path)
+        assert read.dtype == np.uint8 and read.flags.c_contiguous
+        np.testing.assert_array_equal(read, levels)
+
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(hnp.arrays(np.uint8, hnp.array_shapes(min_dims=2, max_dims=2, max_side=9).map(
+        lambda hw: (3, *hw))))
+    def test_any_levels_write_the_raster_and_read_back(self, tmp_path, levels):
+        path = tmp_path / "img.ppm"
+        write_pixmap(path, levels)
+        _, height, width = levels.shape
+        raster = levels.transpose(1, 2, 0).tobytes()
+        assert path.read_bytes() == b"P6\n%d %d\n255\n" % (width, height) + raster
+        read = read_pixmap(path)
+        assert read.dtype == np.uint8 and read.flags.c_contiguous
+        np.testing.assert_array_equal(read, levels)
 
     def test_header_layout(self, tmp_path):
         path = tmp_path / "img.ppm"
-        write_pixmap(path, np.zeros((3, 2, 3)))
+        write_pixmap(path, np.zeros((3, 2, 3), dtype=np.uint8))
         data = path.read_bytes()
-        assert data.startswith(b"P6\n3 2\n255\n")
-        assert len(data) == len(b"P6\n3 2\n255\n") + 2 * 3 * 3
-
-    def test_single_channel_replicated(self, tmp_path):
-        path = tmp_path / "gray.ppm"
-        write_pixmap(path, np.full((1, 2, 2), 0.5))
-        image = read_pixmap(path)
-        assert image.shape == (3, 2, 2)
-        np.testing.assert_array_equal(image[0], image[1])
-        np.testing.assert_array_equal(image[0], image[2])
+        assert data == b"P6\n3 2\n255\n" + bytes(2 * 3 * 3)
 
     def test_comments_in_header_skipped(self, tmp_path):
         raster = bytes(range(12))
         path = tmp_path / "c.ppm"
         path.write_bytes(b"P6\n# a comment\n2 # trailing\n2\n255\n" + raster)
         image = read_pixmap(path)
-        assert image.shape == (3, 2, 2)
+        assert image.shape == (3, 2, 2) and image.dtype == np.uint8
         np.testing.assert_array_equal(
-            to_bytes_quantized(image).transpose(1, 2, 0).reshape(-1), np.frombuffer(raster, np.uint8)
+            image.transpose(1, 2, 0).reshape(-1), np.frombuffer(raster, np.uint8)
         )
 
     def test_quantization_rounds_half_up(self):
@@ -102,29 +111,41 @@ class TestPixmap:
             read_pixmap(path)
 
     def test_bad_channel_count_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_pixmap(tmp_path / "x.ppm", np.zeros((2, 2, 2)))
-
-    @pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.bool_])
-    def test_integer_image_rejected(self, tmp_path, dtype):
-        # 8-bit levels read as intensities would clip to white
+        # one channel is not replicated, and a fourth is not dropped
         path = tmp_path / "x.ppm"
+        for shape in [(1, 2, 2), (4, 2, 2), (2, 2), (2, 2, 2)]:
+            with pytest.raises(ValueError, match=re.escape(f"got dtype uint8 and shape {shape}")):
+                write_pixmap(path, np.zeros(shape, dtype=np.uint8))
+            assert not path.exists()
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.bool_, np.float64])
+    def test_integer_image_rejected(self, tmp_path, dtype):
+        # only uint8 levels are written: a float image is quantized first,
+        # and wider integers or bools are not levels
+        path = tmp_path / "x.ppm"
+        image = np.ones((3, 2, 2), dtype=dtype)
+        if dtype is np.uint8:
+            write_pixmap(path, image)
+            assert path.read_bytes() == b"P6\n2 2\n255\n" + bytes([1] * 12)
+            return
         with pytest.raises(ValueError, match=f"got dtype {np.dtype(dtype)}"):
-            write_pixmap(path, np.ones((3, 2, 2), dtype=dtype))
+            write_pixmap(path, image)
         assert not path.exists()
 
     def test_every_level_widens_to_the_read_and_back(self, tmp_path):
-        # what a loaded dataset keeps (the quantized read) and what the
-        # synthetic provider widens it to (a division by 255 into a float
-        # scratch) give read_pixmap's bits, for all 256 levels
+        # what a loaded dataset keeps (the read) and what the synthetic
+        # provider widens it to (a division by 255 into a float scratch)
+        # give transform's widening bits, for all 256 levels, and
+        # quantizing the widening gives the levels back
         levels = np.arange(256, dtype=np.uint8).reshape(1, 16, 16).repeat(3, axis=0)
         path = tmp_path / "levels.ppm"
-        write_pixmap(path, levels / 255.0)
+        write_pixmap(path, levels)
         image = read_pixmap(path)
-        np.testing.assert_array_equal(to_bytes_quantized(image), levels)
+        np.testing.assert_array_equal(image, levels)
         widened = np.empty(levels.shape)
-        np.divide(levels, 255.0, out=widened)
-        assert widened.tobytes() == image.tobytes()
+        np.divide(image, 255.0, out=widened)
+        assert widened.tobytes() == (image / 255.0).tobytes()
+        np.testing.assert_array_equal(to_bytes_quantized(widened), levels)
 
 
 def save_checkpoint_per_array(path, arrays, metadata):

@@ -115,10 +115,12 @@ def test_read_pixmap(scratch, tail):
         image = read_pixmap(path)
     except FormatError:
         return
-    assert image.dtype == np.float64 and image.ndim == 3 and image.shape[0] == 3
-    assert image.min() >= 0.0 and image.max() <= 1.0
+    assert image.dtype == np.uint8 and image.ndim == 3 and image.shape[0] == 3
+    assert image.flags.c_contiguous
     _, height, width = image.shape
-    header = path.read_bytes()[: -3 * height * width]
+    data = path.read_bytes()
+    header, raster = data[: -3 * height * width], data[-3 * height * width :]
+    assert image.transpose(1, 2, 0).tobytes() == raster
     tokens = re.sub(rb"#[^\n]*", b"", header).split()
     assert tokens == [b"P6", str(width).encode(), str(height).encode(), b"255"]
 

@@ -10,9 +10,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fovalign.checkpoint import load_checkpoint, save_checkpoint
+from fovalign.pixmap import write_pixmap
 from fovalign.providers import load_embedding_bank, save_embedding_bank
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "parity.py"
@@ -163,3 +165,26 @@ def test_a_perturbed_bank_names_its_blocks_and_header_keys(tiny_run, tmp_path):
     assert changes["header.tag"] == "differs"
     report = parity.format_results("threads one", differing)
     assert "differs      data/bank.bicp  features 0.25  header.tag differs" in report
+
+
+def test_a_flipped_pixmap_byte_is_given_its_level_change(tiny_run, tmp_path):
+    copy = tmp_path / "copy"
+    shutil.copytree(tiny_run, copy)
+    path = copy / "views" / "noise.ppm"
+    data = bytearray(path.read_bytes())
+    old = data[-1]
+    data[-1] ^= 0xFF
+    path.write_bytes(bytes(data))
+
+    differing = [r for r in parity.compare_dirs(tiny_run, copy) if r.status != "same"]
+    assert [r.path for r in differing] == ["views/noise.ppm"]
+    assert differing[0].changes == {"levels": float(abs((old ^ 0xFF) - old))}
+    report = parity.format_results("threads one", differing)
+    assert f"differs      views/noise.ppm  levels {abs((old ^ 0xFF) - old)}" in report
+
+    # a pixmap of another size, and one that does not read
+    write_pixmap(path, np.zeros((3, 8, 8), dtype=np.uint8))
+    assert parity.pixmap_changes(tiny_run / "views" / "noise.ppm", path) == {"levels": "shape"}
+    path.write_bytes(b"P6\n2 2\n255\n")
+    changes = parity.pixmap_changes(tiny_run / "views" / "noise.ppm", path)
+    assert list(changes) == ["unreadable"] and "raster has 0 bytes" in changes["unreadable"]

@@ -571,7 +571,7 @@ class TestSyntheticProvider:
         rows = provider.features(ids, kernels, 2, 0)
         for j, (i, k) in enumerate(zip(ids, kernels)):
             seed = derive_noise_seed(2, i, 0)
-            image = images[i] / 255.0  # read_pixmap's bits
+            image = images[i] / 255.0  # the widening the provider makes of the levels
             want = [encode(provider.view_image(n, image, k, seed)) for n in provider.view_names]
             np.testing.assert_array_equal(rows[j], np.stack(want))
         hits = {"foveated": sum(k == 5 for i, k in zip(ids, kernels) if i in warm)}

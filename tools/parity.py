@@ -21,7 +21,7 @@ given the largest relative change per column. A checkpoint that differs
 is given the largest absolute change per array, and an embedding bank
 the largest absolute change in its feature and its neural block; both
 then name the header entries that differ, with the relative change of a
-number.
+number. A pixmap that differs is given its largest absolute level change.
 The checkouts are removed afterwards, and so are the run directories
 unless a file differs. Exit status: 0 when every file matches, 1 when one
 differs or exists on one side only, 2 when a checkout or a run fails.
@@ -184,6 +184,7 @@ def _fovalign():
     try:
         import fovalign.checkpoint
         import fovalign.errors
+        import fovalign.pixmap
         import fovalign.providers
     finally:
         sys.path.remove(str(REPO / "src"))
@@ -250,8 +251,21 @@ def bank_changes(parent: Path, change: Path) -> dict[str, float | str]:
     return {**_array_changes(*blocks), **_header_changes(*headers)}
 
 
+def pixmap_changes(parent: Path, change: Path) -> dict[str, float | str]:
+    """Largest absolute change of the 8-bit levels of two pixmaps (read
+    through `read_pixmap`); "shape" when their sizes differ."""
+    fv = _fovalign()
+    try:
+        # widened, so a difference of levels does not wrap around
+        levels = [fv.pixmap.read_pixmap(path).astype("int16") for path in (parent, change)]
+    except fv.errors.FormatError as exc:
+        return {"unreadable": str(exc)}
+    return _array_changes({"levels": levels[0]}, {"levels": levels[1]})
+
+
 # how a differing file of each suffix is explained
-EXPLAIN = {".csv": csv_changes, ".bick": checkpoint_changes, ".bicp": bank_changes}
+EXPLAIN = {".csv": csv_changes, ".bick": checkpoint_changes, ".bicp": bank_changes,
+           ".ppm": pixmap_changes}
 
 
 def compare_dirs(parent: Path, change: Path) -> list[FileResult]:
