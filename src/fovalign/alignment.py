@@ -30,7 +30,7 @@ import numpy as np
 from . import fusion, nn
 from .config import FusionConfig, RunConfig
 from .errors import ConfigError, NumericError
-from .providers import EmbeddingBank
+from .providers import BLOCK, EmbeddingBank
 from .regulator import BlurSchedule, confidence_bounds
 
 __all__ = [
@@ -45,10 +45,12 @@ __all__ = [
 ]
 
 NORM_FLOOR = 1e-12
+_QUERY_BLOCK = 4 * BLOCK  # queries per encode_pairs fusion pass: four encoder blocks
 
 
-# elements in one block of products: 2**19 float64 values, 4 MiB
-DOT_BLOCK_ELEMS = 1 << 19
+# elements in one block of products: 2**17 float64 values, 1 MiB; a block
+# of the cosine's normalisation takes half as many denominators
+DOT_BLOCK_ELEMS = 1 << 17
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -73,14 +75,26 @@ def _norms(a: np.ndarray) -> np.ndarray:
 
 
 def _cosine(a: np.ndarray, b: np.ndarray):
-    """Return (cos, na, nb): the cosine matrix and the floored row norms."""
+    """Return (cos, na, nb): the cosine matrix and the floored row norms.
+
+    Each dot is divided in place by the product of its two norms, so the
+    only matrix-sized array is the result. A block of rows takes at most
+    DOT_BLOCK_ELEMS / 2 denominators, which leaves room in one product
+    block for the two 64 KiB buffers NumPy's broadcast multiply allocates.
+    The division is per element, so the transpose-exactness of `_dots`
+    carries over to the cosine.
+    """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ValueError(f"incompatible feature shapes {a.shape} and {b.shape}")
     na = _norms(a)
     nb = _norms(b)
-    return _dots(a, b) / (na[:, None] * nb[None, :]), na, nb
+    cos = _dots(a, b)
+    rows = max(1, DOT_BLOCK_ELEMS // max(1, 2 * len(nb)))
+    for start in range(0, len(cos), rows):
+        cos[start : start + rows] /= na[start : start + rows, None] * nb
+    return cos, na, nb
 
 
 def cosine_similarity_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -388,11 +402,23 @@ def encode_pairs(config: RunConfig, bank: EmbeddingBank, provider, params: dict,
 
     Returns (f_n, f_latent). Views are built at transforms.kernel_size;
     the noise view derives its seed from (evaluation.seed, sample_index, 0).
+    The samples are fused in blocks of _QUERY_BLOCK (64), one
+    `provider.features` call and one `fusion_forward` per block, so memory
+    does not grow with a fusion cache per query. Fusion is row-independent,
+    so the latent equals one pass over all samples bit for bit, with one
+    exception that the tail rule avoids: a last block of one row would take
+    BLAS's one-row matmul path, which rounds differently, so it joins the
+    block before it.
     """
-    kernels = [config.transforms.kernel_size] * len(indices)
-    feats = provider.features(indices, kernels, config.evaluation.seed, 0)
-    latent, _ = fusion.fusion_forward(feats, params, config.fusion)
-    f_n = nn.affine_forward(
-        bank.neural[np.asarray(indices, dtype=np.int64)], params["enc_w"], params["enc_b"]
-    )
+    indices = np.asarray(indices, dtype=np.int64)
+    f_n = nn.affine_forward(bank.neural[indices], params["enc_w"], params["enc_b"])
+    n = len(indices)
+    latent = np.empty((n, config.fusion.dim_latent))
+    for start in range(0, max(n - 1, 1), _QUERY_BLOCK):
+        # the last block takes the rest when at most one row would be left
+        stop = n if n - start <= _QUERY_BLOCK + 1 else start + _QUERY_BLOCK
+        block = indices[start:stop]
+        kernels = [config.transforms.kernel_size] * len(block)
+        feats = provider.features(block, kernels, config.evaluation.seed, 0)
+        latent[start:stop] = fusion.fusion_forward(feats, params, config.fusion)[0]
     return f_n, latent

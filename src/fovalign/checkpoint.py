@@ -65,11 +65,13 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         if len(chunk) != nbytes:
             raise FormatError(f"{path}: payload ended inside array {name!r}")
         try:
-            arrays[name] = np.frombuffer(chunk, dtype="<f4").astype(np.float64).reshape(shape)
+            values = np.frombuffer(chunk, dtype="<f4").reshape(shape)
         except ValueError as exc:  # more axes, or a larger extent, than NumPy allows
             raise FormatError(f"{path}: array {name!r} cannot take shape {list(shape)}") from exc
-        if not np.all(np.isfinite(arrays[name])):
+        # checked before widening: a signalling NaN makes the cast warn
+        if not np.all(np.isfinite(values)):
             raise FormatError(f"{path}: array {name!r} contains non-finite values")
+        arrays[name] = values.astype(np.float64)
         offset += nbytes
     if offset != len(payload):
         raise FormatError(f"{path}: {len(payload) - offset} trailing payload bytes")

@@ -324,9 +324,11 @@ class SyntheticProvider:
         if blank:
             raise ValueError(f"sample index {blank[0]} has no image")
         ids, kernels = ids.tolist(), kernels.tolist()
-        shapes = sorted({np.shape(self.images[index]) for index in ids})
-        dtypes = sorted({str(np.asarray(self.images[index]).dtype) for index in ids})
-        if len(shapes) > 1 or any(len(shape) != 3 for shape in shapes) or set(dtypes) - {"uint8"}:
+        kinds = {(a.shape, a.dtype) for a in (np.asarray(self.images[index]) for index in ids)}
+        shapes = sorted({shape for shape, _ in kinds})
+        levels = all(dtype == np.uint8 for _, dtype in kinds)
+        if len(shapes) > 1 or any(len(shape) != 3 for shape in shapes) or not levels:
+            dtypes = sorted({str(dtype) for _, dtype in kinds})
             raise ValueError(f"expected (C, H, W) images of one shape, got shapes {shapes}; "
                              f"expected dtype uint8, got dtypes {dtypes}")
         if "noise" in self.view_names:

@@ -1,7 +1,7 @@
 """Shared test helpers: finite differences, the row-wise fsum oracle, the
 per-image einsum encoder oracle, the per-group AdamW oracle, small config
-factories, a generated dataset read back, full-gallery distractor draws and writers of malformed
-checkpoint and bank files."""
+factories, a small random bank, a generated dataset read back, full-gallery distractor draws and
+writers of malformed checkpoint and bank files."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import numpy as np
 
 from fovalign.checkpoint import CHECKPOINT_MAGIC
 from fovalign.datagen import generate_dataset, load_dataset
-from fovalign.providers import POOL_GRID, _pool_matrix
+from fovalign.providers import POOL_GRID, EmbeddingBank, _pool_matrix
 from fovalign.config import (
     DataConfig,
     EvalConfig,
@@ -116,6 +116,27 @@ def tiny_config(**overrides) -> RunConfig:
         evaluation=EvalConfig(gallery_sizes=(4, 2), trials=5),
     )
     return dataclasses.replace(base, **overrides).validate()
+
+
+def tiny_bank(levels=(1, 9), n=6, views=3, dim_f=5, dim_n=4, test_from=4):
+    """A valid bank of n samples with float32 random rows, one class per
+    sample, samples from `test_from` on in the test split."""
+    rng = np.random.default_rng(42)
+    features = np.stack(
+        [rng.standard_normal((n, views, dim_f)).astype(np.float32) for _ in levels], axis=1
+    )
+    return EmbeddingBank(
+        tag="tiny",
+        sample_count=n,
+        views=views,
+        dim_feature=dim_f,
+        dim_neural=dim_n,
+        kernel_levels=tuple(levels),
+        labels=tuple(range(n)),
+        splits=tuple("train" if i < test_from else "test" for i in range(n)),
+        features=features,
+        neural=rng.standard_normal((n, dim_n)).astype(np.float32),
+    )
 
 
 def generate_and_load(config: RunConfig, directory) -> tuple:

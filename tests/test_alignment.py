@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    DictAdamW, central_difference, fsum_along, generate_and_load, relative_error, tiny_config,
+    DictAdamW, central_difference, fsum_along, generate_and_load, relative_error, tiny_bank,
+    tiny_config,
 )
-from fovalign import alignment
+from fovalign import alignment, fusion, nn
 from fovalign.alignment import (
     AdamW,
     Trainer,
@@ -118,6 +120,26 @@ class TestCosineMatrix:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             cosine_similarity_matrix(np.zeros((2, 3)), np.zeros((2, 4)))
+
+
+def traced_peak(fn):
+    """(result, bytes): fn() and the peak of traced allocations above the
+    traced total at the call."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_cosine_peak_is_the_result_and_one_block():
+    # the normalisation divides the dot matrix in place, so no second
+    # matrix-sized array (the outer product of the norms) is made
+    a, b = _feature_pair(3, 1000, 1000, 64)
+    cos, peak = traced_peak(lambda: cosine_similarity_matrix(a, b))
+    assert peak <= cos.nbytes + alignment.DOT_BLOCK_ELEMS * 8 + 64 * 1024
 
 
 class TestSymmetricLoss:
@@ -538,6 +560,20 @@ class TestNumericGuard:
         assert not np.all(np.isfinite(trainer.params["ln_gain"]))
 
 
+def bank_for(config, n: int):
+    """A random bank of n test samples with the views, features and levels of `config`."""
+    return tiny_bank(config.data.bank_levels, n, config.views.count, config.provider.dim_feature,
+                     test_from=0)
+
+
+def one_pass(config, bank, provider, params, ids):
+    """encode_pairs as one provider call and one fusion pass over all ids."""
+    kernels = [config.transforms.kernel_size] * len(ids)
+    feats = provider.features(ids, kernels, config.evaluation.seed, 0)
+    latent = fusion.fusion_forward(feats, params, config.fusion)[0]
+    return nn.affine_forward(bank.neural[ids], params["enc_w"], params["enc_b"]), latent
+
+
 class TestEncodePairs:
     def test_deterministic_and_shaped(self, tiny_run):
         config, bank, images = tiny_run
@@ -577,3 +613,51 @@ class TestEncodePairs:
         f_n_live, latent_live = encode_pairs(config, bank, synth, params, ids)
         np.testing.assert_array_equal(f_n_bank, f_n_live)
         np.testing.assert_allclose(latent_bank, latent_live, atol=1e-5)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 63, 64, 65, 127, 128, 129])
+    def test_bank_provider_equals_one_fusion_pass(self, n):
+        # encode_pairs fuses 64 queries at a time (a one-row tail joins the
+        # block before); every boundary and tail must give the bits and
+        # shapes of one pass, at any BLAS thread count
+        config = tiny_config()
+        bank = bank_for(config, 130)
+        params = init_parameters(config, bank.dim_neural)
+        ids = np.arange(n, dtype=np.int64)
+        f_n, latent = encode_pairs(config, bank, BankProvider(bank), params, ids)
+        f_n_ref, latent_ref = one_pass(config, bank, BankProvider(bank), params, ids)
+        np.testing.assert_array_equal(f_n, f_n_ref)
+        np.testing.assert_array_equal(latent, latent_ref)
+
+    def test_synthetic_provider_equals_one_fusion_pass(self, tiny_run):
+        # two blocks, the second of 36 rows; ids repeat past the 44 samples,
+        # so the second block also reuses the provider's cached rows
+        config, bank, images = tiny_run
+        params = init_parameters(config, bank.dim_neural)
+        ids = np.arange(100, dtype=np.int64) % bank.sample_count
+
+        def provider():
+            return SyntheticProvider(config.transforms, config.views, config.provider.dim_feature,
+                                     config.provider.seed, images)
+
+        f_n, latent = encode_pairs(config, bank, provider(), params, ids)
+        f_n_ref, latent_ref = one_pass(config, bank, provider(), params, ids)
+        np.testing.assert_array_equal(f_n, f_n_ref)
+        np.testing.assert_array_equal(latent, latent_ref)
+
+    def test_peak_grows_by_the_outputs_alone(self):
+        # a fusion cache per query would grow the peak by many times the
+        # two (n, dim_latent) outputs. The 1 KiB per block is CPython's: the
+        # small tuples a fusion pass frees go on free lists that tracemalloc
+        # counts as live (about 96 bytes per block here)
+        config = tiny_config()
+        bank = bank_for(config, 1024)
+        provider = BankProvider(bank)
+        params = init_parameters(config, bank.dim_neural)
+        peaks = {}
+        for n in (256, 1024):
+            ids = np.arange(n, dtype=np.int64)
+            encode_pairs(config, bank, provider, params, ids)  # warm any lazy state
+            (f_n, latent), peaks[n] = traced_peak(
+                lambda: encode_pairs(config, bank, provider, params, ids))
+        per_query = (f_n.nbytes + latent.nbytes) // 1024
+        assert peaks[1024] - peaks[256] <= per_query * (1024 - 256) + 1024 * (1024 - 256) // 64

@@ -332,6 +332,14 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="array 'b' contains non-finite values"):
             load_checkpoint(path)
 
+    def test_signalling_nan_rejected_without_a_warning(self, tmp_path):
+        # widening a float32 signalling NaN warns "invalid value in cast",
+        # an error under the test settings, so the check comes first
+        path = tmp_path / "ck.bick"
+        write_checkpoint_manifest(path, {"arrays": [{"name": "w", "shape": []}]}, b"\x00\x00\x81\x7f")
+        with pytest.raises(FormatError, match="array 'w' contains non-finite values"):
+            load_checkpoint(path)
+
     def test_empty_dimension_reads_an_empty_array(self, tmp_path):
         path = tmp_path / "ck.bick"
         save_checkpoint(path, {"w": np.zeros((0, 3))}, {})

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    ABSENT, einsum_encode, level_block, random_image, random_levels, rewrite_bank_header,
+    ABSENT, einsum_encode, level_block, random_image, random_levels, rewrite_bank_header, tiny_bank,
 )
 from fovalign.config import TransformConfig, ViewsConfig
 from fovalign.errors import FormatError, ProtocolError
@@ -122,25 +122,6 @@ class TestSyntheticEncoder:
         assert SyntheticEncoder(8, seed=0).encode(np.zeros((0, 3, 16, 16))).shape == (0, 8)
 
 
-def _tiny_bank(levels=(1, 9), n=6, views=3, dim_f=5, dim_n=4, test_from=4):
-    rng = np.random.default_rng(42)
-    features = np.stack(
-        [rng.standard_normal((n, views, dim_f)).astype(np.float32) for _ in levels], axis=1
-    )
-    return EmbeddingBank(
-        tag="tiny",
-        sample_count=n,
-        views=views,
-        dim_feature=dim_f,
-        dim_neural=dim_n,
-        kernel_levels=tuple(levels),
-        labels=tuple(range(n)),
-        splits=tuple("train" if i < test_from else "test" for i in range(n)),
-        features=features,
-        neural=rng.standard_normal((n, dim_n)).astype(np.float32),
-    )
-
-
 def save_embedding_bank_per_sample(path, bank):
     """The per-sample writer the one-buffer saver replaced, kept as its
     oracle."""
@@ -218,7 +199,7 @@ MALFORMED_BANK_HEADERS = {
 
 class TestEmbeddingBank:
     def test_round_trip_bit_identical(self, tmp_path):
-        bank = _tiny_bank()
+        bank = tiny_bank()
         path = tmp_path / "bank.bicp"
         save_embedding_bank(path, bank)
         loaded = load_embedding_bank(path)
@@ -242,13 +223,13 @@ class TestEmbeddingBank:
 
     def test_bytes_equal_the_per_sample_writer_across_blocks(self, tmp_path):
         # the payload is written BLOCK samples at a time: two full blocks and a short one
-        bank = _tiny_bank(n=2 * BLOCK + 3, test_from=2 * BLOCK)
+        bank = tiny_bank(n=2 * BLOCK + 3, test_from=2 * BLOCK)
         save_embedding_bank(tmp_path / "new.bicp", bank)
         save_embedding_bank_per_sample(tmp_path / "old.bicp", bank)
         assert (tmp_path / "new.bicp").read_bytes() == (tmp_path / "old.bicp").read_bytes()
 
     def test_loaded_features_view_the_payload(self, tmp_path):
-        bank = _tiny_bank(levels=(1, 5, 9))
+        bank = tiny_bank(levels=(1, 5, 9))
         path = tmp_path / "bank.bicp"
         save_embedding_bank(path, bank)
         loaded = load_embedding_bank(path)
@@ -258,20 +239,20 @@ class TestEmbeddingBank:
 
     def test_save_is_deterministic(self, tmp_path):
         a, b = tmp_path / "a.bicp", tmp_path / "b.bicp"
-        save_embedding_bank(a, _tiny_bank())
-        save_embedding_bank(b, _tiny_bank())
+        save_embedding_bank(a, tiny_bank())
+        save_embedding_bank(b, tiny_bank())
         assert a.read_bytes() == b.read_bytes()
 
     def test_magic_and_version(self, tmp_path):
         path = tmp_path / "bank.bicp"
-        save_embedding_bank(path, _tiny_bank())
+        save_embedding_bank(path, tiny_bank())
         head = path.read_bytes()[:8]
         assert head[:4] == BANK_MAGIC
         assert struct.unpack("<I", head[4:])[0] == 1
 
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "bank.bicp"
-        save_embedding_bank(path, _tiny_bank())
+        save_embedding_bank(path, tiny_bank())
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(FormatError):
             load_embedding_bank(path)
@@ -281,7 +262,7 @@ class TestEmbeddingBank:
     )
     def test_malformed_header_rejected(self, tmp_path, changes):
         path = tmp_path / "bank.bicp"
-        save_embedding_bank(path, _tiny_bank())
+        save_embedding_bank(path, tiny_bank())
         rewrite_bank_header(path, **changes)
         with pytest.raises(FormatError, match="bank header"):
             load_embedding_bank(path)
@@ -297,7 +278,7 @@ class TestEmbeddingBank:
     ])
     def test_header_error_names_the_file_and_the_entry(self, tmp_path, changes, message):
         path = tmp_path / "bank.bicp"
-        save_embedding_bank(path, _tiny_bank())
+        save_embedding_bank(path, tiny_bank())
         rewrite_bank_header(path, **changes)
         with pytest.raises(FormatError) as exc:
             load_embedding_bank(path)
@@ -311,7 +292,7 @@ class TestEmbeddingBank:
     ])
     def test_field_comparison_error_names_the_file(self, tmp_path, changes, error, message):
         path = tmp_path / "bank.bicp"
-        save_embedding_bank(path, _tiny_bank())
+        save_embedding_bank(path, tiny_bank())
         rewrite_bank_header(path, **changes)
         with pytest.raises(error) as exc:
             load_embedding_bank(path)
@@ -328,7 +309,7 @@ class TestEmbeddingBank:
         (tuple(np.arange(6)), f"bank header.labels[0]: expected int, got {np.int64(0)!r}"),
     ])
     def test_labels_built_in_code_are_type_checked(self, tmp_path, labels, message):
-        bank = _tiny_bank()
+        bank = tiny_bank()
         bank.labels = labels
         path = tmp_path / "bank.bicp"
         with pytest.raises(FormatError) as exc:
@@ -337,37 +318,37 @@ class TestEmbeddingBank:
         assert not path.exists()
 
     def test_class_overlap_violates_protocol(self):
-        bank = _tiny_bank()
+        bank = tiny_bank()
         bank.labels = (0, 1, 2, 3, 3, 5)  # class 3 in both splits
         with pytest.raises(ProtocolError):
             bank.validate()
 
     def test_even_level_rejected(self):
-        bank = _tiny_bank(levels=(2, 9))
+        bank = tiny_bank(levels=(2, 9))
         with pytest.raises(FormatError):
             bank.validate()
 
     def test_unsorted_levels_rejected(self):
-        bank = _tiny_bank()
+        bank = tiny_bank()
         bank.kernel_levels = (9, 1)
         with pytest.raises(FormatError):
             bank.validate()
 
     def test_non_finite_rejected(self):
-        bank = _tiny_bank()
+        bank = tiny_bank()
         bank.neural[0, 0] = np.nan
         with pytest.raises(FormatError):
             bank.validate()
 
     def test_non_finite_feature_rejected(self):
-        bank = _tiny_bank()
+        bank = tiny_bank()
         bank.features[5, 1, 2, 4] = np.inf
         with pytest.raises(FormatError, match="features contain non-finite values"):
             bank.validate()
 
     @pytest.mark.parametrize("count", [5, 7])
     def test_sample_count_checked_against_every_array(self, count):
-        bank = _tiny_bank()
+        bank = tiny_bank()
         bank.sample_count = count
         with pytest.raises(FormatError, match=r"features have shape \(6, 2, 3, 5\), expected"):
             bank.validate()
@@ -379,19 +360,19 @@ class TestEmbeddingBank:
             bank.validate()
 
     def test_features_missing_a_level_rejected(self):
-        bank = _tiny_bank(levels=(1, 5, 9))
+        bank = tiny_bank(levels=(1, 5, 9))
         bank.features = bank.features[:, :2]
         with pytest.raises(FormatError, match="features have shape"):
             bank.validate()
 
     def test_bad_split_tag_rejected(self):
-        bank = _tiny_bank()
+        bank = tiny_bank()
         bank.splits = ("train", "validation") + bank.splits[2:]
         with pytest.raises(FormatError):
             bank.validate()
 
     def test_indices_partition_samples(self):
-        bank = _tiny_bank()
+        bank = tiny_bank()
         train, test = bank.indices("train"), bank.indices("test")
         assert sorted(np.concatenate([train, test]).tolist()) == list(range(6))
 
@@ -403,7 +384,7 @@ class TestEmbeddingBank:
     def test_indices_match_the_list_comprehension(self, splits, split):
         # the Python loop the vectorised lookup replaced, kept as its oracle
         want = np.array([i for i, s in enumerate(splits) if s == split], dtype=np.int64)
-        bank = _tiny_bank()
+        bank = tiny_bank()
         bank.splits = splits
         got = bank.indices(split)
         assert got.dtype == np.int64
@@ -695,19 +676,19 @@ class TestSyntheticProvider:
 
 class TestBankProvider:
     def test_replays_stored_rows(self):
-        bank = _tiny_bank()
+        bank = tiny_bank()
         provider = BankProvider(bank)
         rows = provider.features([2], [9])
         np.testing.assert_array_equal(rows[0], level_block(bank, 9)[2].astype(np.float64))
 
     def test_nearest_level_selected(self):
-        bank = _tiny_bank(levels=(1, 9))
+        bank = tiny_bank(levels=(1, 9))
         provider = BankProvider(bank)
         rows = provider.features([0], [3])
         np.testing.assert_array_equal(rows[0], level_block(bank, 1)[0].astype(np.float64))
 
     def test_batch_reads_each_sample_at_its_level(self):
-        bank = _tiny_bank(levels=(3, 9, 17))
+        bank = tiny_bank(levels=(3, 9, 17))
         provider = BankProvider(bank)
         ids = [5, 0, 2, 2, 4, 1, 3]
         kernels = [1, 5, 6, 13, 9, 21, 11]  # 6 and 13 are midpoint ties
@@ -719,7 +700,7 @@ class TestBankProvider:
         assert provider.level_clamps == 2  # kernels 1 and 21
 
     def test_out_of_range_requests_counted(self):
-        provider = BankProvider(_tiny_bank(levels=(3, 9)))
+        provider = BankProvider(tiny_bank(levels=(3, 9)))
         assert provider.level_clamps == 0
         provider.features([0], [5])
         assert provider.level_clamps == 0
@@ -732,10 +713,10 @@ class TestBankProvider:
 
     def test_unknown_index_rejected(self):
         with pytest.raises(ValueError):
-            BankProvider(_tiny_bank()).features([99], [1])
+            BankProvider(tiny_bank()).features([99], [1])
 
     def test_rejected_request_counts_no_clamp(self):
-        provider = BankProvider(_tiny_bank(levels=(3, 9)))
+        provider = BankProvider(tiny_bank(levels=(3, 9)))
         with pytest.raises(ValueError, match="sample index 99 outside the bank"):
             provider.features([0, 99], [1, 11])
         assert provider.level_clamps == 0
