@@ -83,18 +83,20 @@ def _model(config: RunConfig, bank: EmbeddingBank) -> dict:
     }
 
 
-def _load_data(config: RunConfig, splits):
+def _load_data(config: RunConfig, splits, lazy: bool = False):
     """(bank, provider) for the configured provider kind; only the synthetic
-    provider reads pixmaps, and only those of the samples in `splits`."""
+    provider reads pixmaps, and only those of the samples in `splits`:
+    all of them now, or with `lazy` each when the provider asks for it."""
     kind = config.provider.kind
-    bank, images = load_dataset(config.paths.dataset, splits if kind == "synthetic" else ())
+    bank, images = load_dataset(config.paths.dataset, splits if kind == "synthetic" else (), lazy)
     if kind == "bank":
         _require_match(f"embedding bank {Path(config.paths.dataset) / BANK_FILE}",
                        {"views": bank.views, "dim_feature": bank.dim_feature},
                        {"views": config.views.count, "dim_feature": config.provider.dim_feature})
         return bank, BankProvider(bank)
+    # the first image of the splits; a lazy `images` keeps it, so it is read once
     first = next((image for image in images if image is not None), None)
-    if first is not None:  # load_dataset read every image at one size
+    if first is not None:  # every other image must have its size
         config.transforms.check_fits(*first.shape[1:], config.views.enabled(),
                                      f"images of dataset {config.paths.dataset}")
     return bank, SyntheticProvider(
@@ -157,7 +159,8 @@ def _train(config: RunConfig, out: Path, seed) -> str:
 
 def _evaluate(config: RunConfig, out: Path, seed) -> str:
     arrays, header = load_checkpoint(config.paths.checkpoint)
-    bank, provider = _load_data(config, ("test",))
+    # each test pixmap is read when its query block is encoded
+    bank, provider = _load_data(config, ("test",), lazy=True)
     found, expected = ({name: list(a.shape) for name, a in params.items()}
                        for params in (arrays, init_parameters(config, bank.dim_neural)))
     _require_match(f"checkpoint {config.paths.checkpoint}",

@@ -13,13 +13,14 @@ classes transfers to the held-out test classes: train and test class sets
 are disjoint by construction and validated on every bank load.
 
 The embedding bank is the dataset record (tag, labels, splits, neural
-vectors and view features), with the images beside it as a list. Only
-`generate_dataset` and `load_dataset` know the directory layout:
-`bank.bicp` plus `images/sample_%05d.ppm`.
+vectors and view features), with the images beside it as a sequence.
+Only `generate_dataset` and `load_dataset` (with its `Pixmaps`) know the
+directory layout: `bank.bicp` plus `images/sample_%05d.ppm`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,9 @@ from .providers import (
     BLOCK, EmbeddingBank, SyntheticProvider, load_embedding_bank, save_embedding_bank,
 )
 
-__all__ = ["BANK_FILE", "IMAGES_DIR", "render_sample", "generate_dataset", "load_dataset"]
+__all__ = [
+    "BANK_FILE", "IMAGES_DIR", "render_sample", "generate_dataset", "Pixmaps", "load_dataset",
+]
 
 BANK_FILE, IMAGES_DIR = "bank.bicp", "images"
 
@@ -149,19 +152,46 @@ def _image_path(root: Path, index: int) -> Path:
     return root / IMAGES_DIR / f"sample_{index:05d}.ppm"
 
 
-def load_dataset(directory, splits=("train", "test")) -> tuple[EmbeddingBank, list]:
+class Pixmaps(Sequence):
+    """The pixmaps of a dataset directory, one entry per sample: sample i's
+    (3, H, W) uint8 levels, read from its file each time the entry is
+    asked for, or None for a sample outside `splits`. Only the first
+    pixmap read is kept, and handed out again when its entry is asked
+    for; every other pixmap must have its size."""
+
+    def __init__(self, root: Path, sample_splits, splits):
+        self.root = root
+        self._listed = [split in splits for split in sample_splits]
+        self._first = None  # (index, levels) of the first pixmap read
+
+    def __len__(self) -> int:
+        return len(self._listed)
+
+    def __getitem__(self, index: int):
+        index = range(len(self._listed))[index]  # IndexError past the end ends iteration
+        if not self._listed[index]:
+            return None
+        if self._first is not None and self._first[0] == index:
+            return self._first[1]
+        levels = read_pixmap(_image_path(self.root, index))
+        if self._first is None:
+            self._first = (index, levels)
+        elif levels.shape != self._first[1].shape:
+            (_, h, w), (_, h0, w0) = levels.shape, self._first[1].shape
+            raise FormatError(f"{_image_path(self.root, index)}: pixmap is {w}x{h}, "
+                              f"{_image_path(self.root, self._first[0]).name} is {w0}x{h0}")
+        return levels
+
+
+def load_dataset(directory, splits=("train", "test"),
+                 lazy: bool = False) -> tuple[EmbeddingBank, Sequence]:
     """Read a dataset directory back as (bank, images), each image its
     (3, H, W) uint8 levels. Only the pixmaps of samples in `splits` are
     read; the other entries of `images` are None. Every pixmap read must
-    have the size of the first one."""
+    have the size of the first one. `images` is a list of every read
+    pixmap, or with `lazy` a `Pixmaps` that reads each one when it is
+    asked for and holds none but the first."""
     root = Path(directory)
     bank = load_embedding_bank(root / BANK_FILE)
-    images = [None] * bank.sample_count
-    read = [i for i, split in enumerate(bank.splits) if split in splits]
-    for i in read:
-        images[i] = read_pixmap(_image_path(root, i))
-        if images[i].shape != images[read[0]].shape:
-            (_, h, w), (_, h0, w0) = images[i].shape, images[read[0]].shape
-            raise FormatError(f"{_image_path(root, i)}: pixmap is {w}x{h}, "
-                              f"{_image_path(root, read[0]).name} is {w0}x{h0}")
-    return bank, images
+    images = Pixmaps(root, bank.splits, splits)
+    return bank, images if lazy else list(images)

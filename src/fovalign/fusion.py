@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from . import nn
 from .config import FusionConfig
@@ -178,6 +177,8 @@ def fusion_backward(
     grad_latent: np.ndarray, cache: dict, params: dict, settings: FusionConfig
 ) -> dict[str, np.ndarray]:
     """Parameter gradients for a `fusion_forward` pass (features are frozen)."""
+    from scipy.special import expit  # on first use: only `train` calls this
+
     x = cache["x"]
     grads: dict[str, np.ndarray] = {}
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erf
 
 __all__ = [
     "exact_sum",
@@ -63,6 +62,8 @@ def affine_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray):
 def gelu(x: np.ndarray):
     """Exact (erf-based) GELU: (gelu(x), erf(x / sqrt(2))), the second
     for `gelu_grad`."""
+    from scipy.special import erf  # on first use: generate, transform and report never call it
+
     erf_term = erf(x * _INV_SQRT2)
     return 0.5 * x * (1.0 + erf_term), erf_term
 

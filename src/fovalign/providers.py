@@ -253,11 +253,14 @@ def load_embedding_bank(path) -> EmbeddingBank:
             f"{path}: payload has {len(payload)} bytes, the bank header describes {expected_bytes}"
         )
     flat = np.frombuffer(payload, dtype="<f4").reshape(n, width + h.dim_neural)
-    return EmbeddingBank(
+    bank = EmbeddingBank(
         **vars(h),
         features=flat[:, :width].reshape(n, len(h.kernel_levels), h.views, h.dim_feature),
-        neural=flat[:, width:].astype(np.float64),
+        neural=flat[:, width:],
     )._check_fields(f"{path}: ")  # the header's own rules were checked above
+    # widened after the check: a signalling NaN makes the cast warn
+    bank.neural = bank.neural.astype(np.float64)
+    return bank
 
 
 def select_kernel_level(levels, kernels) -> np.ndarray:
@@ -274,9 +277,12 @@ def select_kernel_level(levels, kernels) -> np.ndarray:
 
 class SyntheticProvider:
     """Builds the enabled views of its samples' images and encodes them.
-    The images are uint8 (C, H, W) pixmap levels. An image may be None, a
-    sample whose pixmap was not read; asking for its rows raises
-    ValueError.
+    `images` is a sequence with one entry per sample: uint8 (C, H, W)
+    pixmap levels, or None for a sample whose pixmap is not read; asking
+    for a None sample's rows raises ValueError. A `features` call fetches
+    each of its samples' entries once and holds them until it returns, so
+    a sequence that reads its entries on access (`datagen.Pixmaps`) is
+    held one batch at a time.
 
     Each (index, view) keeps its last row under a key: the kernel for the
     foveated view, the noise seed for the noise view and a constant for
@@ -320,11 +326,12 @@ class SyntheticProvider:
         """(len(ids), views, dim_feature) rows of the samples at their kernels.
         The noise view's seed is derive_noise_seed(noise_base, index, epoch)."""
         ids, kernels = _check_batch(ids, kernels, len(self.images), "has no image")
-        blank = [index for index in ids.tolist() if self.images[index] is None]
+        ids, kernels = ids.tolist(), kernels.tolist()
+        images = [self.images[index] for index in ids]  # each fetched once per call
+        blank = [index for index, image in zip(ids, images) if image is None]
         if blank:
             raise ValueError(f"sample index {blank[0]} has no image")
-        ids, kernels = ids.tolist(), kernels.tolist()
-        kinds = {(a.shape, a.dtype) for a in (np.asarray(self.images[index]) for index in ids)}
+        kinds = {(a.shape, a.dtype) for a in map(np.asarray, images)}
         shapes = sorted({shape for shape, _ in kinds})
         levels = all(dtype == np.uint8 for _, dtype in kinds)
         if len(shapes) > 1 or any(len(shape) != 3 for shape in shapes) or not levels:
@@ -352,7 +359,7 @@ class SyntheticProvider:
                 chunk = misses[start : start + BLOCK]
                 for b, j in enumerate(chunk):
                     # the levels widened to [0, 1], as `transform` widens its input
-                    np.divide(self.images[ids[j]], 255.0, out=pixels)
+                    np.divide(images[j], 255.0, out=pixels)
                     block[b] = self.view_image(name, pixels, kernels[j], seeds[j])
                 out[chunk, v] = self.encoder.encode(block[: len(chunk)])
             for j in misses:

@@ -208,26 +208,46 @@ def _axis_sources(n_src: int, n_dst: int) -> np.ndarray:
     return (np.arange(n_dst, dtype=np.float64) + 0.5) * (n_src / n_dst) - 0.5
 
 
-def _gather_nearest(arr: np.ndarray, axis: int, n_dst: int) -> np.ndarray:
-    n_src = arr.shape[axis]
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+@functools.lru_cache(maxsize=256)
+def _nearest_index(n_src: int, n_dst: int) -> np.ndarray:
+    """Read-only source index of each destination pixel along one axis."""
     src = _axis_sources(n_src, n_dst)
-    idx = np.clip(np.floor(src + 0.5).astype(np.int64), 0, n_src - 1)
-    return np.take(arr, idx, axis=axis)
+    return _read_only(np.clip(np.floor(src + 0.5).astype(np.int64), 0, n_src - 1))
 
 
-def _gather_linear(arr: np.ndarray, axis: int, n_dst: int) -> np.ndarray:
-    n_src = arr.shape[axis]
+@functools.lru_cache(maxsize=256)
+def _mosaic_index(n: int, n_small: int) -> np.ndarray:
+    """The nearest pass down to n_small and back up to n, as one read-only index."""
+    return _read_only(_nearest_index(n, n_small)[_nearest_index(n_small, n)])
+
+
+@functools.lru_cache(maxsize=256)
+def _linear_table(n_src: int, n_dst: int) -> tuple:
+    """Read-only (lo_idx, hi_idx, 1 - frac, frac) of a bilinear pass along one axis."""
     src = _axis_sources(n_src, n_dst)
     lo = np.floor(src)
     frac = src - lo
     lo_idx = np.clip(lo.astype(np.int64), 0, n_src - 1)
     hi_idx = np.clip(lo.astype(np.int64) + 1, 0, n_src - 1)
+    return tuple(map(_read_only, (lo_idx, hi_idx, 1.0 - frac, frac)))
+
+
+def _gather_nearest(arr: np.ndarray, axis: int, n_dst: int) -> np.ndarray:
+    return np.take(arr, _nearest_index(arr.shape[axis], n_dst), axis=axis)
+
+
+def _gather_linear(arr: np.ndarray, axis: int, n_dst: int) -> np.ndarray:
+    lo_idx, hi_idx, keep, frac = _linear_table(arr.shape[axis], n_dst)
     shape = [1] * arr.ndim
     shape[axis] = n_dst
-    weight = frac.reshape(shape)
     a = np.take(arr, lo_idx, axis=axis)
     b = np.take(arr, hi_idx, axis=axis)
-    return (1.0 - weight) * a + weight * b
+    return keep.reshape(shape) * a + frac.reshape(shape) * b
 
 
 def resample(image: np.ndarray, scale: float, mode: str) -> np.ndarray:
@@ -249,6 +269,8 @@ def resample(image: np.ndarray, scale: float, mode: str) -> np.ndarray:
         raise ValueError(
             f"scale {scale} collapses a {height}x{width} image below one pixel"
         )
-    gather = _gather_nearest if mode == "nearest" else _gather_linear
-    small = gather(gather(arr, 1, h_small), 2, w_small)
-    return gather(gather(small, 1, height), 2, width)
+    if mode == "nearest":  # a gather of a gather is one gather
+        rows, cols = _mosaic_index(height, h_small), _mosaic_index(width, w_small)
+        return np.take(np.take(arr, rows, axis=1), cols, axis=2)
+    small = _gather_linear(_gather_linear(arr, 1, h_small), 2, w_small)
+    return _gather_linear(_gather_linear(small, 1, height), 2, width)

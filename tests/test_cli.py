@@ -8,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import typing
 import warnings
 from pathlib import Path
@@ -17,6 +18,7 @@ import pytest
 
 from conftest import rewrite_bank_header, tiny_config, write_checkpoint_manifest
 import fovalign
+import fovalign.alignment
 import fovalign.cli
 import fovalign.datagen
 import fovalign.fusion
@@ -594,13 +596,151 @@ def test_each_command_reads_only_the_pixmaps_of_its_split(
 
 
 def test_loaded_split_holds_one_byte_per_channel_and_pixel(workspace):
-    # evaluate's images are the 4 test pixmaps' uint8 levels, 3x32x32 bytes
+    # train's images are the 40 train pixmaps' uint8 levels, 3x32x32 bytes
     # each: a float64 copy of them would hold 8 times as many bytes
     config, _ = load_config(str(workspace["config"]))
-    bank, provider = fovalign.cli._load_data(config, ("test",))
+    bank, provider = fovalign.cli._load_data(config, ("train",))
+    assert isinstance(provider.images, list)
     held = [image for image in provider.images if image is not None]
-    assert len(held) == len(bank.indices("test")) == 4
-    assert sum(image.nbytes for image in held) == 4 * 3 * 32 * 32
+    assert len(held) == len(bank.indices("train")) == 40
+    assert sum(image.nbytes for image in held) == 40 * 3 * 32 * 32
+    # evaluate's are read on access, each the same 3x32x32 levels
+    bank, provider = fovalign.cli._load_data(config, ("test",), lazy=True)
+    assert not isinstance(provider.images, list)
+    read = [image for image in provider.images if image is not None]
+    assert len(read) == len(bank.indices("test")) == 4
+    assert {(str(image.dtype), image.nbytes) for image in read} == {("uint8", 3 * 32 * 32)}
+
+
+_SCIPY_PROBE = """
+import json, sys
+from fovalign.cli import main
+for argv in json.loads(sys.argv[1]):
+    if main(argv):
+        sys.exit(f"fovalign {' '.join(argv)} failed")
+print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "scipy")))
+"""
+
+
+def test_generate_transform_and_report_never_import_scipy(workspace, tmp_path):
+    # SciPy's special functions are imported on their first use, by the
+    # fusion stage of train and evaluate
+    run = tmp_path / "run"
+    assert main(["evaluate", "--config", str(workspace["config"]), "--out", str(run)]) == 0
+    raw = json.loads(workspace["config"].read_text())
+    raw["paths"]["runs"] = [str(run)]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    src_dir = str(Path(fovalign.__file__).resolve().parents[1])
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src_dir, inherited])))
+
+    def imported(*commands):
+        steps = [[command, "--config", str(cfg), "--out", str(tmp_path / command)]
+                 for command in commands]
+        proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(steps)],
+                              capture_output=True, text=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    assert imported("generate", "transform", "report") == []
+    assert "scipy.special" in imported("evaluate")  # the probe sees a first use
+
+
+def gallery_workspace(root, test_classes, **sections):
+    """The config of a dataset with `test_classes` one-image test classes
+    beside 4 training classes of 4 samples (ids 0-15), generated, and of a
+    checkpoint trained on it for one epoch. `sections` update the tiny
+    config's sections."""
+    raw = tiny_config().to_dict()
+    raw["data"].update(classes=4 + test_classes, test_classes=test_classes,
+                       train_samples_per_class=4)
+    raw["training"]["epochs"] = 1
+    raw["evaluation"]["gallery_sizes"] = [test_classes, 50]
+    for section, edits in sections.items():
+        raw[section].update(edits)
+    raw["paths"] = {"dataset": str(root / "data"), "checkpoint": str(root / "run" / "checkpoint.bick"),
+                    "input_image": str(root / "data" / "images" / "sample_00000.ppm"),
+                    "runs": [str(root / "run")]}
+    root.mkdir(parents=True, exist_ok=True)
+    cfg = root / "config.json"
+    cfg.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["generate", "--config", str(cfg)]) == 0
+    assert main(["train", "--config", str(cfg)]) == 0
+    return cfg
+
+
+@pytest.fixture(scope="module")
+def gallery(tmp_path_factory):
+    """130 test queries (ids 16-145): three query blocks of 64, 64 and 2."""
+    return gallery_workspace(tmp_path_factory.mktemp("gallery"), 130)
+
+
+def test_evaluate_in_query_blocks_writes_the_eager_eval_csv(gallery, tmp_path, monkeypatch):
+    real_read, read = fovalign.datagen.read_pixmap, []
+    monkeypatch.setattr(fovalign.datagen, "read_pixmap",
+                        lambda path: read.append(Path(path).name) or real_read(path))
+    assert main(["evaluate", "--config", str(gallery), "--out", str(tmp_path / "blocks")]) == 0
+    # each test pixmap is read once, in query order, as its block is encoded
+    assert read == [f"sample_{i:05d}.ppm" for i in range(16, 146)]
+    # one eager pass: every test pixmap read up front, one features call
+    real_load = fovalign.cli.load_dataset
+    monkeypatch.setattr(fovalign.cli, "load_dataset",
+                        lambda directory, splits, lazy: real_load(directory, splits))
+    monkeypatch.setattr(fovalign.alignment, "_QUERY_BLOCK", 10**6)
+    assert main(["evaluate", "--config", str(gallery), "--out", str(tmp_path / "eager")]) == 0
+    eager = (tmp_path / "eager" / "eval.csv").read_bytes()
+    assert (tmp_path / "blocks" / "eval.csv").read_bytes() == eager
+
+
+@pytest.mark.parametrize("fault", ["missing", "40x40", "truncated"])
+def test_a_bad_test_pixmap_in_a_later_block_exits_2_naming_it(gallery, tmp_path, capsys, fault):
+    data = tmp_path / "data"
+    shutil.copytree(gallery.parent / "data", data)
+    image = data / "images" / "sample_00145.ppm"  # the last query, in the third block
+    if fault == "missing":
+        image.unlink()
+        message = f"No such file or directory: '{image}'"
+    elif fault == "40x40":
+        write_pixmap(image, np.zeros((3, 40, 40), dtype=np.uint8))
+        message = f"{image}: pixmap is 40x40, sample_00016.ppm is 32x32"
+    else:
+        image.write_bytes(image.read_bytes()[:-1])
+        message = f"{image}: raster has 3071 bytes, expected 3072"
+    raw = json.loads(gallery.read_text())
+    raw["paths"]["dataset"] = str(data)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "e"
+    assert main(["evaluate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()  # no eval.csv
+
+
+def test_evaluate_holds_at_most_one_block_of_images(tmp_path, monkeypatch):
+    # the traced peak up to the end of the encoding, on 130 and on 260
+    # queries of 64x64 images: held pixmaps would add 12 KiB per query
+    image_bytes = 3 * 64 * 64
+    sections = {"views": {"identity": True, "foveated": False, "noise": False, "lowres": False,
+                          "mosaic": False},
+                "data": {"image_size": 64, "bank_levels": [1]}, "regulator": {"enabled": False}}
+    real_encode, peaks = fovalign.cli.encode_pairs, []
+
+    def traced_encode(*args):
+        encoded = real_encode(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        return encoded
+
+    monkeypatch.setattr(fovalign.cli, "encode_pairs", traced_encode)
+    for queries in (130, 260):
+        cfg = gallery_workspace(tmp_path / str(queries), queries, **sections)
+        tracemalloc.start()
+        try:
+            assert main(["evaluate", "--config", str(cfg), "--out", str(tmp_path / f"e{queries}")]) == 0
+        finally:
+            tracemalloc.stop()
+    growth = (peaks[1] - peaks[0]) / 130
+    assert growth < image_bytes / 2, f"{growth:.0f} bytes per query"
 
 
 def _changed(value):

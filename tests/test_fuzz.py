@@ -226,6 +226,31 @@ def test_load_embedding_bank_header_bytes(scratch, bank_bytes, edits):
     _check_bank(path)
 
 
+# float32 words that the payload check must refuse or accept without a
+# warning: signalling and quiet NaNs, infinities, the largest finite value
+# and a subnormal, little-endian
+SPECIAL_WORDS = st.sampled_from([
+    b"\x00\x00\x81\x7f", b"\x01\x00\x80\xff", b"\x00\x00\xc0\x7f", b"\x00\x00\x80\x7f",
+    b"\x00\x00\x80\xff", b"\xff\xff\x7f\x7f", b"\x01\x00\x00\x00",
+])
+WORD_EDITS = st.lists(st.tuples(st.integers(0, 2**16), SPECIAL_WORDS | st.binary(min_size=4, max_size=4)),
+                      min_size=1, max_size=4)
+
+
+@FUZZ
+@given(edits=BYTE_EDITS, words=WORD_EDITS)
+def test_load_embedding_bank_payload_bytes(scratch, bank_bytes, edits, words):
+    (length,) = struct.unpack("<I", bank_bytes[8:12])
+    start = 12 + length
+    payload = bytearray(_mutate(bank_bytes[start:], edits, len(bank_bytes) - start))
+    for index, word in words:  # whole float32 words, on their boundaries
+        offset = 4 * (index % (len(payload) // 4))
+        payload[offset : offset + 4] = word
+    path = scratch / "payload.bicp"
+    path.write_bytes(bank_bytes[:start] + bytes(payload))
+    _check_bank(path)
+
+
 # each numeric eval.csv column: an int cell is ASCII digits, a float cell
 # ASCII text that float() reads, with no whitespace or "_"; then the range
 EVAL_CELL_RULES = {

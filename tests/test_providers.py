@@ -298,6 +298,16 @@ class TestEmbeddingBank:
             load_embedding_bank(path)
         assert str(exc.value) == f"{path}: {message}"
 
+    def test_signalling_nan_in_the_neural_block_rejected_without_a_warning(self, tmp_path):
+        # widening a float32 signalling NaN warns "invalid value in cast",
+        # an error under the test settings, so the check comes first; the
+        # last four payload bytes are the last sample's last neural entry
+        path = tmp_path / "bank.bicp"
+        save_embedding_bank(path, tiny_bank())
+        path.write_bytes(path.read_bytes()[:-4] + b"\x00\x00\x81\x7f")
+        with pytest.raises(FormatError, match="neural block contains non-finite values"):
+            load_embedding_bank(path)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "bank.bicp"
         path.write_bytes(b"")

@@ -522,6 +522,44 @@ class TestResample:
         # 2x2 source grid restored by nearest: 16x16 constant blocks
         assert len(np.unique(mosaic[0])) <= 4
 
+    @given(
+        height=st.integers(1, 40), width=st.integers(1, 40),
+        scale=st.floats(0.01, 1.0), nearest=st.booleans(), seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_direct_two_pass_formulas_byte_for_byte(self, height, width, scale,
+                                                               nearest, seed):
+        # the cached tables and mosaic's composed index give the bytes of four
+        # separate passes with their source coordinates computed afresh
+        h_small, w_small = int(np.floor(height * scale)), int(np.floor(width * scale))
+        if h_small < 1 or w_small < 1:
+            return
+        image = np.random.default_rng(seed).random((2, height, width))
+
+        def direct(arr, axis, n_dst):
+            n_src = arr.shape[axis]
+            src = (np.arange(n_dst, dtype=np.float64) + 0.5) * (n_src / n_dst) - 0.5
+            if nearest:
+                return np.take(arr, np.clip(np.floor(src + 0.5).astype(np.int64), 0, n_src - 1),
+                               axis=axis)
+            lo = np.floor(src)
+            weight = (src - lo).reshape([-1, 1] if axis == 1 else [-1])
+            a = np.take(arr, np.clip(lo.astype(np.int64), 0, n_src - 1), axis=axis)
+            b = np.take(arr, np.clip(lo.astype(np.int64) + 1, 0, n_src - 1), axis=axis)
+            return (1.0 - weight) * a + weight * b
+
+        small = direct(direct(image, 1, h_small), 2, w_small)
+        expected = direct(direct(small, 1, height), 2, width)
+        out = resample(image, scale, "nearest" if nearest else "bilinear")
+        assert out.tobytes() == expected.tobytes()
+
+    def test_cached_tables_are_read_only(self):
+        tables = (transforms._nearest_index(9, 4), transforms._mosaic_index(9, 4),
+                  *transforms._linear_table(9, 4))
+        for table in tables:
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0
+
     def test_degenerate_scale_rejected(self):
         rng = np.random.default_rng(16)
         image = random_image(rng, height=4, width=4)

@@ -12,8 +12,9 @@ checked out the same way. The recipe runs once with OPENBLAS_NUM_THREADS=1
 and once at the default thread count, each time in a fresh process that
 imports `fovalign` from its own tree's `src/`.
 
-The `regulated` recipe has 14 classes; the kernel starts at 11 and moves
-over 9-15, and the bank stores levels 5/9/13, so kernel 11 ties between two
+The `regulated` recipe has 80 classes, 72 of them held out, so `evaluate`
+encodes its queries in two blocks; the kernel starts at 11 and moves over
+9-15, and the bank stores levels 5/9/13, so kernel 11 ties between two
 levels and 15 is clamped. `tiny` is the same shape at a few seconds' cost.
 
 Every file both runs wrote is compared by sha256. A CSV that differs is
@@ -56,7 +57,7 @@ RECIPES = {
     "regulated": {
         **_REGULATED_BASE,
         "training": {"epochs": 12, "batch_size": 16, "learning_rate": 3e-3},
-        "data": {**_REGULATED_BASE["data"], "classes": 14, "test_classes": 6,
+        "data": {**_REGULATED_BASE["data"], "classes": 80, "test_classes": 72,
                  "train_samples_per_class": 16},
         "evaluation": {"gallery_sizes": [6, 2], "trials": 10},
     },
