@@ -173,6 +173,7 @@ def _evaluate(config: RunConfig, out: Path, seed) -> str:
     if largest > len(test_ids):
         raise ConfigError(f"gallery size n={largest} exceeds the test set size {len(test_ids)}")
     f_n, latent = encode_pairs(config, bank, provider, arrays, test_ids)
+    del provider  # its cached rows are not asked for again
     similarity = cosine_similarity_matrix(f_n, latent)
     truth = np.arange(len(test_ids))
     reports = [
@@ -325,6 +326,9 @@ def main(argv=None) -> int:
         return _run(args)
     except (ConfigError, FormatError, ProtocolError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

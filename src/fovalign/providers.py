@@ -289,11 +289,11 @@ class SyntheticProvider:
     the others. A repeat request reuses the row and a new key replaces it,
     so the cache holds at most one row per (index, view).
 
-    A batch's images share one (C, H, W) shape. Per view, one pass serves
-    the hits; each miss is widened to [0, 1] in one (C, H, W) float64
-    scratch, one image at a time, and its view is rendered in batch order,
-    once per request, into one (BLOCK, C, H, W) buffer every view shares,
-    a block per encode call.
+    A batch's images share one (C, H, W) shape. One pass over the batch
+    serves the hits and lists every (sample, view) miss in batch order. A
+    sample with misses is widened to [0, 1] once, into one (C, H, W)
+    float64 scratch, and each of its missing views is rendered into one
+    (BLOCK, C, H, W) buffer whatever the view, a block per encode call.
     """
 
     def __init__(self, transforms: TransformConfig, views: ViewsConfig, dim: int, seed: int,
@@ -338,33 +338,31 @@ class SyntheticProvider:
             dtypes = sorted({str(dtype) for _, dtype in kinds})
             raise ValueError(f"expected (C, H, W) images of one shape, got shapes {shapes}; "
                              f"expected dtype uint8, got dtypes {dtypes}")
-        if "noise" in self.view_names:
-            seeds = [derive_noise_seed(noise_base, index, epoch) for index in ids]
-        else:
-            seeds = [0] * len(ids)
         out = np.empty((len(ids), len(self.view_names), self.encoder.dim))
-        shape = (shapes or [()])[0]
-        block = np.empty((min(BLOCK, len(ids)), *shape))
-        pixels = np.empty(shape)  # the miss being rendered, widened to [0, 1]
-        for v, name in enumerate(self.view_names):
-            keys = kernels if name == "foveated" else seeds if name == "noise" else [None] * len(ids)
-            misses = []
-            for j, (index, key) in enumerate(zip(ids, keys)):
+        misses = []  # (j, view, key) of each row not cached, in batch order
+        for j, index in enumerate(ids):
+            for v, name in enumerate(self.view_names):
+                key = (kernels[j] if name == "foveated" else
+                       derive_noise_seed(noise_base, index, epoch) if name == "noise" else None)
                 cached = self._rows.get((index, name))
                 if cached is not None and cached[0] == key:
                     out[j, v] = cached[1]
                 else:
-                    misses.append(j)
-            for start in range(0, len(misses), BLOCK):
-                chunk = misses[start : start + BLOCK]
-                for b, j in enumerate(chunk):
-                    # the levels widened to [0, 1], as `transform` widens its input
+                    misses.append((j, v, key))
+        pixels = np.empty((shapes or [()])[0])  # the sample being rendered, widened to [0, 1]
+        block = np.empty((min(BLOCK, len(misses)), *pixels.shape))
+        widened = None
+        for start in range(0, len(misses), BLOCK):
+            chunk = misses[start : start + BLOCK]
+            for b, (j, v, key) in enumerate(chunk):
+                if j != widened:  # a sample's misses are adjacent: widen it once
                     np.divide(images[j], 255.0, out=pixels)
-                    block[b] = self.view_image(name, pixels, kernels[j], seeds[j])
-                out[chunk, v] = self.encoder.encode(block[: len(chunk)])
-            for j in misses:
-                # a copy, so a cached row does not keep the whole batch alive
-                self._rows[(ids[j], name)] = (keys[j], out[j, v].copy())
+                    widened = j
+                block[b] = self.view_image(self.view_names[v], pixels, kernels[j], key)
+            for (j, v, key), row in zip(chunk, self.encoder.encode(block[: len(chunk)])):
+                out[j, v] = row
+                # a copy, so a cached row does not keep the whole block alive
+                self._rows[(ids[j], self.view_names[v])] = (key, row.copy())
         return out
 
 

@@ -237,10 +237,6 @@ def _linear_table(n_src: int, n_dst: int) -> tuple:
     return tuple(map(_read_only, (lo_idx, hi_idx, 1.0 - frac, frac)))
 
 
-def _gather_nearest(arr: np.ndarray, axis: int, n_dst: int) -> np.ndarray:
-    return np.take(arr, _nearest_index(arr.shape[axis], n_dst), axis=axis)
-
-
 def _gather_linear(arr: np.ndarray, axis: int, n_dst: int) -> np.ndarray:
     lo_idx, hi_idx, keep, frac = _linear_table(arr.shape[axis], n_dst)
     shape = [1] * arr.ndim

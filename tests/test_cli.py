@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import filecmp
+import gc
 import json
 import os
 import shutil
@@ -11,6 +12,7 @@ import sys
 import tracemalloc
 import typing
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -743,6 +745,27 @@ def test_evaluate_holds_at_most_one_block_of_images(tmp_path, monkeypatch):
     assert growth < image_bytes / 2, f"{growth:.0f} bytes per query"
 
 
+def test_evaluate_holds_no_provider_while_it_ranks(gallery, tmp_path, monkeypatch):
+    # the synthetic provider caches every query's rows, which no later step reads
+    real_load, real_cosine, providers, alive = (
+        fovalign.cli._load_data, fovalign.cli.cosine_similarity_matrix, [], [])
+
+    def load(*args, **kwargs):
+        bank, provider = real_load(*args, **kwargs)
+        providers.append(weakref.ref(provider))
+        return bank, provider
+
+    def cosine(*args):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in providers))
+        return real_cosine(*args)
+
+    monkeypatch.setattr(fovalign.cli, "_load_data", load)
+    monkeypatch.setattr(fovalign.cli, "cosine_similarity_matrix", cosine)
+    assert main(["evaluate", "--config", str(gallery), "--out", str(tmp_path / "e")]) == 0
+    assert len(providers) == 1 and alive == [0]
+
+
 def _changed(value):
     """Another valid value of a fusion setting."""
     if isinstance(value, bool):
@@ -1135,6 +1158,35 @@ def test_diverging_run_stops_before_its_checkpoint(bank_recipe, tmp_path, capsys
     first = capsys.readouterr().err.split("\n", 1)[0]
     assert first == "numeric failure: parameter att_w outside the float32 range at epoch 2, batch 2"
     assert not list(tmp_path.rglob("*.bick"))
+
+
+_CAPPED_RUN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+from fovalign.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_config_too_large_for_memory_exits_2(tmp_path):
+    # a 100000x100000 canvas is 224 GiB; the child's address space is capped
+    # at 3 GiB, so the refused allocation never reaches the host
+    pytest.importorskip("resource")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"data": {"image_size": 100000}}))
+    src_dir = str(Path(fovalign.__file__).resolve().parents[1])
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src_dir, inherited])),
+               OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_RUN, "generate", "--config", str(cfg),
+         "--out", str(tmp_path / "data")],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: out of memory: ")
+    assert "(3, 100000, 100000)" in proc.stderr  # NumPy names the refused array
+    assert "Traceback" not in proc.stderr
 
 
 class TestErrorSurface:

@@ -568,10 +568,31 @@ class TestSyntheticProvider:
         hits = {"foveated": sum(k == 5 for i, k in zip(ids, kernels) if i in warm)}
         for name in ("identity", "noise", "lowres", "mosaic"):
             hits[name] = len(warm)
-        assert sum(shape[0] for shape in blocks) == sum(40 - h for h in hits.values())
+        misses = sum(40 - h for h in hits.values())
+        assert sum(shape[0] for shape in blocks) == misses
+        # every view's misses share the blocks: one encode call per BLOCK misses
+        assert len(blocks) == -(-misses // BLOCK)
         assert max(shape[0] for shape in blocks) == BLOCK
         assert {shape[1:] for shape in blocks} == {(3, 20, 24)}
         assert all(np.array_equal(a, b) and a.dtype == np.uint8 for a, b in zip(images, levels))
+
+    def test_each_sample_is_widened_once_per_call(self):
+        # 5 samples, each missing all 5 views: 5 widenings, not 25
+        divides = []
+
+        class Levels(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                divides.append(ufunc is np.divide)
+                inputs = [np.asarray(x) for x in inputs]
+                return getattr(ufunc, method)(*inputs, **kwargs)
+
+        rng = np.random.default_rng(15)
+        levels = [random_levels(rng, height=16, width=16) for _ in range(5)]
+        provider = self._provider([a.view(Levels) for a in levels], identity=True)
+        rows = provider.features(range(5), [5] * 5, 2, 0)
+        assert sum(divides) == 5 and len(provider._rows) == 25
+        plain = self._provider(levels, identity=True)
+        np.testing.assert_array_equal(rows, plain.features(range(5), [5] * 5, 2, 0))
 
     def test_images_of_two_shapes_rejected(self, monkeypatch):
         rng = np.random.default_rng(14)

@@ -474,17 +474,19 @@ class TestResample:
         # 2x2 checkerboard {0,1} at scale 1/2: the single source coordinate
         # is (0.5, 0.5), halves round up, so the (1, 1) corner wins
         image = np.array([[[0.0, 1.0], [1.0, 0.0]]])
-        small = shrink(transforms._gather_nearest, image, 1, 1)
-        assert small.shape == (1, 1, 1)
-        assert small[0, 0, 0] == 0.0  # image[0, 1, 1]
+        assert transforms._nearest_index(2, 1).tolist() == [1]
+        # the mosaic restores that one pixel to the whole image
+        np.testing.assert_array_equal(resample(image, 0.5, "nearest"), np.zeros((1, 2, 2)))
 
     def test_nearest_full_enumeration_4_to_2(self):
-        # sources for 4 -> 2 sit at 0.5 and 2.5; both round up (2.5 -> 3? no:
-        # floor(0.5 + 0.5) = 1, floor(2.5 + 0.5) = 3)
+        # sources for 4 -> 2 sit at 0.5 and 2.5; both round up:
+        # floor(0.5 + 0.5) = 1, floor(2.5 + 0.5) = 3
         image = np.arange(16, dtype=np.float64).reshape(1, 4, 4) / 16.0
-        small = shrink(transforms._gather_nearest, image, 2, 2)
-        expected = image[:, [1, 3], :][:, :, [1, 3]]
-        np.testing.assert_array_equal(small, expected)
+        assert transforms._nearest_index(4, 2).tolist() == [1, 3]
+        # each restored pixel is its nearest shrunk one (2 -> 4 reads 0, 0, 1, 1)
+        rows = [1, 1, 3, 3]
+        expected = image[:, rows, :][:, :, rows]
+        np.testing.assert_array_equal(resample(image, 0.5, "nearest"), expected)
 
     def test_bilinear_matches_scalar_oracle(self):
         rng = np.random.default_rng(13)
