@@ -22,7 +22,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, ablation_ladder, config_from_dict, config_hash, load_config
 from .datagen import generate_dataset, load_dataset
 from .errors import ConfigError, FormatError, NumericError, ProtocolError
-from .evaluation import EvalReport, nway_evaluate
+from .evaluation import EvalReport, nway_evaluate, nway_reports
 from .fusion import belief_weights, fusion_backward, fusion_forward
 from .pixmap import read_pixmap, write_pixmap
 from .providers import (
@@ -79,6 +79,7 @@ __all__ = [
     "load_embedding_bank",
     "loss_and_gradients",
     "nway_evaluate",
+    "nway_reports",
     "read_pixmap",
     "resample",
     "save_checkpoint",

@@ -23,12 +23,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .alignment import EpochReport, Trainer, cosine_similarity_matrix, encode_pairs, init_parameters
+from .alignment import (
+    _QUERY_BLOCK, EpochReport, Trainer, cosine_similarity_matrix, encode_pairs, init_parameters,
+)
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import _SIGNED_UNIT, _UNIT, RunConfig, _at_least, config_hash, load_config, parse_record
 from .datagen import BANK_FILE, IMAGES_DIR, generate_dataset, load_dataset
 from .errors import ConfigError, FormatError, NumericError, ProtocolError
-from .evaluation import nway_evaluate
+from .evaluation import nway_reports
 from .pixmap import read_pixmap, to_bytes_quantized, write_pixmap
 from .providers import BankProvider, EmbeddingBank, SyntheticProvider
 
@@ -168,18 +170,19 @@ def _evaluate(config: RunConfig, out: Path, seed) -> str:
                    {"model": _model(config, bank), "arrays": expected})
 
     test_ids = bank.indices("test")
-    # fail before the costly encoding, with nway_evaluate's message
-    largest = max(config.evaluation.gallery_sizes)
+    e = config.evaluation
+    # fail before the costly encoding, with nway_reports' message
+    largest = max(e.gallery_sizes)
     if largest > len(test_ids):
         raise ConfigError(f"gallery size n={largest} exceeds the test set size {len(test_ids)}")
     f_n, latent = encode_pairs(config, bank, provider, arrays, test_ids)
     del provider  # its cached rows are not asked for again
-    similarity = cosine_similarity_matrix(f_n, latent)
-    truth = np.arange(len(test_ids))
-    reports = [
-        nway_evaluate(similarity, truth, n, config.evaluation.trials, config.evaluation.seed)
-        for n in config.evaluation.gallery_sizes
-    ]
+    # the cosine is ranked a block of query rows at a time, so no
+    # (queries, gallery) matrix is held; its rows are per-row sums, so each
+    # block has the bits of the whole matrix's rows
+    blocks = (cosine_similarity_matrix(f_n[start : start + _QUERY_BLOCK], latent)
+              for start in range(0, len(test_ids), _QUERY_BLOCK))
+    reports = nway_reports(blocks, np.arange(len(test_ids)), e.gallery_sizes, e.trials, e.seed)
 
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "eval.csv", _EVAL_COLUMNS, [

@@ -88,7 +88,8 @@ def generate_dataset(config: RunConfig, directory) -> EmbeddingBank:
     `train_samples_per_class` renderings each; the remaining classes are
     test classes with a single rendering each (one image per concept).
     Samples are rendered, encoded and written BLOCK at a time, so at most
-    BLOCK images are held at once.
+    BLOCK images are held at once. A MemoryError raised from then on says
+    that `directory` is left incomplete, with no bank written.
     """
     d = config.data
     train_classes = d.classes - d.test_classes
@@ -114,23 +115,27 @@ def generate_dataset(config: RunConfig, directory) -> EmbeddingBank:
     features = np.empty((len(samples), len(levels), config.views.count, dim), dtype=np.float32)
     root = Path(directory)
     (root / IMAGES_DIR).mkdir(parents=True, exist_ok=True)
-    # every row is per image, so a block's rows equal those of one batch of all samples
-    for start in range(0, len(samples), BLOCK):
-        ids = np.arange(start, min(start + BLOCK, len(samples)))
-        for i in ids.tolist():
-            class_id, copy = samples[i]
-            rng = _stream(d.seed, _SAMPLE_TAG, class_id, copy)
-            images[i] = render_sample(styles[class_id], rng, d.image_size)
-        clean[ids] = provider.encoder.encode(np.stack(images[start : start + BLOCK]) / 255.0)
-        # one request per level; the provider's cache serves the
-        # kernel-independent rows, the noise row included, once per sample
-        for j, level in enumerate(levels):
-            kernels = np.full(len(ids), level)
-            features[ids, j] = provider.features(ids, kernels, d.seed + _VIEW_NOISE_TAG, 0)
-        for i in ids.tolist():
-            write_pixmap(_image_path(root, i), images[i])
-            images[i] = None
-        provider._rows.clear()  # no row of a finished block is asked for again
+    try:
+        # every row is per image, so a block's rows equal those of one batch of all samples
+        for start in range(0, len(samples), BLOCK):
+            ids = np.arange(start, min(start + BLOCK, len(samples)))
+            for i in ids.tolist():
+                class_id, copy = samples[i]
+                rng = _stream(d.seed, _SAMPLE_TAG, class_id, copy)
+                images[i] = render_sample(styles[class_id], rng, d.image_size)
+            clean[ids] = provider.encoder.encode(np.stack(images[start : start + BLOCK]) / 255.0)
+            # one request per level; the provider's cache serves the
+            # kernel-independent rows, the noise row included, once per sample
+            for j, level in enumerate(levels):
+                kernels = np.full(len(ids), level)
+                features[ids, j] = provider.features(ids, kernels, d.seed + _VIEW_NOISE_TAG, 0)
+            for i in ids.tolist():
+                write_pixmap(_image_path(root, i), images[i])
+                images[i] = None
+            provider._rows.clear()  # no row of a finished block is asked for again
+    except MemoryError as exc:  # some pixmaps may be written, but no bank
+        raise MemoryError(f"{exc}; {root} is left incomplete, with no {BANK_FILE} "
+                          f"written by this run") from exc
     neural_map = _stream(d.seed, _MAP_TAG).standard_normal((dim, d.dim_neural)) / np.sqrt(dim)
     bank = EmbeddingBank(
         tag=d.tag,

@@ -1,4 +1,5 @@
-"""Zero-shot retrieval metrics over a query/gallery similarity matrix.
+"""Zero-shot retrieval metrics over a query/gallery similarity matrix,
+given whole or as consecutive blocks of query rows.
 
 Queries index rows, gallery items columns; `truth` maps each query to its
 single relevant gallery column. Ranks break similarity ties by the lower
@@ -16,7 +17,7 @@ import numpy as np
 from .config import _UNIT, parse_record
 from .errors import ConfigError
 
-__all__ = ["similarity_score", "EvalReport", "nway_evaluate"]
+__all__ = ["similarity_score", "EvalReport", "nway_reports", "nway_evaluate"]
 
 
 def _check_matrix(similarity: np.ndarray, truth) -> tuple[np.ndarray, np.ndarray]:
@@ -94,46 +95,88 @@ def _trial_ranks(sim: np.ndarray, truth: np.ndarray, n: int, rng) -> np.ndarray:
     return ranks
 
 
-def nway_evaluate(
-    similarity: np.ndarray, truth, n: int, trials: int, seed: int
-) -> EvalReport:
-    """Average retrieval metrics over seeded n-way galleries.
+def nway_reports(blocks, truth, sizes, trials: int, seed: int) -> list[EvalReport]:
+    """Retrieval metrics averaged over seeded n-way galleries, one report
+    per gallery size in `sizes`, from a similarity matrix given as
+    `blocks`: consecutive `(rows, gallery)` arrays whose rows, in order,
+    are the queries of `truth`. One block is held at a time.
 
     Per trial, each query faces its true item plus n - 1 distractors
-    sampled without replacement from the remaining gallery (PCG64 seeded
-    by (seed, trial)). When n is the gallery size every other column is a
-    distractor whatever the draw, so each query is ranked once, with no
-    generator, and the report does not depend on `seed`. Top-5 uses
-    k = min(5, n). The similarity score is the mean diagonal of the full
-    matrix and does not depend on trials.
+    drawn without replacement from the rest of the gallery by PCG64
+    seeded with (seed, trial). Each trial's generator is made before the
+    first block and kept across blocks, so every query gets the draw of
+    one pass over the whole matrix. When n is the gallery size every
+    other column is a distractor whatever the draw, so each query is
+    ranked once, with no generator, and the report does not depend on
+    `seed`. Top-5 uses k = min(5, n). The ranks fill a (trials, queries)
+    table per size (one row for the full gallery), and each trial's means
+    are summed after the last block, so the reports keep their bits
+    however the matrix is split. The similarity score is the mean
+    diagonal of a square matrix, and None otherwise.
     """
-    sim, t = _check_matrix(similarity, truth)
-    n_gallery = sim.shape[1]
-    if n > n_gallery:
-        raise ConfigError(f"gallery size n={n} exceeds the test set size {n_gallery}")
-    if n < 1:
-        raise ConfigError(f"gallery size n must be >= 1, got {n}")
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
-    k5 = min(5, n)
-    full = n == n_gallery
-    ranks = _trial_ranks(sim, t, n, None) if full else None
-    top1_sum = top5_sum = ap_sum = 0.0
-    for trial in range(trials):
-        if not full:
-            rng = np.random.default_rng(np.random.SeedSequence((seed, trial)))
-            ranks = _trial_ranks(sim, t, n, rng)
+    t = np.asarray(truth, dtype=np.int64)
+    if t.ndim != 1 or len(t) < 1:
+        raise ValueError(f"expected a vector of truth indices, got shape {t.shape}")
+    n_gallery = stop = 0
+    for block in blocks:
+        sim = np.asarray(block, dtype=np.float64)
+        if sim.ndim != 2 or min(sim.shape) < 1 or n_gallery not in (0, sim.shape[1]):
+            raise ValueError(f"expected a (queries, {n_gallery or 'gallery'}) block of "
+                             f"similarities, got shape {sim.shape}")
+        start, stop = stop, stop + sim.shape[0]
+        if stop > len(t):
+            raise ValueError(f"truth shape {t.shape} does not match {stop} or more queries")
+        if not n_gallery:  # the first block sets the gallery
+            n_gallery = sim.shape[1]
+            tables = _rank_tables(t, n_gallery, sizes, trials, seed)
+            diagonal = np.empty(len(t)) if len(t) == n_gallery else None
+        for n, table, rngs in tables:
+            for row, rng in zip(table, rngs):
+                row[start:stop] = _trial_ranks(sim, t[start:stop], n, rng)
+        if diagonal is not None:
+            diagonal[start:stop] = np.diagonal(sim, offset=start)
+        del block, sim  # let go of this block before the next one is made
+    if stop != len(t):
+        raise ValueError(f"truth shape {t.shape} does not match {stop} queries")
+    reports = []
+    for n, table, _ in tables:
+        k5 = min(5, n)
+        top1_sum = top5_sum = ap_sum = 0.0
         # one sum per trial, as many trials as asked, so the means keep
-        # the bits of the per-trial loop
-        top1_sum += (ranks <= 1).mean()
-        top5_sum += (ranks <= k5).mean()
-        ap_sum += (1.0 / ranks).mean()
-    return EvalReport(
-        gallery_size=n,
-        trials=trials,
-        seed=seed,
-        top1=top1_sum / trials,
-        top5=top5_sum / trials,
-        mean_ap=ap_sum / trials,
-        similarity=similarity_score(sim) if sim.shape[0] == sim.shape[1] else None,
-    )
+        # the bits of a per-trial loop
+        for ranks in np.broadcast_to(table, (trials, len(t))):
+            top1_sum += (ranks <= 1).mean()
+            top5_sum += (ranks <= k5).mean()
+            ap_sum += (1.0 / ranks).mean()
+        reports.append(EvalReport(
+            gallery_size=n, trials=trials, seed=seed, top1=top1_sum / trials,
+            top5=top5_sum / trials, mean_ap=ap_sum / trials,
+            similarity=None if diagonal is None else float(np.mean(diagonal)),
+        ))
+    return reports
+
+
+def _rank_tables(truth: np.ndarray, n_gallery: int, sizes, trials: int, seed: int) -> list:
+    """(n, rank table, generator per table row) for each gallery size n."""
+    if np.any(truth < 0) or np.any(truth >= n_gallery):
+        raise ValueError("truth indices outside the gallery")
+    tables = []
+    for n in sizes:
+        if n > n_gallery:
+            raise ConfigError(f"gallery size n={n} exceeds the test set size {n_gallery}")
+        if n < 1:
+            raise ConfigError(f"gallery size n must be >= 1, got {n}")
+        if trials < 1:
+            raise ConfigError(f"trials must be >= 1, got {trials}")
+        rngs = [None] if n == n_gallery else [
+            np.random.default_rng(np.random.SeedSequence((seed, trial))) for trial in range(trials)
+        ]
+        tables.append((n, np.empty((len(rngs), len(truth)), dtype=np.int64), rngs))
+    return tables
+
+
+def nway_evaluate(similarity: np.ndarray, truth, n: int, trials: int, seed: int) -> EvalReport:
+    """`nway_reports` for the one gallery size n, with the whole similarity
+    matrix as its one block."""
+    sim, t = _check_matrix(similarity, truth)
+    return nway_reports([sim], t, [n], trials, seed)[0]

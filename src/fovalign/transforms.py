@@ -199,8 +199,12 @@ def add_noise(image: np.ndarray, sigma: float, seed: int) -> np.ndarray:
     if sigma == 0.0:
         return arr.copy()
     rng = np.random.default_rng(seed)
-    noise = rng.standard_normal(arr.shape) * (sigma / 255.0)
-    return np.clip(arr + noise, 0.0, 1.0)
+    # one buffer: the draw is scaled, offset by the image and clipped in
+    # place; addition commutes, so these are the bits of clip(arr + noise)
+    noise = rng.standard_normal(arr.shape)
+    noise *= sigma / 255.0
+    noise += arr
+    return np.clip(noise, 0.0, 1.0, out=noise)
 
 
 def _axis_sources(n_src: int, n_dst: int) -> np.ndarray:

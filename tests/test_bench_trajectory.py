@@ -98,3 +98,16 @@ def test_records_from_another_environment_are_refused(records, tmp_path):
     write_records(other, "train-synthetic", {"train_s": [5.0, 5.0]}, nproc=4)
     with pytest.raises(SystemExit, match="disagree on the environment"):
         run(records, other)
+
+
+def test_records_of_two_commits_are_refused_naming_the_files(tmp_path):
+    write_records(tmp_path / "change", "train-synthetic", {"train_s": [5.0, 5.0]}, git_commit="aaa")
+    write_records(tmp_path / "change", "train-bank", {"train_s": [1.0]}, git_commit="bbb")
+    with pytest.raises(SystemExit) as refused:
+        run(tmp_path, None)
+    assert str(refused.value) == (
+        f"records under {tmp_path / 'change'} disagree on git_commit: "
+        "aaa: train-synthetic-seed0-trace0.json, train-synthetic-seed0-trace1.json, "
+        "train-synthetic-seed1-trace0.json; bbb: train-bank-seed0-trace0.json, "
+        "train-bank-seed0-trace1.json"
+    )

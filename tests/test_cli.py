@@ -755,15 +755,48 @@ def test_evaluate_holds_no_provider_while_it_ranks(gallery, tmp_path, monkeypatc
         providers.append(weakref.ref(provider))
         return bank, provider
 
-    def cosine(*args):
+    def cosine(queries, gallery):
         gc.collect()
-        alive.append(sum(ref() is not None for ref in providers))
-        return real_cosine(*args)
+        alive.append((len(queries), sum(ref() is not None for ref in providers)))
+        return real_cosine(queries, gallery)
 
     monkeypatch.setattr(fovalign.cli, "_load_data", load)
     monkeypatch.setattr(fovalign.cli, "cosine_similarity_matrix", cosine)
     assert main(["evaluate", "--config", str(gallery), "--out", str(tmp_path / "e")]) == 0
-    assert len(providers) == 1 and alive == [0]
+    # one cosine call per block of query rows, and no provider alive at any
+    assert len(providers) == 1 and alive == [(64, 0), (64, 0), (2, 0)]
+
+
+def test_evaluate_ranks_without_a_queries_by_gallery_matrix(gallery, tmp_path, monkeypatch):
+    # 1024 queries of random latents: the whole cosine matrix would be 8 MiB
+    queries = 1024
+    raw = json.loads(gallery.read_text(encoding="utf-8"))
+    raw["data"].update(classes=4 + queries, test_classes=queries)  # the config's own check
+    raw["evaluation"].update(gallery_sizes=[queries, 50, 2], trials=10)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(raw), encoding="utf-8")
+    real_write, peaks = fovalign.cli._write_csv, []
+
+    def encode(config, bank, provider, params, ids):
+        rng = np.random.default_rng(0)
+        encoded = tuple(rng.standard_normal((len(ids), config.fusion.dim_latent)) for _ in "ab")
+        tracemalloc.start()  # traces the cosine and the ranking, up to eval.csv
+        return encoded
+
+    def write_csv(path, header, rows):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        real_write(path, header, rows)
+
+    monkeypatch.setattr(fovalign.EmbeddingBank, "indices", lambda self, split: np.arange(queries))
+    monkeypatch.setattr(fovalign.cli, "encode_pairs", encode)
+    monkeypatch.setattr(fovalign.cli, "_write_csv", write_csv)
+    try:
+        assert main(["evaluate", "--config", str(cfg), "--out", str(tmp_path / "e")]) == 0
+    finally:
+        tracemalloc.stop()
+    assert f"{queries} zero-shot test queries" in (tmp_path / "e" / "summary.txt").read_text()
+    assert peaks[0] < queries * queries * 8 / 4, f"{peaks[0] / 2**20:.2f} MiB"
 
 
 def _changed(value):
@@ -1186,6 +1219,11 @@ def test_config_too_large_for_memory_exits_2(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: out of memory: ")
     assert "(3, 100000, 100000)" in proc.stderr  # NumPy names the refused array
+    # images/ exists by then, so the dataset directory is named as incomplete
+    assert proc.stderr.rstrip().endswith(
+        f"; {tmp_path / 'data'} is left incomplete, with no bank.bicp written by this run")
+    assert (tmp_path / "data" / "images").is_dir()
+    assert not (tmp_path / "data" / "bank.bicp").exists()
     assert "Traceback" not in proc.stderr
 
 

@@ -1,6 +1,8 @@
 """Retrieval metrics against brute-force oracles."""
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -10,7 +12,9 @@ from hypothesis import strategies as st
 from conftest import every_other_column
 from fovalign import evaluation
 from fovalign.errors import ConfigError
-from fovalign.evaluation import EvalReport, _ranks_among_draws, nway_evaluate, similarity_score
+from fovalign.evaluation import (
+    EvalReport, _ranks_among_draws, nway_evaluate, nway_reports, similarity_score,
+)
 
 
 def oracle_rank(scores, true_index):
@@ -318,6 +322,91 @@ class TestNWayMatchesLoop:
         assert nway_evaluate(sim, truth, n, trials=2, seed=seed) == (
             loop_nway_evaluate(sim, truth, n, trials=2, seed=seed)
         )
+
+
+def row_blocks(sim: np.ndarray, cuts) -> list[np.ndarray]:
+    """`sim` split into consecutive blocks of query rows at the row indices `cuts`."""
+    return np.split(sim, sorted(set(cuts)))
+
+
+class TestBlocks:
+    """`nway_reports` over row blocks equals `nway_evaluate` on the whole matrix."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        queries=st.integers(min_value=1, max_value=12),
+        extra=st.integers(min_value=-3, max_value=6),
+        trials=st.integers(min_value=1, max_value=4),
+        ties=st.booleans(),
+        data=st.data(),
+    )
+    def test_any_split_gives_the_whole_matrix_bits(self, queries, extra, trials, ties, data):
+        gallery = max(1, queries + extra)  # Q != G: no similarity score
+        seed = data.draw(st.integers(min_value=0, max_value=2**31), label="seed")
+        rng = np.random.default_rng(seed)
+        if ties:  # integer scores in [-2, 2] tie often, the truth included
+            sim = rng.integers(-2, 3, size=(queries, gallery)).astype(float)
+        else:
+            sim = rng.standard_normal((queries, gallery))
+        truth = rng.integers(0, gallery, size=queries)
+        # cuts anywhere: one-row blocks and a one-row tail included
+        cuts = data.draw(st.lists(st.integers(min_value=1, max_value=max(1, queries - 1)),
+                                  max_size=queries - 1), label="cuts")
+        sizes = list(range(gallery, 0, -1))  # every gallery size, the full one first
+        got = nway_reports(row_blocks(sim, cuts), truth, sizes, trials, seed)
+        want = [nway_evaluate(sim, truth, n, trials, seed) for n in sizes]
+        assert got == want
+        assert want == [loop_nway_evaluate(sim, truth, n, trials, seed) for n in sizes]
+        assert all((r.similarity is None) == (queries != gallery) for r in got)
+
+    def test_one_row_blocks_of_a_square_matrix(self):
+        rng = np.random.default_rng(3)
+        sim = rng.integers(-2, 3, size=(9, 9)).astype(float)
+        truth = rng.permutation(9)
+        sizes = [9, 4, 2, 1]
+        got = nway_reports(iter(sim[:, None, :]), truth, sizes, trials=5, seed=1)
+        assert got == [nway_evaluate(sim, truth, n, trials=5, seed=1) for n in sizes]
+        assert got[0].similarity == similarity_score(sim)
+
+    def test_one_generator_per_trial_of_each_partial_gallery(self, monkeypatch):
+        sim = np.random.default_rng(4).standard_normal((10, 10))
+        made, real = [], np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: made.append(a) or real(*a))
+        nway_reports(row_blocks(sim, [1, 2, 5, 9]), np.arange(10), [10, 6, 2], trials=3, seed=0)
+        assert len(made) == 2 * 3  # none for the full gallery, none per block
+
+    def test_blocks_are_held_one_at_a_time(self):
+        sim = np.random.default_rng(5).standard_normal((6, 6))
+        held = []
+
+        def blocks():  # notes, as each block is made, whether the last one is alive
+            last = lambda: None  # noqa: E731
+            for start in range(6):
+                gc.collect()
+                held.append(last() is not None)
+                block = sim[start : start + 1].copy()
+                last = weakref.ref(block)
+                yield block
+                del block
+
+        nway_reports(blocks(), np.arange(6), [6, 3], trials=2, seed=0)
+        assert held == [False] * 6
+
+    @pytest.mark.parametrize("blocks, message", [
+        ([], "does not match 0 queries"),
+        ([np.zeros((2, 3))], "does not match 2 queries"),
+        ([np.zeros((2, 3)), np.zeros((2, 3))], "does not match 4 or more queries"),
+        ([np.zeros((2, 3)), np.zeros((1, 4))], r"expected a \(queries, 3\) block"),
+        ([np.zeros((2, 3)), np.zeros((0, 3))], r"expected a \(queries, 3\) block"),
+        ([np.zeros(3)], r"expected a \(queries, gallery\) block"),
+    ])
+    def test_rejections(self, blocks, message):
+        with pytest.raises(ValueError, match=message):
+            nway_reports(blocks, [0, 1, 2], [2], trials=1, seed=0)
+
+    def test_truth_outside_the_gallery(self):
+        with pytest.raises(ValueError, match="truth indices outside the gallery"):
+            nway_reports([np.zeros((2, 3))], [0, 3], [2], trials=1, seed=0)
 
 
 @settings(max_examples=100, deadline=None)

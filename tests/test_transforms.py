@@ -457,6 +457,22 @@ class TestAddNoise:
         )
         np.testing.assert_array_equal(add_noise(image, 5.0, 9), expected)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sigma=st.floats(min_value=0.0, max_value=400.0, exclude_min=True),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        shape=st.tuples(*[st.integers(min_value=1, max_value=6)] * 3),
+    )
+    def test_one_buffer_keeps_the_bits_of_two_temporaries(self, sigma, seed, shape):
+        # a third of the pixels sit at 0 or 1, where the clip binds
+        rng = np.random.default_rng(seed)
+        image = rng.random(shape)
+        image[rng.random(shape) < 1 / 6] = 0.0
+        image[rng.random(shape) < 1 / 6] = 1.0
+        draw = np.random.default_rng(seed).standard_normal(shape)
+        expected = np.clip(image + draw * (sigma / 255.0), 0.0, 1.0)
+        assert add_noise(image, sigma, seed).tobytes() == expected.tobytes()
+
 
 class TestResample:
     def test_scale_one_identity(self):

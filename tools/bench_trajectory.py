@@ -7,10 +7,13 @@
         --tier1-wall-s 84.0 --tier1-result "532 passed, 1 skipped"
 
 Reads every `<workload>-seed<n>-trace<t>.json` record that `bench/run.py`
-wrote under `--records`. For the untraced records (`--trace 0`) it gives,
-per workload and end-to-end metric, the median, the first and third
-quartiles and the value of each seed; for the traced records (`--trace 1`)
-it copies the per-layer metrics of each seed. The smoke figures are those
+wrote under `--records`, and refuses a directory whose records disagree
+on `git_commit`, naming the files on each side. Records of an uncommitted
+change carry the stamp of the commit it sits on, so this does not tell
+them from that commit's own records. For the untraced records
+(`--trace 0`) it gives, per workload and end-to-end metric, the median,
+the first and third quartiles and the value of each seed; for the traced
+records (`--trace 1`) it copies the per-layer metrics of each seed. The smoke figures are those
 of acceptance criterion 7 (`tests/test_acceptance.py`), which the records
 do not hold. The file is written to `BENCH_<label>.json` at the repository
 root, or to `--out`.
@@ -46,9 +49,19 @@ def quartiles(values: list[float]) -> dict:
 
 
 def load_records(directory: Path) -> list[dict]:
-    records = [json.loads(p.read_text()) for p in sorted(directory.glob("*-seed*-trace*.json"))]
+    """Every run record under `directory`; they must all carry one commit,
+    so a record left by a measurement of other code is refused, by name."""
+    paths = sorted(directory.glob("*-seed*-trace*.json"))
+    records = [json.loads(p.read_text()) for p in paths]
     if not records:
         raise SystemExit(f"no run records under {directory}")
+    by_commit: dict[str, list[str]] = {}
+    for path, record in zip(paths, records):
+        by_commit.setdefault(str(record.get("git_commit")), []).append(path.name)
+    if len(by_commit) > 1:
+        sides = "; ".join(f"{commit}: {', '.join(names)}"
+                          for commit, names in sorted(by_commit.items()))
+        raise SystemExit(f"records under {directory} disagree on git_commit: {sides}")
     return records
 
 

@@ -13,9 +13,11 @@ and once at the default thread count, each time in a fresh process that
 imports `fovalign` from its own tree's `src/`.
 
 The `regulated` recipe has 80 classes, 72 of them held out, so `evaluate`
-encodes its queries in two blocks; the kernel starts at 11 and moves over
-9-15, and the bank stores levels 5/9/13, so kernel 11 ties between two
-levels and 15 is clamped. `tiny` is the same shape at a few seconds' cost.
+encodes and ranks its queries in two blocks of 64 and 8: for the full
+72-way gallery, with no draws, and for 6- and 2-way galleries, whose
+seeded draws carry from one block to the next. The kernel starts at 11
+and moves over 9-15, and the bank stores levels 5/9/13, so kernel 11
+ties between two levels and 15 is clamped. `tiny` is the same shape at a few seconds' cost.
 
 Every file both runs wrote is compared by sha256. A CSV that differs is
 given the largest relative change per column. A checkpoint that differs
@@ -59,7 +61,7 @@ RECIPES = {
         "training": {"epochs": 12, "batch_size": 16, "learning_rate": 3e-3},
         "data": {**_REGULATED_BASE["data"], "classes": 80, "test_classes": 72,
                  "train_samples_per_class": 16},
-        "evaluation": {"gallery_sizes": [6, 2], "trials": 10},
+        "evaluation": {"gallery_sizes": [72, 6, 2], "trials": 10},
     },
     "tiny": {
         **_REGULATED_BASE,
