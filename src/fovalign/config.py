@@ -202,6 +202,17 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         parse_record(RunConfig, self, "", ConfigError)
+        # every int sizes or indexes int64 arrays; a seed only feeds a
+        # SeedSequence, which takes any size
+        for section, record in vars(self).items():
+            for name, value in vars(record).items():
+                if name == "kernel_max":
+                    value = self.kernel_max  # resolved, as the manifest writes it
+                many = isinstance(value, tuple)
+                for i, v in enumerate(value if many else (value,)):
+                    if name != "seed" and type(v) is int and not -(2**63) <= v < 2**63:
+                        raise ConfigError(
+                            f"{section}.{name}{f'[{i}]' if many else ''} must fit int64, got {v}")
         # the rules that compare two or more fields, and the provider kind
         t, r, tr, d, e = self.transforms, self.regulator, self.training, self.data, self.evaluation
         if self.views.count < 1:

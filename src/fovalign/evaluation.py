@@ -1,6 +1,7 @@
-"""Zero-shot retrieval metrics over a query/gallery similarity matrix,
-given whole or as consecutive blocks of query rows.
+"""Zero-shot retrieval metrics over a query/gallery similarity matrix.
 
+`nway_reports` ranks it as consecutive blocks of query rows and is the one
+place its inputs are checked; `nway_evaluate` gives it one whole block.
 Queries index rows, gallery items columns; `truth` maps each query to its
 single relevant gallery column. Ranks break similarity ties by the lower
 gallery index (a stable descending sort), so every metric is exactly
@@ -17,27 +18,7 @@ import numpy as np
 from .config import _UNIT, parse_record
 from .errors import ConfigError
 
-__all__ = ["similarity_score", "EvalReport", "nway_reports", "nway_evaluate"]
-
-
-def _check_matrix(similarity: np.ndarray, truth) -> tuple[np.ndarray, np.ndarray]:
-    sim = np.asarray(similarity, dtype=np.float64)
-    if sim.ndim != 2 or sim.shape[0] < 1 or sim.shape[1] < 1:
-        raise ValueError(f"expected a (queries, gallery) matrix, got shape {sim.shape}")
-    t = np.asarray(truth, dtype=np.int64)
-    if t.shape != (sim.shape[0],):
-        raise ValueError(f"truth shape {t.shape} does not match {sim.shape[0]} queries")
-    if np.any(t < 0) or np.any(t >= sim.shape[1]):
-        raise ValueError("truth indices outside the gallery")
-    return sim, t
-
-
-def similarity_score(similarity: np.ndarray) -> float:
-    """Mean diagonal similarity of a square pairing matrix."""
-    sim = np.asarray(similarity, dtype=np.float64)
-    if sim.ndim != 2 or sim.shape[0] != sim.shape[1]:
-        raise ValueError(f"similarity score needs a square matrix, got {sim.shape}")
-    return float(np.mean(np.diagonal(sim)))
+__all__ = ["EvalReport", "nway_reports", "nway_evaluate"]
 
 
 @dataclass(frozen=True)
@@ -177,6 +158,5 @@ def _rank_tables(truth: np.ndarray, n_gallery: int, sizes, trials: int, seed: in
 
 def nway_evaluate(similarity: np.ndarray, truth, n: int, trials: int, seed: int) -> EvalReport:
     """`nway_reports` for the one gallery size n, with the whole similarity
-    matrix as its one block."""
-    sim, t = _check_matrix(similarity, truth)
-    return nway_reports([sim], t, [n], trials, seed)[0]
+    matrix as its one block: its checks and messages are that path's own."""
+    return nway_reports([similarity], truth, [n], trials, seed)[0]

@@ -148,9 +148,7 @@ def gaussian_blur(image: np.ndarray, kernel_size: int) -> np.ndarray:
     which is a no-op up to roundoff because blurring is a convex
     combination of in-range values.
     """
-    arr = _check_image(image)
-    _check_kernel_size(kernel_size)
-    return _blur(arr, kernel_size)
+    return _blur(_check_image(image), kernel_size)
 
 
 def _blur(arr: np.ndarray, kernel_size: int) -> np.ndarray:

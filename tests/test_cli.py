@@ -1201,20 +1201,24 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
+def capped_env() -> dict:
+    """The environment of a capped child: this package first on its path."""
+    pytest.importorskip("resource")
+    src_dir = str(Path(fovalign.__file__).resolve().parents[1])
+    inherited = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src_dir, inherited])),
+                OPENBLAS_NUM_THREADS="1")
+
+
 def test_config_too_large_for_memory_exits_2(tmp_path):
     # a 100000x100000 canvas is 224 GiB; the child's address space is capped
     # at 3 GiB, so the refused allocation never reaches the host
-    pytest.importorskip("resource")
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"data": {"image_size": 100000}}))
-    src_dir = str(Path(fovalign.__file__).resolve().parents[1])
-    inherited = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src_dir, inherited])),
-               OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run(
         [sys.executable, "-c", _CAPPED_RUN, "generate", "--config", str(cfg),
          "--out", str(tmp_path / "data")],
-        capture_output=True, text=True, timeout=120, env=env,
+        capture_output=True, text=True, timeout=120, env=capped_env(),
     )
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: out of memory: ")
@@ -1225,6 +1229,72 @@ def test_config_too_large_for_memory_exits_2(tmp_path):
     assert (tmp_path / "data" / "images").is_dir()
     assert not (tmp_path / "data" / "bank.bicp").exists()
     assert "Traceback" not in proc.stderr
+
+
+# integer settings past int64, each run by the command that first uses it; left
+# to run, NumPy refuses the dimension, a bank level wraps negative, or the
+# value overflows a C long, each in a traceback
+BEYOND_INT64 = {
+    "data.dim_neural": ("generate", 10**19),
+    "data.bank_levels": ("generate", [10**19 + 1]),
+    "transforms.kernel_size": ("train", 2**63 + 1),
+    "transforms.perturbation": ("train", 2**64),
+    "evaluation.trials": ("evaluate", 2**63),
+}
+
+# runs each {name: argv} of stdin through main under the cap, and prints
+# {name: [exit code, stderr]}; an escaping exception is exit 1 with its traceback
+_CAPPED_RUNS = """
+import contextlib, io, json, resource, sys, traceback
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+from fovalign.cli import main
+results = {}
+for name, argv in json.load(sys.stdin).items():
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception:
+            code = 1
+            traceback.print_exc()
+    results[name] = [code, err.getvalue()]
+json.dump(results, sys.stdout)
+"""
+
+
+@pytest.fixture(scope="module")
+def beyond_int64_runs(tmp_path_factory):
+    """[exit code, stderr] of each BEYOND_INT64 case on the tiny config, all
+    run in one child capped at 3 GiB of address space."""
+    root = tmp_path_factory.mktemp("int64")
+    runs = {}
+    for field, (command, value) in BEYOND_INT64.items():
+        raw = tiny_config().to_dict()
+        raw["regulator"]["kernel_max"] = None  # resolved from the kernel size
+        section, name = field.split(".")
+        raw[section][name] = value
+        cfg = root / f"{field}.json"
+        cfg.write_text(json.dumps(raw))
+        runs[field] = [command, "--config", str(cfg), "--out", str(root / field)]
+    proc = subprocess.run([sys.executable, "-c", _CAPPED_RUNS], input=json.dumps(runs),
+                          capture_output=True, text=True, timeout=120, env=capped_env())
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("field", list(BEYOND_INT64))
+def test_int_beyond_int64_exits_2_naming_the_field(beyond_int64_runs, field):
+    value = BEYOND_INT64[field][1]
+    where, shown = (f"{field}[0]", value[0]) if isinstance(value, list) else (field, value)
+    assert beyond_int64_runs[field] == [2, f"error: {where} must fit int64, got {shown}\n"]
+
+
+def test_seed_beyond_int64_still_trains(bank_recipe, tmp_path, capsys):
+    assert train_with(bank_recipe, tmp_path, "training", "seed", 2**70) == 0, capsys.readouterr().err
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert manifest["seed"] == 2**70
 
 
 class TestErrorSurface:

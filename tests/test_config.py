@@ -253,6 +253,79 @@ def test_float_fields_must_be_finite(section, name, value):
         config_from_dict(raw)
 
 
+# one value per integer field just past int64 that passes the field's own
+# rule; a tuple holds it as its last entry
+BEYOND_INT64 = {
+    ("transforms", "kernel_size"): 2**63 + 1,
+    ("transforms", "perturbation"): 2**64,
+    ("transforms", "center"): [0, 2**63],
+    ("provider", "dim_feature"): 2**63,
+    ("fusion", "dim_latent"): 2**63,
+    ("fusion", "dim_hidden"): 2**63,
+    ("fusion", "dim_bottleneck"): 2**63,
+    ("training", "epochs"): 2**63,
+    ("training", "batch_size"): 2**63,
+    ("regulator", "start_epoch"): 2**63,
+    ("regulator", "kernel_min"): 2**63 + 1,
+    ("regulator", "kernel_max"): 2**63 + 1,
+    ("data", "classes"): 2**63,
+    ("data", "test_classes"): 2**63,
+    ("data", "train_samples_per_class"): 2**63,
+    ("data", "image_size"): 2**63,
+    ("data", "dim_neural"): 2**63,
+    ("data", "bank_levels"): [1, 2**63 + 1],
+    ("evaluation", "gallery_sizes"): [2**63],
+    ("evaluation", "trials"): 2**63,
+}
+SEEDS = [("provider", "seed"), ("training", "seed"), ("data", "seed"), ("evaluation", "seed")]
+
+
+def holds_ints(hint) -> bool:
+    return hint is int or any(holds_ints(a) for a in typing.get_args(hint))
+
+
+def test_every_int_field_is_checked_or_a_seed():
+    ints = {
+        (section.name, name)
+        for section in dataclasses.fields(RunConfig)
+        for name, hint in typing.get_type_hints(section.default_factory).items()
+        if holds_ints(hint)
+    }
+    assert ints == set(BEYOND_INT64) | set(SEEDS)
+
+
+@pytest.mark.parametrize("section,name", list(BEYOND_INT64))
+def test_int_fields_must_fit_int64(section, name):
+    value = BEYOND_INT64[section, name]
+    where, shown = f"{section}.{name}", value
+    if isinstance(value, list):
+        where, shown = f"{where}[{len(value) - 1}]", value[-1]
+    with pytest.raises(ConfigError) as caught:
+        config_from_dict({section: {name: value}})
+    assert str(caught.value) == f"{where} must fit int64, got {shown}"
+
+
+def test_int64_holds_its_largest_value_and_nothing_below_its_smallest():
+    assert config_from_dict({"training": {"epochs": 2**63 - 1}}).training.epochs == 2**63 - 1
+    with pytest.raises(ConfigError, match=r"^transforms\.center\[0\] must fit int64, got "
+                                          r"-9223372036854775809$"):
+        config_from_dict({"transforms": {"center": [-(2**63) - 1, 0]}})
+
+
+def test_resolved_kernel_max_must_fit_int64():
+    # the manifest writes kernel_max resolved, and must load again
+    with pytest.raises(ConfigError, match="^regulator.kernel_max must fit int64, got "
+                                          f"{2**63 + 1}$"):
+        config_from_dict({"transforms": {"kernel_size": 2**62 + 1}})
+
+
+@pytest.mark.parametrize("section,name", SEEDS)
+def test_seeds_take_any_size(section, name):
+    # a seed only feeds a SeedSequence, which takes any non-negative int
+    cfg = config_from_dict({section: {name: 2**70}})
+    assert getattr(getattr(cfg, section), name) == 2**70
+
+
 # numeric fields that only the rules comparing two or more fields check
 CROSS_FIELD_ONLY = {
     ("transforms", "center"),

@@ -13,7 +13,7 @@ from conftest import every_other_column
 from fovalign import evaluation
 from fovalign.errors import ConfigError
 from fovalign.evaluation import (
-    EvalReport, _ranks_among_draws, nway_evaluate, nway_reports, similarity_score,
+    EvalReport, _ranks_among_draws, nway_evaluate, nway_reports,
 )
 
 
@@ -68,7 +68,7 @@ def loop_nway_evaluate(similarity, truth, n, trials, seed):
         top1=top1_sum / trials,
         top5=top5_sum / trials,
         mean_ap=ap_sum / trials,
-        similarity=similarity_score(sim) if sim.shape[0] == sim.shape[1] else None,
+        similarity=float(np.mean(np.diagonal(sim))) if sim.shape[0] == sim.shape[1] else None,
     )
 
 
@@ -142,13 +142,15 @@ class TestAggregates:
         with pytest.raises(ValueError):
             nway_evaluate(sim, [0], n=4, trials=1, seed=0)
 
-    def test_similarity_score_is_mean_diagonal(self):
-        sim = np.array([[1.0, 0.0], [0.0, 0.5]])
-        assert similarity_score(sim) == pytest.approx(0.75)
-
-    def test_similarity_score_needs_square(self):
-        with pytest.raises(ValueError):
-            similarity_score(np.zeros((2, 3)))
+    @pytest.mark.parametrize("sim, truth, message", [
+        (np.zeros((2, 3)), [0], r"truth shape \(1,\) does not match 2 or more queries"),
+        (np.zeros((2, 3)), [0, 3], "truth indices outside the gallery"),
+        (np.zeros(3), [0], r"expected a \(queries, gallery\) block of similarities, "
+                           r"got shape \(3,\)"),
+    ], ids=["truth-too-short", "truth-outside", "one-axis"])
+    def test_reports_the_errors_of_nway_reports(self, sim, truth, message):
+        with pytest.raises(ValueError, match=message):
+            nway_evaluate(sim, truth, n=2, trials=1, seed=0)
 
 
 class TestEvalReport:
@@ -366,7 +368,7 @@ class TestBlocks:
         sizes = [9, 4, 2, 1]
         got = nway_reports(iter(sim[:, None, :]), truth, sizes, trials=5, seed=1)
         assert got == [nway_evaluate(sim, truth, n, trials=5, seed=1) for n in sizes]
-        assert got[0].similarity == similarity_score(sim)
+        assert got[0].similarity == float(np.mean(np.diagonal(sim)))
 
     def test_one_generator_per_trial_of_each_partial_gallery(self, monkeypatch):
         sim = np.random.default_rng(4).standard_normal((10, 10))
