@@ -5,7 +5,9 @@ place its inputs are checked; `nway_evaluate` gives it one whole block.
 Queries index rows, gallery items columns; `truth` maps each query to its
 single relevant gallery column. Ranks break similarity ties by the lower
 gallery index (a stable descending sort), so every metric is exactly
-reproducible and has a brute-force oracle.
+reproducible and has a brute-force oracle. Each block is compared with
+its truths once, into a boolean `beats` mask of the columns that outrank
+each query's truth; every trial then counts its drawn columns in it.
 """
 
 from __future__ import annotations
@@ -39,40 +41,41 @@ class EvalReport:
 RANK_BLOCK_DRAWS = 1 << 15
 
 
-def _ranks_among_draws(sim: np.ndarray, truth: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """Rank of each row's truth among itself and its drawn distractors.
-
-    `draws` holds, per row, distinct indices into the gallery without the
-    truth column; each is shifted past the truth to give a gallery column.
-    Over those columns j, rank = 1 + |{j : s_j > s_true}| +
-    |{j < true : s_j == s_true}|: ties go to the lower gallery index.
-    """
-    others = draws + (draws >= truth[:, None])
-    scores = np.take_along_axis(sim, others, axis=1)
+def _beats(sim: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """Bool mask: beats[q, j] when column j outranks row q's truth, by a
+    higher similarity or an equal one at a lower gallery index."""
     true_scores = np.take_along_axis(sim, truth[:, None], axis=1)
-    higher = (scores > true_scores).sum(axis=1)
-    tied_before = ((scores == true_scores) & (others < truth[:, None])).sum(axis=1)
-    return 1 + higher + tied_before
+    beats = sim > true_scores
+    beats |= (sim == true_scores) & (np.arange(sim.shape[1]) < truth[:, None])
+    return beats
 
 
-def _trial_ranks(sim: np.ndarray, truth: np.ndarray, n: int, rng) -> np.ndarray:
+def _ranks_among_draws(beats: np.ndarray, truth: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Rank of each row's truth among itself and its drawn distractors: 1 +
+    the drawn columns that beat it. `draws` holds, per row, distinct indices
+    into the gallery without the truth column; each is shifted past the
+    truth to give a gallery column."""
+    others = draws + (draws >= truth[:, None])
+    return 1 + np.take_along_axis(beats, others, axis=1).sum(axis=1)
+
+
+def _trial_ranks(beats: np.ndarray, truth: np.ndarray, n: int, rng) -> np.ndarray:
     """Each query's rank among its truth and n - 1 distractors drawn by
     `rng`, one draw per query in order, or among every other gallery column
-    when `rng` is None. Queries are ranked in blocks of at most
-    RANK_BLOCK_DRAWS distractors."""
-    n_queries, n_gallery = sim.shape
+    when `rng` is None. Drawn queries are ranked in chunks of at most
+    RANK_BLOCK_DRAWS distractors, whose draws fill one preallocated array."""
+    if rng is None:
+        return 1 + beats.sum(axis=1)
+    n_queries, n_gallery = beats.shape
     rows = max(1, RANK_BLOCK_DRAWS // max(1, n - 1))
     ranks = np.empty(n_queries, dtype=np.int64)
+    chunk = np.empty((min(rows, n_queries), n - 1), dtype=np.int64)
     for start in range(0, n_queries, rows):
         stop = min(start + rows, n_queries)
-        if rng is None:
-            draws = np.broadcast_to(np.arange(n - 1), (stop - start, n - 1))
-        else:
-            draws = np.stack([
-                rng.choice(n_gallery - 1, size=n - 1, replace=False)
-                for _ in range(start, stop)
-            ])
-        ranks[start:stop] = _ranks_among_draws(sim[start:stop], truth[start:stop], draws)
+        draws = chunk[: stop - start]
+        for row in draws:
+            row[:] = rng.choice(n_gallery - 1, size=n - 1, replace=False)
+        ranks[start:stop] = _ranks_among_draws(beats[start:stop], truth[start:stop], draws)
     return ranks
 
 
@@ -111,12 +114,13 @@ def nway_reports(blocks, truth, sizes, trials: int, seed: int) -> list[EvalRepor
             n_gallery = sim.shape[1]
             tables = _rank_tables(t, n_gallery, sizes, trials, seed)
             diagonal = np.empty(len(t)) if len(t) == n_gallery else None
+        beats = _beats(sim, t[start:stop])
         for n, table, rngs in tables:
             for row, rng in zip(table, rngs):
-                row[start:stop] = _trial_ranks(sim, t[start:stop], n, rng)
+                row[start:stop] = _trial_ranks(beats, t[start:stop], n, rng)
         if diagonal is not None:
             diagonal[start:stop] = np.diagonal(sim, offset=start)
-        del block, sim  # let go of this block before the next one is made
+        del block, sim, beats  # let go of this block before the next one is made
     if stop != len(t):
         raise ValueError(f"truth shape {t.shape} does not match {stop} queries")
     reports = []

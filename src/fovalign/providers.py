@@ -85,7 +85,9 @@ def _row_windows(n: int) -> tuple:
     """Height pooling of n rows as one (rows, weights) step per window
     offset. Step o holds, for every grid row, the o-th row of its window
     and that row's averaging weight; a grid row whose window is shorter
-    than o + 1 gets some row at weight 0, which adds an exact zero."""
+    than o + 1 gets some row at weight 0, which adds an exact zero. The
+    weights are a (POOL_GRID, 1) column, or one float when they are all
+    equal (every step when 16 divides n): the same products either way."""
     mat = _pool_matrix(n, POOL_GRID)
     starts = np.argmax(mat > 0, axis=1)
     lengths = np.count_nonzero(mat, axis=1)
@@ -94,6 +96,8 @@ def _row_windows(n: int) -> tuple:
         rows = np.minimum(starts + o, n - 1)
         weights = np.where(o < lengths, mat[np.arange(POOL_GRID), rows], 0.0)[:, None]
         rows.flags.writeable = weights.flags.writeable = False
+        if np.all(weights == weights[0]):
+            weights = float(weights[0, 0])
         if n % POOL_GRID == 0:  # equal windows: the rows are a strided view
             rows = slice(o, n, n // POOL_GRID)
         steps.append((rows, weights))

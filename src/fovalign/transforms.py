@@ -240,12 +240,17 @@ def _linear_table(n_src: int, n_dst: int) -> tuple:
 
 
 def _gather_linear(arr: np.ndarray, axis: int, n_dst: int) -> np.ndarray:
+    """One bilinear pass along `axis`: keep * a + frac * b, a and b the
+    gathered neighbours, made in those two buffers with no other temporary."""
     lo_idx, hi_idx, keep, frac = _linear_table(arr.shape[axis], n_dst)
     shape = [1] * arr.ndim
     shape[axis] = n_dst
     a = np.take(arr, lo_idx, axis=axis)
     b = np.take(arr, hi_idx, axis=axis)
-    return keep.reshape(shape) * a + frac.reshape(shape) * b
+    a *= keep.reshape(shape)
+    b *= frac.reshape(shape)
+    a += b
+    return a
 
 
 def resample(image: np.ndarray, scale: float, mode: str) -> np.ndarray:

@@ -23,7 +23,7 @@ from fovalign import fusion, nn
 from fovalign.alignment import batch_gradients, init_parameters, loss_and_gradients
 from fovalign.cli import main
 from fovalign.config import ablation_ladder, config_from_dict, config_hash
-from fovalign.evaluation import _ranks_among_draws
+from fovalign.evaluation import _beats, _ranks_among_draws
 from fovalign.providers import SyntheticProvider
 from fovalign.regulator import BlurSchedule, confidence_bounds
 from fovalign.transforms import foveation_mask, gaussian_blur, gaussian_kernel
@@ -219,7 +219,7 @@ def test_criterion_6_retrieval_metrics(tmp_path):
     for _ in range(500):
         sim = rng.standard_normal((10, 10))
         truth = rng.integers(0, 10, size=10)
-        got = _ranks_among_draws(sim, truth, every_other_column(shuffle, 10, 10))
+        got = _ranks_among_draws(_beats(sim, truth), truth, every_other_column(shuffle, 10, 10))
         for q in range(10):
             order = sorted(range(10), key=lambda j: (-sim[q, j], j))
             exact = exact and got[q] == 1 + order.index(int(truth[q]))
@@ -252,7 +252,8 @@ def test_criterion_6_retrieval_metrics(tmp_path):
         latent, _ = fusion.fusion_forward(feats, params, c.fusion)
         f_n = nn.affine_forward(neural, params["enc_w"], params["enc_b"])
         sim = f_n @ latent.T  # ranks are scale-free; cosine would tie out the same
-        ranks = _ranks_among_draws(sim, truth, every_other_column(shuffle, len(ids), len(ids)))
+        draws = every_other_column(shuffle, len(ids), len(ids))
+        ranks = _ranks_among_draws(_beats(sim, truth), truth, draws)
         hits += int((ranks == 1).sum())
     total = trials * len(ids)
     rate = hits / total

@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from conftest import every_other_column
 from fovalign import evaluation
 from fovalign.errors import ConfigError
 from fovalign.evaluation import (
-    EvalReport, _ranks_among_draws, nway_evaluate, nway_reports,
+    EvalReport, _beats, _ranks_among_draws, _trial_ranks, nway_evaluate, nway_reports,
 )
 
 
@@ -26,8 +27,9 @@ def oracle_rank(scores, true_index):
 def full_gallery_ranks(sim, truth):
     """`_ranks_among_draws` with every other gallery column drawn, shuffled."""
     sim = np.asarray(sim, dtype=np.float64)
+    truth = np.asarray(truth, dtype=np.int64)
     draws = every_other_column(np.random.default_rng(0), *sim.shape)
-    return _ranks_among_draws(sim, np.asarray(truth, dtype=np.int64), draws)
+    return _ranks_among_draws(_beats(sim, truth), truth, draws)
 
 
 def loop_nway_evaluate(similarity, truth, n, trials, seed):
@@ -78,7 +80,7 @@ class TestRanks:
         for _ in range(200):
             sim = rng.standard_normal((6, 9))
             truth = rng.integers(0, 9, size=6)
-            got = _ranks_among_draws(sim, truth, every_other_column(rng, 6, 9))
+            got = _ranks_among_draws(_beats(sim, truth), truth, every_other_column(rng, 6, 9))
             want = [oracle_rank(sim[q], int(truth[q])) for q in range(6)]
             np.testing.assert_array_equal(got, want)
 
@@ -87,7 +89,7 @@ class TestRanks:
         for _ in range(200):
             sim = rng.integers(0, 3, size=(5, 8)).astype(float)  # many ties
             truth = rng.integers(0, 8, size=5)
-            got = _ranks_among_draws(sim, truth, every_other_column(rng, 5, 8))
+            got = _ranks_among_draws(_beats(sim, truth), truth, every_other_column(rng, 5, 8))
             want = [oracle_rank(sim[q], int(truth[q])) for q in range(5)]
             np.testing.assert_array_equal(got, want)
 
@@ -326,6 +328,100 @@ class TestNWayMatchesLoop:
         )
 
 
+def regather_ranks(sim, truth, draws):
+    """Ranks from the drawn columns' float scores, gathered and compared
+    afresh for every trial: the oracle for the `beats`-mask ranking."""
+    others = draws + (draws >= truth[:, None])
+    scores = np.take_along_axis(sim, others, axis=1)
+    true_scores = np.take_along_axis(sim, truth[:, None], axis=1)
+    higher = (scores > true_scores).sum(axis=1)
+    tied_before = ((scores == true_scores) & (others < truth[:, None])).sum(axis=1)
+    return 1 + higher + tied_before
+
+
+def regather_trial_ranks(sim, truth, n, rng):
+    """`_trial_ranks` on the similarity block itself, its draws stacked
+    from one list per chunk and every chunk re-gathered by `regather_ranks`."""
+    n_queries, n_gallery = sim.shape
+    rows = max(1, evaluation.RANK_BLOCK_DRAWS // max(1, n - 1))
+    ranks = np.empty(n_queries, dtype=np.int64)
+    for start in range(0, n_queries, rows):
+        stop = min(start + rows, n_queries)
+        if rng is None:
+            draws = np.broadcast_to(np.arange(n - 1), (stop - start, n - 1))
+        else:
+            draws = np.stack([rng.choice(n_gallery - 1, size=n - 1, replace=False)
+                              for _ in range(start, stop)])
+        ranks[start:stop] = regather_ranks(sim[start:stop], truth[start:stop], draws)
+    return ranks
+
+
+@st.composite
+def rank_blocks(draw):
+    """(sim, truth): a 64-row or ragged block of a gallery of 1-80 items,
+    with heavy ties or none, and at times a NaN cell."""
+    rows = draw(st.sampled_from([64, 1, 2, 13, 63, 65, 100]), label="rows")
+    gallery = draw(st.integers(min_value=1, max_value=80), label="gallery")
+    rng = np.random.default_rng(draw(st.integers(0, 2**31), label="seed"))
+    if draw(st.booleans(), label="ties"):
+        sim = rng.integers(-2, 3, size=(rows, gallery)).astype(float)
+    else:
+        sim = rng.standard_normal((rows, gallery))
+    truth = rng.integers(0, gallery, size=rows)
+    if draw(st.booleans(), label="nan"):  # at the truth or anywhere else
+        q = int(rng.integers(rows))
+        sim[q, truth[q] if draw(st.booleans(), label="at truth") else rng.integers(gallery)] = np.nan
+    return sim, truth
+
+
+class TestBeatsMask:
+    """The `beats` mask ranks every trial with the bits of the float re-gather."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(block=rank_blocks(), seed=st.integers(0, 2**31))
+    def test_drawn_ranks_equal_the_regather(self, block, seed):
+        sim, truth = block
+        rng = np.random.default_rng(seed)
+        gallery = sim.shape[1]
+        for n in sorted({1, (gallery + 1) // 2, gallery}):
+            draws = np.stack([rng.choice(gallery - 1, size=n - 1, replace=False)
+                              for _ in truth])
+            got = _ranks_among_draws(_beats(sim, truth), truth, draws)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got.view(np.uint64),
+                                          regather_ranks(sim, truth, draws).view(np.uint64))
+
+    @settings(max_examples=150, deadline=None)
+    @given(block=rank_blocks(), seed=st.integers(0, 2**31),
+           block_draws=st.sampled_from([1, 7, 64, evaluation.RANK_BLOCK_DRAWS]))
+    def test_trial_ranks_and_stream_equal_the_regather(self, block, seed, block_draws):
+        # n = 1, a partial gallery and the full one, drawn in one chunk or
+        # ragged ones: the ranks keep their bits and the generators end
+        # in the same state
+        sim, truth = block
+        gallery = sim.shape[1]
+        beats = _beats(sim, truth)
+        assert beats.dtype == np.bool_ and beats.nbytes * 8 == sim.nbytes
+        with mock.patch.object(evaluation, "RANK_BLOCK_DRAWS", block_draws):
+            for n in sorted({1, (gallery + 1) // 2, gallery}):
+                got_rng = np.random.default_rng(np.random.SeedSequence((seed, n)))
+                want_rng = np.random.default_rng(np.random.SeedSequence((seed, n)))
+                got = _trial_ranks(beats, truth, n, got_rng)
+                want = regather_trial_ranks(sim, truth, n, want_rng)
+                np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state
+            full = _trial_ranks(beats, truth, gallery, None)
+            np.testing.assert_array_equal(
+                full.view(np.uint64),
+                regather_trial_ranks(sim, truth, gallery, None).view(np.uint64))
+
+    def test_a_nan_truth_ranks_first_and_a_nan_column_never_beats(self):
+        sim = np.array([[np.nan, 0.5, 0.2], [0.1, np.nan, 0.3]])
+        truth = np.array([0, 0])
+        np.testing.assert_array_equal(_beats(sim, truth), [[False] * 3, [False, False, True]])
+        assert _trial_ranks(_beats(sim, truth), truth, 3, None).tolist() == [1, 2]
+
+
 def row_blocks(sim: np.ndarray, cuts) -> list[np.ndarray]:
     """`sim` split into consecutive blocks of query rows at the row indices `cuts`."""
     return np.split(sim, sorted(set(cuts)))
@@ -420,7 +516,7 @@ def test_rank_bounds_and_oracle_property(n_gallery, seed):
     rng = np.random.default_rng(seed)
     sim = rng.integers(-2, 3, size=(3, n_gallery)).astype(float)
     truth = rng.integers(0, n_gallery, size=3)
-    ranks = _ranks_among_draws(sim, truth, every_other_column(rng, 3, n_gallery))
+    ranks = _ranks_among_draws(_beats(sim, truth), truth, every_other_column(rng, 3, n_gallery))
     assert np.all((1 <= ranks) & (ranks <= n_gallery))
     for q in range(3):
         assert ranks[q] == oracle_rank(sim[q], int(truth[q]))

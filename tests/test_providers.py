@@ -16,9 +16,11 @@ from conftest import (
 )
 from fovalign.config import TransformConfig, ViewsConfig
 from fovalign.errors import FormatError, ProtocolError
+from fovalign import providers
 from fovalign.providers import (
     BANK_MAGIC,
     BLOCK,
+    POOL_GRID,
     BankHeader,
     BankProvider,
     EmbeddingBank,
@@ -29,6 +31,32 @@ from fovalign.providers import (
     save_embedding_bank,
     select_kernel_level,
 )
+
+
+def column_row_windows(n: int) -> tuple:
+    """`providers._row_windows` with every step's weights kept as a
+    (POOL_GRID, 1) column, equal or not."""
+    mat = providers._pool_matrix(n, POOL_GRID)
+    starts = np.argmax(mat > 0, axis=1)
+    lengths = np.count_nonzero(mat, axis=1)
+    steps = []
+    for o in range(int(lengths.max())):
+        rows = np.minimum(starts + o, n - 1)
+        weights = np.where(o < lengths, mat[np.arange(POOL_GRID), rows], 0.0)[:, None]
+        if n % POOL_GRID == 0:
+            rows = slice(o, n, n // POOL_GRID)
+        steps.append((rows, weights))
+    return tuple(steps)
+
+
+def column_pool(images: np.ndarray) -> np.ndarray:
+    """`SyntheticEncoder._pool` multiplying every step by its weight column:
+    the oracle for the scalar-weight steps."""
+    *lead, height, width = images.shape
+    acc = np.zeros((*lead, POOL_GRID, width))
+    for rows, weights in column_row_windows(height):
+        acc += images[..., rows, :] * weights
+    return np.matmul(acc, providers._column_pool(width))
 
 
 class TestSyntheticEncoder:
@@ -66,6 +94,42 @@ class TestSyntheticEncoder:
         enc = SyntheticEncoder(8, seed=1)
         flat = enc._pool(np.full((3, 33, 47), 0.25))
         np.testing.assert_allclose(flat, 0.25, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        size=st.sampled_from([(64, 64), (40, 40), (20, 24), (33, 17), (7, 5), (37, 21)]),
+        lead=st.sampled_from([(3,), (1, 3), (16, 3), (5, 2)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_pool_equals_the_weight_column_oracle(self, size, lead, seed):
+        # signed pixels: a zero weight then adds -0.0 as well as +0.0
+        images = np.random.default_rng(seed).uniform(-1.0, 1.0, (*lead, *size))
+        got = SyntheticEncoder(8, seed=1)._pool(images)
+        np.testing.assert_array_equal(got.view(np.uint64), column_pool(images).view(np.uint64))
+
+    def test_equal_weights_are_one_float(self):
+        # 16 divides 64: four strided steps, each at the one weight 1/4
+        steps = providers._row_windows(64)
+        assert list(steps) == [(slice(o, 64, 4), 0.25) for o in range(4)]
+        assert all(type(weights) is float for _, weights in steps)
+        # 40 rows: every window is 3 rows long, so each step's weight is
+        # one float over an index array
+        steps = providers._row_windows(40)
+        assert [weights for _, weights in steps] == [1 / 3] * 3
+        assert all(isinstance(rows, np.ndarray) for rows, _ in steps)
+
+    @pytest.mark.parametrize("n", [5, 7, 37])
+    def test_mixed_and_zero_padded_steps_stay_columns(self, n):
+        # windows of unequal length: weights differ within a step, and a
+        # short window's last steps add a row at weight 0
+        steps = providers._row_windows(n)
+        assert all(weights.shape == (POOL_GRID, 1) and not weights.flags.writeable
+                   for _, weights in steps)
+        assert len(np.unique(steps[0][1])) > 1
+        assert np.any(steps[-1][1] == 0.0)
+        for (rows, weights), (want_rows, want_weights) in zip(steps, column_row_windows(n)):
+            np.testing.assert_array_equal(rows, want_rows)
+            np.testing.assert_array_equal(weights, want_weights)
 
     def test_small_images_poolable(self):
         # images below the pool grid still encode

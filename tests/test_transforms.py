@@ -44,6 +44,17 @@ def shrink(gather, image, height, width):
     return gather(gather(image, 1, height), 2, width)
 
 
+def temporaries_gather_linear(arr, axis, n_dst):
+    """`transforms._gather_linear` with a new array per operation: the two
+    gathers, the two products and their sum. The oracle for the in-buffer pass."""
+    lo_idx, hi_idx, keep, frac = transforms._linear_table(arr.shape[axis], n_dst)
+    shape = [1] * arr.ndim
+    shape[axis] = n_dst
+    a = np.take(arr, lo_idx, axis=axis)
+    b = np.take(arr, hi_idx, axis=axis)
+    return keep.reshape(shape) * a + frac.reshape(shape) * b
+
+
 def dense_blur_oracle(image: np.ndarray, kernel_size: int) -> np.ndarray:
     """One dense 2-D pass with the full outer-product kernel."""
     taps = gaussian_kernel(kernel_size)
@@ -570,6 +581,32 @@ class TestResample:
         expected = direct(direct(small, 1, height), 2, width)
         out = resample(image, scale, "nearest" if nearest else "bilinear")
         assert out.tobytes() == expected.tobytes()
+
+    @given(
+        size=st.sampled_from([(64, 64), (40, 40), (20, 24), (33, 17), (7, 5)]),
+        scale=st.sampled_from([0.5, 0.3, 1 / 16, 1.0]),
+        channels=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_in_buffer_passes_equal_the_temporaries_bit_for_bit(self, size, scale, channels,
+                                                                seed):
+        height, width = size
+        h_small, w_small = int(np.floor(height * scale)), int(np.floor(width * scale))
+        if h_small < 1 or w_small < 1:
+            return
+        image = np.random.default_rng(seed).random((channels, height, width))
+        small = shrink(temporaries_gather_linear, image, h_small, w_small)
+        np.testing.assert_array_equal(
+            shrink(transforms._gather_linear, image, h_small, w_small).view(np.uint64),
+            small.view(np.uint64))
+        want = shrink(temporaries_gather_linear, small, height, width)
+        np.testing.assert_array_equal(resample(image, scale, "bilinear").view(np.uint64),
+                                      want.view(np.uint64))
+        # the in-place products never write into the pass's input
+        before = image.copy()
+        transforms._gather_linear(image, 2, w_small)
+        np.testing.assert_array_equal(image, before)
 
     def test_cached_tables_are_read_only(self):
         tables = (transforms._nearest_index(9, 4), transforms._mosaic_index(9, 4),

@@ -17,7 +17,9 @@ encodes and ranks its queries in two blocks of 64 and 8: for the full
 72-way gallery, with no draws, and for 6- and 2-way galleries, whose
 seeded draws carry from one block to the next. The kernel starts at 11
 and moves over 9-15, and the bank stores levels 5/9/13, so kernel 11
-ties between two levels and 15 is clamped. `tiny` is the same shape at a few seconds' cost.
+ties between two levels and 15 is clamped. `tiny` is the same shape at a few seconds' cost,
+with `transforms.scale_low` 0.3: its 40-pixel images go to 12 and back, so
+the bilinear weights are not only the halving's 1/2, 1/4 and 3/4.
 
 Every file both runs wrote is compared by sha256. A CSV that differs is
 given the largest relative change per column. A checkpoint that differs
@@ -65,6 +67,7 @@ RECIPES = {
     },
     "tiny": {
         **_REGULATED_BASE,
+        "transforms": {**_REGULATED_BASE["transforms"], "scale_low": 0.3},
         "provider": {"dim_feature": 16},
         "fusion": {"dim_latent": 16, "dim_hidden": 16, "dim_bottleneck": 8},
         "training": {"epochs": 3, "batch_size": 4, "learning_rate": 3e-3},
