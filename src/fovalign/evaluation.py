@@ -3,11 +3,11 @@
 `nway_reports` ranks it as consecutive blocks of query rows and is the one
 place its inputs are checked; `nway_evaluate` gives it one whole block.
 Queries index rows, gallery items columns; `truth` maps each query to its
-single relevant gallery column. Ranks break similarity ties by the lower
-gallery index (a stable descending sort), so every metric is exactly
-reproducible and has a brute-force oracle. Each block is compared with
-its truths once, into a boolean `beats` mask of the columns that outrank
-each query's truth; every trial then counts its drawn columns in it.
+one relevant column. Ties break by the lower gallery index (a stable
+descending sort), so every metric is exactly reproducible by brute force.
+Each block is compared with its truths once, into a bool `beats` mask of
+the columns that outrank each query's truth. Each trial's draws for a
+block fill one int64 array, no larger than the block, counted in `beats`.
 """
 
 from __future__ import annotations
@@ -37,10 +37,6 @@ class EvalReport:
         parse_record(EvalReport, self, "", ValueError)
 
 
-# most distractor draws ranked at once; bounds the per-block temporaries
-RANK_BLOCK_DRAWS = 1 << 15
-
-
 def _beats(sim: np.ndarray, truth: np.ndarray) -> np.ndarray:
     """Bool mask: beats[q, j] when column j outranks row q's truth, by a
     higher similarity or an equal one at a lower gallery index."""
@@ -62,21 +58,14 @@ def _ranks_among_draws(beats: np.ndarray, truth: np.ndarray, draws: np.ndarray) 
 def _trial_ranks(beats: np.ndarray, truth: np.ndarray, n: int, rng) -> np.ndarray:
     """Each query's rank among its truth and n - 1 distractors drawn by
     `rng`, one draw per query in order, or among every other gallery column
-    when `rng` is None. Drawn queries are ranked in chunks of at most
-    RANK_BLOCK_DRAWS distractors, whose draws fill one preallocated array."""
+    when `rng` is None. The draws fill one int64 array per block and trial,
+    never larger than the float64 similarity block they rank."""
     if rng is None:
         return 1 + beats.sum(axis=1)
-    n_queries, n_gallery = beats.shape
-    rows = max(1, RANK_BLOCK_DRAWS // max(1, n - 1))
-    ranks = np.empty(n_queries, dtype=np.int64)
-    chunk = np.empty((min(rows, n_queries), n - 1), dtype=np.int64)
-    for start in range(0, n_queries, rows):
-        stop = min(start + rows, n_queries)
-        draws = chunk[: stop - start]
-        for row in draws:
-            row[:] = rng.choice(n_gallery - 1, size=n - 1, replace=False)
-        ranks[start:stop] = _ranks_among_draws(beats[start:stop], truth[start:stop], draws)
-    return ranks
+    draws = np.empty((len(truth), n - 1), dtype=np.int64)
+    for row in draws:
+        row[:] = rng.choice(beats.shape[1] - 1, size=n - 1, replace=False)
+    return _ranks_among_draws(beats, truth, draws)
 
 
 def nway_reports(blocks, truth, sizes, trials: int, seed: int) -> list[EvalReport]:

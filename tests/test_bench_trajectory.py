@@ -93,6 +93,23 @@ def test_a_gain_inside_the_parent_spread_is_not_shown(tmp_path):
     assert train_s["gain_shown"] is False
 
 
+def test_a_seed_run_on_one_side_only_is_refused_naming_its_records(tmp_path):
+    # a stale parent record of seed 7 and a change record of seed 3 would
+    # each shift one side's median without a pair
+    write_records(tmp_path / "parent", "train-synthetic", {"train_s": [5.0, 5.1, 5.2]})
+    write_records(tmp_path / "stale", "train-synthetic", {"train_s": [9.0] * 8})
+    stale = "train-synthetic-seed7-trace0.json"
+    (tmp_path / "parent" / stale).write_text((tmp_path / "stale" / stale).read_text())
+    write_records(tmp_path / "change", "train-synthetic", {"train_s": [4.0, 4.1, 4.2, 4.3]})
+    with pytest.raises(SystemExit) as refused:
+        run(tmp_path, tmp_path / "parent")
+    assert str(refused.value) == (
+        "seeds run on one side only, so these records have no pair: "
+        f"{tmp_path / 'change' / 'train-synthetic-seed3-trace0.json'}, "
+        f"{tmp_path / 'parent' / stale}"
+    )
+
+
 def test_records_from_another_environment_are_refused(records, tmp_path):
     other = tmp_path / "other"
     write_records(other, "train-synthetic", {"train_s": [5.0, 5.0]}, nproc=4)

@@ -3,7 +3,6 @@
 import dataclasses
 import gc
 import weakref
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import every_other_column
-from fovalign import evaluation
 from fovalign.errors import ConfigError
 from fovalign.evaluation import (
     EvalReport, _beats, _ranks_among_draws, _trial_ranks, nway_evaluate, nway_reports,
@@ -265,13 +263,13 @@ class TestNWayMatchesLoop:
                 loop_nway_evaluate(sim, truth, n, trials=4, seed=seed)
             )
 
-    @pytest.mark.parametrize("block_draws", [1, 3, 7])
-    def test_ragged_query_blocks(self, monkeypatch, block_draws):
-        # 1-3 queries per block: several blocks and a ragged last one
-        monkeypatch.setattr(evaluation, "RANK_BLOCK_DRAWS", block_draws)
-        sim, truth = self._tied(11, 14, seed=block_draws)
+    @pytest.mark.parametrize("rows", [1, 2, 3, 7])
+    def test_ragged_query_blocks(self, rows):
+        # 1-3 queries per block, or 7 and 4: several blocks and a ragged last one
+        sim, truth = self._tied(11, 14, seed=rows)
         for n in (1, 2, 3, 14):
-            assert nway_evaluate(sim, truth, n, trials=3, seed=5) == (
+            blocks = [sim[start:start + rows] for start in range(0, len(sim), rows)]
+            assert nway_reports(blocks, truth, [n], trials=3, seed=5)[0] == (
                 loop_nway_evaluate(sim, truth, n, trials=3, seed=5)
             )
 
@@ -340,20 +338,15 @@ def regather_ranks(sim, truth, draws):
 
 
 def regather_trial_ranks(sim, truth, n, rng):
-    """`_trial_ranks` on the similarity block itself, its draws stacked
-    from one list per chunk and every chunk re-gathered by `regather_ranks`."""
+    """`_trial_ranks` on the similarity block itself: one draw per query,
+    stacked for the whole block and re-gathered by `regather_ranks`."""
     n_queries, n_gallery = sim.shape
-    rows = max(1, evaluation.RANK_BLOCK_DRAWS // max(1, n - 1))
-    ranks = np.empty(n_queries, dtype=np.int64)
-    for start in range(0, n_queries, rows):
-        stop = min(start + rows, n_queries)
-        if rng is None:
-            draws = np.broadcast_to(np.arange(n - 1), (stop - start, n - 1))
-        else:
-            draws = np.stack([rng.choice(n_gallery - 1, size=n - 1, replace=False)
-                              for _ in range(start, stop)])
-        ranks[start:stop] = regather_ranks(sim[start:stop], truth[start:stop], draws)
-    return ranks
+    if rng is None:
+        draws = np.broadcast_to(np.arange(n - 1), (n_queries, n - 1))
+    else:
+        draws = np.stack([rng.choice(n_gallery - 1, size=n - 1, replace=False)
+                          for _ in range(n_queries)])
+    return regather_ranks(sim, truth, draws)
 
 
 @st.composite
@@ -392,28 +385,26 @@ class TestBeatsMask:
                                           regather_ranks(sim, truth, draws).view(np.uint64))
 
     @settings(max_examples=150, deadline=None)
-    @given(block=rank_blocks(), seed=st.integers(0, 2**31),
-           block_draws=st.sampled_from([1, 7, 64, evaluation.RANK_BLOCK_DRAWS]))
-    def test_trial_ranks_and_stream_equal_the_regather(self, block, seed, block_draws):
-        # n = 1, a partial gallery and the full one, drawn in one chunk or
-        # ragged ones: the ranks keep their bits and the generators end
-        # in the same state
+    @given(block=rank_blocks(), seed=st.integers(0, 2**31))
+    def test_trial_ranks_and_stream_equal_the_regather(self, block, seed):
+        # n = 1, a partial gallery and the full one, on a 64-row or ragged
+        # block: the ranks keep their bits and the generators end in the
+        # same state
         sim, truth = block
         gallery = sim.shape[1]
         beats = _beats(sim, truth)
         assert beats.dtype == np.bool_ and beats.nbytes * 8 == sim.nbytes
-        with mock.patch.object(evaluation, "RANK_BLOCK_DRAWS", block_draws):
-            for n in sorted({1, (gallery + 1) // 2, gallery}):
-                got_rng = np.random.default_rng(np.random.SeedSequence((seed, n)))
-                want_rng = np.random.default_rng(np.random.SeedSequence((seed, n)))
-                got = _trial_ranks(beats, truth, n, got_rng)
-                want = regather_trial_ranks(sim, truth, n, want_rng)
-                np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
-                assert got_rng.bit_generator.state == want_rng.bit_generator.state
-            full = _trial_ranks(beats, truth, gallery, None)
-            np.testing.assert_array_equal(
-                full.view(np.uint64),
-                regather_trial_ranks(sim, truth, gallery, None).view(np.uint64))
+        for n in sorted({1, (gallery + 1) // 2, gallery}):
+            got_rng = np.random.default_rng(np.random.SeedSequence((seed, n)))
+            want_rng = np.random.default_rng(np.random.SeedSequence((seed, n)))
+            got = _trial_ranks(beats, truth, n, got_rng)
+            want = regather_trial_ranks(sim, truth, n, want_rng)
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        full = _trial_ranks(beats, truth, gallery, None)
+        np.testing.assert_array_equal(
+            full.view(np.uint64),
+            regather_trial_ranks(sim, truth, gallery, None).view(np.uint64))
 
     def test_a_nan_truth_ranks_first_and_a_nan_column_never_beats(self):
         sim = np.array([[np.nan, 0.5, 0.2], [0.1, np.nan, 0.3]])

@@ -1,10 +1,11 @@
-"""tools/parity.py on its tiny recipe: a commit against itself, and a copy
-with one number perturbed."""
+"""tools/parity.py on its tiny recipe: a commit against itself, a copy
+with one number perturbed, and every recipe against its golden hash list."""
 
 from __future__ import annotations
 
 import csv
 import importlib.util
+import json
 import shutil
 import subprocess
 import sys
@@ -54,6 +55,36 @@ def test_head_against_itself_matches_every_file(tmp_path, capsys):
     listed = subprocess.run(["git", "-C", str(parity.REPO), "worktree", "list"],
                             capture_output=True, text=True, check=True).stdout
     assert str(tmp_path) not in listed
+
+
+@pytest.mark.parametrize("recipe", sorted(parity.RECIPES))
+def test_every_artifact_has_its_golden_sha256(recipe, request, tmp_path):
+    # the committed list pins every bit; on another NumPy, SciPy, BLAS or
+    # machine the bits may move, and the artifact-parity CI job checks
+    golden = json.loads((parity.GOLDEN / f"{recipe}.json").read_text(encoding="utf-8"))
+    host = parity.host_fingerprint()
+    moved = [f"{key} is {host.get(key)!r} here, {golden['host'].get(key)!r} in the list"
+             for key in sorted(host.keys() | golden["host"].keys())
+             if host.get(key) != golden["host"].get(key)]
+    if moved:
+        pytest.skip(f"tests/golden/{recipe}.json was written on another host: " + "; ".join(moved))
+    if recipe == "tiny":
+        run = request.getfixturevalue("tiny_run")
+    else:
+        run = tmp_path / "run"
+        parity.run_recipe(parity.REPO, run, recipe, parity.THREADS[golden["threads"]])
+    got, want = parity.file_hashes(run), golden["files"]
+    problems = [f"differs  {path}" for path in sorted(got.keys() & want.keys())
+                if got[path] != want[path]]
+    problems += [f"missing  {path}" for path in sorted(want.keys() - got.keys())]
+    problems += [f"extra    {path}" for path in sorted(got.keys() - want.keys())]
+    assert not problems, (
+        f"the {recipe} recipe's files do not match tests/golden/{recipe}.json:\n"
+        + "\n".join(problems)
+        + f"\n`python3 tools/parity.py --parent <base> --recipe {recipe}` gives the size of "
+        "each change; a change that moves bits on purpose rewrites the lists with "
+        "`python3 tools/parity.py --write-golden`"
+    )
 
 
 def test_every_artifact_of_the_recipe_is_there(tiny_run):

@@ -25,7 +25,8 @@ and lost (ties count for neither), the gain of the median in the metric's
 better direction (from BENCHMARK.json), the parent's interquartile range,
 and `gain_shown`: at least nine tenths of the pairs won and a median gain
 larger than that range. The parent's traced per-layer metrics go beside the
-change's.
+change's. A workload that both sides ran must have the same untraced seeds
+on each side, or the tool stops and names the records that have no pair.
 """
 
 from __future__ import annotations
@@ -49,10 +50,11 @@ def quartiles(values: list[float]) -> dict:
 
 
 def load_records(directory: Path) -> list[dict]:
-    """Every run record under `directory`; they must all carry one commit,
-    so a record left by a measurement of other code is refused, by name."""
+    """Every run record under `directory`, with its path as "file"; they
+    must all carry one commit, so a record left by a measurement of other
+    code is refused, by name."""
     paths = sorted(directory.glob("*-seed*-trace*.json"))
-    records = [json.loads(p.read_text()) for p in paths]
+    records = [{**json.loads(p.read_text()), "file": p} for p in paths]
     if not records:
         raise SystemExit(f"no run records under {directory}")
     by_commit: dict[str, list[str]] = {}
@@ -97,6 +99,22 @@ def end_to_end(records: list[dict]) -> dict:
 def better_directions() -> dict[str, str]:
     spec = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
     return {m["name"]: m["better"] for m in spec["end_to_end"]}
+
+
+def unpaired_records(change: list[dict], parent: list[dict]) -> list[Path]:
+    """The untraced records, on either side, of a seed that the other side
+    did not run, for each workload that both sides ran."""
+    ours, theirs = {}, {}
+    for side, records in ((ours, change), (theirs, parent)):
+        for r in records:
+            if r["trace"] == 0:
+                side.setdefault(r["workload"], {})[r["seed"]] = r["file"]
+    unpaired = []
+    for workload in sorted(ours.keys() & theirs.keys()):
+        for files, other in ((ours[workload], theirs[workload]),
+                             (theirs[workload], ours[workload])):
+            unpaired += [files[seed] for seed in sorted(files.keys() - other.keys())]
+    return unpaired
 
 
 def against_parent(change: dict, parent: dict, better: dict[str, str]) -> None:
@@ -171,6 +189,10 @@ def main(argv=None) -> int:
         parent = load_records(args.parent_records)
         if environment(parent) != bench["environment"]:
             raise SystemExit("parent and change records disagree on the environment")
+        unpaired = unpaired_records(records, parent)
+        if unpaired:
+            raise SystemExit("seeds run on one side only, so these records have no pair: "
+                             + ", ".join(map(str, unpaired)))
         against_parent(bench["end_to_end"], end_to_end(parent), better_directions())
         bench["per_layer_parent"] = per_layer(parent)
     out = args.out or REPO / f"BENCH_{args.label}.json"

@@ -3,6 +3,7 @@
 
     python3 tools/parity.py --parent REV [--change REV] [--recipe regulated|tiny]
         [--threads one,default] [--work DIR]
+    python3 tools/parity.py --write-golden [--work DIR]
 
 Checks REV out with `git worktree` under `.parity_work/` (gitignored) and
 runs one fixed recipe there and in the change: `generate`, `transform
@@ -30,6 +31,13 @@ number. A pixmap that differs is given its largest absolute level change.
 The checkouts are removed afterwards, and so are the run directories
 unless a file differs. Exit status: 0 when every file matches, 1 when one
 differs or exists on one side only, 2 when a checkout or a run fails.
+
+`--write-golden` runs every recipe on this working tree with one BLAS
+thread and writes `tests/golden/<recipe>.json`: the sha256 of each file,
+keyed by its relative path, and the host fingerprint the hashes depend
+on (NumPy and SciPy versions, NumPy's BLAS build and the machine type).
+Tier-1 compares a fresh run with these lists on a host of the same
+fingerprint. Exit status: 0 when the lists are written, 2 when a run fails.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -49,6 +58,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 WORK = REPO / ".parity_work"
+GOLDEN = REPO / "tests" / "golden"
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 TRANSFORM_SEED = 3
 
@@ -274,17 +284,23 @@ EXPLAIN = {".csv": csv_changes, ".bick": checkpoint_changes, ".bicp": bank_chang
            ".ppm": pixmap_changes}
 
 
+def file_hashes(directory: Path) -> dict[str, str]:
+    """The sha256 of every file under `directory`, keyed by its path
+    relative to it."""
+    return {p.relative_to(directory).as_posix(): _sha256(p)
+            for p in directory.rglob("*") if p.is_file()}
+
+
 def compare_dirs(parent: Path, change: Path) -> list[FileResult]:
     """One result per file under either directory, in path order."""
-    files_a = {p.relative_to(parent).as_posix() for p in parent.rglob("*") if p.is_file()}
-    files_b = {p.relative_to(change).as_posix() for p in change.rglob("*") if p.is_file()}
+    hashes_a, hashes_b = file_hashes(parent), file_hashes(change)
     results = []
-    for rel in sorted(files_a | files_b):
-        if rel not in files_b:
+    for rel in sorted(hashes_a.keys() | hashes_b.keys()):
+        if rel not in hashes_b:
             results.append(FileResult(rel, "parent only"))
-        elif rel not in files_a:
+        elif rel not in hashes_a:
             results.append(FileResult(rel, "change only"))
-        elif _sha256(parent / rel) == _sha256(change / rel):
+        elif hashes_a[rel] == hashes_b[rel]:
             results.append(FileResult(rel, "same"))
         else:
             explain = EXPLAIN.get(Path(rel).suffix)
@@ -304,6 +320,42 @@ def format_results(label: str, results: list[FileResult]) -> str:
         )
         lines.append(f"  {r.status:<12} {r.path}" + (f"  {detail}" if detail else ""))
     return "\n".join(lines)
+
+
+# -- golden lists --------------------------------------------------------------
+
+
+def host_fingerprint() -> dict[str, str]:
+    """What the artifacts' bits depend on besides the code: the NumPy and
+    SciPy versions, the BLAS that NumPy was built with, and the machine."""
+    import numpy as np
+    import scipy
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas_name": str(blas.get("name")),
+        "blas_version": str(blas.get("version")),
+        "blas_configuration": str(blas.get("openblas configuration")),
+        "machine": platform.machine(),
+    }
+
+
+def write_golden(work: Path) -> list[Path]:
+    """Run every recipe on this tree with one BLAS thread, in new
+    directories under `work`, and write each one's `tests/golden` list."""
+    host = host_fingerprint()
+    GOLDEN.mkdir(exist_ok=True)
+    written = []
+    for recipe in sorted(RECIPES):
+        run_recipe(REPO, work / recipe, recipe, THREADS["one"])
+        golden = {"recipe": recipe, "threads": "one", "host": host,
+                  "files": file_hashes(work / recipe)}
+        path = GOLDEN / f"{recipe}.json"
+        path.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        written.append(path)
+    return written
 
 
 # -- checkouts -----------------------------------------------------------------
@@ -331,7 +383,10 @@ def remove_worktree(tree: Path) -> None:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", required=True, metavar="REV")
+    target = parser.add_mutually_exclusive_group(required=True)
+    target.add_argument("--parent", metavar="REV")
+    target.add_argument("--write-golden", action="store_true",
+                        help="write tests/golden/<recipe>.json for this working tree")
     parser.add_argument("--change", metavar="REV", default=None,
                         help="a commit to compare instead of the working tree")
     parser.add_argument("--recipe", choices=sorted(RECIPES), default="regulated")
@@ -346,6 +401,16 @@ def main(argv=None) -> int:
 
     args.work.mkdir(parents=True, exist_ok=True)
     workdir = Path(tempfile.mkdtemp(prefix="run-", dir=args.work))
+    if args.write_golden:
+        try:
+            for path in write_golden(workdir):
+                print(path.relative_to(REPO))
+        except RuntimeError as exc:
+            print(exc, file=sys.stderr)
+            return 2
+        finally:
+            shutil.rmtree(workdir, ignore_errors=True)
+        return 0
     trees: dict[str, Path] = {}
     differ = False
     try:
