@@ -48,52 +48,34 @@ NORM_FLOOR = 1e-12
 _QUERY_BLOCK = 4 * BLOCK  # queries per encode_pairs fusion pass: four encoder blocks
 
 
-# elements in one block of products: 2**17 float64 values, 1 MiB; a block
-# of the cosine's normalisation takes half as many denominators
+# elements in one block of products: 2**17 float64 values, 1 MiB; the
+# same row block of the cosine is divided by its norm products
 DOT_BLOCK_ELEMS = 1 << 17
-
-
-def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """All pairwise dot products, each summed in one fixed order.
-
-    The products of a row pair form one contiguous row that NumPy sums
-    in the same order whichever argument comes first, so
-    `_dots(a, b) == _dots(b, a).T` bit for bit. Rows of `a` are taken in
-    blocks so the product temporary stays within DOT_BLOCK_ELEMS.
-    """
-    out = np.empty((a.shape[0], b.shape[0]))
-    rows = max(1, DOT_BLOCK_ELEMS // max(1, b.shape[0] * b.shape[1]))
-    for start in range(0, a.shape[0], rows):
-        block = a[start : start + rows]
-        out[start : start + rows] = (block[:, None, :] * b[None, :, :]).sum(axis=-1)
-    return out
-
-
-def _norms(a: np.ndarray) -> np.ndarray:
-    """Row norms floored at NORM_FLOOR, summed as `_dots` sums a row with itself."""
-    return np.maximum(np.sqrt((a * a).sum(axis=-1)), NORM_FLOOR)
 
 
 def _cosine(a: np.ndarray, b: np.ndarray):
     """Return (cos, na, nb): the cosine matrix and the floored row norms.
 
-    Each dot is divided in place by the product of its two norms, so the
-    only matrix-sized array is the result. A block of rows takes at most
-    DOT_BLOCK_ELEMS / 2 denominators, which leaves room in one product
-    block for the two 64 KiB buffers NumPy's broadcast multiply allocates.
-    The division is per element, so the transpose-exactness of `_dots`
-    carries over to the cosine.
+    The products of a row pair form one contiguous row that NumPy sums
+    in the same order whichever argument comes first, and each norm sums
+    a row with itself the same way, so `_cosine(a, b)[0]` is
+    `_cosine(b, a)[0].T` bit for bit. Rows of `a` are taken in blocks so
+    the product temporary stays within DOT_BLOCK_ELEMS; each block's dots
+    are divided in place by their norm products, so the only
+    matrix-sized array is the result.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ValueError(f"incompatible feature shapes {a.shape} and {b.shape}")
-    na = _norms(a)
-    nb = _norms(b)
-    cos = _dots(a, b)
-    rows = max(1, DOT_BLOCK_ELEMS // max(1, 2 * len(nb)))
-    for start in range(0, len(cos), rows):
-        cos[start : start + rows] /= na[start : start + rows, None] * nb
+    na = np.maximum(np.sqrt((a * a).sum(axis=-1)), NORM_FLOOR)
+    nb = np.maximum(np.sqrt((b * b).sum(axis=-1)), NORM_FLOOR)
+    cos = np.empty((len(a), len(b)))
+    rows = max(1, DOT_BLOCK_ELEMS // max(1, b.size))
+    for start in range(0, len(a), rows):
+        blk = slice(start, start + rows)
+        cos[blk] = (a[blk, None, :] * b[None, :, :]).sum(axis=-1)
+        cos[blk] /= na[blk, None] * nb
     return cos, na, nb
 
 

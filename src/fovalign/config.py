@@ -339,7 +339,7 @@ def load_config(path, command: str | None = None) -> tuple[RunConfig, int | None
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except ValueError as exc:  # not UTF-8, or not JSON
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     seed = None
     if isinstance(data, dict) and "command" in data and "config" in data:

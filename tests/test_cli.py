@@ -1358,6 +1358,14 @@ class TestErrorSurface:
         assert err.startswith(f"error: {bad} is not valid JSON: 'utf-8' codec can't decode")
         assert "Traceback" not in err
 
+    def test_config_nested_too_deep(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["train", "--config", str(deep), "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {deep} is not valid JSON: maximum recursion depth exceeded")
+        assert "Traceback" not in err
+
     def test_console_script_help(self):
         # Call the declared target the way pip's generated wrapper does, so a
         # plain checkout needs no installed `fovalign` executable on PATH.

@@ -420,9 +420,12 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "nope.json")
 
-    def test_invalid_json(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text", ["{not json", "[" * 100_000 + "]" * 100_000], ids=["malformed", "nested-too-deep"]
+    )
+    def test_invalid_json(self, tmp_path, text):
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
+        path.write_text(text)
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_config(path)
 
