@@ -338,7 +338,3 @@ def main(argv=None) -> int:
         json.dump(exc.state, sys.stderr, indent=2, sort_keys=True)
         print(file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

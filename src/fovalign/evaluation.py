@@ -12,6 +12,7 @@ block fill one int64 array, no larger than the block, counted in `beats`.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Annotated
 
@@ -87,6 +88,9 @@ def nway_reports(blocks, truth, sizes, trials: int, seed: int) -> list[EvalRepor
     however the matrix is split. The similarity score is the mean
     diagonal of a square matrix, and None otherwise.
     """
+    # NumPy integers read as ints, and a non-integer fails before any block
+    sizes = [operator.index(n) for n in sizes]
+    trials, seed = operator.index(trials), operator.index(seed)
     t = np.asarray(truth, dtype=np.int64)
     if t.ndim != 1 or len(t) < 1:
         raise ValueError(f"expected a vector of truth indices, got shape {t.shape}")

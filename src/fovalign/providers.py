@@ -39,7 +39,6 @@ __all__ = [
     "EmbeddingBank",
     "save_embedding_bank",
     "load_embedding_bank",
-    "select_kernel_level",
     "SyntheticProvider",
     "BankProvider",
 ]
@@ -267,18 +266,6 @@ def load_embedding_bank(path) -> EmbeddingBank:
     return bank
 
 
-def select_kernel_level(levels, kernels) -> np.ndarray:
-    """Nearest stored level to each requested kernel; ties resolve upward."""
-    levels = np.sort(np.asarray(levels, dtype=np.int64))
-    if len(levels) == 0:
-        raise ValueError("no kernel levels to select from")
-    kernels = np.asarray(kernels, dtype=np.int64)
-    upper = np.minimum(np.searchsorted(levels, kernels), len(levels) - 1)
-    lower = levels[np.maximum(upper - 1, 0)]
-    upper = levels[upper]
-    return np.where(kernels - lower < upper - kernels, lower, upper)
-
-
 class SyntheticProvider:
     """Builds the enabled views of its samples' images and encodes them.
     `images` is a sequence with one entry per sample: uint8 (C, H, W)
@@ -385,7 +372,10 @@ class BankProvider:
     def features(self, ids, kernels, noise_base: int = 0, epoch: int = 0) -> np.ndarray:
         """(len(ids), views, dim_feature) rows stored at each kernel's level."""
         ids, kernels = _check_batch(ids, kernels, self.bank.sample_count, "outside the bank")
-        levels = self.bank.kernel_levels
+        levels = np.asarray(self.bank.kernel_levels)
         self.level_clamps += int(np.count_nonzero((kernels < levels[0]) | (kernels > levels[-1])))
-        columns = np.searchsorted(levels, select_kernel_level(levels, kernels))
+        # the nearest stored level's column; a tie reads the upper level
+        upper = np.minimum(np.searchsorted(levels, kernels), len(levels) - 1)
+        lower = np.maximum(upper - 1, 0)
+        columns = np.where(kernels - levels[lower] < levels[upper] - kernels, lower, upper)
         return self.bank.features[ids, columns].astype(np.float64)

@@ -190,6 +190,10 @@ class TestSymmetricLoss:
         shuffled, _ = loss_and_gradients(f, np.roll(f, 1, axis=0), math.log(0.1))[:2]
         assert aligned < shuffled
 
+    def test_feature_shapes_must_match(self):
+        with pytest.raises(ValueError, match=r"feature shapes differ: \(2, 3\) vs \(2, 4\)"):
+            loss_and_gradients(np.ones((2, 3)), np.ones((2, 4)), 0.0)
+
     def test_batch_of_one_rejected(self):
         with pytest.raises(ValueError):
             loss_and_gradients(np.ones((1, 3)), np.ones((1, 3)), 0.0)

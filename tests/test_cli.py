@@ -483,6 +483,7 @@ class TestEvaluate:
 
     def test_oversized_gallery_fails_before_encoding(self, workspace, tmp_path,
                                                      monkeypatch, capsys):
+        # the config's own rule: a gallery larger than data.test_classes
         def unreachable(*args, **kwargs):
             raise AssertionError("encode_pairs ran before the gallery check")
 
@@ -492,7 +493,29 @@ class TestEvaluate:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(raw))
         assert main(["evaluate", "--config", str(cfg), "--out", str(tmp_path / "e")]) == 2
-        assert "gallery size n=5 exceeds the test set size 4" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines() == [
+            "error: evaluation.gallery_sizes: gallery size n=5 exceeds "
+            "the test set size 4 (data.test_classes)"
+        ]
+
+    def test_gallery_larger_than_the_dataset_fails_before_encoding(self, workspace, tmp_path,
+                                                                   monkeypatch, capsys):
+        # the config claims 2 more test classes than the dataset holds, so
+        # only evaluate's own check against the loaded test set can refuse it
+        def unreachable(*args, **kwargs):
+            raise AssertionError("encode_pairs ran before the gallery check")
+
+        monkeypatch.setattr(fovalign.cli, "encode_pairs", unreachable)
+        raw = json.loads(workspace["config"].read_text())
+        raw["data"]["classes"] += 2
+        raw["data"]["test_classes"] += 2
+        raw["evaluation"]["gallery_sizes"] = [5]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        assert main(["evaluate", "--config", str(cfg), "--out", str(tmp_path / "e")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: gallery size n=5 exceeds the test set size 4"
+        ]
 
     @pytest.mark.parametrize(
         "broken, message",

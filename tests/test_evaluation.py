@@ -147,7 +147,9 @@ class TestAggregates:
         (np.zeros((2, 3)), [0, 3], "truth indices outside the gallery"),
         (np.zeros(3), [0], r"expected a \(queries, gallery\) block of similarities, "
                            r"got shape \(3,\)"),
-    ], ids=["truth-too-short", "truth-outside", "one-axis"])
+        (np.zeros((2, 3)), [], r"expected a vector of truth indices, got shape \(0,\)"),
+        (np.zeros((2, 3)), [[0], [1]], r"expected a vector of truth indices, got shape \(2, 1\)"),
+    ], ids=["truth-too-short", "truth-outside", "one-axis", "truth-empty", "truth-matrix"])
     def test_reports_the_errors_of_nway_reports(self, sim, truth, message):
         with pytest.raises(ValueError, match=message):
             nway_evaluate(sim, truth, n=2, trials=1, seed=0)
@@ -496,6 +498,22 @@ class TestBlocks:
     def test_truth_outside_the_gallery(self):
         with pytest.raises(ValueError, match="truth indices outside the gallery"):
             nway_reports([np.zeros((2, 3))], [0, 3], [2], trials=1, seed=0)
+
+    def test_numpy_integers_read_as_ints(self):
+        sim = np.random.default_rng(6).standard_normal((6, 6))
+        got = nway_reports([sim], np.arange(6), np.array([6, 3]), np.int64(2), np.int64(1))
+        assert got == nway_reports([sim], np.arange(6), [6, 3], trials=2, seed=1)
+        assert {type(v) for r in got for v in (r.gallery_size, r.trials, r.seed)} == {int}
+
+    @pytest.mark.parametrize("sizes, trials, seed", [([2.0], 1, 0), ([2], 1.0, 0), ([2], 1, 0.5)],
+                             ids=["size", "trials", "seed"])
+    def test_a_non_integer_fails_before_any_block(self, sizes, trials, seed):
+        def blocks():
+            raise AssertionError("a block was taken")
+            yield
+
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            nway_reports(blocks(), [0, 1, 2], sizes, trials, seed)
 
 
 @settings(max_examples=100, deadline=None)

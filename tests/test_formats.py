@@ -316,6 +316,13 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="array table"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("manifest", [[], {"model": {}}], ids=["not-object", "no-arrays"])
+    def test_manifest_without_an_array_table_rejected(self, tmp_path, manifest):
+        path = tmp_path / "ck.bick"
+        write_checkpoint_manifest(path, manifest)
+        with pytest.raises(FormatError, match="checkpoint manifest lacks the array table"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("shape", [[0, 2**63], [1] * 70], ids=["huge-extent", "70-axes"])
     def test_unrepresentable_shape_rejected(self, tmp_path, shape):
         path = tmp_path / "ck.bick"

@@ -29,7 +29,6 @@ from fovalign.providers import (
     derive_noise_seed,
     load_embedding_bank,
     save_embedding_bank,
-    select_kernel_level,
 )
 
 
@@ -475,34 +474,39 @@ def select_kernel_level_loop(levels, kernel: int) -> int:
     return best[1]
 
 
+def levels_read(levels, kernels) -> np.ndarray:
+    """The level `BankProvider.features` reads for each kernel, from a
+    one-sample bank whose every stored feature is its own level."""
+    bank = tiny_bank(levels=levels, n=1, views=1, dim_f=1)
+    bank.features = np.asarray(levels, dtype=np.float32).reshape(1, len(levels), 1, 1)
+    rows = BankProvider(bank.validate()).features(np.zeros(len(kernels), dtype=np.int64), kernels)
+    return rows[:, 0, 0].astype(np.int64)
+
+
 class TestKernelLevelSelection:
     def test_exact_hit(self):
-        assert select_kernel_level([1, 75, 149], 75) == 75
+        assert levels_read([1, 75, 149], [75]).tolist() == [75]
 
     def test_nearest_wins(self):
-        picks = select_kernel_level([1, 75, 149], [30, 45, 120])
+        picks = levels_read([1, 75, 149], [30, 45, 120])
         np.testing.assert_array_equal(picks, [1, 75, 149])
 
     def test_midpoint_tie_resolves_upward(self):
-        assert select_kernel_level([51, 75], 63) == 75
-        assert select_kernel_level([1, 5], 3) == 5
+        assert levels_read([51, 75], [63]).tolist() == [75]
+        assert levels_read([1, 5], [3]).tolist() == [5]
 
     def test_monotone_in_kernel(self):
-        picks = select_kernel_level([1, 25, 75, 149], np.arange(1, 150, 2))
+        picks = levels_read([1, 25, 75, 149], np.arange(1, 150, 2))
         assert np.all(np.diff(picks) >= 0)
-
-    def test_empty_levels_rejected(self):
-        with pytest.raises(ValueError):
-            select_kernel_level([], 5)
 
     @settings(max_examples=300, deadline=None)
     @given(
         levels=st.lists(st.integers(0, 80).map(lambda n: 2 * n + 1), min_size=1, max_size=6,
-                        unique=True),
+                        unique=True).map(sorted),
         kernels=st.lists(st.integers(-5, 170), min_size=1, max_size=20),
     )
     def test_matches_the_scalar_loop(self, levels, kernels):
-        picks = select_kernel_level(levels, kernels)
+        picks = levels_read(levels, kernels)
         assert picks.shape == (len(kernels),)
         assert picks.tolist() == [select_kernel_level_loop(levels, k) for k in kernels]
 
@@ -759,6 +763,10 @@ class TestSyntheticProvider:
         provider = self._provider([random_levels(np.random.default_rng(0))])
         with pytest.raises(ValueError, match="1 sample ids but 2 kernels"):
             provider.features([0], [9, 9])
+
+    def test_unknown_view_rejected(self):
+        with pytest.raises(ValueError, match="unknown view 'blurred'"):
+            self._provider().view_image("blurred", np.zeros((1, 4, 4)), 9, 0)
 
     def test_all_views_disabled_rejected(self):
         with pytest.raises(ValueError):

@@ -159,6 +159,11 @@ class TestFoveationMask:
     def test_single_pixel_grid(self):
         np.testing.assert_array_equal(foveation_mask(1, 1, (0, 0), 1.0), [[1.0]])
 
+    @pytest.mark.parametrize("height, width", [(0, 4), (4, 0), (-1, -1)])
+    def test_empty_grid_rejected(self, height, width):
+        with pytest.raises(ValueError, match=f"mask dimensions must be >= 1, got {height}x{width}"):
+            foveation_mask(height, width, (0, 0), 1.0)
+
     def test_center_outside_grid_rejected(self):
         with pytest.raises(ValueError):
             foveation_mask(4, 4, (4, 0), 1.0)
@@ -441,6 +446,11 @@ class TestAddNoise:
         image = random_image(rng)
         np.testing.assert_array_equal(add_noise(image, 10.0, 77), add_noise(image, 10.0, 77))
         assert not np.array_equal(add_noise(image, 10.0, 77), add_noise(image, 10.0, 78))
+
+    @pytest.mark.parametrize("sigma", [-1.0, float("nan")])
+    def test_negative_or_nan_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match=f"sigma must be >= 0, got {sigma}"):
+            add_noise(np.zeros((1, 4, 4)), sigma, 0)
 
     def test_sigma_zero_is_identity(self):
         rng = np.random.default_rng(11)
