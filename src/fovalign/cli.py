@@ -86,11 +86,13 @@ def _model(config: RunConfig, bank: EmbeddingBank) -> dict:
 
 
 def _load_data(config: RunConfig, splits, lazy: bool = False):
-    """(bank, provider) for the configured provider kind; only the synthetic
-    provider reads pixmaps, and only those of the samples in `splits`:
-    all of them now, or with `lazy` each when the provider asks for it."""
+    """(bank, provider) for the configured provider kind; only the bank
+    provider keeps the bank's features, and only the synthetic provider
+    reads pixmaps, those of the samples in `splits`: all of them now, or
+    with `lazy` each when the provider asks for it."""
     kind = config.provider.kind
-    bank, images = load_dataset(config.paths.dataset, splits if kind == "synthetic" else (), lazy)
+    bank, images = load_dataset(config.paths.dataset, splits if kind == "synthetic" else (), lazy,
+                                features=kind == "bank")
     if kind == "bank":
         _require_match(f"embedding bank {Path(config.paths.dataset) / BANK_FILE}",
                        {"views": bank.views, "dim_feature": bank.dim_feature},

@@ -172,7 +172,9 @@ class Pixmaps(Sequence):
     def __len__(self) -> int:
         return len(self._listed)
 
-    def __getitem__(self, index: int):
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self._listed))[index]]
         index = range(len(self._listed))[index]  # IndexError past the end ends iteration
         if not self._listed[index]:
             return None
@@ -188,15 +190,17 @@ class Pixmaps(Sequence):
         return levels
 
 
-def load_dataset(directory, splits=("train", "test"),
-                 lazy: bool = False) -> tuple[EmbeddingBank, Sequence]:
+def load_dataset(directory, splits=("train", "test"), lazy: bool = False, *,
+                 features: bool = True) -> tuple[EmbeddingBank, Sequence]:
     """Read a dataset directory back as (bank, images), each image its
     (3, H, W) uint8 levels. Only the pixmaps of samples in `splits` are
     read; the other entries of `images` are None. Every pixmap read must
     have the size of the first one. `images` is a list of every read
     pixmap, or with `lazy` a `Pixmaps` that reads each one when it is
-    asked for and holds none but the first."""
+    asked for and holds none but the first. Without `features` the bank's
+    feature block is checked but not kept (`bank.features` is None), as
+    for a provider that encodes the pixmaps instead."""
     root = Path(directory)
-    bank = load_embedding_bank(root / BANK_FILE)
+    bank = load_embedding_bank(root / BANK_FILE, features=features)
     images = Pixmaps(root, bank.splits, splits)
     return bank, images if lazy else list(images)

@@ -13,19 +13,23 @@ type and rule; its `<f4` payload holds, per sample, the (kernel_levels,
 views, dim_feature) features, levels ascending, then the dim_neural
 neural vector. `EmbeddingBank` is a `BankHeader` plus two arrays:
 `features`, that features block for all samples, one (sample_count,
-levels, views, dim_feature) array, and `neural`.
+levels, views, dim_feature) array, and `neural`. `load_embedding_bank`
+reads the payload in chunks of READ_BYTES, checking every row; only the
+bank provider needs `features`, and a bank loaded without them has None
+there, which the bank provider, `validate` and the writer refuse.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, fields
 from typing import Annotated
 
 import numpy as np
 
 from .config import _ODD, TransformConfig, ViewsConfig, _at_least, parse_record
-from .container import read_container, write_container
+from .container import read_header, write_container
 from .errors import FormatError, ProtocolError
 from .transforms import _float_pixels, add_noise, foveate, resample
 
@@ -47,6 +51,9 @@ POOL_GRID = 16
 BLOCK = 16  # images per encoder call; larger blocks raise peak RSS
 BANK_MAGIC = b"BICP"
 BANK_VERSION = 1
+# payload bytes per read of a bank: the reader of a bank loaded without its
+# features holds one such chunk, not the feature block
+READ_BYTES = 1 << 20
 
 
 def derive_noise_seed(base_seed: int, sample_index: int, epoch: int) -> int:
@@ -192,7 +199,7 @@ class EmbeddingBank(BankHeader):
     per-view features at discrete kernel levels and the paired neural
     vectors."""
 
-    features: np.ndarray  # (sample_count, len(kernel_levels), views, dim_feature) float32
+    features: np.ndarray | None  # (sample_count, len(kernel_levels), views, dim_feature) float32
     neural: np.ndarray  # (sample_count, dim_neural) float64; the bank file stores float32
 
     def indices(self, split: str) -> np.ndarray:
@@ -200,18 +207,21 @@ class EmbeddingBank(BankHeader):
 
     def validate(self) -> "EmbeddingBank":
         """Check the header's types and rules, then the rules that compare fields."""
+        _require_features(self)
         parse_record(BankHeader, self, "bank header", FormatError)
         return self._check_fields("")
 
-    def _check_fields(self, prefix: str) -> "EmbeddingBank":
-        """The rules that compare fields or items; `prefix` starts each message."""
+    def _check_fields(self, prefix: str, finite: bool | None = None) -> "EmbeddingBank":
+        """The rules that compare fields or items; `prefix` starts each message.
+        `finite` is what a reader found the features to be as it read them,
+        in place of checking `features`, which it may not have kept."""
         n, levels = self.sample_count, list(self.kernel_levels)
         if not levels or levels != sorted(set(levels)):
             raise FormatError(f"{prefix}kernel levels must be non-empty, sorted and unique, got {levels}")
         shape = (n, len(levels), self.views, self.dim_feature)
-        if self.features.shape != shape:
+        if self.features is not None and self.features.shape != shape:
             raise FormatError(f"{prefix}features have shape {self.features.shape}, expected {shape}")
-        if not np.all(np.isfinite(self.features)):
+        if not (np.all(np.isfinite(self.features)) if finite is None else finite):
             raise FormatError(f"{prefix}features contain non-finite values")
         if self.neural.shape != (n, self.dim_neural):
             raise FormatError(
@@ -228,6 +238,12 @@ class EmbeddingBank(BankHeader):
         return self
 
 
+def _require_features(bank: EmbeddingBank) -> None:
+    if bank.features is None:
+        raise ValueError("the bank was loaded without its features (load_embedding_bank(path, "
+                         "features=False)); load it with them to check, save or replay it")
+
+
 def save_embedding_bank(path, bank: EmbeddingBank) -> None:
     bank.validate()
     n, width = bank.sample_count, bank.features[0].size
@@ -241,29 +257,38 @@ def save_embedding_bank(path, bank: EmbeddingBank) -> None:
     write_container(path, BANK_MAGIC, BANK_VERSION, header, payload)
 
 
-def load_embedding_bank(path) -> EmbeddingBank:
-    raw, payload = read_container(path, BANK_MAGIC, BANK_VERSION, "bank")
-    where = f"{path}: bank header"
-    # positive counts and at least one level bound every array extent by the payload size
-    h = parse_record(BankHeader, raw, where, FormatError)
-    if not h.kernel_levels:
-        raise FormatError(f"{where}.kernel_levels must be non-empty")
-    n = h.sample_count
-    width = len(h.kernel_levels) * h.views * h.dim_feature
-    expected_bytes = n * (width + h.dim_neural) * 4
-    if len(payload) != expected_bytes:
-        raise FormatError(
-            f"{path}: payload has {len(payload)} bytes, the bank header describes {expected_bytes}"
-        )
-    flat = np.frombuffer(payload, dtype="<f4").reshape(n, width + h.dim_neural)
-    bank = EmbeddingBank(
-        **vars(h),
-        features=flat[:, :width].reshape(n, len(h.kernel_levels), h.views, h.dim_feature),
-        neural=flat[:, width:],
-    )._check_fields(f"{path}: ")  # the header's own rules were checked above
-    # widened after the check: a signalling NaN makes the cast warn
-    bank.neural = bank.neural.astype(np.float64)
-    return bank
+def load_embedding_bank(path, *, features: bool = True) -> EmbeddingBank:
+    """The bank stored at `path`; without `features`, its feature block is
+    checked as it is read but not kept, and the bank's `features` is None.
+    The payload is read READ_BYTES at a time, straight into the kept array."""
+    with open(path, "rb") as fh:
+        raw, size = read_header(fh, path, BANK_MAGIC, BANK_VERSION, "bank")
+        where = f"{path}: bank header"
+        # positive counts and at least one level bound every array extent by the file size
+        h = parse_record(BankHeader, raw, where, FormatError)
+        if not h.kernel_levels:
+            raise FormatError(f"{where}.kernel_levels must be non-empty")
+        n, shape = h.sample_count, (len(h.kernel_levels), h.views, h.dim_feature)
+        width = math.prod(shape)
+        expected_bytes = n * (width + h.dim_neural) * 4
+        if size != expected_bytes:
+            raise FormatError(f"{path}: payload has {size} bytes, the bank header describes {expected_bytes}")
+        step = max(1, READ_BYTES // ((width + h.dim_neural) * 4))
+        flat = np.empty((n if features else min(n, step), width + h.dim_neural), dtype="<f4")
+        neural = np.empty((n, h.dim_neural))
+        finite = True  # every feature read so far
+        for start in range(0, n, step):
+            rows = flat[start : start + step] if features else flat[: min(step, n - start)]
+            if fh.readinto(rows) != rows.nbytes:
+                raise FormatError(f"{path}: the file ended while its payload was read")
+            ok = np.isfinite(rows).all(axis=0)
+            finite = finite and bool(ok[:width].all())
+            # widened once checked, since a signalling NaN makes the cast warn; a
+            # non-finite vector is left NaN for `_check_fields` to name
+            neural[start : start + len(rows)] = rows[:, width:] if ok[width:].all() else np.nan
+    block = flat[:, :width].reshape(n, *shape) if features else None
+    bank = EmbeddingBank(**vars(h), features=block, neural=neural)
+    return bank._check_fields(f"{path}: ", finite)  # the header's own rules were checked above
 
 
 class SyntheticProvider:
@@ -366,6 +391,7 @@ class BankProvider:
     """
 
     def __init__(self, bank: EmbeddingBank):
+        _require_features(bank)
         self.bank = bank
         self.level_clamps = 0
 

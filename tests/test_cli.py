@@ -8,6 +8,7 @@ import json
 import os
 import shutil
 import subprocess
+import struct
 import sys
 import tracemalloc
 import typing
@@ -637,6 +638,72 @@ def test_loaded_split_holds_one_byte_per_channel_and_pixel(workspace):
     assert {(str(image.dtype), image.nbytes) for image in read} == {("uint8", 3 * 32 * 32)}
 
 
+@pytest.fixture
+def wide_bank_workspace(workspace, tmp_path):
+    """(config, bank): the workspace's pixmaps beside a bank of the same
+    samples whose feature block, at 2,048 dimensions, is 5.4 MB, several
+    times the bank reader's chunk budget."""
+    small = fovalign.load_embedding_bank(workspace["root"] / "data" / "bank.bicp")
+    rng = np.random.default_rng(3)
+    shape = (small.sample_count, len(small.kernel_levels), small.views, 2048)
+    bank = dataclasses.replace(small, dim_feature=2048,
+                               features=rng.standard_normal(shape).astype(np.float32))
+    shutil.copytree(workspace["root"] / "data" / "images", tmp_path / "data" / "images")
+    fovalign.save_embedding_bank(tmp_path / "data" / "bank.bicp", bank)
+    raw = json.loads(workspace["config"].read_text())
+    raw["paths"]["dataset"] = str(tmp_path / "data")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    return cfg, bank
+
+
+def test_synthetic_provider_holds_no_feature_block(wide_bank_workspace):
+    # the synthetic provider encodes pixmaps, so its load checks the
+    # bank's features chunk by chunk but keeps none of them
+    cfg, bank = wide_bank_workspace
+    config, _ = load_config(str(cfg))
+    tracemalloc.start()
+    try:
+        loaded, provider = fovalign.cli._load_data(config, ("test",), lazy=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bank.features.nbytes, f"{peak} traced bytes"
+    assert loaded.features is None and isinstance(provider, fovalign.SyntheticProvider)
+    np.testing.assert_array_equal(loaded.neural, bank.neural)
+
+
+@pytest.mark.parametrize("fault", ["header-length", "sample-count"])
+def test_an_impossible_bank_size_exits_2_before_it_is_read(
+    wide_bank_workspace, tmp_path, capsys, fault
+):
+    # each size the header states is compared with the file's before a
+    # byte of that size is allocated or read
+    cfg, bank = wide_bank_workspace
+    path = tmp_path / "data" / "bank.bicp"
+    data = bytearray(path.read_bytes())
+    if fault == "header-length":
+        data[8:12] = struct.pack("<I", 0xFFFFFFFF)
+        path.write_bytes(bytes(data))
+        message = f"error: {path}: bank header runs past the end of the file"
+    else:
+        (length,) = struct.unpack("<I", data[8:12])
+        payload = len(data) - 12 - length
+        rewrite_bank_header(path, sample_count=2**40)
+        row = len(bank.kernel_levels) * bank.views * bank.dim_feature + bank.dim_neural
+        message = (f"error: {path}: payload has {payload} bytes, "
+                   f"the bank header describes {2**40 * row * 4}")
+    tracemalloc.start()
+    try:
+        code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert peak < 1 << 20, f"{peak} traced bytes"
+
+
 _SCIPY_PROBE = """
 import json, sys
 from fovalign.cli import main
@@ -711,7 +778,7 @@ def test_evaluate_in_query_blocks_writes_the_eager_eval_csv(gallery, tmp_path, m
     # one eager pass: every test pixmap read up front, one features call
     real_load = fovalign.cli.load_dataset
     monkeypatch.setattr(fovalign.cli, "load_dataset",
-                        lambda directory, splits, lazy: real_load(directory, splits))
+                        lambda directory, splits, lazy, **kwargs: real_load(directory, splits, **kwargs))
     monkeypatch.setattr(fovalign.alignment, "_QUERY_BLOCK", 10**6)
     assert main(["evaluate", "--config", str(gallery), "--out", str(tmp_path / "eager")]) == 0
     eager = (tmp_path / "eager" / "eval.csv").read_bytes()

@@ -306,6 +306,29 @@ class TestLoadDataset:
         assert images == [None] * bank.sample_count
         assert loaded.sample_count == bank.sample_count
 
+    def test_lazy_slices_read_as_their_indices(self, generated, dataset_dir):
+        # a slice of the lazy sequence is the list of its entries, each the
+        # one its integer index reads: None outside the split
+        bank, images = generated
+        first_test = int(bank.indices("test")[0])
+        _, lazy = load_dataset(dataset_dir, splits=("test",), lazy=True)
+        for part in (slice(0, 2), slice(first_test - 1, first_test + 2), slice(None, None, -7),
+                     slice(len(lazy) - 2, len(lazy) + 5)):
+            got = lazy[part]
+            assert isinstance(got, list) and len(got) == len(range(len(lazy))[part])
+            for index, entry in zip(range(len(lazy))[part], got, strict=True):
+                if bank.splits[index] == "test":
+                    np.testing.assert_array_equal(entry, images[index])
+                else:
+                    assert entry is None
+
+    def test_without_features_keeps_the_record(self, generated, dataset_dir):
+        bank, _ = generated
+        loaded, _ = load_dataset(dataset_dir, splits=(), features=False)
+        assert loaded.features is None
+        np.testing.assert_array_equal(loaded.neural, bank.neural.astype(np.float32))
+        assert (loaded.tag, loaded.labels, loaded.splits) == (bank.tag, bank.labels, bank.splits)
+
     @pytest.mark.parametrize("split", ["train", "test"])
     def test_reads_only_the_listed_split(self, generated, dataset_dir, split):
         bank, images = generated

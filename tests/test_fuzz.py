@@ -24,6 +24,7 @@ from fovalign.checkpoint import load_checkpoint, save_checkpoint
 from fovalign.cli import main
 from fovalign.config import RunConfig, config_from_dict
 from fovalign.errors import ConfigError, FormatError, ProtocolError
+from fovalign import providers
 from fovalign.pixmap import read_pixmap
 from fovalign.providers import (
     BankHeader, EmbeddingBank, load_embedding_bank, save_embedding_bank,
@@ -180,12 +181,26 @@ def test_load_checkpoint_header_bytes(scratch, checkpoint_bytes, edits):
 
 
 def _check_bank(path):
-    try:
-        bank = load_embedding_bank(path)
-    except (FormatError, ProtocolError):
+    """Load `path` in both modes, the payload read in chunks of fewer bytes
+    than the reference bank's: both raise the same documented error, or
+    both return the same valid bank, the one without its features."""
+    outcomes = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(providers, "READ_BYTES", FUZZ_READ_BYTES)
+        for features in (True, False):
+            try:
+                outcomes.append(load_embedding_bank(path, features=features))
+            except (FormatError, ProtocolError) as exc:
+                outcomes.append(exc)
+    bank, bare = outcomes
+    if isinstance(bank, Exception):
+        assert (type(bare), str(bare)) == (type(bank), str(bank))
         return
     assert isinstance(bank, EmbeddingBank)
     assert bank.validate() is bank
+    assert bare.features is None
+    np.testing.assert_array_equal(bare.neural, bank.neural)
+    assert all(getattr(bare, name) == getattr(bank, name) for name in BANK_FIELDS)
 
 
 @pytest.fixture(scope="module")
@@ -206,6 +221,9 @@ def bank_bytes(scratch):
 
 
 BANK_FIELDS = tuple(f.name for f in dataclasses.fields(BankHeader))
+# the reference bank's payload is 4 rows of 56 bytes: reads of three rows
+# take it as a full chunk and a partial one
+FUZZ_READ_BYTES = 3 * 56
 
 
 @FUZZ

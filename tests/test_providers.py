@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
 import struct
+import warnings
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from conftest import (
 )
 from fovalign.config import TransformConfig, ViewsConfig
 from fovalign.errors import FormatError, ProtocolError
-from fovalign import providers
+from fovalign import container, providers
 from fovalign.providers import (
     BANK_MAGIC,
     BLOCK,
@@ -462,6 +465,115 @@ class TestEmbeddingBank:
         got = bank.indices(split)
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, want)
+
+
+def whole_payload_read(path) -> tuple[np.ndarray, np.ndarray]:
+    """(features, neural) as a reader of the whole payload at once builds
+    them: views of one (samples, row) float32 array, neural widened."""
+    data = path.read_bytes()
+    (length,) = struct.unpack("<I", data[8:12])
+    h = json.loads(data[12 : 12 + length])
+    shape = (len(h["kernel_levels"]), h["views"], h["dim_feature"])
+    flat = np.frombuffer(data[12 + length :], dtype="<f4").reshape(h["sample_count"], -1)
+    width = int(np.prod(shape))
+    return flat[:, :width].reshape(-1, *shape), flat[:, width:].astype(np.float64)
+
+
+# 7 samples of 2 * 3 * 5 features and 4 neural values, 136 bytes a row; a
+# read budget of three rows reads them as chunks of 3, 3 and 1 samples
+CHUNK_ROW, CHUNK_SAMPLES, CHUNK_WIDTH = 136, 7, 30
+NON_FINITE_WORDS = {
+    "quiet-nan": b"\x00\x00\xc0\x7f", "signalling-nan": b"\x00\x00\x81\x7f", "inf": b"\x00\x00\x80\x7f",
+}
+LOAD_MODES = pytest.mark.parametrize("features", [True, False], ids=["features", "neural-only"])
+
+
+class TestChunkedLoad:
+    @pytest.fixture
+    def chunked(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(providers, "READ_BYTES", 3 * CHUNK_ROW + CHUNK_ROW // 2)
+        path = tmp_path / "bank.bicp"
+        save_embedding_bank(path, tiny_bank(n=CHUNK_SAMPLES))
+        assert path.stat().st_size - 12 - struct.unpack("<I", path.read_bytes()[8:12])[0] == (
+            CHUNK_SAMPLES * CHUNK_ROW)
+        return path
+
+    @LOAD_MODES
+    def test_loads_as_the_whole_payload_read(self, chunked, features):
+        want_features, want_neural = whole_payload_read(chunked)
+        bank = load_embedding_bank(chunked, features=features)
+        assert bank.neural.dtype == np.float64
+        np.testing.assert_array_equal(bank.neural, want_neural)
+        if features:
+            assert bank.features.dtype == np.float32 and not bank.features.flags.owndata
+            np.testing.assert_array_equal(bank.features, want_features)
+        else:
+            assert bank.features is None
+
+    @LOAD_MODES
+    @pytest.mark.parametrize("word", NON_FINITE_WORDS.values(), ids=NON_FINITE_WORDS.keys())
+    @pytest.mark.parametrize("sample", [0, 4, 6], ids=["first-chunk", "middle-chunk", "last-chunk"])
+    @pytest.mark.parametrize("faults, message", [
+        (("features",), "features contain non-finite values"),
+        (("neural",), "neural block contains non-finite values"),
+        # a feature fault wins over a neural one, even in an earlier chunk
+        (("features", "neural"), "features contain non-finite values"),
+    ], ids=["features", "neural", "both"])
+    def test_non_finite_word_in_any_chunk_rejected_without_a_warning(
+        self, chunked, features, word, sample, faults, message
+    ):
+        data = bytearray(chunked.read_bytes())
+        start = len(data) - CHUNK_SAMPLES * CHUNK_ROW
+        for fault in faults:
+            # feature column `sample` of `sample`; its second neural value, or
+            # sample 0's when both are broken
+            at = (start + sample * CHUNK_ROW + 4 * sample if fault == "features" else
+                  start + (0 if len(faults) > 1 else sample) * CHUNK_ROW + 4 * CHUNK_WIDTH + 4)
+            data[at : at + 4] = word
+        chunked.write_bytes(bytes(data))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError) as exc:
+                load_embedding_bank(chunked, features=features)
+        assert str(exc.value) == f"{chunked}: {message}"
+
+    @LOAD_MODES
+    @pytest.mark.parametrize("changes, message", [
+        ({"kernel_levels": [9, 1]}, "kernel levels must be non-empty, sorted and unique, got [9, 1]"),
+        ({"labels": [0, 1, 2, 3, 3, 5, 6]}, "features contain non-finite values"),
+    ], ids=["unsorted-levels-first", "class-overlap-after"])
+    def test_header_faults_keep_their_place_around_a_non_finite_feature(
+        self, chunked, features, changes, message
+    ):
+        data = bytearray(chunked.read_bytes())
+        last_feature = len(data) - 4 * (4 + 1)  # the last sample's, before its 4 neural values
+        data[last_feature : last_feature + 4] = NON_FINITE_WORDS["inf"]
+        chunked.write_bytes(bytes(data))
+        rewrite_bank_header(chunked, **changes)
+        with pytest.raises(FormatError) as exc:
+            load_embedding_bank(chunked, features=features)
+        assert str(exc.value) == f"{chunked}: {message}"
+
+    @LOAD_MODES
+    def test_a_file_that_shrinks_while_it_is_read_is_refused(self, chunked, monkeypatch, features):
+        # the size is taken before the payload is read: a file cut short
+        # after that leaves a chunk unfilled, which must not be kept
+        size = chunked.stat().st_size
+        chunked.write_bytes(chunked.read_bytes()[:-8])
+        stale = lambda fd: os.stat_result((*os.fstat(fd)[:6], size, *os.fstat(fd)[7:]))
+        monkeypatch.setattr(container, "os", SimpleNamespace(fstat=stale))
+        with pytest.raises(FormatError) as exc:
+            load_embedding_bank(chunked, features=features)
+        assert str(exc.value) == f"{chunked}: the file ended while its payload was read"
+
+    def test_a_bank_loaded_without_features_is_refused(self, chunked, tmp_path):
+        bank = load_embedding_bank(chunked, features=False)
+        for call in (bank.validate, lambda: BankProvider(bank),
+                     lambda: save_embedding_bank(tmp_path / "copy.bicp", bank)):
+            with pytest.raises(ValueError, match="loaded without its features") as exc:
+                call()
+            assert exc.type is ValueError
+        assert not (tmp_path / "copy.bicp").exists()
 
 
 def select_kernel_level_loop(levels, kernel: int) -> int:
