@@ -13,6 +13,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import sys
 import typing
 from dataclasses import dataclass, field
@@ -238,6 +239,19 @@ class RunConfig:
         t.check_fits(d.image_size, d.image_size, self.views.enabled(), "image (data.image_size)")
         if len(set(d.bank_levels)) != len(d.bank_levels) or not d.bank_levels:
             raise ConfigError("data.bank_levels must be non-empty and free of duplicates")
+        # an array NumPy can describe holds at most (2**63 - 1) / itemsize elements
+        samples = (d.classes - d.test_classes) * d.train_samples_per_class + d.test_classes
+        features = (samples, len(d.bank_levels), self.views.count, self.provider.dim_feature)
+        for array, formula, factors, count, itemsize in (
+            ("float64 canvas", "3 * data.image_size**2", f"3 * {d.image_size}**2",
+             3 * d.image_size**2, 8),
+            ("float32 bank features", "samples * len(data.bank_levels) * views * provider.dim_feature",
+             " * ".join(map(str, features)), math.prod(features), 4),
+        ):
+            limit = (2**63 - 1) // itemsize
+            if count > limit:
+                raise ConfigError(f"{formula} = {factors} = {count} elements of the {array}; "
+                                  f"one array holds at most {limit}")
         if not e.gallery_sizes:
             raise ConfigError("evaluation.gallery_sizes must list at least one positive size")
         if max(e.gallery_sizes) > d.test_classes:

@@ -20,6 +20,7 @@ directory layout: `bank.bicp` plus `images/sample_%05d.ppm`.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from pathlib import Path
 
@@ -60,22 +61,31 @@ def _class_style(data_seed: int, class_id: int) -> dict:
 
 
 def render_sample(style: dict, rng: np.random.Generator, size: int) -> np.ndarray:
-    """One jittered rendering of a class style as (3, size, size) uint8 levels."""
+    """One jittered rendering of a class style as (3, size, size) uint8 levels.
+
+    A blob's coverage is exactly 0 beyond radius + 0.5 of its centre, where
+    the blend leaves the canvas as it is, so each blob is painted over its
+    box only: the rows and columns within radius + 1 of its centre (a
+    1-pixel margin), clamped to the image."""
     canvas = np.ones((3, size, size)) * style["background"][:, None, None]
-    rows = np.arange(size, dtype=np.float64)[:, None]
-    cols = np.arange(size, dtype=np.float64)[None, :]
+    grid = np.arange(size, dtype=np.float64)
     for blob in style["blobs"]:
         cy, cx = (blob["center"] + rng.normal(0.0, 0.02, size=2)) * size
         radius = blob["radius"] * size * (1.0 + rng.normal(0.0, 0.05))
         radius = max(radius, 1.5)
         color = np.clip(blob["color"] + rng.normal(0.0, 0.02, size=3), 0.0, 1.0)
-        dy, dx = rows - cy, cols - cx
+        (top, bottom), (left, right) = (
+            (max(math.ceil(c - radius - 1.0), 0), min(math.floor(c + radius + 1.0) + 1, size))
+            for c in (cy, cx)
+        )
+        dy, dx = grid[top:bottom, None] - cy, grid[None, left:right] - cx
         if blob["kind"] == "circle":
             dist = np.hypot(dy, dx)
         else:
             dist = np.maximum(np.abs(dy), np.abs(dx))
         coverage = np.clip(radius - dist + 0.5, 0.0, 1.0)  # 1-pixel soft edge
-        canvas = canvas * (1.0 - coverage) + color[:, None, None] * coverage
+        box = canvas[:, top:bottom, left:right]
+        box[...] = box * (1.0 - coverage) + color[:, None, None] * coverage
     return to_bytes_quantized(canvas)
 
 

@@ -301,9 +301,10 @@ class SyntheticProvider:
     held one batch at a time.
 
     Each (index, view) keeps its last row under a key: the kernel for the
-    foveated view, the noise seed for the noise view and a constant for
-    the others. A repeat request reuses the row and a new key replaces it,
-    so the cache holds at most one row per (index, view).
+    foveated view, (noise_base, epoch) for the noise view and a constant
+    for the others. A repeat request reuses the row and a new key replaces
+    it, so the cache holds at most one row per (index, view). The noise
+    seed is derived only when a noise row is rendered.
 
     A batch's images share one (C, H, W) shape. One pass over the batch
     serves the hits and lists every (sample, view) miss in batch order. A
@@ -320,7 +321,7 @@ class SyntheticProvider:
         self.view_names = views.enabled()
         self.encoder = SyntheticEncoder(dim, seed)
         self.images = images
-        self._rows: dict[tuple[int, str], tuple[int | None, np.ndarray]] = {}
+        self._rows: dict[tuple[int, str], tuple[int | tuple[int, int] | None, np.ndarray]] = {}
 
     def view_image(self, name: str, image: np.ndarray, kernel: int, noise_seed: int) -> np.ndarray:
         """One view of a float (C, H, W) image in [0, 1]; the identity view
@@ -359,7 +360,7 @@ class SyntheticProvider:
         for j, index in enumerate(ids):
             for v, name in enumerate(self.view_names):
                 key = (kernels[j] if name == "foveated" else
-                       derive_noise_seed(noise_base, index, epoch) if name == "noise" else None)
+                       (noise_base, epoch) if name == "noise" else None)
                 cached = self._rows.get((index, name))
                 if cached is not None and cached[0] == key:
                     out[j, v] = cached[1]
@@ -374,7 +375,9 @@ class SyntheticProvider:
                 if j != widened:  # a sample's misses are adjacent: widen it once
                     np.divide(images[j], 255.0, out=pixels)
                     widened = j
-                block[b] = self.view_image(self.view_names[v], pixels, kernels[j], key)
+                name = self.view_names[v]
+                seed = derive_noise_seed(noise_base, ids[j], epoch) if name == "noise" else None
+                block[b] = self.view_image(name, pixels, kernels[j], seed)
             for (j, v, key), row in zip(chunk, self.encoder.encode(block[: len(chunk)])):
                 out[j, v] = row
                 # a copy, so a cached row does not keep the whole block alive

@@ -11,7 +11,10 @@ committed here, relied on by the tests:
   the (n, n) operator of one separable pass with the reflect padding
   folded in, built once per (n, kernel size) in NumPy, bit for bit the
   scipy.ndimage ``correlate1d`` of the identity, and cached read-only. It
-  agrees with the two-pass correlation to about 4e-16 per pixel.
+  agrees with the two-pass correlation to about 4e-16 per pixel. Kernel
+  size 1 makes ``A_n`` the identity, so that blur applies no products: it
+  returns ``clip(X + 0.0)``, the bits the products give (``-0.0`` comes
+  back as ``+0.0``).
 * The blur width is tied to the kernel size by
   ``sigma = 0.3 * ((k - 1) / 2 - 1) + 0.8``, the convention mainstream
   image libraries use when only a size is given.
@@ -153,6 +156,8 @@ def gaussian_blur(image: np.ndarray, kernel_size: int) -> np.ndarray:
 
 def _blur(arr: np.ndarray, kernel_size: int) -> np.ndarray:
     """gaussian_blur of an image already checked by _check_image."""
+    if kernel_size == 1:  # the identity operator: its products hand back each pixel, -0.0 as +0.0
+        return np.clip(arr + 0.0, 0.0, 1.0)
     _, height, width = arr.shape
     rows = _blur_operator(height, kernel_size)
     cols = _blur_operator(width, kernel_size)

@@ -1354,24 +1354,30 @@ json.dump(results, sys.stdout)
 """
 
 
-@pytest.fixture(scope="module")
-def beyond_int64_runs(tmp_path_factory):
-    """[exit code, stderr] of each BEYOND_INT64 case on the tiny config, all
-    run in one child capped at 3 GiB of address space."""
-    root = tmp_path_factory.mktemp("int64")
+def capped_runs(root: Path, cases: dict) -> dict:
+    """[exit code, stderr] of each case, {name: (command, field, value)}, with
+    `field` set to `value` on the tiny config, all run in one child capped at
+    3 GiB of address space."""
     runs = {}
-    for field, (command, value) in BEYOND_INT64.items():
+    for case, (command, field, value) in cases.items():
         raw = tiny_config().to_dict()
         raw["regulator"]["kernel_max"] = None  # resolved from the kernel size
         section, name = field.split(".")
         raw[section][name] = value
-        cfg = root / f"{field}.json"
+        cfg = root / f"{case}.json"
         cfg.write_text(json.dumps(raw))
-        runs[field] = [command, "--config", str(cfg), "--out", str(root / field)]
+        runs[case] = [command, "--config", str(cfg), "--out", str(root / case)]
     proc = subprocess.run([sys.executable, "-c", _CAPPED_RUNS], input=json.dumps(runs),
                           capture_output=True, text=True, timeout=120, env=capped_env())
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
+
+
+@pytest.fixture(scope="module")
+def beyond_int64_runs(tmp_path_factory):
+    """[exit code, stderr] of each BEYOND_INT64 case."""
+    cases = {field: (command, field, value) for field, (command, value) in BEYOND_INT64.items()}
+    return capped_runs(tmp_path_factory.mktemp("int64"), cases)
 
 
 @pytest.mark.parametrize("field", list(BEYOND_INT64))
@@ -1379,6 +1385,34 @@ def test_int_beyond_int64_exits_2_naming_the_field(beyond_int64_runs, field):
     value = BEYOND_INT64[field][1]
     where, shown = (f"{field}[0]", value[0]) if isinstance(value, list) else (field, value)
     assert beyond_int64_runs[field] == [2, f"error: {where} must fit int64, got {shown}\n"]
+
+
+# sizes within int64 whose arrays NumPy cannot describe; left to run,
+# `generate` ends in a traceback, "ValueError: array is too big"
+TOO_BIG = {
+    "canvas 2**31+1": ("data.image_size", 2**31 + 1, "3 * data.image_size**2 = 3 * 2147483649**2 = "
+                       "13835058068167065603 elements of the float64 canvas; one array holds at "
+                       "most 1152921504606846975"),
+    "canvas 10**10": ("data.image_size", 10**10, "3 * data.image_size**2 = 3 * 10000000000**2 = "
+                      "300000000000000000000 elements of the float64 canvas; one array holds at "
+                      "most 1152921504606846975"),
+    "features 2**62": ("provider.dim_feature", 2**62, "samples * len(data.bank_levels) * views * "
+                       "provider.dim_feature = 44 * 3 * 4 * 4611686018427387904 = "
+                       "2434970217729660813312 elements of the float32 bank features; one array "
+                       "holds at most 2305843009213693951"),
+}
+
+
+@pytest.fixture(scope="module")
+def too_big_runs(tmp_path_factory):
+    """[exit code, stderr] of `generate` on each TOO_BIG case."""
+    cases = {case: ("generate", field, value) for case, (field, value, _) in TOO_BIG.items()}
+    return capped_runs(tmp_path_factory.mktemp("too_big"), cases)
+
+
+@pytest.mark.parametrize("case", list(TOO_BIG))
+def test_array_numpy_cannot_describe_exits_2_naming_the_fields(too_big_runs, case):
+    assert too_big_runs[case] == [2, f"error: {TOO_BIG[case][2]}\n"]
 
 
 def test_seed_beyond_int64_still_trains(bank_recipe, tmp_path, capsys):

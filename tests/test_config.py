@@ -319,6 +319,24 @@ def test_resolved_kernel_max_must_fit_int64():
         config_from_dict({"transforms": {"kernel_size": 2**62 + 1}})
 
 
+def test_arrays_numpy_cannot_describe_are_refused_past_their_bound():
+    # NumPy describes at most (2**63 - 1) / itemsize elements in one array: the
+    # float64 canvas holds 3 * image_size**2, the float32 bank features
+    # samples * levels * views * dim_feature (530 * 3 * 4 by default)
+    side = math.isqrt((2**63 - 1) // 8 // 3)
+    assert config_from_dict({"data": {"image_size": side}}).data.image_size == side
+    with pytest.raises(ConfigError, match=rf"^3 \* data\.image_size\*\*2 = 3 \* {side + 1}\*\*2 = "
+                                          r"\d+ elements of the float64 canvas; one array holds "
+                                          r"at most 1152921504606846975$"):
+        config_from_dict({"data": {"image_size": side + 1}})
+    dim = (2**63 - 1) // 4 // (530 * 3 * 4)
+    assert config_from_dict({"provider": {"dim_feature": dim}}).provider.dim_feature == dim
+    with pytest.raises(ConfigError, match=r"^samples \* len\(data\.bank_levels\) \* views \* "
+                                          rf"provider\.dim_feature = 530 \* 3 \* 4 \* {dim + 1} = "
+                                          r"\d+ elements of the float32 bank features"):
+        config_from_dict({"provider": {"dim_feature": dim + 1}})
+
+
 @pytest.mark.parametrize("section,name", SEEDS)
 def test_seeds_take_any_size(section, name):
     # a seed only feeds a SeedSequence, which takes any non-negative int

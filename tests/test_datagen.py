@@ -4,9 +4,13 @@ import dataclasses
 import re
 import shutil
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import einsum_encode, generate_and_load, level_block, tiny_config
 import fovalign.datagen
@@ -49,7 +53,82 @@ def _style():
     }
 
 
+def full_canvas_render(style: dict, rng: np.random.Generator, size: int):
+    """render_sample as it was before each blob was painted over its box
+    only, kept as its oracle: every blob's distance, coverage and blend run
+    over the whole canvas. Returns the float canvas and its uint8 levels."""
+    canvas = np.ones((3, size, size)) * style["background"][:, None, None]
+    rows = np.arange(size, dtype=np.float64)[:, None]
+    cols = np.arange(size, dtype=np.float64)[None, :]
+    for blob in style["blobs"]:
+        cy, cx = (blob["center"] + rng.normal(0.0, 0.02, size=2)) * size
+        radius = blob["radius"] * size * (1.0 + rng.normal(0.0, 0.05))
+        radius = max(radius, 1.5)
+        color = np.clip(blob["color"] + rng.normal(0.0, 0.02, size=3), 0.0, 1.0)
+        dy, dx = rows - cy, cols - cx
+        if blob["kind"] == "circle":
+            dist = np.hypot(dy, dx)
+        else:
+            dist = np.maximum(np.abs(dy), np.abs(dx))
+        coverage = np.clip(radius - dist + 0.5, 0.0, 1.0)
+        canvas = canvas * (1.0 - coverage) + color[:, None, None] * coverage
+    return canvas, to_bytes_quantized(canvas)
+
+
+def boxed_render(style: dict, rng: np.random.Generator, size: int):
+    """render_sample's float canvas, as it reaches to_bytes_quantized, and its levels."""
+    seen = []
+    with mock.patch.object(fovalign.datagen, "to_bytes_quantized",
+                           lambda canvas: seen.append(canvas.copy()) or to_bytes_quantized(canvas)):
+        levels = render_sample(style, rng, size)
+    (canvas,) = seen
+    return canvas, levels
+
+
+def assert_renders_equal(style: dict, key: tuple, size: int) -> None:
+    """The render of `style` by the jitter stream `key` equals the oracle's, bit for bit."""
+    (want_canvas, want), (got_canvas, got) = (
+        render(style, _stream(*key), size) for render in (full_canvas_render, boxed_render)
+    )
+    assert got_canvas.shape == want_canvas.shape == (3, size, size)
+    assert np.array_equal(got_canvas.view(np.int64), want_canvas.view(np.int64))
+    assert got.dtype == want.dtype == np.uint8 and np.array_equal(got, want)
+
+
+# blobs anywhere from beyond the top-left corner to beyond the bottom-right,
+# small enough for the 1.5-pixel floor and large enough to cover the image
+EDGE_BLOBS = st.fixed_dictionaries({
+    "kind": st.sampled_from(["circle", "square"]),
+    "center": arrays(np.float64, 2, elements=st.floats(-0.3, 1.3)),
+    "radius": st.floats(0.0, 0.7),
+    "color": arrays(np.float64, 3, elements=st.floats(0.0, 1.0)),
+})
+EDGE_STYLES = st.fixed_dictionaries({
+    "background": arrays(np.float64, 3, elements=st.floats(0.0, 1.0)),
+    "blobs": st.lists(EDGE_BLOBS, min_size=1, max_size=4),
+})
+
+
 class TestRenderSample:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32), class_id=st.integers(0, 1009), copy=st.integers(0, 47),
+           size=st.integers(2, 97))
+    def test_class_renders_equal_the_full_canvas_oracle(self, seed, class_id, copy, size):
+        assert_renders_equal(_class_style(seed, class_id), (seed, _SAMPLE_TAG, class_id, copy), size)
+
+    @settings(max_examples=150, deadline=None)
+    @given(style=EDGE_STYLES, seed=st.integers(0, 2**32), size=st.integers(2, 97))
+    def test_blobs_over_the_edges_equal_the_full_canvas_oracle(self, style, seed, size):
+        assert_renders_equal(style, (seed,), size)
+
+    def test_blob_at_each_corner_equals_the_full_canvas_oracle(self):
+        for corner in ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)):
+            for kind in ("circle", "square"):
+                style = {**_style(), "blobs": [{**_style()["blobs"][0], "kind": kind,
+                                                "center": np.array(corner)}]}
+                for size in (2, 3, 16, 97):
+                    assert_renders_equal(style, (7,), size)
+
     def test_shape_and_range(self):
         img = render_sample(_style(), np.random.default_rng(0), 32)
         assert img.shape == (3, 32, 32)
@@ -252,6 +331,17 @@ class TestBank:
         bank = generate_dataset(cfg, tmp_path)
         assert len(cfg.data.bank_levels) >= 2
         assert len(calls) == bank.sample_count
+
+    def test_noise_seed_derived_once_per_sample(self, monkeypatch, tmp_path):
+        # three levels ask for the noise row three times; only the first renders it
+        derived = []
+        derive = fovalign.providers.derive_noise_seed
+        monkeypatch.setattr(fovalign.providers, "derive_noise_seed",
+                            lambda *a: derived.append(a) or derive(*a))
+        cfg = tiny_config()
+        bank = generate_dataset(cfg, tmp_path)
+        assert len(cfg.data.bank_levels) == 3
+        assert derived == [(cfg.data.seed + _VIEW_NOISE_TAG, i, 0) for i in range(bank.sample_count)]
 
     def test_kernel_independent_views_shared_across_levels(self, generated):
         bank, _ = generated

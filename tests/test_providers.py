@@ -723,6 +723,34 @@ class TestSyntheticProvider:
             last,
         )
 
+    def test_noise_seed_is_derived_only_on_a_miss(self, monkeypatch):
+        # the noise row's key is (noise_base, epoch); its seed is derived
+        # only when the row is rendered
+        derived = []
+        derive = providers.derive_noise_seed
+        monkeypatch.setattr(providers, "derive_noise_seed", lambda *a: derived.append(a) or derive(*a))
+        rng = np.random.default_rng(12)
+        images = [random_levels(rng, height=16, width=16) for _ in range(3)]
+        provider = self._provider(images, identity=True)
+        ids = [0, 1, 2]
+        provider.features(ids, [3, 5, 7], 5, 0)
+        assert derived == [(5, i, 0) for i in ids]
+        for kernels in ([3, 5, 7], [9, 9, 9], [1, 3, 5]):  # repeated (noise_base, epoch)
+            derived.clear()
+            provider.features(ids, kernels, 5, 0)
+            assert derived == []
+        for noise_base, epoch in ((5, 1), (6, 1)):  # a new epoch or base: one per sample
+            derived.clear()
+            rows = provider.features(ids, [5, 5, 5], noise_base, epoch)
+            assert derived == [(noise_base, i, epoch) for i in ids]
+        for j, i in enumerate(ids):
+            seed = derive(6, i, 1)
+            want = [provider.encoder.encode(provider.view_image(n, images[i] / 255.0, 5, seed))
+                    for n in provider.view_names]
+            np.testing.assert_array_equal(rows[j], np.stack(want))
+        assert sorted(provider._rows) == sorted((i, n) for i in ids for n in provider.view_names)
+        assert provider._rows[(0, "noise")][0] == (6, 1)
+
     def test_misses_beyond_one_block_equal_per_sample_rows(self, monkeypatch):
         # 40 samples, 13 warmed: hits, replaced foveated rows and more than
         # BLOCK misses per view, at a size 16 does not divide (index-array

@@ -13,11 +13,13 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
 from conftest import random_image
@@ -280,6 +282,61 @@ class TestGaussianBlur:
         assert not op.flags.writeable
         with pytest.raises(ValueError):
             op[0, 0] = 1.0
+
+
+def operator_blur(arr: np.ndarray, kernel_size: int) -> np.ndarray:
+    """The blur as its two operator products at every kernel, 1 included: the
+    path kernel 1 took before it skipped them, kept as that kernel's oracle."""
+    _, height, width = arr.shape
+    rows = transforms._blur_operator(height, kernel_size)
+    cols = transforms._blur_operator(width, kernel_size)
+    return np.clip(np.matmul(np.matmul(rows, arr), cols.T), 0.0, 1.0)
+
+
+# any finite pixel: signed, far outside [0, 1], subnormal, and +-0.0
+ANY_PIXEL = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1.0, 1.0, 0.5, 2.0]),
+)
+SIGNED_IMAGES = st.tuples(st.integers(1, 3), st.integers(1, 12), st.integers(1, 12)).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=ANY_PIXEL)
+)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestKernelOne:
+    """Kernel 1 applies no products; it must give the products' bits."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(SIGNED_IMAGES)
+    def test_blur_gives_the_operator_bits(self, image):
+        assert same_bits(gaussian_blur(image, 1), operator_blur(image, 1))
+
+    @settings(max_examples=150, deadline=None)
+    @given(image=SIGNED_IMAGES, gamma=st.floats(0.1, 10.0), data=st.data())
+    def test_foveate_gives_the_operator_bits(self, image, gamma, data):
+        _, height, width = image.shape
+        center = data.draw(st.none() | st.tuples(st.integers(0, height - 1), st.integers(0, width - 1)))
+        with mock.patch.object(transforms, "_blur", operator_blur):
+            want = foveate(image, 1, center, gamma)
+        assert same_bits(foveate(image, 1, center, gamma), want)
+
+    def test_negative_zero_comes_back_as_positive_zero(self):
+        image = np.full((2, 3, 4), -0.0)
+        assert same_bits(operator_blur(image, 1), np.zeros_like(image))
+        assert same_bits(gaussian_blur(image, 1), np.zeros_like(image))
+        with mock.patch.object(transforms, "_blur", operator_blur):
+            want = foveate(image, 1, None, 1.0)
+        assert same_bits(foveate(image, 1, None, 1.0), want)
+
+    def test_builds_no_operator(self):
+        transforms._blur_operator.cache_clear()
+        gaussian_blur(np.zeros((1, 5, 7)), 1)
+        foveate(np.zeros((1, 5, 7)), 1, None, 1.0)
+        assert transforms._blur_operator.cache_info().currsize == 0
 
 
 class TestFoveate:

@@ -20,7 +20,9 @@ seeded draws carry from one block to the next. The kernel starts at 11
 and moves over 9-15, and the bank stores levels 5/9/13, so kernel 11
 ties between two levels and 15 is clamped. `tiny` is the same shape at a few seconds' cost,
 with `transforms.scale_low` 0.3: its 40-pixel images go to 12 and back, so
-the bilinear weights are not only the halving's 1/2, 1/4 and 3/4.
+the bilinear weights are not only the halving's 1/2, 1/4 and 3/4. Its bank
+stores levels 1/9/13, so `generate` also foveates at kernel 1, which applies
+no blur products.
 
 Every file both runs wrote is compared by sha256. A CSV that differs is
 given the largest relative change per column. A checkpoint that differs
@@ -81,7 +83,7 @@ RECIPES = {
         "provider": {"dim_feature": 16},
         "fusion": {"dim_latent": 16, "dim_hidden": 16, "dim_bottleneck": 8},
         "training": {"epochs": 3, "batch_size": 4, "learning_rate": 3e-3},
-        "data": {**_REGULATED_BASE["data"], "classes": 5, "test_classes": 2,
+        "data": {"bank_levels": [1, 9, 13], "classes": 5, "test_classes": 2,
                  "train_samples_per_class": 4, "image_size": 40, "dim_neural": 16},
         "evaluation": {"gallery_sizes": [2], "trials": 2},
     },
