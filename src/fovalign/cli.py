@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import sys
 import typing
@@ -304,6 +305,9 @@ def _run(args) -> int:
 # -- argument parsing ----------------------------------------------------
 
 
+# one tree per process, for callers that run many commands: building it
+# costs more than loading a config, and parsing leaves it unchanged
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", metavar="PATH", default=None,

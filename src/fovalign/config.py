@@ -17,7 +17,6 @@ import math
 import sys
 import typing
 from dataclasses import dataclass, field
-from statistics import NormalDist
 from typing import Annotated
 
 from .errors import ConfigError
@@ -152,6 +151,8 @@ class RegulatorConfig:
     @property
     def z_value(self) -> float:
         """Two-sided normal quantile for the configured alpha."""
+        from statistics import NormalDist  # on first use: only a regulated `train` asks
+
         return NormalDist().inv_cdf(1.0 - self.alpha / 2.0)
 
 
@@ -202,7 +203,13 @@ class RunConfig:
         return 2 * self.transforms.kernel_size - 1
 
     def validate(self) -> "RunConfig":
-        parse_record(RunConfig, self, "", ConfigError)
+        """This config, once each field passes its type and rule and the
+        config passes `_check_joint`'s rules; or ConfigError."""
+        return parse_record(RunConfig, self, "", ConfigError)._check_joint()
+
+    def _check_joint(self) -> "RunConfig":
+        """The rules no one field's annotation states, on a config whose
+        fields `parse_record` has checked: int64, cross-field and size."""
         # every int sizes or indexes int64 arrays; a seed only feeds a
         # SeedSequence, which takes any size
         for section, record in vars(self).items():
@@ -247,6 +254,12 @@ class RunConfig:
              3 * d.image_size**2, 8),
             ("float32 bank features", "samples * len(data.bank_levels) * views * provider.dim_feature",
              " * ".join(map(str, features)), math.prod(features), 4),
+            ("float64 clean-image features", "samples * provider.dim_feature",
+             f"{samples} * {self.provider.dim_feature}", samples * self.provider.dim_feature, 8),
+            ("float64 neural-noise block", "samples * data.dim_neural",
+             f"{samples} * {d.dim_neural}", samples * d.dim_neural, 8),
+            ("int64 rank table", "evaluation.trials * data.test_classes",
+             f"{e.trials} * {d.test_classes}", e.trials * d.test_classes, 8),
         ):
             limit = (2**63 - 1) // itemsize
             if count > limit:
@@ -335,8 +348,9 @@ def parse_record(cls, data, where: str, error: type[Exception], what: str = ""):
 
 
 def config_from_dict(data: dict) -> RunConfig:
-    """Build and validate a RunConfig from a plain dict; reject unknown keys."""
-    return parse_record(RunConfig, data, "", ConfigError).validate()
+    """Build and validate a RunConfig from a plain dict; reject unknown keys.
+    Reading checks each field's rule, so only the joint rules are left."""
+    return parse_record(RunConfig, data, "", ConfigError)._check_joint()
 
 
 def load_config(path, command: str | None = None) -> tuple[RunConfig, int | None]:

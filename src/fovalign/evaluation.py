@@ -83,10 +83,10 @@ def nway_reports(blocks, truth, sizes, trials: int, seed: int) -> list[EvalRepor
     other column is a distractor whatever the draw, so each query is
     ranked once, with no generator, and the report does not depend on
     `seed`. Top-5 uses k = min(5, n). The ranks fill a (trials, queries)
-    table per size (one row for the full gallery), and each trial's means
-    are summed after the last block, so the reports keep their bits
-    however the matrix is split. The similarity score is the mean
-    diagonal of a square matrix, and None otherwise.
+    table per size (one row for the full gallery). After the last block
+    each row's means are taken once and summed over the trials, so the
+    reports keep their bits however the matrix is split. The similarity
+    score is the mean diagonal of a square matrix, and None otherwise.
     """
     # NumPy integers read as ints, and a non-integer fails before any block
     sizes = [operator.index(n) for n in sizes]
@@ -119,13 +119,16 @@ def nway_reports(blocks, truth, sizes, trials: int, seed: int) -> list[EvalRepor
     reports = []
     for n, table, _ in tables:
         k5 = min(5, n)
+        means = [((ranks <= 1).mean(), (ranks <= k5).mean(), (1.0 / ranks).mean())
+                 for ranks in table]
         top1_sum = top5_sum = ap_sum = 0.0
-        # one sum per trial, as many trials as asked, so the means keep
-        # the bits of a per-trial loop
-        for ranks in np.broadcast_to(table, (trials, len(t))):
-            top1_sum += (ranks <= 1).mean()
-            top5_sum += (ranks <= k5).mean()
-            ap_sum += (1.0 / ranks).mean()
+        # one sum per trial, in trial order, so the means keep the bits of
+        # a per-trial loop; a full-gallery table's one row serves every trial
+        for trial in range(trials):
+            top1, top5, ap = means[trial % len(means)]
+            top1_sum += top1
+            top5_sum += top5
+            ap_sum += ap
         reports.append(EvalReport(
             gallery_size=n, trials=trials, seed=seed, top1=top1_sum / trials,
             top5=top5_sum / trials, mean_ap=ap_sum / trials,

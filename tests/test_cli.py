@@ -1355,15 +1355,16 @@ json.dump(results, sys.stdout)
 
 
 def capped_runs(root: Path, cases: dict) -> dict:
-    """[exit code, stderr] of each case, {name: (command, field, value)}, with
-    `field` set to `value` on the tiny config, all run in one child capped at
-    3 GiB of address space."""
+    """[exit code, stderr] of each case, {name: (command, {field: value})},
+    with each field set to its value on the tiny config, all run in one child
+    capped at 3 GiB of address space."""
     runs = {}
-    for case, (command, field, value) in cases.items():
+    for case, (command, fields) in cases.items():
         raw = tiny_config().to_dict()
         raw["regulator"]["kernel_max"] = None  # resolved from the kernel size
-        section, name = field.split(".")
-        raw[section][name] = value
+        for field, value in fields.items():
+            section, name = field.split(".")
+            raw[section][name] = value
         cfg = root / f"{case}.json"
         cfg.write_text(json.dumps(raw))
         runs[case] = [command, "--config", str(cfg), "--out", str(root / case)]
@@ -1376,7 +1377,7 @@ def capped_runs(root: Path, cases: dict) -> dict:
 @pytest.fixture(scope="module")
 def beyond_int64_runs(tmp_path_factory):
     """[exit code, stderr] of each BEYOND_INT64 case."""
-    cases = {field: (command, field, value) for field, (command, value) in BEYOND_INT64.items()}
+    cases = {field: (command, {field: value}) for field, (command, value) in BEYOND_INT64.items()}
     return capped_runs(tmp_path_factory.mktemp("int64"), cases)
 
 
@@ -1387,26 +1388,45 @@ def test_int_beyond_int64_exits_2_naming_the_field(beyond_int64_runs, field):
     assert beyond_int64_runs[field] == [2, f"error: {where} must fit int64, got {shown}\n"]
 
 
-# sizes within int64 whose arrays NumPy cannot describe; left to run,
-# `generate` ends in a traceback, "ValueError: array is too big"
+# sizes within int64 whose arrays NumPy cannot describe, each run by the
+# command that makes the array; left to run, each ends in a traceback:
+# "ValueError: array is too big", or on the full gallery's rank table
+# "iterator is too large"
+_ONE_FEATURE_ROW = {"views.noise": False, "views.lowres": False, "views.mosaic": False,
+                    "data.bank_levels": [1]}  # one view at one level: 44 * dim_feature float32s
 TOO_BIG = {
-    "canvas 2**31+1": ("data.image_size", 2**31 + 1, "3 * data.image_size**2 = 3 * 2147483649**2 = "
+    "canvas 2**31+1": ("generate", {"data.image_size": 2**31 + 1},
+                       "3 * data.image_size**2 = 3 * 2147483649**2 = "
                        "13835058068167065603 elements of the float64 canvas; one array holds at "
                        "most 1152921504606846975"),
-    "canvas 10**10": ("data.image_size", 10**10, "3 * data.image_size**2 = 3 * 10000000000**2 = "
+    "canvas 10**10": ("generate", {"data.image_size": 10**10},
+                      "3 * data.image_size**2 = 3 * 10000000000**2 = "
                       "300000000000000000000 elements of the float64 canvas; one array holds at "
                       "most 1152921504606846975"),
-    "features 2**62": ("provider.dim_feature", 2**62, "samples * len(data.bank_levels) * views * "
+    "features 2**62": ("generate", {"provider.dim_feature": 2**62},
+                       "samples * len(data.bank_levels) * views * "
                        "provider.dim_feature = 44 * 3 * 4 * 4611686018427387904 = "
                        "2434970217729660813312 elements of the float32 bank features; one array "
                        "holds at most 2305843009213693951"),
+    "clean 2**55": ("generate", {**_ONE_FEATURE_ROW, "provider.dim_feature": 2**55},
+                    "samples * provider.dim_feature = 44 * 36028797018963968 = "
+                    "1585267068834414592 elements of the float64 clean-image features; one "
+                    "array holds at most 1152921504606846975"),
+    "neural noise 2**62": ("generate", {"data.dim_neural": 2**62},
+                           "samples * data.dim_neural = 44 * 4611686018427387904 = "
+                           "202914184810805067776 elements of the float64 neural-noise block; one "
+                           "array holds at most 1152921504606846975"),
+    "rank table 2**62": ("evaluate", {"evaluation.trials": 2**62, "evaluation.gallery_sizes": [4]},
+                         "evaluation.trials * data.test_classes = 4611686018427387904 * 4 = "
+                         "18446744073709551616 elements of the int64 rank table; one array holds "
+                         "at most 1152921504606846975"),
 }
 
 
 @pytest.fixture(scope="module")
 def too_big_runs(tmp_path_factory):
-    """[exit code, stderr] of `generate` on each TOO_BIG case."""
-    cases = {case: ("generate", field, value) for case, (field, value, _) in TOO_BIG.items()}
+    """[exit code, stderr] of each TOO_BIG case's command."""
+    cases = {case: (command, fields) for case, (command, fields, _) in TOO_BIG.items()}
     return capped_runs(tmp_path_factory.mktemp("too_big"), cases)
 
 
@@ -1419,6 +1439,38 @@ def test_seed_beyond_int64_still_trains(bank_recipe, tmp_path, capsys):
     assert train_with(bank_recipe, tmp_path, "training", "seed", 2**70) == 0, capsys.readouterr().err
     manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
     assert manifest["seed"] == 2**70
+
+
+def test_main_parses_every_call_with_one_tree(workspace, tmp_path, capsys):
+    # `main` builds its argparse tree once per process; after each command,
+    # a refused flag and --help, every call still parses as a fresh tree would
+    parser = fovalign.cli.build_parser()
+    built = fovalign.cli.build_parser.cache_info().misses
+    raw = json.loads(workspace["config"].read_text())
+    raw["paths"]["runs"] = [str(tmp_path / "evaluate")]  # report reads evaluate's output below
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+
+    def outcome(call, argv):
+        """(result or exit code, stdout, stderr) of call(argv)."""
+        try:
+            result = call(argv)
+        except SystemExit as exc:
+            result = exc.code
+        return (result, *capsys.readouterr())
+
+    def fresh(argv):
+        return fovalign.cli.build_parser.__wrapped__().parse_args(argv)
+
+    calls = [([name, "--config", str(cfg), "--out", str(tmp_path / name)], 0) for name in COMMANDS]
+    calls += [(["train", "--bogus"], 2), (["--help"], 0),
+              (["evaluate", "--config", str(cfg), "--out", str(tmp_path / "again")], 0)]
+    for argv, code in calls:
+        result, _, err = outcome(main, argv)
+        assert result == code, err
+        assert outcome(parser.parse_args, argv) == outcome(fresh, argv)
+    assert fovalign.cli.build_parser.cache_info().misses == built
+    assert (tmp_path / "report" / "report.csv").exists()
 
 
 class TestErrorSurface:

@@ -1,13 +1,17 @@
 """Config parsing, validation, hashing, and the ablation ladder."""
 
 import dataclasses
+import importlib.util
 import json
 import math
+import sys
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import tiny_config
 from fovalign.config import (
     RunConfig,
     ViewsConfig,
@@ -15,8 +19,11 @@ from fovalign.config import (
     config_from_dict,
     config_hash,
     load_config,
+    parse_record,
 )
 from fovalign.errors import ConfigError
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_defaults_validate():
@@ -128,6 +135,26 @@ class TestRejection:
         )
         with pytest.raises(ConfigError, match=r"^training\.epochs: expected int, got "):
             cfg.validate()
+
+    @pytest.mark.parametrize("section,name,value", [
+        ("training", "batch_size", 1),
+        ("regulator", "alpha", 0.0),
+        ("data", "bank_levels", (1, 4)),
+        ("evaluation", "gallery_sizes", (0,)),
+        ("transforms", "center", (1, 2.5)),
+    ])
+    def test_config_built_in_code_is_rule_checked(self, section, name, value):
+        # validate() walks every field of a record built in code, and refuses
+        # what config_from_dict refuses, with the same message
+        base = RunConfig()
+        cfg = dataclasses.replace(
+            base, **{section: dataclasses.replace(getattr(base, section), **{name: value})}
+        )
+        with pytest.raises(ConfigError) as from_dict:
+            config_from_dict(json.loads(json.dumps({section: {name: value}})))
+        with pytest.raises(ConfigError) as from_code:
+            cfg.validate()
+        assert str(from_code.value) == str(from_dict.value)
 
     def test_smallest_alpha_with_a_quantile(self):
         alpha = math.nextafter(2.0**-53, 1.0)
@@ -335,6 +362,65 @@ def test_arrays_numpy_cannot_describe_are_refused_past_their_bound():
                                           rf"provider\.dim_feature = 530 \* 3 \* 4 \* {dim + 1} = "
                                           r"\d+ elements of the float32 bank features"):
         config_from_dict({"provider": {"dim_feature": dim + 1}})
+
+
+# one enabled view at one bank level, so the float64 blocks below pass their
+# bound before the float32 bank features do
+_ONE_FEATURE_ROW = {"views": {"noise": False, "lowres": False, "mosaic": False},
+                    "data": {"bank_levels": [1]}}
+
+
+@pytest.mark.parametrize("section,name,other,formula,array", [
+    ("provider", "dim_feature", 530, r"samples \* provider\.dim_feature = 530 \* {}",
+     "float64 clean-image features"),
+    ("data", "dim_neural", 530, r"samples \* data\.dim_neural = 530 \* {}",
+     "float64 neural-noise block"),
+    ("evaluation", "trials", 50, r"evaluation\.trials \* data\.test_classes = {} \* 50",
+     "int64 rank table"),
+], ids=["clean", "neural-noise", "rank-table"])
+def test_eight_byte_blocks_are_refused_past_their_bound(section, name, other, formula, array):
+    # 530 samples by default, and 50 test classes
+    largest = (2**63 - 1) // 8 // other
+    limit = 1152921504606846975
+
+    def raw(value):
+        out = json.loads(json.dumps(_ONE_FEATURE_ROW))
+        out.setdefault(section, {})[name] = value
+        return out
+
+    assert getattr(getattr(config_from_dict(raw(largest)), section), name) == largest
+    with pytest.raises(ConfigError, match=rf"^{formula.format(largest + 1)} = \d+ elements of the "
+                                          rf"{array}; one array holds at most {limit}$"):
+        config_from_dict(raw(largest + 1))
+
+
+def bench_configs(monkeypatch) -> dict:
+    """Every config bench/run.py writes at seed 0, by workload and recipe;
+    run.py imports its sibling tracer.py by name."""
+    modules = {}
+    for name in ("tracer", "run"):
+        spec = importlib.util.spec_from_file_location(name, REPO_ROOT / "bench" / f"{name}.py")
+        modules[name] = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, modules[name])  # put back after the test
+        spec.loader.exec_module(modules[name])
+    run = modules["run"]
+    return {f"bench {w} {r}": run.build_config(w, r, 0, "data")
+            for w in run.WORKLOADS for r in run.RECIPES}
+
+
+def test_load_config_returns_the_fully_walked_config(tmp_path, monkeypatch):
+    # config_from_dict leaves each field's rule to parse_record's one walk
+    # and applies the joint rules; it must give what the full walk gives
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    raws = {
+        "tiny": tiny_config().to_dict(),
+        "readme": json.loads(readme.split("cat > smoke.json <<'EOF'\n", 1)[1].split("\nEOF", 1)[0]),
+        **bench_configs(monkeypatch),
+    }
+    for name, raw in raws.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(raw))
+        assert load_config(path) == (parse_record(RunConfig, raw, "", ConfigError).validate(), None)
 
 
 @pytest.mark.parametrize("section,name", SEEDS)

@@ -306,6 +306,16 @@ class TestNWayMatchesLoop:
                 loop_nway_evaluate(sim, truth, 12, trials=7, seed=seed)
             )
 
+    @pytest.mark.parametrize("trials", [1, 2, 7, 20, 64])
+    def test_full_gallery_beside_partial_ones(self, trials):
+        # each table row's means are taken once and summed over the trials:
+        # a partial gallery's row per trial, the full gallery's one row every time
+        sim, truth = self._tied(10, 10, seed=trials)
+        sizes = [3, 10, 1, 7, 10]
+        blocks = [sim[start:start + 4] for start in range(0, len(sim), 4)]
+        reports = nway_reports(blocks, truth, sizes, trials=trials, seed=trials)
+        assert reports == [loop_nway_evaluate(sim, truth, n, trials, seed=trials) for n in sizes]
+
     @settings(max_examples=60, deadline=None)
     @given(
         queries=st.integers(min_value=1, max_value=8),
