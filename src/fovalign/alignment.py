@@ -15,6 +15,9 @@ cos(A, B) the bit-exact transpose of cos(B, A); swapping the two
 modalities therefore reproduces the identical loss value, not merely an
 approximately equal one.
 
+`parameter_shapes` declares every trainable array by shape, in draw
+order; `init_parameters` draws them by one rule.
+
 All gradients are analytic (see `loss_and_gradients`); the optimizer is
 AdamW with decoupled weight decay applied to weight matrices only.
 """
@@ -40,6 +43,7 @@ __all__ = [
     "AdamW",
     "EpochReport",
     "Trainer",
+    "parameter_shapes",
     "init_parameters",
     "encode_pairs",
 ]
@@ -232,15 +236,29 @@ class EpochReport:
     kernel_hist: dict[int, int]
 
 
+def parameter_shapes(config: RunConfig, dim_neural: int) -> dict[str, tuple[int, ...]]:
+    """Each trainable array's shape, in draw order: `fusion_shapes`, the neural-side
+    encoder and the log-temperature; ConfigError for one NumPy cannot describe."""
+    d = config.fusion.dim_latent
+    shapes = fusion.fusion_shapes(config.fusion, config.provider.dim_feature)
+    shapes.update(enc_w=(dim_neural, d), enc_b=(d,), log_tau=())
+    limit = (2**63 - 1) // 8  # float64 elements in one array
+    for name, shape in shapes.items():
+        if (count := math.prod(shape)) > limit:
+            raise ConfigError(f"shape {shape} = {count} elements of the float64 parameter "
+                              f"{name}; one array holds at most {limit}")
+    return shapes
+
+
 def init_parameters(config: RunConfig, dim_neural: int) -> dict[str, np.ndarray]:
-    """All trainable arrays: fusion stack, neural-side affine encoder and
-    the log-temperature, drawn in a fixed order from one seeded stream."""
+    """The declared arrays, drawn in order from one seeded stream: each
+    matrix Gaussian over sqrt(fan_in), the layer-norm gain one, the
+    log-temperature log(temperature_init), the rest zero."""
     rng = np.random.default_rng(np.random.SeedSequence((config.training.seed, 0)))
-    params = fusion.init_fusion_params(config.fusion, config.provider.dim_feature, rng)
-    params["enc_w"] = rng.standard_normal((dim_neural, config.fusion.dim_latent)) / np.sqrt(dim_neural)
-    params["enc_b"] = np.zeros(config.fusion.dim_latent)
-    params["log_tau"] = np.array(math.log(config.training.temperature_init))
-    return params
+    fill = {"ln_gain": 1.0, "log_tau": math.log(config.training.temperature_init)}
+    return {name: rng.standard_normal(shape) / np.sqrt(shape[0]) if len(shape) == 2
+            else np.full(shape, fill.get(name, 0.0))
+            for name, shape in parameter_shapes(config, dim_neural).items()}
 
 
 _FLOAT32_MAX = float(np.finfo(np.float32).max)

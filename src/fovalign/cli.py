@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .alignment import (
-    _QUERY_BLOCK, EpochReport, Trainer, cosine_similarity_matrix, encode_pairs, init_parameters,
+    _QUERY_BLOCK, EpochReport, Trainer, cosine_similarity_matrix, encode_pairs, parameter_shapes,
 )
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import _SIGNED_UNIT, _UNIT, RunConfig, _at_least, config_hash, load_config, parse_record
@@ -166,8 +166,8 @@ def _evaluate(config: RunConfig, out: Path, seed) -> str:
     arrays, header = load_checkpoint(config.paths.checkpoint)
     # each test pixmap is read when its query block is encoded
     bank, provider = _load_data(config, ("test",), lazy=True)
-    found, expected = ({name: list(a.shape) for name, a in params.items()}
-                       for params in (arrays, init_parameters(config, bank.dim_neural)))
+    found = {name: list(a.shape) for name, a in arrays.items()}
+    expected = {name: list(shape) for name, shape in parameter_shapes(config, bank.dim_neural).items()}
     _require_match(f"checkpoint {config.paths.checkpoint}",
                    {"model": header.get("model", _Absent()), "arrays": found},
                    {"model": _model(config, bank), "arrays": expected})

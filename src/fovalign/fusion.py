@@ -12,7 +12,8 @@ Pipeline per sample (features X of shape (views, dim)):
 
 The pooled numerator and denominator are summed over views in sorted
 order, so permuting views together with their weights leaves F_evidence
-bit-identical, not merely close.
+bit-identical, not merely close. `fusion_shapes` declares the parameter
+arrays by shape; `alignment.init_parameters` draws them.
 
 Everything is differentiated by hand; `fusion_backward` returns parameter
 gradients only (the image-side features are produced by a frozen encoder
@@ -30,7 +31,7 @@ from .config import FusionConfig
 
 __all__ = [
     "EvidenceState",
-    "init_fusion_params",
+    "fusion_shapes",
     "belief_weights",
     "evidential_pool",
     "fusion_forward",
@@ -48,36 +49,16 @@ class EvidenceState:
     belief: np.ndarray  # 1 - uncertainty
 
 
-def init_fusion_params(
-    settings: FusionConfig, dim_feature: int, rng: np.random.Generator
-) -> dict[str, np.ndarray]:
-    """Fresh parameter dict. Weights are scaled Gaussians (1/sqrt(fan_in)),
-    biases zero, layer-norm gain one. Keys are stable across runs; optional
-    blocks (evidence head, attention projection) exist only when used."""
-
-    def dense(rows, cols):
-        return rng.standard_normal((rows, cols)) / np.sqrt(rows)
-
-    params: dict[str, np.ndarray] = {}
-    if settings.evidence:
-        params["ev_w1"] = dense(dim_feature, settings.dim_hidden)
-        params["ev_b1"] = np.zeros(settings.dim_hidden)
-        params["ev_w2"] = dense(settings.dim_hidden, 1)
-        params["ev_b2"] = np.zeros(1)
-    params["proj_w"] = dense(dim_feature, settings.dim_latent)
-    params["proj_b"] = np.zeros(settings.dim_latent)
-    params["att_w"] = dense(dim_feature, 1)
-    params["att_b"] = np.zeros(1)
-    if settings.dim_latent != dim_feature:
-        params["att_proj_w"] = dense(dim_feature, settings.dim_latent)
-        params["att_proj_b"] = np.zeros(settings.dim_latent)
-    params["pur_w1"] = dense(settings.dim_latent, settings.dim_bottleneck)
-    params["pur_b1"] = np.zeros(settings.dim_bottleneck)
-    params["pur_w2"] = dense(settings.dim_bottleneck, settings.dim_latent)
-    params["pur_b2"] = np.zeros(settings.dim_latent)
-    params["ln_gain"] = np.ones(settings.dim_latent)
-    params["ln_bias"] = np.zeros(settings.dim_latent)
-    return params
+def fusion_shapes(settings: FusionConfig, dim_feature: int) -> dict[str, tuple[int, ...]]:
+    """Each fusion parameter's shape, in draw order: the evidence head only with
+    `evidence`, the attention projection only when dim_latent != dim_feature."""
+    f, h, d, b = dim_feature, settings.dim_hidden, settings.dim_latent, settings.dim_bottleneck
+    return {
+        **({"ev_w1": (f, h), "ev_b1": (h,), "ev_w2": (h, 1), "ev_b2": (1,)} if settings.evidence else {}),
+        "proj_w": (f, d), "proj_b": (d,), "att_w": (f, 1), "att_b": (1,),
+        **({"att_proj_w": (f, d), "att_proj_b": (d,)} if d != f else {}),
+        "pur_w1": (d, b), "pur_b1": (b,), "pur_w2": (b, d), "pur_b2": (d,), "ln_gain": (d,), "ln_bias": (d,),
+    }
 
 
 def belief_weights(evidence: np.ndarray) -> EvidenceState:

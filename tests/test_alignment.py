@@ -339,6 +339,59 @@ class TestFlatAdamW:
         assert flat.params["s"].shape == () and flat.params["w"].shape == (2, 3)
 
 
+def reference_init_parameters(config, dim_neural: int) -> dict:
+    """The parameter draw as written before the shapes were declared, kept
+    as the oracle for the declaration and its one init rule."""
+    settings, dim_feature = config.fusion, config.provider.dim_feature
+    rng = np.random.default_rng(np.random.SeedSequence((config.training.seed, 0)))
+
+    def dense(rows, cols):
+        return rng.standard_normal((rows, cols)) / np.sqrt(rows)
+
+    params = {}
+    if settings.evidence:
+        params["ev_w1"] = dense(dim_feature, settings.dim_hidden)
+        params["ev_b1"] = np.zeros(settings.dim_hidden)
+        params["ev_w2"] = dense(settings.dim_hidden, 1)
+        params["ev_b2"] = np.zeros(1)
+    params["proj_w"] = dense(dim_feature, settings.dim_latent)
+    params["proj_b"] = np.zeros(settings.dim_latent)
+    params["att_w"] = dense(dim_feature, 1)
+    params["att_b"] = np.zeros(1)
+    if settings.dim_latent != dim_feature:
+        params["att_proj_w"] = dense(dim_feature, settings.dim_latent)
+        params["att_proj_b"] = np.zeros(settings.dim_latent)
+    params["pur_w1"] = dense(settings.dim_latent, settings.dim_bottleneck)
+    params["pur_b1"] = np.zeros(settings.dim_bottleneck)
+    params["pur_w2"] = dense(settings.dim_bottleneck, settings.dim_latent)
+    params["pur_b2"] = np.zeros(settings.dim_latent)
+    params["ln_gain"] = np.ones(settings.dim_latent)
+    params["ln_bias"] = np.zeros(settings.dim_latent)
+    params["enc_w"] = rng.standard_normal((dim_neural, settings.dim_latent)) / np.sqrt(dim_neural)
+    params["enc_b"] = np.zeros(settings.dim_latent)
+    params["log_tau"] = np.array(math.log(config.training.temperature_init))
+    return params
+
+
+# dim_feature is 16: a latent of 16 has no attention projection, one of 12
+# has one; dim_neural 24 differs from both latents
+@pytest.mark.parametrize("seed", [0, 7, 42])
+@pytest.mark.parametrize("evidence", [True, False], ids=["evidence", "no-evidence"])
+@pytest.mark.parametrize("dim_latent", [16, 12])
+def test_declared_draw_keeps_the_reference_bits(seed, evidence, dim_latent):
+    base = tiny_config()
+    config = dataclasses.replace(
+        base, fusion=dataclasses.replace(base.fusion, evidence=evidence, dim_latent=dim_latent),
+        training=dataclasses.replace(base.training, seed=seed, temperature_init=0.1),
+    ).validate()
+    params, ref = init_parameters(config, 24), reference_init_parameters(config, 24)
+    assert list(params) == list(ref)
+    for name, a in params.items():
+        assert (a.dtype, a.shape, a.tobytes()) == (ref[name].dtype, ref[name].shape,
+                                                   ref[name].tobytes()), name
+    assert list(alignment.parameter_shapes(config, 24).items()) == [(k, a.shape) for k, a in ref.items()]
+
+
 @pytest.fixture(scope="module")
 def tiny_run(tmp_path_factory):
     config = tiny_config()

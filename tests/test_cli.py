@@ -974,6 +974,23 @@ class TestModelMatch:
         assert self._evaluate(workspace, tmp_path, checkpoint=str(path)) == 2
         assert message in capsys.readouterr().err
 
+    def test_evaluate_draws_no_parameters(self, workspace, tmp_path, monkeypatch):
+        # the arrays are checked against the declared shapes; every binding
+        # of init_parameters in the package raises, and evaluate gives the
+        # same eval.csv
+        assert self._evaluate(workspace, tmp_path) == 0
+        expected = (tmp_path / "e" / "eval.csv").read_bytes()
+        shutil.rmtree(tmp_path / "e")
+
+        def refuse(*args):
+            raise AssertionError("evaluate drew a parameter set")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("fovalign") and getattr(module, "init_parameters", None) is init_parameters:
+                monkeypatch.setattr(module, "init_parameters", refuse)
+        assert self._evaluate(workspace, tmp_path) == 0
+        assert (tmp_path / "e" / "eval.csv").read_bytes() == expected
+
     @pytest.mark.parametrize("model, shown", [(None, "(absent)"), ([1, 2], "[1, 2]")],
                              ids=["absent", "not-an-object"])
     def test_a_checkpoint_without_a_model_object_exits_2(
@@ -1420,13 +1437,23 @@ TOO_BIG = {
                          "evaluation.trials * data.test_classes = 4611686018427387904 * 4 = "
                          "18446744073709551616 elements of the int64 rank table; one array holds "
                          "at most 1152921504606846975"),
+    # each fusion size first shapes a (16, 2**62) matrix, 16 being
+    # dim_feature or dim_latent; the message names that parameter
+    **{f"fusion {field} 2**62": ("train", {f"fusion.{field}": 2**62},
+                                 "shape (16, 4611686018427387904) = 73786976294838206464 elements "
+                                 f"of the float64 parameter {name}; one array holds at most "
+                                 "1152921504606846975")
+       for field, name in [("dim_latent", "proj_w"), ("dim_hidden", "ev_w1"),
+                           ("dim_bottleneck", "pur_w1")]},
 }
 
 
 @pytest.fixture(scope="module")
-def too_big_runs(tmp_path_factory):
-    """[exit code, stderr] of each TOO_BIG case's command."""
-    cases = {case: (command, fields) for case, (command, fields, _) in TOO_BIG.items()}
+def too_big_runs(tmp_path_factory, workspace):
+    """[exit code, stderr] of each TOO_BIG case's command; `train` reads the
+    workspace's dataset."""
+    dataset = {"paths.dataset": str(workspace["root"] / "data")}
+    cases = {case: (command, {**fields, **dataset}) for case, (command, fields, _) in TOO_BIG.items()}
     return capped_runs(tmp_path_factory.mktemp("too_big"), cases)
 
 

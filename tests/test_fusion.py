@@ -17,7 +17,7 @@ from fovalign.fusion import (
     evidential_pool,
     fusion_backward,
     fusion_forward,
-    init_fusion_params,
+    fusion_shapes,
 )
 
 
@@ -28,7 +28,15 @@ def make_settings(**overrides) -> FusionConfig:
 
 
 def make_params(settings: FusionConfig, dim_feature: int, seed: int = 0) -> dict:
-    return init_fusion_params(settings, dim_feature, np.random.default_rng(seed))
+    """The declared fusion arrays by `init_parameters`' rule, drawn from
+    `default_rng(seed)`: matrices Gaussian over sqrt(fan_in), the
+    layer-norm gain one, the rest zero."""
+    rng = np.random.default_rng(seed)
+    return {
+        name: rng.standard_normal(shape) / np.sqrt(shape[0]) if len(shape) == 2
+        else np.ones(shape) if name == "ln_gain" else np.zeros(shape)
+        for name, shape in fusion_shapes(settings, dim_feature).items()
+    }
 
 
 def forward_cache(features: np.ndarray, params: dict, settings: FusionConfig) -> dict:
